@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,9 +30,14 @@ from .ingest import (
     filter_bots,
     load_interactions,
     load_profiles,
+    open_input,
 )
 
 ENV_PREFIX = "AFFINITY_MINER_"
+
+# the process umask can only be read by setting it
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,24 @@ def resolve_config(
 
 
 def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    _write_atomic_bytes(path, text.encode("utf-8"))
 
 
 def _write_atomic_bytes(path: Path, data: bytes):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Write through a uniquely named temp file in the same directory, so
+    concurrent runs into one directory never share a temp file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates 0600; give outputs the usual umask-derived mode
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def render_lower_triangular(
@@ -189,9 +204,9 @@ class PipelineRunner:
         if "ingest" not in self._cache:
             interactions = self._require_file("interactions")
             profiles_path = self._require_file("profiles")
-            with interactions.open(encoding="utf-8") as fh:
+            with open_input(interactions) as fh:
                 events = load_interactions(fh)
-            with profiles_path.open(encoding="utf-8") as fh:
+            with open_input(profiles_path) as fh:
                 profiles_all = load_profiles(fh)
             profiles = filter_bots(profiles_all)
             self._cache["ingest"] = {

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from .affinity import stationary_distribution
@@ -130,63 +131,107 @@ def hitting_times(P) -> HittingTimeMatrix:
     return HittingTimeMatrix(H, nodes)
 
 
-def _mcl_seed_matrix(g: AffinityGraph, order: Sequence[str]) -> np.ndarray:
-    """Column-stochastic flow matrix with self-loops of max(1, max incident)."""
-    W = _weight_matrix(g, order)
-    incident_max = np.maximum(W.max(axis=0), W.max(axis=1))
-    M = W.T.copy()
-    np.fill_diagonal(M, np.maximum(incident_max, 1.0))
-    return M / M.sum(axis=0)
+def _column_sums(M: sp.csc_array) -> np.ndarray:
+    """Per-column sums, accumulated in stored (row) order."""
+    columns = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    return np.bincount(columns, weights=M.data, minlength=M.shape[1])
+
+
+def _normalize_columns(M: sp.csc_array, sums: np.ndarray) -> sp.csc_array:
+    M.data /= np.repeat(sums, np.diff(M.indptr))
+    return M
+
+
+def _mcl_seed_matrix(g: AffinityGraph, order: Sequence[str]) -> sp.csc_array:
+    """Column-stochastic flow matrix with self-loops of max(1, max incident).
+
+    Column u holds u's out-weights, M[v, u] = w(u -> v), plus the loop.
+    """
+    index = {u: i for i, u in enumerate(order)}
+    n, m = len(order), len(g.edges)
+    src = np.fromiter((index[u] for u, _ in g.edges), dtype=np.intp, count=m)
+    dst = np.fromiter((index[v] for _, v in g.edges), dtype=np.intp, count=m)
+    w = np.fromiter(g.edges.values(), dtype=float, count=m)
+    loops = np.ones(n)
+    np.maximum.at(loops, src, w)
+    np.maximum.at(loops, dst, w)
+    # a self-edge in the graph is replaced by the loop weight, not added to it
+    off = src != dst
+    diag = np.arange(n)
+    M = sp.csc_array(
+        (
+            np.concatenate([w[off], loops]),
+            (np.concatenate([dst[off], diag]), np.concatenate([src[off], diag])),
+        ),
+        shape=(n, n),
+    )
+    return _normalize_columns(M, _column_sums(M))
 
 
 def mcl_flow(
-    M: np.ndarray, e: int = 2, r: float = 2.0, prune: float = 1e-6
-) -> Iterator[np.ndarray]:
+    M: sp.csc_array, e: int = 2, r: float = 2.0, prune: float = 1e-6
+) -> Iterator[sp.csc_array]:
     """Yield successive matrices of the expansion/inflation iteration.
 
-    Each step: raise the column-stochastic matrix to the e-th power, apply
-    the entrywise r-th power, zero entries below prune, renormalize
-    columns. The caller decides when to stop.
+    Each step: raise the column-stochastic matrix to the e-th power by
+    e - 1 sparse products, apply the entrywise r-th power, drop entries
+    below prune, renormalize columns. The caller decides when to stop.
     """
+    n = M.shape[0]
     while True:
-        M = np.linalg.matrix_power(M, e)
-        M = M**r
-        M[M < prune] = 0.0
-        sums = M.sum(axis=0)
-        # a column can only vanish entirely for n > 1/prune; restore uniform
-        dead = sums == 0.0
-        if dead.any():
-            M[:, dead] = 1.0 / M.shape[0]
-            sums = M.sum(axis=0)
-        M = M / sums
-        yield M
+        M_e = M @ M
+        for _ in range(e - 2):
+            M_e = M_e @ M
+        M = M_e
+        M.data **= r
+        M.data[M.data < prune] = 0.0
+        M.eliminate_zeros()
+        M.sort_indices()
+        sums = _column_sums(M)
+        # After expansion a column's largest entry is >= 1/n, so >= n^-r
+        # after inflation: a column can vanish once n > prune^(-1/r), which
+        # is n > 1000 at the defaults. A vanished column restarts uniform.
+        dead = np.flatnonzero(sums == 0.0)
+        if dead.size:
+            M = M + sp.csc_array(
+                (
+                    np.full(n * dead.size, 1.0 / n),
+                    (np.tile(np.arange(n), dead.size), np.repeat(dead, n)),
+                ),
+                shape=(n, n),
+            )
+            sums = _column_sums(M)
+        yield _normalize_columns(M, sums)
 
 
 def _clusters_from_limit(
-    M: np.ndarray, order: Sequence[str]
+    M: sp.csc_array, order: Sequence[str]
 ) -> tuple[list[frozenset[str]], np.ndarray]:
     """Read clusters off the limit matrix's attractor rows.
 
     Attractors are nodes with positive diagonal mass; each attractor row
-    defines the member set of nodes flowing to it. Identical member sets
+    defines the member set of nodes flowing to it (the flow stores no
+    zeros, so these are the row's stored columns). Identical member sets
     (one attractor system) collapse to a single cluster; a node's
     attraction to a cluster is its total mass on that cluster's rows.
     """
     n = M.shape[0]
-    attractors = [i for i in range(n) if M[i, i] > 0.0]
-    if not attractors:
+    attractors = np.flatnonzero(M.diagonal() > 0.0)
+    if not attractors.size:
         # degenerate non-converged flow: fall back to one cluster of all
         return [frozenset(order)], np.ones((1, n))
+    rows_of = M.tocsr()
     by_members: dict[frozenset[int], list[int]] = {}
-    for a in attractors:
-        members = frozenset(np.flatnonzero(M[a] > 0.0).tolist())
+    for a in attractors.tolist():
+        start, stop = rows_of.indptr[a], rows_of.indptr[a + 1]
+        members = frozenset(rows_of.indices[start:stop].tolist())
         by_members.setdefault(members, []).append(a)
     ordered = sorted(by_members.items(), key=lambda kv: min(kv[0]))
     clusters = [
         frozenset(order[i] for i in members) for members, _ in ordered
     ]
     attraction = np.vstack(
-        [M[rows].sum(axis=0) for _, rows in ordered]
+        [rows_of[rows].sum(axis=0) for _, rows in ordered]
     )
     return clusters, attraction
 
@@ -202,7 +247,8 @@ def mcl(
 
     Runs until the matrix moves less than 1e-8 in max norm or max_iter
     passes; a non-converged run still returns its partial clusters with
-    converged=False.
+    converged=False. The flow matrix is sparse (CSC) throughout, so memory
+    grows with its nonzeros, never with n^2.
     """
     if e < 2:
         raise ValueError(f"expansion power must be >= 2, got {e}")
@@ -216,7 +262,7 @@ def mcl(
     iterations = 0
     for M_next in mcl_flow(M, e, r, prune):
         iterations += 1
-        if np.max(np.abs(M_next - M)) < MCL_TOL:
+        if abs(M_next - M).max() < MCL_TOL:
             M = M_next
             converged = True
             break

@@ -13,9 +13,10 @@ import csv
 import enum
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .errors import InvalidType, MalformedRecord
 
@@ -142,7 +143,28 @@ def filter_bots(profiles: list[UserProfile], threshold: float = 2.5) -> list[Use
 _EVENT_KEYS = {"source", "target", "timestamp", "sentiment", "text"}
 
 
+def open_input(path: str | os.PathLike) -> TextIO:
+    """Open an interactions or profiles file for reading.
+
+    Bytes that are not UTF-8 decode to lone surrogates instead of failing
+    the whole file, so the loaders can reject just the lines holding them.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _require_utf8(text: str) -> None:
+    """Reject text holding bytes that are not UTF-8.
+
+    open_input turns each such byte into a lone surrogate.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"not valid UTF-8 at character {exc.start + 1}") from None
+
+
 def _parse_event_line(line: str) -> InteractionEvent:
+    _require_utf8(line)
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -177,10 +199,11 @@ def _parse_event_line(line: str) -> InteractionEvent:
 def load_interactions(stream: Iterable[str]) -> list[InteractionEvent]:
     """Parse interaction records, rejecting bad lines with a diagnostic.
 
-    Blank lines are skipped. Each malformed line is logged with its line
-    number; if more than 10% of the non-blank lines are malformed the whole
-    load fails with an aggregate MalformedRecord. Output is sorted by
-    (timestamp, input position).
+    Blank lines are skipped. Each malformed line, including one that is
+    not valid UTF-8 (see open_input), is logged with its line number; if
+    more than 10% of the non-blank lines are malformed the whole load fails
+    with an aggregate MalformedRecord. Output is sorted by (timestamp,
+    input position).
     """
     events: list[tuple[int, int, InteractionEvent]] = []
     bad: list[tuple[int, str]] = []
@@ -231,6 +254,7 @@ def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
             continue
         total += 1
         try:
+            _require_utf8("\t".join(row))
             if len(row) != 3:
                 raise ValueError(f"expected 3 fields, got {len(row)}")
             user_id, code, score_text = (c.strip() for c in row)

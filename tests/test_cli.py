@@ -1,6 +1,9 @@
 import pytest
 
+from affinity_miner import cli as cli_module
 from affinity_miner.cli import (
+    _write_atomic,
+    _write_atomic_bytes,
     main,
     parse_config_file,
     resolve_config,
@@ -168,3 +171,77 @@ class TestMainEntry:
         text = (out / "report.txt").read_text()
         assert "[config]" in text
         assert "seed = 11" in text
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 rejects its line, not the whole run."""
+
+    @staticmethod
+    def corrupt_copy(src, dst, every=None):
+        """Copy src, then either append one 0xff byte (every=None) or put
+        one into every `every`-th line; returns the first corrupted line."""
+        lines = src.read_bytes().splitlines(keepends=True)
+        if every is None:
+            dst.write_bytes(b"".join(lines) + b"\xff")
+            return len(lines) + 1
+        for i in range(every - 1, len(lines), every):
+            lines[i] = b"\xff" + lines[i]
+        dst.write_bytes(b"".join(lines))
+        return every
+
+    @pytest.mark.parametrize("key", ["interactions", "profiles"])
+    def test_under_limit_run_proceeds(self, dataset, tmp_path, caplog, key):
+        bad = tmp_path / dataset[key].name
+        lineno = self.corrupt_copy(dataset[key], bad)
+        cfg = config_for(dataset, tmp_path / "results", **{key: str(bad)})
+        assert run_pipeline(cfg) == 0
+        assert f"line {lineno} rejected: not valid UTF-8" in caplog.text
+        assert (tmp_path / "results" / "report.txt").is_file()
+
+    @pytest.mark.parametrize("key", ["interactions", "profiles"])
+    def test_over_limit_exits_one(self, dataset, tmp_path, capsys, key):
+        bad = tmp_path / dataset[key].name
+        # every 5th line: 20% of rows, with the profiles header (line 1) intact
+        lineno = self.corrupt_copy(dataset[key], bad, every=5)
+        out = tmp_path / "results"
+        code = main([
+            "run",
+            *(f"--set={k}={dataset[k]}" for k in
+              ("interactions", "profiles", "embeddings", "lexicon") if k != key),
+            f"--set={key}={bad}",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"(first: line {lineno}: not valid UTF-8" in err
+        assert "Traceback" not in err
+        assert not (out / "ingest.txt").exists()
+
+
+class TestAtomicWrites:
+    def test_success_leaves_only_the_target(self, tmp_path):
+        target = tmp_path / "report.txt"
+        _write_atomic(target, "first\n")
+        _write_atomic(target, "second\n")
+        _write_atomic_bytes(tmp_path / "graph.tsv", b"a\tb\n")
+        assert target.read_text() == "second\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.tsv", "report.txt"]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failure_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch, step):
+        target = tmp_path / "report.txt"
+        _write_atomic(target, "old\n")
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module.os, step, fail)
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_mode_follows_umask(self, tmp_path):
+        target = tmp_path / "report.txt"
+        _write_atomic(target, "x\n")
+        assert target.stat().st_mode & 0o777 == 0o666 & ~cli_module._UMASK

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from affinity_miner import (
     labels_from_clustering,
     mcl,
     nmi,
+    parse_mbti,
     random_walk_matrix,
 )
-from affinity_miner.cluster import mcl_flow, _mcl_seed_matrix
+from affinity_miner.cluster import MCL_MAX_ITER, MCL_TOL, mcl_flow, _mcl_seed_matrix
 from affinity_miner.errors import EmptyGraph, KOutOfRange, LengthMismatch
+from affinity_miner.graph import AffinityGraph
+from affinity_miner.synth import PlantedSpec, planted_partition
 
 from conftest import make_graph, random_ergodic_chain, two_block_graph
 
@@ -62,6 +66,59 @@ def brute_force_error(pred, truth) -> float:
         mapping = dict(zip(labels, perm))
         best = max(best, sum(1 for p, t in zip(pred, truth) if mapping[p] == t))
     return 1.0 - best / n
+
+
+def dense_seed_matrix(g, order) -> np.ndarray:
+    """Column-stochastic flow matrix with self-loops of max(1, max incident)."""
+    index = {u: i for i, u in enumerate(order)}
+    W = np.zeros((len(order), len(order)))
+    for (u, v), w in g.edges.items():
+        W[index[u], index[v]] = w
+    incident_max = np.maximum(W.max(axis=0), W.max(axis=1))
+    M = W.T.copy()
+    np.fill_diagonal(M, np.maximum(incident_max, 1.0))
+    return M / M.sum(axis=0)
+
+
+def dense_mcl_flow(M, e=2, r=2.0, prune=1e-6):
+    """Expansion by dense matrix power, inflation, prune, renormalize."""
+    while True:
+        M = np.linalg.matrix_power(M, e)
+        M = M**r
+        M[M < prune] = 0.0
+        sums = M.sum(axis=0)
+        dead = sums == 0.0
+        if dead.any():
+            M[:, dead] = 1.0 / M.shape[0]
+            sums = M.sum(axis=0)
+        M = M / sums
+        yield M
+
+
+def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
+    """Dense n x n MCL: (clusters, iterations, converged, attraction)."""
+    order = tuple(g.sorted_nodes())
+    M = dense_seed_matrix(g, order)
+    converged, iterations = False, 0
+    for M_next in dense_mcl_flow(M, e, r, prune):
+        iterations += 1
+        if np.max(np.abs(M_next - M)) < MCL_TOL:
+            M, converged = M_next, True
+            break
+        M = M_next
+        if iterations >= max_iter:
+            break
+    attractors = [i for i in range(len(order)) if M[i, i] > 0.0]
+    if not attractors:
+        return (frozenset(order),), iterations, converged, np.ones((1, len(order)))
+    by_members: dict[frozenset, list[int]] = {}
+    for a in attractors:
+        members = frozenset(np.flatnonzero(M[a] > 0.0).tolist())
+        by_members.setdefault(members, []).append(a)
+    ordered = sorted(by_members.items(), key=lambda kv: min(kv[0]))
+    clusters = tuple(frozenset(order[i] for i in members) for members, _ in ordered)
+    attraction = np.vstack([M[rows].sum(axis=0) for _, rows in ordered])
+    return clusters, iterations, converged, attraction
 
 
 # -- random walk matrix -------------------------------------------------------
@@ -168,6 +225,19 @@ class TestMcl:
         assert c1.clusters == c2.clusters
         assert c1.iterations == c2.iterations
 
+    def test_dead_columns_restart_uniform(self):
+        # every clique column falls below prune=0.5 after one step; the
+        # isolated node's column keeps all its mass on its own loop
+        g = make_graph(
+            [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
+        )
+        g = AffinityGraph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+        M = next(mcl_flow(_mcl_seed_matrix(g, tuple(g.sorted_nodes())), prune=0.5))
+        dense = M.toarray()
+        assert np.array_equal(dense[:, :4], np.full((5, 4), 1 / 5))
+        assert np.array_equal(dense[:, 4], [0.0, 0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-15)
+
     def test_column_sums_stay_one(self):
         g = two_block_graph(6, in_w=0.8, cross_w=0.05)
         M = _mcl_seed_matrix(g, tuple(g.sorted_nodes()))
@@ -201,6 +271,101 @@ class TestMcl:
         )
         c = mcl(g, prune=0.5)
         assert c.clusters
+
+
+# -- sparse MCL against the dense oracle ---------------------------------------
+
+def _planted(seed):
+    spec = PlantedSpec(
+        n=200, k=4, p_in=0.2, p_out=0.01,
+        w_in=(0.8, 1.0), w_out=(0.01, 0.05), seed=seed,
+    )
+    return planted_partition(spec)[0]
+
+
+def _assert_matches_dense(g, **params):
+    order = tuple(g.sorted_nodes())
+    M, D = _mcl_seed_matrix(g, order), dense_seed_matrix(g, order)
+    assert np.max(np.abs(M.toarray() - D)) <= 1e-15
+    flow = {k: v for k, v in params.items() if k in ("e", "r", "prune")}
+    for _, M_next, D_next in zip(range(3), mcl_flow(M, **flow), dense_mcl_flow(D, **flow)):
+        assert np.max(np.abs(M_next.toarray() - D_next)) <= 1e-12
+    c = mcl(g, **params)
+    clusters, iterations, converged, attraction = dense_mcl(g, **params)
+    assert c.clusters == clusters
+    assert c.iterations == iterations
+    assert c.converged == converged
+    assert c.attraction.shape == attraction.shape
+    assert np.max(np.abs(c.attraction - attraction)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mcl_matches_dense_oracle_planted(seed):
+    _assert_matches_dense(_planted(seed))
+
+
+@pytest.mark.parametrize(
+    "block_size, in_w, cross_w, params",
+    [
+        (6, 1.0, 0.01, {}),
+        (8, 1.0, 0.01, {}),
+        (6, 0.8, 0.05, {}),
+        (6, 1.0, 0.1, {"max_iter": 1}),
+        (5, 0.9, 0.1, {"e": 3}),
+        (5, 1.0, 0.2, {"r": 1.5}),
+        (4, 1.0, 0.01, {"prune": 0.5}),  # every column dies each step
+    ],
+)
+def test_mcl_matches_dense_oracle_two_blocks(block_size, in_w, cross_w, params):
+    _assert_matches_dense(two_block_graph(block_size, in_w, cross_w), **params)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mcl_matches_dense_oracle_directed_heavy_weights(seed):
+    # weights above 1 make the loop weight max(1, max incident) bite, in
+    # and out edges differ, and a self-edge is replaced by the loop
+    rng = np.random.default_rng(seed)
+    edge_list = [
+        (f"n{i:02d}", f"n{j:02d}", float(rng.uniform(0.1, 4.0)))
+        for i in range(30) for j in range(30)
+        if i != j and rng.random() < 0.15
+    ]
+    edge_list.append(("n00", "n00", 5.0))
+    _assert_matches_dense(make_graph(edge_list))
+
+
+def test_mcl_10k_nodes_without_dense_matrix():
+    """100 blocks of 100: ~6 in-block edges and 1 cross edge per node.
+
+    A single dense 10k x 10k float64 matrix is 800 MB, so the peak bounds
+    the whole run to sparse storage.
+    """
+    rng = np.random.default_rng(0)
+    blocks, size = 100, 100
+    n = blocks * size
+    names = [f"u{i:05d}" for i in range(n)]
+    edges = {}
+    for i in range(n):
+        base = i // size * size
+        for j in rng.choice(size - 1, size=6, replace=False):
+            j = base + (j + 1 + i - base) % size
+            edges[(names[i], names[j])] = float(rng.uniform(0.8, 1.0))
+        j = int(rng.integers(n))
+        if j // size != i // size:
+            edges[(names[i], names[j])] = float(rng.uniform(0.01, 0.05))
+    label = parse_mbti("INFJ")
+    g = AffinityGraph(nodes={u: label for u in names}, edges=dict(sorted(edges.items())))
+    tracemalloc.start()
+    try:
+        c = mcl(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.converged
+    assert len(c.clusters) == blocks
+    truth = {frozenset(names[b * size:(b + 1) * size]) for b in range(blocks)}
+    assert set(c.clusters) == truth
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- k-destinations --------------------------------------------------------------
