@@ -8,8 +8,6 @@ type prediction).
 """
 
 from .affinity import (
-    AffinityScore,
-    SentimentSequence,
     TransitionMatrix,
     affinity_score,
     build_pair_sequences,
@@ -23,14 +21,13 @@ from .classify import (
     TfIdfMatrix,
     cross_validate,
     f1_score,
-    predict,
+    predict_many,
     train_lr,
     train_nb,
     vectorize_corpus,
 )
 from .cluster import (
     Clustering,
-    HittingTimeMatrix,
     StochasticMatrix,
     clustering_error,
     hitting_times,
@@ -62,15 +59,13 @@ from .ingest import (
     parse_mbti,
 )
 from .lexfeat import (
-    ElasticNetModel,
     Lexicon,
-    elastic_net,
+    emotion_correlation_table,
     extract_features,
     fit_elastic_net,
     load_lexicon,
     pearson_r,
     tokenize,
-    type_emotion_correlation,
 )
 from .semsim import (
     DocVector,

@@ -18,19 +18,8 @@ from .ingest import InteractionEvent, Sentiment
 
 N_STATES = 3
 
-POWER_ITER_TOL = 1e-12
-POWER_ITER_MAX = 100_000
-
-
-@dataclass(frozen=True)
-class SentimentSequence:
-    """Time-ordered sentiment states for one directed user pair."""
-
-    pair: tuple[str, str]
-    states: tuple[Sentiment, ...]
-
-    def __len__(self) -> int:
-        return len(self.states)
+# a stationary distribution's residual max|pi P - pi| must fall below this
+STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,19 +38,10 @@ class TransitionMatrix:
             raise ValueError("rows must sum to 1 within 1e-12")
 
 
-@dataclass(frozen=True)
-class AffinityScore:
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value < 1.0:
-            raise ValueError(f"affinity score outside [0, 1): {self.value}")
-
-
 def build_pair_sequences(
     events: Sequence[InteractionEvent],
-) -> dict[tuple[str, str], SentimentSequence]:
-    """Group events into one sentiment sequence per directed pair.
+) -> dict[tuple[str, str], tuple[Sentiment, ...]]:
+    """Group events into one sentiment state tuple per directed pair.
 
     Events are expected in ingest order (timestamp, input position), which
     the sequences preserve.
@@ -69,17 +49,10 @@ def build_pair_sequences(
     grouped: dict[tuple[str, str], list[Sentiment]] = {}
     for event in events:
         grouped.setdefault((event.source, event.target), []).append(event.sentiment)
-    return {
-        pair: SentimentSequence(pair, tuple(states))
-        for pair, states in grouped.items()
-    }
+    return {pair: tuple(states) for pair, states in grouped.items()}
 
 
-def _states_of(seq) -> Sequence[Sentiment]:
-    return seq.states if isinstance(seq, SentimentSequence) else seq
-
-
-def estimate_chain(seq, alpha: float = 1.0) -> TransitionMatrix:
+def estimate_chain(states: Sequence[Sentiment], alpha: float = 1.0) -> TransitionMatrix:
     """Laplace-smoothed transition matrix from consecutive state pairs.
 
     entry(i, j) = (count(i->j) + alpha) / (count(i->.) + 3 alpha). With
@@ -87,7 +60,6 @@ def estimate_chain(seq, alpha: float = 1.0) -> TransitionMatrix:
     """
     if alpha <= 0:
         raise NonPositiveSmoothing(f"smoothing must be > 0, got {alpha}")
-    states = _states_of(seq)
     counts = np.zeros((N_STATES, N_STATES))
     for a, b in zip(states, states[1:]):
         counts[int(a), int(b)] += 1.0
@@ -95,65 +67,48 @@ def estimate_chain(seq, alpha: float = 1.0) -> TransitionMatrix:
     return TransitionMatrix(entries)
 
 
-def _as_matrix(T) -> np.ndarray:
-    return np.asarray(T.entries if isinstance(T, TransitionMatrix) else T, dtype=float)
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Fixed point pi with pi P = pi and sum(pi) = 1, by one linear solve.
 
-
-def stationary_distribution(T) -> np.ndarray:
-    """Fixed point pi with pi P = pi and sum(pi) = 1.
-
-    Accepts a TransitionMatrix or any k x k row-stochastic ndarray. Solves
-    the linear system directly, falling back to power iteration; verifies
-    the residual below 1e-12 either way.
+    Raises NonErgodic when the system is singular or the solution's
+    residual max|pi P - pi| is not below 1e-12. Every chain the pipeline
+    builds is strictly positive (alpha > 0, tau > 0), so neither happens.
     """
-    P = _as_matrix(T)
     n = P.shape[0]
-    pi = None
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
     try:
-        candidate = np.linalg.solve(A, b)
-        if np.max(np.abs(candidate @ P - candidate)) < POWER_ITER_TOL:
-            pi = candidate
-    except np.linalg.LinAlgError:
-        pi = None
-    if pi is None:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(POWER_ITER_MAX):
-            nxt = pi @ P
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - pi)) < POWER_ITER_TOL:
-                pi = nxt
-                break
-            pi = nxt
-        if np.max(np.abs(pi @ P - pi)) >= POWER_ITER_TOL:
-            raise NonErgodic("no stationary distribution within tolerance")
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NonErgodic(f"no stationary distribution: {exc}") from None
+    if not np.max(np.abs(pi @ P - pi)) < STATIONARY_TOL:
+        raise NonErgodic("no stationary distribution within tolerance")
     return pi
 
 
-def affinity_score(seq, alpha: float = 1.0, kappa: float = 5.0) -> AffinityScore:
+def affinity_score(
+    states: Sequence[Sentiment], alpha: float = 1.0, kappa: float = 5.0
+) -> float:
     """Stationary POS mass times the evidence factor n / (n + kappa).
 
     Empty sequences score exactly 0.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    states = _states_of(seq)
     n = len(states)
     if n == 0:
-        return AffinityScore(0.0)
-    chain = estimate_chain(states, alpha)
-    pi = stationary_distribution(chain)
-    return AffinityScore(float(pi[int(Sentiment.POS)]) * (n / (n + kappa)))
+        return 0.0
+    pi = stationary_distribution(estimate_chain(states, alpha).entries)
+    return float(pi[int(Sentiment.POS)]) * (n / (n + kappa))
 
 
 def score_sequences(
-    sequences: Mapping[tuple[str, str], SentimentSequence],
+    sequences: Mapping[tuple[str, str], Sequence[Sentiment]],
     alpha: float = 1.0,
     kappa: float = 5.0,
-) -> dict[tuple[str, str], AffinityScore]:
+) -> dict[tuple[str, str], float]:
     """Score every directed pair; deterministic regardless of map order."""
     return {
         pair: affinity_score(sequences[pair], alpha, kappa)

@@ -140,24 +140,9 @@ def train_nb(m: TfIdfMatrix, labels: Sequence[MbtiType], smoothing: float = 1.0)
     return NbModel(classes, np.log(priors), flp)
 
 
-def _dense_row(row) -> np.ndarray:
-    if sparse.issparse(row):
-        return np.asarray(row.todense()).ravel()
-    return np.asarray(row, dtype=float).ravel()
-
-
-def predict(model, row) -> MbtiType:
-    """Most probable class for one vectorized row; ties break to the
+def predict_many(model: NbModel | LrModel, rows: sparse.csr_matrix) -> list[MbtiType]:
+    """Most probable class per vectorized row; ties break to the
     lexicographically smallest type code."""
-    dense = _dense_row(row)
-    if isinstance(model, NbModel):
-        scores = model.feature_log_prob @ dense + model.class_log_prior
-    else:
-        scores = model.weights @ dense + model.intercepts
-    return model.classes[int(np.argmax(scores))]
-
-
-def predict_many(model, rows) -> list[MbtiType]:
     if isinstance(model, NbModel):
         scores = rows @ model.feature_log_prob.T + model.class_log_prior
     else:
@@ -186,14 +171,8 @@ def lr_loss_grad(
     return loss, grad_w, grad_b
 
 
-def _frobenius_sq(X) -> float:
-    if sparse.issparse(X):
-        return float(X.multiply(X).sum())
-    return float((X * X).sum())
-
-
 def train_lr(
-    m_or_rows,
+    m: TfIdfMatrix,
     labels: Sequence[MbtiType],
     ridge: float = 1.0,
 ) -> LrModel:
@@ -205,11 +184,11 @@ def train_lr(
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    X = m_or_rows.rows if isinstance(m_or_rows, TfIdfMatrix) else m_or_rows
+    X = m.rows
     classes = _class_order(labels)
     label_arr = np.array([c.value for c in labels])
     n, p = X.shape
-    lipschitz = (_frobenius_sq(X) + n) / (4.0 * n) + ridge
+    lipschitz = (float(X.multiply(X).sum()) + n) / (4.0 * n) + ridge
     step = 1.0 / lipschitz
     weights = np.zeros((len(classes), p))
     intercepts = np.zeros(len(classes))

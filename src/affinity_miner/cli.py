@@ -20,17 +20,23 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import affinity, classify, cluster, graph, influence, lexfeat, semsim, synth
 from .errors import AffinityMinerError, ConfigError
 from .ingest import (
     ALL_TYPES,
+    InteractionEvent,
     MbtiType,
+    Sentiment,
+    UserProfile,
     filter_bots,
     load_interactions,
     load_profiles,
     open_input,
+    require_utf8,
 )
 
 ENV_PREFIX = "AFFINITY_MINER_"
@@ -112,7 +118,13 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}", key="config")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    with open_input(path) as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        try:
+            require_utf8(line)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}", key="config") from None
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -182,12 +194,11 @@ def render_lower_triangular(
 
 
 class PipelineRunner:
-    """Executes stages in dependency order, caching intermediate results."""
+    """Computes each stage's data once, on first use, and renders outputs."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = Path(cfg.out)
-        self._cache: dict[str, object] = {}
 
     def _require_file(self, key: str) -> Path:
         raw = getattr(self.cfg, key)
@@ -200,184 +211,155 @@ class PipelineRunner:
 
     # -- data stages ---------------------------------------------------------
 
-    def ingest(self):
-        if "ingest" not in self._cache:
-            interactions = self._require_file("interactions")
-            profiles_path = self._require_file("profiles")
-            with open_input(interactions) as fh:
-                events = load_interactions(fh)
-            with open_input(profiles_path) as fh:
-                profiles_all = load_profiles(fh)
-            profiles = filter_bots(profiles_all)
-            self._cache["ingest"] = {
-                "events": events,
-                "profiles_all": profiles_all,
-                "profiles": profiles,
-            }
-        return self._cache["ingest"]
+    @cached_property
+    def events(self) -> list[InteractionEvent]:
+        with open_input(self._require_file("interactions")) as fh:
+            return load_interactions(fh)
 
-    def affinity(self):
-        if "affinity" not in self._cache:
-            data = self.ingest()
-            sequences = affinity.build_pair_sequences(data["events"])
-            scores = affinity.score_sequences(
-                sequences, self.cfg.alpha, self.cfg.kappa
-            )
-            self._cache["affinity"] = {"sequences": sequences, "scores": scores}
-        return self._cache["affinity"]
+    @cached_property
+    def profiles_all(self) -> list[UserProfile]:
+        with open_input(self._require_file("profiles")) as fh:
+            return load_profiles(fh)
 
-    def graph(self):
-        if "graph" not in self._cache:
-            data = self.ingest()
-            scores = self.affinity()["scores"]
-            g = graph.build_affinity_graph(
-                scores, data["profiles"], self.cfg.threshold
-            )
-            self._cache["graph"] = {
-                "graph": g,
-                "type_pairs": graph.type_pair_percentages(g),
-            }
-        return self._cache["graph"]
+    @cached_property
+    def profiles(self) -> list[UserProfile]:
+        """Profiles that pass the bot filter."""
+        return filter_bots(self.profiles_all)
 
-    def cluster(self):
-        if "cluster" not in self._cache:
-            g = self.graph()["graph"]
-            if self.cfg.method == "mcl":
-                c = cluster.mcl(
-                    g, self.cfg.expansion, self.cfg.inflation, self.cfg.prune
+    @cached_property
+    def sequences(self) -> dict[tuple[str, str], tuple[Sentiment, ...]]:
+        return affinity.build_pair_sequences(self.events)
+
+    @cached_property
+    def scores(self) -> dict[tuple[str, str], float]:
+        return affinity.score_sequences(self.sequences, self.cfg.alpha, self.cfg.kappa)
+
+    @cached_property
+    def affinity_graph(self) -> graph.AffinityGraph:
+        return graph.build_affinity_graph(self.scores, self.profiles, self.cfg.threshold)
+
+    @cached_property
+    def type_pairs(self) -> graph.TypePairTable:
+        return graph.type_pair_percentages(self.affinity_graph)
+
+    @cached_property
+    def clustering(self) -> cluster.Clustering:
+        g = self.affinity_graph
+        if self.cfg.method == "mcl":
+            return cluster.mcl(g, self.cfg.expansion, self.cfg.inflation, self.cfg.prune)
+        return cluster.k_destinations(g, self.cfg.k, tau=self.cfg.tau)
+
+    @cached_property
+    def influence_report(self) -> influence.InfluenceReport:
+        return influence.influential_types(self.affinity_graph, self.clustering)
+
+    @cached_property
+    def documents(self) -> dict[str, str]:
+        """Each kept user's event texts, joined in event order."""
+        kept = {p.user_id for p in self.profiles}
+        parts: dict[str, list[str]] = {}
+        for event in self.events:
+            if event.text and event.source in kept:
+                parts.setdefault(event.source, []).append(event.text)
+        return {u: " ".join(p) for u, p in parts.items()}
+
+    @cached_property
+    def similarity(self) -> dict[tuple[MbtiType, MbtiType], float]:
+        with open_input(self._require_file("embeddings")) as fh:
+            table = semsim.load_embeddings(fh)
+        corpora: dict[MbtiType, str] = {t: "" for t in ALL_TYPES}
+        for profile in self.profiles:
+            text = self.documents.get(profile.user_id, "")
+            if text:
+                corpora[profile.mbti] = (corpora[profile.mbti] + " " + text).strip()
+        return semsim.type_similarity_matrix(corpora, table)
+
+    @cached_property
+    def lexcorr(self) -> dict[str, dict[tuple[str, str], float]]:
+        """Correlation tables for the "pos" and "neg" categories."""
+        with open_input(self._require_file("lexicon")) as fh:
+            lex = lexfeat.load_lexicon(fh)
+        for key in ("pos_category", "neg_category"):
+            category = getattr(self.cfg, key)
+            if category not in lex.categories:
+                raise ConfigError(
+                    f"config key {key}: {category!r} is not a lexicon category; "
+                    f"the lexicon has: {', '.join(lex.categories)}",
+                    key=key,
                 )
-            else:
-                c = cluster.k_destinations(g, self.cfg.k, tau=self.cfg.tau)
-            self._cache["cluster"] = {"clustering": c}
-        return self._cache["cluster"]
-
-    def influence(self):
-        if "influence" not in self._cache:
-            g = self.graph()["graph"]
-            c = self.cluster()["clustering"]
-            self._cache["influence"] = {
-                "report": influence.influential_types(g, c)
-            }
-        return self._cache["influence"]
-
-    def _documents_by_user(self) -> dict[str, str]:
-        if "docs" not in self._cache:
-            data = self.ingest()
-            kept = {p.user_id for p in data["profiles"]}
-            parts: dict[str, list[str]] = {}
-            for event in data["events"]:
-                if event.text and event.source in kept:
-                    parts.setdefault(event.source, []).append(event.text)
-            self._cache["docs"] = {u: " ".join(p) for u, p in parts.items()}
-        return self._cache["docs"]
-
-    def semsim(self):
-        if "semsim" not in self._cache:
-            embeddings_path = self._require_file("embeddings")
-            with embeddings_path.open(encoding="utf-8") as fh:
-                table = semsim.load_embeddings(fh)
-            docs = self._documents_by_user()
-            data = self.ingest()
-            corpora: dict[MbtiType, str] = {t: "" for t in ALL_TYPES}
-            for profile in data["profiles"]:
-                text = docs.get(profile.user_id, "")
-                if text:
-                    corpora[profile.mbti] = (corpora[profile.mbti] + " " + text).strip()
-            sim = semsim.type_similarity_matrix(corpora, table)
-            self._cache["semsim"] = {"similarity": sim}
-        return self._cache["semsim"]
-
-    def lexcorr(self):
-        if "lexcorr" not in self._cache:
-            lexicon_path = self._require_file("lexicon")
-            with lexicon_path.open(encoding="utf-8") as fh:
-                lex = lexfeat.load_lexicon(fh)
-            docs = self._documents_by_user()
-            data = self.ingest()
-            by_type: dict[str, list[str]] = {t.value: [] for t in ALL_TYPES}
-            for profile in data["profiles"]:
-                by_type[profile.mbti.value].append(docs.get(profile.user_id, ""))
-            tables = {}
-            for name, target in (
+        by_type: dict[str, list[str]] = {t.value: [] for t in ALL_TYPES}
+        for profile in self.profiles:
+            by_type[profile.mbti.value].append(self.documents.get(profile.user_id, ""))
+        return {
+            name: lexfeat.emotion_correlation_table(
+                by_type, lex, category, self.cfg.top_n, self.cfg.lam, self.cfg.mix
+            )
+            for name, category in (
                 ("pos", self.cfg.pos_category),
                 ("neg", self.cfg.neg_category),
-            ):
-                tables[name] = lexfeat.emotion_correlation_table(
-                    by_type, lex, target, self.cfg.top_n, self.cfg.lam, self.cfg.mix
-                )
-            self._cache["lexcorr"] = tables
-        return self._cache["lexcorr"]
+            )
+        }
 
-    def classify(self):
-        if "classify" not in self._cache:
-            docs = self._documents_by_user()
-            data = self.ingest()
-            corpus = classify.LabeledCorpus(
-                tuple(
-                    (docs.get(p.user_id, ""), p.mbti)
-                    for p in sorted(data["profiles"], key=lambda p: p.user_id)
-                )
+    @cached_property
+    def cv_report(self) -> classify.CvReport:
+        corpus = classify.LabeledCorpus(
+            tuple(
+                (self.documents.get(p.user_id, ""), p.mbti)
+                for p in sorted(self.profiles, key=lambda p: p.user_id)
             )
-            report = classify.cross_validate(
-                corpus,
-                classifier=self.cfg.classifier,
-                folds=self.cfg.folds,
-                seed=self.cfg.seed,
-                ridge=self.cfg.ridge,
-            )
-            self._cache["classify"] = {"report": report}
-        return self._cache["classify"]
+        )
+        return classify.cross_validate(
+            corpus,
+            classifier=self.cfg.classifier,
+            folds=self.cfg.folds,
+            seed=self.cfg.seed,
+            ridge=self.cfg.ridge,
+        )
 
     # -- rendered outputs ----------------------------------------------------
 
     def ingest_text(self) -> str:
-        data = self.ingest()
         return (
-            f"events = {len(data['events'])}\n"
-            f"profiles_total = {len(data['profiles_all'])}\n"
-            f"profiles_kept = {len(data['profiles'])}\n"
+            f"events = {len(self.events)}\n"
+            f"profiles_total = {len(self.profiles_all)}\n"
+            f"profiles_kept = {len(self.profiles)}\n"
         )
 
     def scores_text(self) -> str:
-        data = self.affinity()
         lines = ["source\ttarget\tn\tscore"]
-        for pair in sorted(data["scores"]):
-            seq = data["sequences"][pair]
-            score = data["scores"][pair]
-            lines.append(f"{pair[0]}\t{pair[1]}\t{len(seq)}\t{score.value:.17g}")
+        for pair in sorted(self.scores):
+            n = len(self.sequences[pair])
+            lines.append(f"{pair[0]}\t{pair[1]}\t{n}\t{self.scores[pair]:.17g}")
         return "\n".join(lines) + "\n"
 
     def type_pairs_text(self) -> str:
-        table = self.graph()["type_pairs"]
         lines = ["type_a\ttype_b\tpercent"]
         for (p, q), pct in sorted(
-            table.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
+            self.type_pairs.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
         ):
             lines.append(f"{p}\t{q}\t{pct:.12g}")
         return "\n".join(lines) + "\n"
 
     def graph_summary_text(self) -> str:
-        g = self.graph()["graph"]
+        g = self.affinity_graph
         return f"nodes = {len(g.nodes)}\nedges = {len(g.edges)}\n"
 
     def clustering_text(self) -> str:
-        return cluster.serialize_clustering(self.cluster()["clustering"])
+        return cluster.serialize_clustering(self.clustering)
 
     def influence_text(self) -> str:
-        return influence.render_influence_report(self.influence()["report"])
+        return influence.render_influence_report(self.influence_report)
 
     def semsim_text(self) -> str:
-        sim = self.semsim()["similarity"]
         names = [t.value for t in ALL_TYPES]
-        entries = {(a.value, b.value): v for (a, b), v in sim.items()}
+        entries = {(a.value, b.value): v for (a, b), v in self.similarity.items()}
         return render_lower_triangular(entries, names)
 
     def lexcorr_text(self, which: str) -> str:
-        table = self.lexcorr()[which]
-        return render_lower_triangular(table, [t.value for t in ALL_TYPES])
+        return render_lower_triangular(self.lexcorr[which], [t.value for t in ALL_TYPES])
 
     def classify_text(self) -> str:
-        return classify.render_cv_report(self.classify()["report"])
+        return classify.render_cv_report(self.cv_report)
 
     def config_text(self) -> str:
         items = sorted(dataclasses.asdict(self.cfg).items())
@@ -401,59 +383,52 @@ class PipelineRunner:
             chunks.append(f"\n[{name}]\n{body}")
         return "".join(chunks)
 
-    # -- stage writers -------------------------------------------------------
-
     def write_stage(self, stage: str):
+        """Write the stage's output files (see STAGES), each atomically."""
         self.out.mkdir(parents=True, exist_ok=True)
-        if stage == "ingest":
-            _write_atomic(self.out / "ingest.txt", self.ingest_text())
-        elif stage == "affinity":
-            _write_atomic(self.out / "scores.tsv", self.scores_text())
-        elif stage == "graph":
-            g = self.graph()["graph"]
-            _write_atomic_bytes(self.out / "graph.tsv", graph.export_graph(g, "edge-tsv"))
-            _write_atomic_bytes(self.out / "graph.dot", graph.export_graph(g, "dot"))
-            _write_atomic(self.out / "type_pairs.tsv", self.type_pairs_text())
-        elif stage == "cluster":
-            _write_atomic(self.out / "clustering.tsv", self.clustering_text())
-        elif stage == "influence":
-            _write_atomic(self.out / "influence.txt", self.influence_text())
-        elif stage == "semsim":
-            _write_atomic(self.out / "semsim.tsv", self.semsim_text())
-        elif stage == "lexcorr":
-            _write_atomic(self.out / "lexcorr_pos.tsv", self.lexcorr_text("pos"))
-            _write_atomic(self.out / "lexcorr_neg.tsv", self.lexcorr_text("neg"))
-        elif stage == "classify":
-            _write_atomic(self.out / "cv_report.tsv", self.classify_text())
-        elif stage == "report":
-            _write_atomic(self.out / "report.txt", self.report_text())
-        else:
-            raise ValueError(f"unknown stage: {stage!r}")
+        for name, render in STAGES[stage]:
+            data = render(self)
+            if isinstance(data, bytes):
+                _write_atomic_bytes(self.out / name, data)
+            else:
+                _write_atomic(self.out / name, data)
 
 
-RUN_STAGES = [
-    "ingest",
-    "affinity",
-    "graph",
-    "cluster",
-    "influence",
-    "semsim",
-    "lexcorr",
-    "classify",
-    "report",
-]
+# stage -> (output file, renderer) pairs, in run order. Renderers and writers
+# are looked up when called, so wrapping a module-level name reaches them.
+STAGES: dict[str, tuple[tuple[str, Callable[[PipelineRunner], str | bytes]], ...]] = {
+    "ingest": (("ingest.txt", PipelineRunner.ingest_text),),
+    "affinity": (("scores.tsv", PipelineRunner.scores_text),),
+    "graph": (
+        ("graph.tsv", lambda r: graph.export_graph(r.affinity_graph, "edge-tsv")),
+        ("graph.dot", lambda r: graph.export_graph(r.affinity_graph, "dot")),
+        ("type_pairs.tsv", PipelineRunner.type_pairs_text),
+    ),
+    "cluster": (("clustering.tsv", PipelineRunner.clustering_text),),
+    "influence": (("influence.txt", PipelineRunner.influence_text),),
+    "semsim": (("semsim.tsv", PipelineRunner.semsim_text),),
+    "lexcorr": (
+        ("lexcorr_pos.tsv", lambda r: r.lexcorr_text("pos")),
+        ("lexcorr_neg.tsv", lambda r: r.lexcorr_text("neg")),
+    ),
+    "classify": (("cv_report.tsv", PipelineRunner.classify_text),),
+    "report": (("report.txt", PipelineRunner.report_text),),
+}
+
+RUN_STAGES = list(STAGES)
 
 
-def run_pipeline(cfg: PipelineConfig) -> int:
-    """Run every stage and write all outputs; returns the exit code.
-
-    0 on success, 1 on validation failure (bad config, missing or
-    malformed inputs), 2 on unexpected internal errors.
-    """
+def _write_stages(cfg: PipelineConfig, stages: Sequence[str]) -> None:
     runner = PipelineRunner(cfg)
+    for stage in stages:
+        runner.write_stage(stage)
+
+
+def _exit_code(action: Callable[[], object]) -> int:
+    """Run `action`; 0 on success, 1 on validation failure (bad config,
+    missing or malformed inputs), 2 on unexpected internal errors."""
     try:
-        for stage in RUN_STAGES:
-            runner.write_stage(stage)
+        action()
     except AffinityMinerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -461,6 +436,11 @@ def run_pipeline(cfg: PipelineConfig) -> int:
         traceback.print_exc()
         return 2
     return 0
+
+
+def run_pipeline(cfg: PipelineConfig) -> int:
+    """Run every stage and write all outputs; returns the exit code."""
+    return _exit_code(lambda: _write_stages(cfg, RUN_STAGES))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,9 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override any config key (repeatable)",
         )
 
-    for name in RUN_STAGES[:-1]:
-        add_common(sub.add_parser(name, help=f"run the {name} stage"))
-    add_common(sub.add_parser("report", help="write the aggregated report"))
+    for name, outputs in STAGES.items():
+        files = ", ".join(file for file, _ in outputs)
+        add_common(sub.add_parser(name, help=f"write {files}"))
     add_common(sub.add_parser("run", help="run all stages and the report"))
 
     synth_p = sub.add_parser("synth", help="generate synthetic pipeline inputs")
@@ -509,28 +489,20 @@ def _config_from_args(args) -> PipelineConfig:
     return resolve_config(file_values, overrides)
 
 
+def _synth(args) -> None:
+    paths = synth.generate_dataset(
+        args.out, seed=args.seed, users_per_type=args.users_per_type
+    )
+    for name, path in sorted(paths.items()):
+        print(f"{name}: {path}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "synth":
-            paths = synth.generate_dataset(
-                args.out, seed=args.seed, users_per_type=args.users_per_type
-            )
-            for name, path in sorted(paths.items()):
-                print(f"{name}: {path}")
-            return 0
-        cfg = _config_from_args(args)
-        if args.command == "run":
-            return run_pipeline(cfg)
-        runner = PipelineRunner(cfg)
-        runner.write_stage(args.command)
-        return 0
-    except AffinityMinerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception:
-        traceback.print_exc()
-        return 2
+    if args.command == "synth":
+        return _exit_code(lambda: _synth(args))
+    stages = RUN_STAGES if args.command == "run" else [args.command]
+    return _exit_code(lambda: _write_stages(_config_from_args(args), stages))
 
 
 if __name__ == "__main__":

@@ -44,14 +44,6 @@ class StochasticMatrix:
 
 
 @dataclass(frozen=True)
-class HittingTimeMatrix:
-    """entries[i, j] = expected walk steps from node i to node j."""
-
-    entries: np.ndarray
-    nodes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Clustering:
     """Cluster assignment plus the metadata needed to serialize it.
 
@@ -108,27 +100,23 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> Stoch
     return StochasticMatrix(P, order, tau)
 
 
-def hitting_times(P) -> HittingTimeMatrix:
-    """Expected first-arrival steps between all node pairs.
+def hitting_times(P: np.ndarray) -> np.ndarray:
+    """Expected first-arrival steps between all node pairs: H[i, j] is the
+    expected number of walk steps from state i to state j.
 
     Uses the fundamental matrix Z = inv(I - P + 1 pi^T) of the ergodic
     chain: H[i, j] = (Z[j, j] - Z[i, j]) / pi[j]. One matrix inverse
     replaces n per-target linear solves.
     """
-    if isinstance(P, StochasticMatrix):
-        entries, nodes = P.entries, P.nodes
-    else:
-        entries = np.asarray(P, dtype=float)
-        nodes = tuple(str(i) for i in range(entries.shape[0]))
-    n = entries.shape[0]
-    pi = stationary_distribution(entries)
+    n = P.shape[0]
+    pi = stationary_distribution(P)
     try:
-        Z = np.linalg.inv(np.eye(n) - entries + np.outer(np.ones(n), pi))
+        Z = np.linalg.inv(np.eye(n) - P + np.outer(np.ones(n), pi))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental matrix inverse failed: {exc}") from None
     H = (np.diag(Z)[None, :] - Z) / pi[None, :]
     np.fill_diagonal(H, 0.0)
-    return HittingTimeMatrix(H, nodes)
+    return H
 
 
 def _column_sums(M: sp.csc_array) -> np.ndarray:
@@ -326,7 +314,7 @@ def k_destinations(
     n = len(order)
     if not 1 <= k <= n:
         raise KOutOfRange(f"k must be in 1..{n}, got {k}")
-    H = hitting_times(random_walk_matrix(g, tau)).entries
+    H = hitting_times(random_walk_matrix(g, tau).entries)
     destinations = _init_destinations(g, H, order, k)
     assignment = np.full(n, -1, dtype=int)
     trace: list[float] = []

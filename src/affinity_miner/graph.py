@@ -62,23 +62,21 @@ def _pair_key(p: MbtiType, q: MbtiType) -> tuple[MbtiType, MbtiType]:
 
 
 def build_affinity_graph(
-    scores: Mapping[tuple[str, str], object],
+    scores: Mapping[tuple[str, str], float],
     profiles: Iterable[UserProfile],
     threshold: float = DEFAULT_EDGE_THRESHOLD,
 ) -> AffinityGraph:
     """Keep edges with weight >= threshold whose endpoints both have profiles.
 
-    Score values may be AffinityScore objects or plain floats. Pairs with a
-    missing profile are dropped and counted in a log diagnostic; isolated
-    nodes are dropped.
+    Pairs with a missing profile are dropped and counted in a log
+    diagnostic; isolated nodes are dropped.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     labels = {p.user_id: p.mbti for p in profiles}
     edges: dict[tuple[str, str], float] = {}
     missing_profile = 0
-    for (u, v), score in scores.items():
-        w = float(getattr(score, "value", score))
+    for (u, v), w in scores.items():
         if w < threshold:
             continue
         if u not in labels or v not in labels:

@@ -144,15 +144,16 @@ _EVENT_KEYS = {"source", "target", "timestamp", "sentiment", "text"}
 
 
 def open_input(path: str | os.PathLike) -> TextIO:
-    """Open an interactions or profiles file for reading.
+    """Open an input file for reading.
 
     Bytes that are not UTF-8 decode to lone surrogates instead of failing
-    the whole file, so the loaders can reject just the lines holding them.
+    the whole file, so the loaders can reject just the lines holding them
+    and name those lines.
     """
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _require_utf8(text: str) -> None:
+def require_utf8(text: str) -> None:
     """Reject text holding bytes that are not UTF-8.
 
     open_input turns each such byte into a lone surrogate.
@@ -164,11 +165,13 @@ def _require_utf8(text: str) -> None:
 
 
 def _parse_event_line(line: str) -> InteractionEvent:
-    _require_utf8(line)
+    require_utf8(line)
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise ValueError("record is not a key-value object")
     unknown = set(record) - _EVENT_KEYS
@@ -186,7 +189,7 @@ def _parse_event_line(line: str) -> InteractionEvent:
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError(f"timestamp must be an integer, got {ts!r}")
     token = record["sentiment"]
-    if token not in Sentiment.__members__:
+    if not isinstance(token, str) or token not in Sentiment.__members__:
         raise ValueError(f"unknown sentiment token: {token!r}")
     text = record.get("text")
     if text is not None and not isinstance(text, str):
@@ -254,7 +257,7 @@ def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
             continue
         total += 1
         try:
-            _require_utf8("\t".join(row))
+            require_utf8("\t".join(row))
             if len(row) != 3:
                 raise ValueError(f"expected 3 fields, got {len(row)}")
             user_id, code, score_text = (c.strip() for c in row)

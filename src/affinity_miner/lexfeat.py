@@ -25,6 +25,7 @@ from .errors import (
     MalformedPattern,
     MalformedRecord,
 )
+from .ingest import require_utf8
 
 FIRST_PERSON_PRONOUNS = frozenset(
     ["i", "me", "my", "mine", "myself", "we", "us", "our", "ours", "ourselves"]
@@ -75,6 +76,10 @@ def load_lexicon(stream) -> Lexicon:
     """Parse category<TAB>pattern lines; duplicates collapse."""
     categories: dict[str, set[str]] = {}
     for lineno, line in enumerate(stream, start=1):
+        try:
+            require_utf8(line)
+        except ValueError as exc:
+            raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -120,15 +125,6 @@ class EnetFit:
     sweeps: int
     converged: bool
     objective_trace: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ElasticNetModel:
-    coefficients: FeatureVector
-    intercept: float
-    lam: float
-    mix: float
-    converged: bool
 
 
 def _soft_threshold(z: float, gamma: float) -> float:
@@ -208,25 +204,6 @@ def fit_elastic_net(
     return EnetFit(coef, intercept, sweeps, converged, tuple(trace))
 
 
-def elastic_net(
-    rows: Sequence[Mapping[str, float]],
-    y: Sequence[float],
-    lam: float = 0.01,
-    mix: float = 0.5,
-) -> ElasticNetModel:
-    """Elastic net over feature-dict rows; keys are unioned and sorted."""
-    keys = sorted({k for row in rows for k in row})
-    X = np.array([[row.get(k, 0.0) for k in keys] for row in rows], dtype=float)
-    fit = fit_elastic_net(X, np.asarray(y, dtype=float), lam, mix)
-    return ElasticNetModel(
-        coefficients={k: float(c) for k, c in zip(keys, fit.coef)},
-        intercept=fit.intercept,
-        lam=lam,
-        mix=mix,
-        converged=fit.converged,
-    )
-
-
 def pearson_p_value(r: float, n: int) -> float:
     """Two-sided t-test p-value for the null of zero correlation.
 
@@ -298,30 +275,6 @@ def _top_n_keys(weights: dict[str, float], n: int) -> list[str]:
     ]
 
 
-def type_emotion_correlation(
-    corpus_a: Sequence[str],
-    corpus_b: Sequence[str],
-    lex: Lexicon,
-    target: str,
-    n: int = 1000,
-    lam: float = 0.01,
-    mix: float = 0.5,
-) -> float:
-    """Correlation of two groups' elastic-net emotion weights.
-
-    Each corpus's target-category proportion is regressed on its token
-    counts; the top-n coefficients of each fit (by descending value) are
-    aligned on the union of selected keys, missing keys as 0, and the
-    aligned vectors are Pearson-correlated.
-    """
-    wa = _category_weights(corpus_a, lex, target, lam, mix)
-    wb = _category_weights(corpus_b, lex, target, lam, mix)
-    keys = sorted(set(_top_n_keys(wa, n)) | set(_top_n_keys(wb, n)))
-    va = np.array([wa.get(k, 0.0) for k in keys])
-    vb = np.array([wb.get(k, 0.0) for k in keys])
-    return pearson_r(va, vb)
-
-
 def emotion_correlation_table(
     documents_by_group: Mapping[str, Sequence[str]],
     lex: Lexicon,
@@ -330,7 +283,14 @@ def emotion_correlation_table(
     lam: float = 0.01,
     mix: float = 0.5,
 ) -> dict[tuple[str, str], float]:
-    """All cross-group correlations, fitting each group's weights once."""
+    """Correlations of every two groups' elastic-net emotion weights.
+
+    Each group's target-category proportion is regressed on its token
+    counts, once per group. For each pair of groups the top-n coefficients
+    of each fit (by descending value) are aligned on the union of selected
+    keys, missing keys as 0, and the aligned vectors are Pearson-correlated.
+    Keys are (later group, earlier group) in sorted name order.
+    """
     weights = {
         name: _category_weights(docs, lex, target, lam, mix)
         for name, docs in sorted(documents_by_group.items())

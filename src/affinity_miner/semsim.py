@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyFile, MalformedRecord, ZeroVector
-from .ingest import ALL_TYPES, MbtiType
+from .ingest import ALL_TYPES, MbtiType, require_utf8
 from .lexfeat import tokenize
 
 
@@ -39,6 +39,10 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
     for lineno, line in enumerate(stream, start=1):
+        try:
+            require_utf8(line)
+        except ValueError as exc:
+            raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
         parts = line.split()
         if not parts:
             continue
@@ -75,18 +79,13 @@ def doc_vector(tokens: Sequence[str], table: EmbeddingTable) -> DocVector:
     )
 
 
-def _values_of(v) -> np.ndarray:
-    return np.asarray(v.values if isinstance(v, DocVector) else v, dtype=float)
-
-
-def cosine(a, b) -> float:
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors; exact 1.0 for identical input."""
-    va, vb = _values_of(a), _values_of(b)
-    da = float(va @ va)
-    db = float(vb @ vb)
+    da = float(a @ a)
+    db = float(b @ b)
     if da == 0.0 or db == 0.0:
         raise ZeroVector("cosine undefined for a zero vector")
-    return float(va @ vb) / math.sqrt(da * db)
+    return float(a @ b) / math.sqrt(da * db)
 
 
 def type_similarity_matrix(
@@ -103,10 +102,10 @@ def type_similarity_matrix(
             "all 16 type corpora required; missing: "
             + ", ".join(t.value for t in missing)
         )
-    vectors: dict[MbtiType, DocVector] = {}
+    vectors: dict[MbtiType, np.ndarray] = {}
     for t in ALL_TYPES:
-        v = doc_vector(tokenize(corpora[t]), table)
-        if not v.values.any():
+        v = doc_vector(tokenize(corpora[t]), table).values
+        if not v.any():
             raise ZeroVector(f"corpus for {t} has no in-vocabulary tokens")
         vectors[t] = v
     table_out: dict[tuple[MbtiType, MbtiType], float] = {}

@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import TransitionMatrix, stationary_distribution
+from .affinity import stationary_distribution
 from .errors import InvalidSpec
 from .graph import AffinityGraph
 from .ingest import ALL_TYPES, MbtiType, Sentiment
-from .affinity import SentimentSequence
 
 
 @dataclass(frozen=True)
@@ -99,25 +98,22 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
     return graph, truth
 
 
-def sample_chain_sequence(
-    P, length: int, seed: int, pair: tuple[str, str] = ("u", "v")
-) -> SentimentSequence:
+def sample_chain_sequence(P: np.ndarray, length: int, seed: int) -> tuple[Sentiment, ...]:
     """Sample states from a chain, starting from its stationary distribution."""
-    matrix = np.asarray(P.entries if isinstance(P, TransitionMatrix) else P, dtype=float)
     if length == 0:
-        return SentimentSequence(pair, ())
+        return ()
     rng = np.random.default_rng(seed)
-    pi = stationary_distribution(matrix)
-    cumulative = np.cumsum(matrix, axis=1)
+    pi = stationary_distribution(P)
+    cumulative = np.cumsum(P, axis=1)
     uniforms = rng.random(length)
     state = int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right"))
-    state = min(state, matrix.shape[0] - 1)
+    state = min(state, P.shape[0] - 1)
     states = [state]
     for t in range(1, length):
         state = int(np.searchsorted(cumulative[state], uniforms[t], side="right"))
-        state = min(state, matrix.shape[0] - 1)
+        state = min(state, P.shape[0] - 1)
         states.append(state)
-    return SentimentSequence(pair, tuple(Sentiment(s) for s in states))
+    return tuple(Sentiment(s) for s in states)
 
 
 # dataset generation ---------------------------------------------------------
@@ -243,7 +239,7 @@ def generate_dataset(
             chain = FRIENDLY_CHAIN if friendly else DISTANT_CHAIN
             length = int(rng.integers(8, 14)) if friendly else int(rng.integers(1, 4))
             seq = sample_chain_sequence(chain, length, int(rng.integers(0, 2**32)))
-            for s in seq.states:
+            for s in seq:
                 events.append(
                     {
                         "source": name,

@@ -15,6 +15,7 @@ from affinity_miner import (
     clustering_error,
     cosine,
     cross_validate,
+    emotion_correlation_table,
     fit_elastic_net,
     hitting_times,
     influential_types,
@@ -24,7 +25,6 @@ from affinity_miner import (
     nmi,
     pearson_r,
     planted_partition,
-    type_emotion_correlation,
     type_pair_percentages,
     type_similarity_matrix,
 )
@@ -102,7 +102,7 @@ def test_03_hitting_time_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(2, 21))
         P = random_ergodic_chain(rng, n)
-        H = hitting_times(P).entries
+        H = hitting_times(P)
         worst = max(worst, float(np.max(np.abs(H - direct_hitting_times(P)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 5.0
@@ -257,7 +257,9 @@ def test_08_similarity_correlation_numerics(rng):
         words = [f"w{int(v)}" for v in rng.integers(0, 12, size=15)]
         words += ["happy"] * int(rng.integers(0, 4))
         docs.append(" ".join(words))
-    self_corr = type_emotion_correlation(docs, list(docs), lex, "posemo")
+    self_corr = emotion_correlation_table(
+        {"a": docs, "b": list(docs)}, lex, "posemo"
+    )[("b", "a")]
 
     ok = (
         worst_cos < 1e-12

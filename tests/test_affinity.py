@@ -3,7 +3,6 @@ import pytest
 
 from affinity_miner import (
     InteractionEvent,
-    SentimentSequence,
     affinity_score,
     build_pair_sequences,
     estimate_chain,
@@ -46,7 +45,7 @@ class TestBuildPairSequences:
     def test_order_follows_sorted_input(self):
         events = [ev("u", "v", 1, POS), ev("u", "v", 2, NEG), ev("u", "v", 3, NEU)]
         seqs = build_pair_sequences(events)
-        assert seqs[("u", "v")].states == (POS, NEG, NEU)
+        assert seqs[("u", "v")] == (POS, NEG, NEU)
 
 
 class TestEstimateChain:
@@ -116,23 +115,19 @@ class TestStationaryDistribution:
 
 class TestAffinityScore:
     def test_empty_is_zero(self):
-        assert affinity_score(SentimentSequence(("a", "b"), ())).value == 0.0
+        assert affinity_score(()) == 0.0
 
     def test_all_pos_hand_value(self):
-        score = affinity_score(SentimentSequence(("a", "b"), (POS, POS, POS)))
-        assert score.value == pytest.approx(15 / 88, rel=1e-12)
+        assert affinity_score((POS, POS, POS)) == pytest.approx(15 / 88, rel=1e-12)
 
     def test_monotone_in_length(self):
         # same estimated chain, growing evidence
-        values = [
-            affinity_score(SentimentSequence(("a", "b"), (POS,) * n)).value
-            for n in (3, 6, 12, 24)
-        ]
+        values = [affinity_score((POS,) * n) for n in (3, 6, 12, 24)]
         # chains differ slightly, so recompute with a fixed chain factor instead
         from affinity_miner.affinity import estimate_chain as ec
         from affinity_miner import stationary_distribution as sd
 
-        pos_mass = sd(ec((POS,) * 5))[int(POS)]
+        pos_mass = sd(ec((POS,) * 5).entries)[int(POS)]
         fixed = [pos_mass * n / (n + 5.0) for n in (3, 6, 12, 24)]
         assert all(a < b for a, b in zip(fixed, fixed[1:]))
         assert all(0.0 <= v < 1.0 for v in values)
@@ -142,32 +137,31 @@ class TestAffinityScore:
             states = tuple(
                 Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 40))
             )
-            v = affinity_score(SentimentSequence(("a", "b"), states)).value
+            v = affinity_score(states)
             assert 0.0 <= v < 1.0
 
     def test_order_sensitivity(self):
-        a = affinity_score(SentimentSequence(("a", "b"), (POS, POS, NEG, NEG))).value
-        b = affinity_score(SentimentSequence(("a", "b"), (POS, NEG, POS, NEG))).value
+        a = affinity_score((POS, POS, NEG, NEG))
+        b = affinity_score((POS, NEG, POS, NEG))
         assert a != b
 
     def test_relabeling_invariance(self):
         states = (POS, NEG, NEU, POS)
-        a = affinity_score(SentimentSequence(("a", "b"), states)).value
-        b = affinity_score(SentimentSequence(("x", "y"), states)).value
-        assert a == b
+        scores = score_sequences({("a", "b"): states, ("x", "y"): states})
+        assert scores[("a", "b")] == scores[("x", "y")]
 
     def test_smoothing_error_propagates(self):
         with pytest.raises(NonPositiveSmoothing):
-            affinity_score(SentimentSequence(("a", "b"), (POS,)), alpha=0.0)
+            affinity_score((POS,), alpha=0.0)
 
     def test_kappa_validated(self):
         with pytest.raises(ValueError):
-            affinity_score(SentimentSequence(("a", "b"), (POS,)), kappa=0.0)
+            affinity_score((POS,), kappa=0.0)
 
     def test_score_sequences_deterministic(self):
         seqs = {
-            ("b", "a"): SentimentSequence(("b", "a"), (POS, NEG)),
-            ("a", "b"): SentimentSequence(("a", "b"), (POS,)),
+            ("b", "a"): (POS, NEG),
+            ("a", "b"): (POS,),
         }
         s1 = score_sequences(seqs)
         s2 = score_sequences(dict(reversed(list(seqs.items()))))

@@ -7,7 +7,6 @@ from affinity_miner import (
     cross_validate,
     f1_score,
     parse_mbti,
-    predict,
     train_lr,
     train_nb,
     vectorize_corpus,
@@ -101,7 +100,7 @@ class TestNaiveBayes:
         m = vectorize_corpus(c)
         model = train_nb(m, [lab for _, lab in c.documents])
         empty_row = transform_documents([""], m)
-        pred = predict(model, empty_row[0])
+        [pred] = predict_many(model, empty_row)
         priors = {INFJ: 7, ENTP: 6}
         assert pred is max(priors, key=priors.get)
 

@@ -245,3 +245,58 @@ class TestAtomicWrites:
         target = tmp_path / "report.txt"
         _write_atomic(target, "x\n")
         assert target.stat().st_mode & 0o777 == 0o666 & ~cli_module._UMASK
+
+
+class TestBadInputsExitOne:
+    """Bad bytes or names in the other inputs exit 1 naming the line or key."""
+
+    @staticmethod
+    def stage_args(dataset, out, *keys, **files):
+        """Input overrides for `keys`, with `files` replacing some of them."""
+        paths = {k: dataset[k] for k in keys} | files
+        return [*(f"--set={k}={v}" for k, v in paths.items()), "--out", str(out)]
+
+    @pytest.mark.parametrize("key, stage", [("lexicon", "lexcorr"), ("embeddings", "semsim")])
+    def test_non_utf8_line(self, dataset, tmp_path, capsys, key, stage):
+        lines = dataset[key].read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xe9" + lines[2]
+        bad = tmp_path / dataset[key].name
+        bad.write_bytes(b"".join(lines))
+        args = self.stage_args(dataset, tmp_path / "results",
+                               "interactions", "profiles", key, **{key: bad})
+        assert main([stage, *args]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["pos_category", "neg_category"])
+    def test_unknown_category_rejected_before_fitting(
+        self, dataset, tmp_path, capsys, monkeypatch, key
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("elastic net fitted before the category check")
+
+        monkeypatch.setattr(cli_module.lexfeat, "fit_elastic_net", no_fit)
+        args = self.stage_args(dataset, tmp_path, "interactions", "profiles", "lexicon")
+        assert main(["lexcorr", *args, "--set", f"{key}=nosuch"]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key}: 'nosuch' is not a lexicon category" in err
+        assert "the lexicon has: negemo, posemo" in err
+
+    def test_deeply_nested_json_line_rejected(self, dataset, tmp_path, caplog):
+        lines = dataset["interactions"].read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "interactions.jsonl"
+        bad.write_bytes(b"".join(lines) + b"[" * 100_000 + b"\n")
+        out = tmp_path / "results"
+        args = self.stage_args(dataset, out, "profiles", interactions=bad)
+        assert main(["ingest", *args]) == 0
+        assert f"line {len(lines) + 1} rejected: invalid JSON: nested too deeply" in caplog.text
+        assert (out / "ingest.txt").read_text().startswith(f"events = {len(lines)}\n")

@@ -158,18 +158,18 @@ class TestRandomWalkMatrix:
 class TestHittingTimes:
     def test_diagonal_zero(self, rng):
         P = random_ergodic_chain(rng, 6)
-        H = hitting_times(P).entries
+        H = hitting_times(P)
         assert np.all(np.diag(H) == 0.0)
 
     def test_two_state_geometric(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        H = hitting_times(P).entries
+        H = hitting_times(P)
         assert H[0, 1] == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_complete_graph_uniform_walk(self, n):
         P = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-        H = hitting_times(P).entries
+        H = hitting_times(P)
         off = H[~np.eye(n, dtype=bool)]
         assert np.allclose(off, n - 1, atol=1e-8)
 
@@ -177,12 +177,12 @@ class TestHittingTimes:
         for _ in range(30):
             n = int(rng.integers(2, 21))
             P = random_ergodic_chain(rng, n)
-            H = hitting_times(P).entries
+            H = hitting_times(P)
             assert np.max(np.abs(H - direct_hitting_times(P))) < 1e-8
 
     def test_off_diagonal_positive(self, rng):
         P = random_ergodic_chain(rng, 7)
-        H = hitting_times(P).entries
+        H = hitting_times(P)
         assert (H[~np.eye(7, dtype=bool)] > 0).all()
 
 

@@ -1,13 +1,14 @@
 import pytest
 
 from affinity_miner import (
-    AffinityScore,
     MbtiType,
+    Sentiment,
     UserProfile,
     build_affinity_graph,
     export_graph,
     parse_graph_tsv,
     parse_mbti,
+    score_sequences,
     type_pair_percentages,
 )
 from affinity_miner.errors import EmptyGraph
@@ -44,11 +45,10 @@ class TestBuildAffinityGraph:
         )
         assert set(g.nodes) == {"a", "b"}
 
-    def test_accepts_affinity_score_objects(self):
-        g = build_affinity_graph(
-            {("a", "b"): AffinityScore(0.25)}, [profile("a"), profile("b")]
-        )
-        assert g.edges[("a", "b")] == 0.25
+    def test_accepts_score_sequences_output(self):
+        scores = score_sequences({("a", "b"): (Sentiment.POS,) * 3})
+        g = build_affinity_graph(scores, [profile("a"), profile("b")])
+        assert g.edges[("a", "b")] == scores[("a", "b")]
 
     def test_min_weight_respects_threshold(self, rng):
         for _ in range(20):

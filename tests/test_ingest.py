@@ -136,6 +136,20 @@ class TestLoadInteractions:
             load_interactions(lines)
         assert len(info.value.line_errors) == 2
 
+    def test_deeply_nested_line_rejected(self, caplog):
+        lines = [event_line(timestamp=i) for i in range(20)] + ["[" * 100_000]
+        assert len(load_interactions(lines)) == 20
+        assert "line 21 rejected: invalid JSON: nested too deeply" in caplog.text
+
+    def test_deeply_nested_lines_over_limit(self):
+        lines = [event_line(timestamp=i) for i in range(5)] + ["[" * 100_000] * 2
+        with pytest.raises(MalformedRecord, match="first: line 6: invalid JSON"):
+            load_interactions(lines)
+
+    def test_non_string_sentiment_rejected(self):
+        lines = [event_line(sentiment=[])] + [event_line(timestamp=i) for i in range(20)]
+        assert len(load_interactions(lines)) == 20
+
     def test_unknown_field_rejected(self):
         lines = [event_line()] * 20 + [event_line(sentimnet="POS")]
         events = load_interactions(lines)

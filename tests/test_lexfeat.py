@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from affinity_miner import (
-    elastic_net,
+    emotion_correlation_table,
     extract_features,
     fit_elastic_net,
     load_lexicon,
     pearson_r,
     tokenize,
-    type_emotion_correlation,
 )
 from affinity_miner.lexfeat import pearson_p_value
 from affinity_miner.errors import (
@@ -142,13 +141,6 @@ class TestFitElasticNet:
         with pytest.raises(DimensionMismatch):
             fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=9))
 
-    def test_feature_dict_interface(self):
-        rows = [{"a": 1.0, "b": 0.0}, {"a": 2.0, "b": 1.0}, {"a": 3.0, "b": 0.0},
-                {"a": 4.0, "b": 1.0}]
-        model = elastic_net(rows, [1.0, 2.0, 3.0, 4.0], lam=0.0)
-        assert model.coefficients["a"] == pytest.approx(1.0, abs=1e-6)
-        assert model.coefficients["b"] == pytest.approx(0.0, abs=1e-6)
-
 
 class TestPearson:
     def test_perfect_linear(self):
@@ -225,12 +217,17 @@ def synthetic_corpus(rng, emotion_rate, vocab, emotion_word="happy", n_docs=12):
     return docs
 
 
+def correlation(docs_a, docs_b, lex, target):
+    """The one cross-group cell of a two-group correlation table."""
+    return emotion_correlation_table({"a": docs_a, "b": docs_b}, lex, target)[("b", "a")]
+
+
 class TestTypeEmotionCorrelation:
     def test_identical_corpora_exactly_one(self, rng):
         lex = small_lexicon()
         vocab = [f"w{i}" for i in range(10)]
         docs = synthetic_corpus(rng, 0.9, vocab)
-        assert type_emotion_correlation(docs, list(docs), lex, "posemo") == 1.0
+        assert correlation(docs, list(docs), lex, "posemo") == 1.0
 
     def test_disjoint_vocabulary_independent(self, rng):
         # fully disjoint token sets, down to the category words themselves
@@ -242,14 +239,13 @@ class TestTypeEmotionCorrelation:
         for trial in range(5):
             docs_a = synthetic_corpus(rng, 0.6, vocab_a, "happy", n_docs=20)
             docs_b = synthetic_corpus(rng, 0.6, vocab_b, "happiness", n_docs=20)
-            rs.append(type_emotion_correlation(docs_a, docs_b, lex, "posemo"))
+            rs.append(correlation(docs_a, docs_b, lex, "posemo"))
         assert abs(np.mean(rs)) < 0.1
 
     def test_degenerate_corpus(self):
         with pytest.raises(DegenerateCorpus):
-            type_emotion_correlation(["one doc"], ["a", "b"], small_lexicon(), "posemo")
+            correlation(["one doc"], ["a", "b"], small_lexicon(), "posemo")
 
     def test_unknown_category(self):
         with pytest.raises(ValueError):
-            type_emotion_correlation(["a b", "c d"], ["a b", "c d"],
-                                     small_lexicon(), "nope")
+            correlation(["a b", "c d"], ["a b", "c d"], small_lexicon(), "nope")

@@ -111,11 +111,11 @@ class TestSampleChainSequence:
     def test_absorbing_pos_row(self):
         P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         seq = sample_chain_sequence(P, 50, seed=0)
-        assert all(s is Sentiment.POS for s in seq.states)
+        assert all(s is Sentiment.POS for s in seq)
 
     def test_length_zero(self):
         P = np.full((3, 3), 1 / 3)
-        assert sample_chain_sequence(P, 0, seed=0).states == ()
+        assert sample_chain_sequence(P, 0, seed=0) == ()
 
     def test_empirical_frequencies_match(self, rng):
         P = random_ergodic_chain(rng)
@@ -127,7 +127,7 @@ class TestSampleChainSequence:
         P = random_ergodic_chain(rng)
         s1 = sample_chain_sequence(P, 500, seed=3)
         s2 = sample_chain_sequence(P, 500, seed=3)
-        assert s1.states == s2.states
+        assert s1 == s2
 
 
 class TestGenerateDataset:
