@@ -151,6 +151,14 @@ def predict_many(model: NbModel | LrModel, rows: sparse.csr_matrix) -> list[Mbti
     return [model.classes[i] for i in np.argmax(scores, axis=1)]
 
 
+def _lr_grad(X, targets: np.ndarray, w: np.ndarray, b: float, ridge: float):
+    """(grad_w, grad_b) of the loss lr_loss_grad returns."""
+    z = np.asarray(X @ w).ravel() + b
+    diff = 1.0 / (1.0 + np.exp(-z)) - targets
+    grad_w = np.asarray(X.T @ diff).ravel() / X.shape[0] + ridge * w
+    return grad_w, float(diff.mean())
+
+
 def lr_loss_grad(
     X, targets: np.ndarray, w: np.ndarray, b: float, ridge: float
 ) -> tuple[float, np.ndarray, float]:
@@ -158,17 +166,11 @@ def lr_loss_grad(
 
     Returns (loss, grad_w, grad_b) for binary targets in {0, 1}.
     """
-    n = X.shape[0]
     z = np.asarray(X @ w).ravel() + b
     # stable log(1 + exp(-s z)) with s = 2t - 1
-    s = 2.0 * targets - 1.0
-    margins = s * z
+    margins = (2.0 * targets - 1.0) * z
     loss = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * ridge * float(w @ w)
-    prob = 1.0 / (1.0 + np.exp(-z))
-    diff = prob - targets
-    grad_w = np.asarray(X.T @ diff).ravel() / n + ridge * w
-    grad_b = float(diff.mean())
-    return loss, grad_w, grad_b
+    return (loss, *_lr_grad(X, targets, w, b, ridge))
 
 
 def train_lr(
@@ -199,7 +201,7 @@ def train_lr(
         b = 0.0
         ok = False
         for _ in range(LR_MAX_EPOCHS):
-            _, grad_w, grad_b = lr_loss_grad(X, targets, w, b, ridge)
+            grad_w, grad_b = _lr_grad(X, targets, w, b, ridge)
             gnorm = np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
             if gnorm < LR_GRAD_TOL:
                 ok = True

@@ -20,7 +20,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,7 +36,7 @@ from .ingest import (
     load_interactions,
     load_profiles,
     open_input,
-    require_utf8,
+    read_lines,
 )
 
 ENV_PREFIX = "AFFINITY_MINER_"
@@ -89,9 +89,12 @@ def _convert(key: str, raw: str):
 
 
 def _validate(cfg: PipelineConfig) -> PipelineConfig:
+    # alpha and kappa outside [1e-6, 1e6] push affinity scores out of [0, 1):
+    # near the smallest floats a score rounds to exactly 1.0 or dips below 0,
+    # and alpha near 1e308 overflows the chain estimate
     checks = [
-        ("alpha", cfg.alpha > 0, "must be > 0"),
-        ("kappa", cfg.kappa > 0, "must be > 0"),
+        ("alpha", 1e-6 <= cfg.alpha <= 1e6, "must be in [1e-6, 1e6]"),
+        ("kappa", 1e-6 <= cfg.kappa <= 1e6, "must be in [1e-6, 1e6]"),
         ("threshold", cfg.threshold > 0, "must be > 0"),
         ("method", cfg.method in ("mcl", "k-destinations"), "must be mcl or k-destinations"),
         ("k", cfg.k >= 1, "must be >= 1"),
@@ -119,22 +122,21 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}", key="config")
     with open_input(path) as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, 1):
-        try:
-            require_utf8(line)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}", key="config") from None
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value", key="config")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}", key=key)
-        values[key] = raw.strip()
+        for lineno, line in read_lines(fh, partial(ConfigError, key="config")):
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(
+                    f"line {lineno}: expected key = value", key="config", line=lineno
+                )
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            if key not in _FIELD_TYPES:
+                raise ConfigError(
+                    f"line {lineno}: unknown config key {key!r}", key=key, line=lineno
+                )
+            values[key] = raw.strip()
     return values
 
 
@@ -264,14 +266,18 @@ class PipelineRunner:
         return {u: " ".join(p) for u, p in parts.items()}
 
     @cached_property
+    def documents_by_type(self) -> dict[MbtiType, list[str]]:
+        """Each type's kept users' documents ("" for none), in profile order."""
+        groups: dict[MbtiType, list[str]] = {t: [] for t in ALL_TYPES}
+        for profile in self.profiles:
+            groups[profile.mbti].append(self.documents.get(profile.user_id, ""))
+        return groups
+
+    @cached_property
     def similarity(self) -> dict[tuple[MbtiType, MbtiType], float]:
         with open_input(self._require_file("embeddings")) as fh:
             table = semsim.load_embeddings(fh)
-        corpora: dict[MbtiType, str] = {t: "" for t in ALL_TYPES}
-        for profile in self.profiles:
-            text = self.documents.get(profile.user_id, "")
-            if text:
-                corpora[profile.mbti] = (corpora[profile.mbti] + " " + text).strip()
+        corpora = {t: " ".join(docs) for t, docs in self.documents_by_type.items()}
         return semsim.type_similarity_matrix(corpora, table)
 
     @cached_property
@@ -287,9 +293,7 @@ class PipelineRunner:
                     f"the lexicon has: {', '.join(lex.categories)}",
                     key=key,
                 )
-        by_type: dict[str, list[str]] = {t.value: [] for t in ALL_TYPES}
-        for profile in self.profiles:
-            by_type[profile.mbti.value].append(self.documents.get(profile.user_id, ""))
+        by_type = {t.value: docs for t, docs in self.documents_by_type.items()}
         return {
             name: lexfeat.emotion_correlation_table(
                 by_type, lex, category, self.cfg.top_n, self.cfg.lam, self.cfg.mix
@@ -387,16 +391,12 @@ class PipelineRunner:
         """Write the stage's output files (see STAGES), each atomically."""
         self.out.mkdir(parents=True, exist_ok=True)
         for name, render in STAGES[stage]:
-            data = render(self)
-            if isinstance(data, bytes):
-                _write_atomic_bytes(self.out / name, data)
-            else:
-                _write_atomic(self.out / name, data)
+            _write_atomic(self.out / name, render(self))
 
 
 # stage -> (output file, renderer) pairs, in run order. Renderers and writers
 # are looked up when called, so wrapping a module-level name reaches them.
-STAGES: dict[str, tuple[tuple[str, Callable[[PipelineRunner], str | bytes]], ...]] = {
+STAGES: dict[str, tuple[tuple[str, Callable[[PipelineRunner], str]], ...]] = {
     "ingest": (("ingest.txt", PipelineRunner.ingest_text),),
     "affinity": (("scores.tsv", PipelineRunner.scores_text),),
     "graph": (

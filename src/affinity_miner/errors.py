@@ -95,8 +95,9 @@ class InvalidSpec(AffinityMinerError):
 
 
 class ConfigError(AffinityMinerError):
-    """Pipeline configuration is invalid; `key` names the offender."""
+    """Invalid pipeline configuration; `key` names the offender, `line` its config-file line."""
 
-    def __init__(self, message, key=None):
+    def __init__(self, message, key=None, line=None):
         super().__init__(message)
         self.key = key
+        self.line = line

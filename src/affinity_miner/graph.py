@@ -6,13 +6,14 @@ endpoints lack a profile; nodes with no surviving incident edge are dropped.
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
-from .errors import EmptyGraph, MalformedRecord
-from .ingest import ALL_TYPES, MbtiType, UserProfile, parse_mbti
+from .errors import EmptyGraph, InvalidType, MalformedRecord
+from .ingest import ALL_TYPES, MbtiType, UserProfile, parse_mbti, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -106,13 +107,13 @@ def type_pair_percentages(g: AffinityGraph) -> TypePairTable:
     )
 
 
-def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> bytes:
+def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
     """Serialize the graph; edge-tsv round-trips exactly (17 digit weights)."""
     if format == "edge-tsv":
         lines = [EDGE_TSV_HEADER]
         for (u, v), w in sorted(g.edges.items()):
             lines.append(f"{u}\t{v}\t{w:.17g}\t{g.nodes[u]}\t{g.nodes[v]}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return "\n".join(lines) + "\n"
     if format == "dot":
         lines = ["digraph affinity {"]
         for u in g.sorted_nodes():
@@ -120,30 +121,31 @@ def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> bytes:
         for (u, v), w in sorted(g.edges.items()):
             lines.append(f'  "{u}" -> "{v}" [weight={w:.17g}];')
         lines.append("}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format: {format!r}")
 
 
-def parse_graph_tsv(
-    data: bytes | str, threshold: float = DEFAULT_EDGE_THRESHOLD
-) -> AffinityGraph:
-    """Inverse of export_graph(.., "edge-tsv")."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != EDGE_TSV_HEADER:
-        raise MalformedRecord("missing or bad edge-tsv header", line=1)
+def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> AffinityGraph:
+    """Inverse of export_graph(.., "edge-tsv"); errors name the physical line."""
+    lines = read_lines(io.StringIO(text))
+    lineno, header = next(lines, (None, None))
+    if header != EDGE_TSV_HEADER:
+        raise MalformedRecord("missing or bad edge-tsv header", line=lineno)
     nodes: dict[str, MbtiType] = {}
     edges: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         parts = line.split("\t")
         if len(parts) != 5:
             raise MalformedRecord(
-                f"expected 5 fields, got {len(parts)}", line=lineno
+                f"line {lineno}: expected 5 fields, got {len(parts)}", line=lineno
             )
         u, v, weight_text, u_type, v_type = parts
-        edges[(u, v)] = float(weight_text)
-        nodes[u] = parse_mbti(u_type)
-        nodes[v] = parse_mbti(v_type)
+        try:
+            edges[(u, v)] = float(weight_text)
+            nodes[u] = parse_mbti(u_type)
+            nodes[v] = parse_mbti(v_type)
+        except (ValueError, InvalidType) as exc:
+            raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
     return AffinityGraph(
         nodes=dict(sorted(nodes.items())),
         edges=dict(sorted(edges.items())),

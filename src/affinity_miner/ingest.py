@@ -9,18 +9,19 @@ Input formats:
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import logging
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import InvalidType, MalformedRecord
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
@@ -153,19 +154,68 @@ def open_input(path: str | os.PathLike) -> TextIO:
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def require_utf8(text: str) -> None:
-    """Reject text holding bytes that are not UTF-8.
-
-    open_input turns each such byte into a lone surrogate.
-    """
+def _require_utf8(line: str) -> None:
+    """ValueError if the line holds a byte that is not UTF-8 (see open_input)."""
     try:
-        text.encode("utf-8")
+        line.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValueError(f"not valid UTF-8 at character {exc.start + 1}") from None
 
 
+def _numbered_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, line without its line break) per non-blank line; the
+    numbers count blank lines too, so a diagnostic names the physical line."""
+    for lineno, line in enumerate(stream, start=1):
+        if line.strip():
+            yield lineno, line.rstrip("\r\n")
+
+
+def read_lines(stream: Iterable[str], error=MalformedRecord) -> Iterator[tuple[int, str]]:
+    """Strict reader: yield (line number, line) for each non-blank line.
+
+    A line that is not valid UTF-8 fails the whole load by raising the
+    AffinityMinerError `error("line N: ...", line=N)`.
+    """
+    for lineno, line in _numbered_lines(stream):
+        try:
+            _require_utf8(line)
+        except ValueError as exc:
+            raise error(f"line {lineno}: {exc}", line=lineno) from None
+        yield lineno, line
+
+
+def parse_lines(
+    lines: Iterable[tuple[int, str]], what: str, parse: Callable[[str], T]
+) -> list[T]:
+    """Tolerant loop: parse each numbered line, rejecting bad ones.
+
+    A line that is not valid UTF-8, or that `parse` refuses with ValueError
+    or InvalidType, is logged as "<what> line N rejected: <reason>" and
+    skipped. If more than 10% of the lines are rejected the load fails
+    with an aggregate MalformedRecord naming the first one.
+    """
+    values: list[T] = []
+    bad: list[tuple[int, str]] = []
+    total = 0
+    for lineno, line in lines:
+        total += 1
+        try:
+            _require_utf8(line)
+            values.append(parse(line))
+        except (ValueError, InvalidType) as exc:
+            bad.append((lineno, str(exc)))
+            log.warning("%s line %d rejected: %s", what, lineno, exc)
+    if total and len(bad) / total > MALFORMED_FRACTION_LIMIT:
+        raise MalformedRecord(
+            f"{what}: {len(bad)} of {total} lines malformed "
+            f"(first: line {bad[0][0]}: {bad[0][1]})",
+            line=bad[0][0],
+            line_errors=bad,
+        )
+    return values
+
+
 def _parse_event_line(line: str) -> InteractionEvent:
-    require_utf8(line)
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -200,83 +250,39 @@ def _parse_event_line(line: str) -> InteractionEvent:
 
 
 def load_interactions(stream: Iterable[str]) -> list[InteractionEvent]:
-    """Parse interaction records, rejecting bad lines with a diagnostic.
+    """Parse interaction records under the parse_lines policy.
 
-    Blank lines are skipped. Each malformed line, including one that is
-    not valid UTF-8 (see open_input), is logged with its line number; if
-    more than 10% of the non-blank lines are malformed the whole load fails
-    with an aggregate MalformedRecord. Output is sorted by (timestamp,
-    input position).
+    Output is sorted by timestamp; the sort is stable, so ties keep input
+    order.
     """
-    events: list[tuple[int, int, InteractionEvent]] = []
-    bad: list[tuple[int, str]] = []
-    total = 0
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        total += 1
-        try:
-            event = _parse_event_line(line)
-        except ValueError as exc:
-            bad.append((lineno, str(exc)))
-            log.warning("interactions line %d rejected: %s", lineno, exc)
-            continue
-        events.append((event.timestamp, lineno, event))
-    if total and len(bad) / total > MALFORMED_FRACTION_LIMIT:
-        raise MalformedRecord(
-            f"{len(bad)} of {total} interaction lines malformed "
-            f"(first: line {bad[0][0]}: {bad[0][1]})",
-            line=bad[0][0],
-            line_errors=bad,
-        )
-    events.sort(key=lambda item: (item[0], item[1]))
-    return [event for _, _, event in events]
+    events = parse_lines(_numbered_lines(stream), "interactions", _parse_event_line)
+    return sorted(events, key=lambda event: event.timestamp)
 
 
 def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
     """Parse the tab-separated profiles table (header: user_id, mbti, bot_score).
 
-    Malformed rows and duplicate user ids are rejected with per-line
-    diagnostics under the same >10% aggregate rule as load_interactions.
+    Fields are split on tabs only; a quote is an ordinary character. Bad
+    rows and duplicate user ids are rejected under the parse_lines policy.
     """
-    reader = csv.reader(stream, delimiter="\t")
-    profiles: list[UserProfile] = []
-    seen: set[str] = set()
-    bad: list[tuple[int, str]] = []
-    total = 0
-    header: list[str] | None = None
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if header is None:
-            header = [c.strip() for c in row]
-            if header != ["user_id", "mbti", "bot_score"]:
-                raise MalformedRecord(
-                    f"bad profiles header: {header}", line=lineno
-                )
-            continue
-        total += 1
-        try:
-            require_utf8("\t".join(row))
-            if len(row) != 3:
-                raise ValueError(f"expected 3 fields, got {len(row)}")
-            user_id, code, score_text = (c.strip() for c in row)
-            profile = UserProfile(user_id, parse_mbti(code), float(score_text))
-            if profile.user_id in seen:
-                raise ValueError(f"duplicate user_id: {profile.user_id!r}")
-        except (ValueError, InvalidType) as exc:
-            bad.append((lineno, str(exc)))
-            log.warning("profiles line %d rejected: %s", lineno, exc)
-            continue
-        seen.add(profile.user_id)
-        profiles.append(profile)
+    lines = _numbered_lines(stream)
+    lineno, header = next(lines, (None, None))
     if header is None:
         raise MalformedRecord("profiles file has no header row")
-    if total and len(bad) / total > MALFORMED_FRACTION_LIMIT:
-        raise MalformedRecord(
-            f"{len(bad)} of {total} profile rows malformed "
-            f"(first: line {bad[0][0]}: {bad[0][1]})",
-            line=bad[0][0],
-            line_errors=bad,
-        )
-    return profiles
+    names = [c.strip() for c in header.split("\t")]
+    if names != ["user_id", "mbti", "bot_score"]:
+        raise MalformedRecord(f"line {lineno}: bad profiles header: {names}", line=lineno)
+    seen: set[str] = set()
+
+    def parse_row(line: str) -> UserProfile:
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"expected 3 fields, got {len(fields)}")
+        user_id, code, score_text = (c.strip() for c in fields)
+        profile = UserProfile(user_id, parse_mbti(code), float(score_text))
+        if user_id in seen:
+            raise ValueError(f"duplicate user_id: {user_id!r}")
+        seen.add(user_id)
+        return profile
+
+    return parse_lines(lines, "profiles", parse_row)

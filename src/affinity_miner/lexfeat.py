@@ -25,7 +25,7 @@ from .errors import (
     MalformedPattern,
     MalformedRecord,
 )
-from .ingest import require_utf8
+from .ingest import read_lines
 
 FIRST_PERSON_PRONOUNS = frozenset(
     ["i", "me", "my", "mine", "myself", "we", "us", "our", "ours", "ourselves"]
@@ -75,18 +75,12 @@ def _check_pattern(pattern: str, lineno: int) -> str:
 def load_lexicon(stream) -> Lexicon:
     """Parse category<TAB>pattern lines; duplicates collapse."""
     categories: dict[str, set[str]] = {}
-    for lineno, line in enumerate(stream, start=1):
-        try:
-            require_utf8(line)
-        except ValueError as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(stream):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip():
             raise MalformedRecord(
-                f"expected category<TAB>pattern, got {line!r}", line=lineno
+                f"line {lineno}: expected category<TAB>pattern, got {line!r}",
+                line=lineno,
             )
         category = parts[0].strip().lower()
         pattern = _check_pattern(parts[1].strip(), lineno)

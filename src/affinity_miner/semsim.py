@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyFile, MalformedRecord, ZeroVector
-from .ingest import ALL_TYPES, MbtiType, require_utf8
+from .ingest import ALL_TYPES, MbtiType, read_lines
 from .lexfeat import tokenize
 
 
@@ -38,30 +38,22 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     """
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    for lineno, line in enumerate(stream, start=1):
-        try:
-            require_utf8(line)
-        except ValueError as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
+    for lineno, line in read_lines(stream):
         parts = line.split()
-        if not parts:
-            continue
         token, values = parts[0].lower(), parts[1:]
         if dimension is None:
             if not values:
-                raise DimensionMismatch(
-                    "first line has no vector components", line=lineno
-                )
+                raise DimensionMismatch(f"line {lineno}: no vector components", line=lineno)
             dimension = len(values)
         elif len(values) != dimension:
             raise DimensionMismatch(
-                f"expected {dimension} components, got {len(values)}",
+                f"line {lineno}: expected {dimension} components, got {len(values)}",
                 line=lineno,
             )
         try:
             vec = np.array([float(v) for v in values])
         except ValueError as exc:
-            raise MalformedRecord(f"bad number: {exc}", line=lineno) from None
+            raise MalformedRecord(f"line {lineno}: bad number: {exc}", line=lineno) from None
         vec.setflags(write=False)
         vectors[token] = vec
     if dimension is None:

@@ -83,6 +83,10 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config({}, {"folds": "many"})
 
+    def test_smoothing_range_is_closed(self):
+        cfg = resolve_config({}, {"alpha": "1e-6", "kappa": "1e6"})
+        assert (cfg.alpha, cfg.kappa) == (1e-6, 1e6)
+
 
 class TestRunPipeline:
     def test_exit_zero_and_all_outputs(self, dataset, tmp_path):
@@ -276,6 +280,18 @@ class TestBadInputsExitOne:
         err = capsys.readouterr().err
         assert "line 2: not valid UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["alpha", "kappa"])
+    @pytest.mark.parametrize("value", ["1e-20", "1.45e308"])
+    def test_smoothing_out_of_range(self, dataset, tmp_path, capsys, key, value):
+        # 1e-20 scores a POS-only pair exactly 1.0; 1.45e308 overflows 3 alpha
+        out = tmp_path / "results"
+        args = self.stage_args(dataset, out, "interactions", "profiles")
+        assert main(["affinity", *args, "--set", f"{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key} must be in [1e-6, 1e6]" in err
+        assert "Traceback" not in err
+        assert not (out / "scores.tsv").exists()
 
     @pytest.mark.parametrize("key", ["pos_category", "neg_category"])
     def test_unknown_category_rejected_before_fitting(

@@ -11,8 +11,8 @@ from affinity_miner import (
     score_sequences,
     type_pair_percentages,
 )
-from affinity_miner.errors import EmptyGraph
-from affinity_miner.graph import all_type_pairs
+from affinity_miner.errors import EmptyGraph, MalformedRecord
+from affinity_miner.graph import EDGE_TSV_HEADER, all_type_pairs
 
 from conftest import make_graph
 
@@ -125,7 +125,7 @@ class TestTypePairPercentages:
 class TestExportImport:
     def test_one_edge_tsv(self):
         g = make_graph([("a", "b", 0.5)], types={"a": "ESFJ", "b": "ISFP"})
-        lines = export_graph(g, "edge-tsv").decode().splitlines()
+        lines = export_graph(g, "edge-tsv").splitlines()
         assert len(lines) == 2
         assert lines[0] == "source\ttarget\tweight\tsource_type\ttarget_type"
         assert lines[1] == "a\tb\t0.5\tESFJ\tISFP"
@@ -134,7 +134,7 @@ class TestExportImport:
         from affinity_miner.graph import AffinityGraph
 
         g = AffinityGraph(nodes={}, edges={})
-        lines = export_graph(g, "edge-tsv").decode().splitlines()
+        lines = export_graph(g, "edge-tsv").splitlines()
         assert lines == ["source\ttarget\tweight\tsource_type\ttarget_type"]
 
     def test_round_trip_exact(self, rng):
@@ -157,10 +157,20 @@ class TestExportImport:
 
     def test_dot_output(self):
         g = make_graph([("a", "b", 0.5)], types={"a": "ESFJ", "b": "ISFP"})
-        text = export_graph(g, "dot").decode()
+        text = export_graph(g, "dot")
         assert text.startswith("digraph affinity {")
         assert '"a" [label="ESFJ"];' in text
         assert '"a" -> "b" [weight=0.5];' in text
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["a\tb\t0.5\tESFJ", "a\tb\theavy\tESFJ\tISFP", "a\tb\t0.5\tESFJ\tXXXX"],
+    )
+    def test_bad_row_names_its_physical_line(self, bad_row):
+        text = f"{EDGE_TSV_HEADER}\n\na\tc\t0.5\tESFJ\tISFP\n\n{bad_row}\n"
+        with pytest.raises(MalformedRecord, match="^line 5: ") as info:
+            parse_graph_tsv(text)
+        assert info.value.line == 5
 
     def test_unknown_format(self):
         g = make_graph([("a", "b", 0.5)])

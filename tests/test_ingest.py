@@ -197,3 +197,26 @@ class TestLoadProfiles:
         rows = [self.HEADER, "a\tINFJ\t0.1", "b\tWXYZ\t0.1"]
         with pytest.raises(MalformedRecord):
             load_profiles(rows)
+
+    def test_stray_quote_rejects_only_its_line(self, caplog):
+        rows = [f"u{i}\tINFJ\t0.1\n" for i in range(30)]
+        rows[24] = 'u24\t"INTJ\t0.1\n'
+        profiles = load_profiles([self.HEADER + "\n"] + rows)
+        assert [p.user_id for p in profiles] == [f"u{i}" for i in range(30) if i != 24]
+        assert "profiles line 26 rejected" in caplog.text
+
+    def test_quote_is_an_ordinary_character(self):
+        profiles = load_profiles([self.HEADER, '"alice"\tINFJ\t0.1', 'b"ob\tENTP\t0.2'])
+        assert [p.user_id for p in profiles] == ['"alice"', 'b"ob']
+
+    def test_long_field_is_a_normal_value(self):
+        user_id = "x" * 200_000
+        profiles = load_profiles([self.HEADER, f"{user_id}\tINFJ\t0.1"])
+        assert [p.user_id for p in profiles] == [user_id]
+
+    def test_line_numbers_count_blank_lines(self, caplog):
+        rows = [self.HEADER, "", "a\tINFJ\t0.1", "   ", "b\tWXYZ\t0.1"]
+        with pytest.raises(MalformedRecord, match="first: line 5: ") as info:
+            load_profiles(rows)
+        assert info.value.line == 5
+        assert "profiles line 5 rejected" in caplog.text

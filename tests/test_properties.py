@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from affinity_miner import Sentiment, affinity_score, stationary_distribution
 from affinity_miner.cli import parse_config_file
-from affinity_miner.errors import AffinityMinerError
+from affinity_miner.errors import (
+    AffinityMinerError,
+    ConfigError,
+    DimensionMismatch,
+    MalformedRecord,
+)
+from affinity_miner.graph import EDGE_TSV_HEADER, parse_graph_tsv
 from affinity_miner.ingest import load_interactions, load_profiles, open_input
 from affinity_miner.lexfeat import load_lexicon
 from affinity_miner.semsim import load_embeddings
@@ -29,7 +35,7 @@ state_tuples = st.lists(st.sampled_from(list(Sentiment)), max_size=200).map(tupl
 # The half-open bound holds for moderate smoothing only: with alpha and kappa
 # near the smallest floats the score rounds to exactly 1.0 or dips just below
 # 0, and alpha near 1e308 overflows the chain estimate. Config validation
-# accepts all of these (alpha, kappa > 0); that is a known open fault.
+# rejects alpha and kappa outside this range.
 smoothing = st.floats(min_value=1e-6, max_value=1e6)
 
 
@@ -96,6 +102,7 @@ LOADERS = {
     "load_lexicon": _through_file(load_lexicon),
     "load_embeddings": _through_file(load_embeddings),
     "parse_config_file": parse_config_file,
+    "parse_graph_tsv": _through_file(lambda fh: parse_graph_tsv(fh.read())),
 }
 
 
@@ -110,9 +117,19 @@ def input_path(tmp_path_factory):
 @example(data=b'{"source": "a", "target": "b", "timestamp": 1, "sentiment": []}')
 @example(data=b"[" * 100_000)
 @example(data=b"user_id\tmbti\tbot_score\ncaf\xe9\tINFJ\t1.0")
+@example(data=EDGE_TSV_HEADER.encode() + b"\n\na\tb\tx\tINFJ\tENTP\n")
+@example(data=b"\r\n\r" + EDGE_TSV_HEADER.encode() + b"\n\n\na\tb\n")
 def test_loaders_raise_only_domain_errors(input_path, loader, data):
     input_path.write_bytes(data)
     try:
         LOADERS[loader](input_path)
+    except (MalformedRecord, DimensionMismatch, ConfigError) as exc:
+        # every line an error names is a physical line of the file
+        with open_input(input_path) as fh:
+            lines = fh.readlines()
+        if exc.line is None:
+            assert not any(line.strip() for line in lines)
+        named = [exc.line] + [n for n, _ in getattr(exc, "line_errors", [])]
+        assert all(1 <= n <= len(lines) for n in named if n is not None)
     except AffinityMinerError:
         pass
