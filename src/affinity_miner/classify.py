@@ -8,6 +8,7 @@ F-1 under seeded stratified cross-validation.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from .errors import (
     SingleClass,
 )
 from .ingest import MbtiType
-from .lexfeat import tokenize
+from .lexfeat import count_matrix, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -44,27 +45,19 @@ class TfIdfMatrix:
     rows: sparse.csr_matrix
 
 
-def _count_matrix(texts: Sequence[str], vocab_index: dict[str, int]) -> sparse.csr_matrix:
-    data, row_idx, col_idx = [], [], []
-    for i, text in enumerate(texts):
-        counts: dict[int, int] = {}
-        for token in tokenize(text):
-            j = vocab_index.get(token)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        for j, c in sorted(counts.items()):
-            row_idx.append(i)
-            col_idx.append(j)
-            data.append(float(c))
-    return sparse.csr_matrix(
-        (data, (row_idx, col_idx)), shape=(len(texts), len(vocab_index))
-    )
-
-
-def _l2_normalize(rows: sparse.csr_matrix) -> sparse.csr_matrix:
+def _tf_idf(
+    texts: Sequence[str], vocabulary: tuple[str, ...], idf: np.ndarray
+) -> sparse.csr_matrix:
+    """L2-normalized tf * idf rows; the (all-empty) raw counts when the
+    vocabulary is empty."""
+    index = {t: j for j, t in enumerate(vocabulary)}
+    counts = count_matrix((tokenize(text) for text in texts), index)
+    if not vocabulary:
+        return counts
+    rows = counts @ sparse.diags(idf)
     norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
     norms[norms == 0.0] = 1.0
-    return sparse.diags(1.0 / norms) @ rows
+    return (sparse.diags(1.0 / norms) @ rows).tocsr()
 
 
 def vectorize_corpus(c: LabeledCorpus) -> TfIdfMatrix:
@@ -75,28 +68,16 @@ def vectorize_corpus(c: LabeledCorpus) -> TfIdfMatrix:
     if not c.documents:
         raise EmptyCorpus("no documents")
     texts = [text for text, _ in c.documents]
-    df: dict[str, int] = {}
-    for text in texts:
-        for token in set(tokenize(text)):
-            df[token] = df.get(token, 0) + 1
+    df = Counter(t for text in texts for t in set(tokenize(text)))
     vocab = tuple(sorted(t for t, n in df.items() if n >= MIN_DOCUMENT_FREQUENCY))
-    vocab_index = {t: j for j, t in enumerate(vocab)}
     n_docs = len(texts)
-    idf = np.array(
-        [np.log((1 + n_docs) / (1 + df[t])) + 1 for t in vocab]
-    )
-    counts = _count_matrix(texts, vocab_index)
-    rows = _l2_normalize(counts @ sparse.diags(idf)) if vocab else counts
-    return TfIdfMatrix(vocab, idf, rows.tocsr())
+    idf = np.array([np.log((1 + n_docs) / (1 + df[t])) + 1 for t in vocab])
+    return TfIdfMatrix(vocab, idf, _tf_idf(texts, vocab, idf))
 
 
 def transform_documents(texts: Sequence[str], m: TfIdfMatrix) -> sparse.csr_matrix:
     """Vectorize unseen texts with an existing vocabulary and idf."""
-    vocab_index = {t: j for j, t in enumerate(m.vocabulary)}
-    counts = _count_matrix(texts, vocab_index)
-    if not m.vocabulary:
-        return counts
-    return _l2_normalize(counts @ sparse.diags(m.idf)).tocsr()
+    return _tf_idf(texts, m.vocabulary, m.idf)
 
 
 @dataclass(frozen=True)
@@ -116,7 +97,7 @@ class LrModel:
 
 
 def _class_order(labels: Sequence[MbtiType]) -> tuple[MbtiType, ...]:
-    classes = tuple(sorted(set(labels), key=lambda t: t.value))
+    classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise SingleClass(f"need at least 2 classes, got {len(classes)}")
     return classes
@@ -151,11 +132,11 @@ def predict_many(model: NbModel | LrModel, rows: sparse.csr_matrix) -> list[Mbti
     return [model.classes[i] for i in np.argmax(scores, axis=1)]
 
 
-def _lr_grad(X, targets: np.ndarray, w: np.ndarray, b: float, ridge: float):
-    """(grad_w, grad_b) of the loss lr_loss_grad returns."""
+def _lr_grad(X, XT, targets: np.ndarray, w: np.ndarray, b: float, ridge: float):
+    """(grad_w, grad_b) of the loss lr_loss_grad returns; XT is X.T."""
     z = np.asarray(X @ w).ravel() + b
     diff = 1.0 / (1.0 + np.exp(-z)) - targets
-    grad_w = np.asarray(X.T @ diff).ravel() / X.shape[0] + ridge * w
+    grad_w = np.asarray(XT @ diff).ravel() / X.shape[0] + ridge * w
     return grad_w, float(diff.mean())
 
 
@@ -170,7 +151,7 @@ def lr_loss_grad(
     # stable log(1 + exp(-s z)) with s = 2t - 1
     margins = (2.0 * targets - 1.0) * z
     loss = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * ridge * float(w @ w)
-    return (loss, *_lr_grad(X, targets, w, b, ridge))
+    return (loss, *_lr_grad(X, X.T, targets, w, b, ridge))
 
 
 def train_lr(
@@ -187,6 +168,7 @@ def train_lr(
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     X = m.rows
+    XT = X.T
     classes = _class_order(labels)
     label_arr = np.array([c.value for c in labels])
     n, p = X.shape
@@ -201,7 +183,7 @@ def train_lr(
         b = 0.0
         ok = False
         for _ in range(LR_MAX_EPOCHS):
-            grad_w, grad_b = _lr_grad(X, targets, w, b, ridge)
+            grad_w, grad_b = _lr_grad(X, XT, targets, w, b, ridge)
             gnorm = np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
             if gnorm < LR_GRAD_TOL:
                 ok = True
@@ -256,7 +238,7 @@ def _stratified_folds(
     by_type: dict[MbtiType, list[int]] = {}
     for i, lab in enumerate(labels):
         by_type.setdefault(lab, []).append(i)
-    for lab in sorted(by_type, key=lambda t: t.value):
+    for lab in sorted(by_type):
         idx = np.array(by_type[lab])
         rng.shuffle(idx)
         for pos, doc in enumerate(idx):
@@ -279,12 +261,8 @@ def cross_validate(
     """
     if classifier not in ("nb", "lr"):
         raise ValueError(f"unknown classifier: {classifier!r}")
-    counts: dict[MbtiType, int] = {}
-    for _, lab in c.documents:
-        counts[lab] = counts.get(lab, 0) + 1
-    excluded = tuple(
-        sorted((t for t, n in counts.items() if n < folds), key=lambda t: t.value)
-    )
+    counts = Counter(lab for _, lab in c.documents)
+    excluded = tuple(sorted(t for t, n in counts.items() if n < folds))
     for t in excluded:
         log.warning("type %s has %d < %d documents; excluded from CV", t, counts[t], folds)
     kept = [(text, lab) for text, lab in c.documents if lab not in excluded]
@@ -316,10 +294,7 @@ def cross_validate(
                 correct += 1
         fold_results.append(FoldResult(fi, len(test_idx), correct))
     pred_vec = [predictions[i] for i in range(len(kept))]
-    per_type = {
-        t: f1_score(pred_vec, labels, t)
-        for t in sorted(set(labels), key=lambda x: x.value)
-    }
+    per_type = {t: f1_score(pred_vec, labels, t) for t in sorted(set(labels))}
     return CvReport(
         classifier=classifier,
         seed=seed,

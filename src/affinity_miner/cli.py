@@ -338,9 +338,7 @@ class PipelineRunner:
 
     def type_pairs_text(self) -> str:
         lines = ["type_a\ttype_b\tpercent"]
-        for (p, q), pct in sorted(
-            self.type_pairs.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        ):
+        for (p, q), pct in sorted(self.type_pairs.entries.items()):
             lines.append(f"{p}\t{q}\t{pct:.12g}")
         return "\n".join(lines) + "\n"
 

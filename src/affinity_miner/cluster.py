@@ -279,20 +279,18 @@ def _init_destinations(g: AffinityGraph, H: np.ndarray, order: Sequence[str], k:
     times to low-traffic nodes are uniformly large, so it keeps electing
     peripheral nodes and can leave a dense region without a destination.
     """
-    in_weight = {u: 0.0 for u in order}
+    index = {u: i for i, u in enumerate(order)}
+    in_weight = np.zeros(len(order))
     for (_, v), w in g.edges.items():
-        in_weight[v] += w
-    # ties on weight break toward the smaller node id
-    candidates = sorted(range(len(order)), key=lambda i: order[i])
-    best_weight = max(in_weight.values())
-    first = next(i for i in candidates if in_weight[order[i]] == best_weight)
-    destinations = [first]
+        in_weight[index[v]] += w
+    # argmax's first maximum: ties on weight break toward the smaller node id
+    destinations = [int(np.argmax(in_weight))]
     while len(destinations) < k:
         current = H[:, destinations].min(axis=1)
         totals = np.minimum(H, current[:, None]).sum(axis=0)
         totals[destinations] = np.inf
         destinations.append(int(np.argmin(totals)))
-    return sorted(destinations, key=lambda i: order[i])
+    return sorted(destinations)
 
 
 def k_destinations(
@@ -310,6 +308,7 @@ def k_destinations(
     """
     if not g.nodes:
         raise EmptyGraph("clustering needs at least one node")
+    # node ids ascend with their index, so index order is id order throughout
     order = tuple(g.sorted_nodes())
     n = len(order)
     if not 1 <= k <= n:
@@ -334,12 +333,9 @@ def k_destinations(
         for c in range(k):
             members = np.flatnonzero(assignment == c)
             totals = H[np.ix_(members, members)].sum(axis=0)
-            best = min(
-                range(len(members)),
-                key=lambda m: (totals[m], order[members[m]]),
-            )
-            new_destinations.append(int(members[best]))
-        destinations = sorted(new_destinations, key=lambda i: order[i])
+            # members ascend, so argmin's first minimum is the smallest id
+            new_destinations.append(int(members[np.argmin(totals)]))
+        destinations = sorted(new_destinations)
     clusters = tuple(
         frozenset(order[i] for i in np.flatnonzero(assignment == c))
         for c in range(k)

@@ -59,7 +59,7 @@ def all_type_pairs() -> list[tuple[MbtiType, MbtiType]]:
 
 
 def _pair_key(p: MbtiType, q: MbtiType) -> tuple[MbtiType, MbtiType]:
-    return (p, q) if p.value <= q.value else (q, p)
+    return (q, p) if q < p else (p, q)
 
 
 def build_affinity_graph(

@@ -70,9 +70,7 @@ def influential_types(g: AffinityGraph, c: Clustering) -> InfluenceReport:
                 top_node=best,
                 top_type=g.nodes[best],
                 link_count=counts[(ci, best)],
-                per_type_link_totals=dict(
-                    sorted(totals.items(), key=lambda kv: kv[0].value)
-                ),
+                per_type_link_totals=dict(sorted(totals.items())),
             )
         )
     return InfluenceReport(tuple(records))

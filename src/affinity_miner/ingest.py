@@ -57,6 +57,12 @@ class MbtiType(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    def __lt__(self, other: MbtiType) -> bool:
+        """Types order by their code."""
+        if not isinstance(other, MbtiType):
+            return NotImplemented
+        return self.value < other.value
+
     @property
     def attitude(self) -> str:
         return self.value[0]
@@ -74,7 +80,7 @@ class MbtiType(enum.Enum):
         return self.value[3]
 
 
-ALL_TYPES: tuple[MbtiType, ...] = tuple(sorted(MbtiType, key=lambda t: t.value))
+ALL_TYPES: tuple[MbtiType, ...] = tuple(sorted(MbtiType))
 
 _TYPE_CODE_RE = re.compile(
     r"\b(" + "|".join(t.value for t in ALL_TYPES) + r")\b", re.IGNORECASE
@@ -154,12 +160,14 @@ def open_input(path: str | os.PathLike) -> TextIO:
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _require_utf8(line: str) -> None:
-    """ValueError if the line holds a byte that is not UTF-8 (see open_input)."""
+def _require_utf8(text: str, what: str = "") -> None:
+    """ValueError, its message prefixed by `what`, if text holds a lone
+    surrogate: a byte that is not UTF-8 (see open_input) or a JSON escape
+    such as "\\udcff"."""
     try:
-        line.encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ValueError(f"not valid UTF-8 at character {exc.start + 1}") from None
+        raise ValueError(f"{what}not valid UTF-8 at character {exc.start + 1}") from None
 
 
 def _numbered_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -244,6 +252,8 @@ def _parse_event_line(line: str) -> InteractionEvent:
     text = record.get("text")
     if text is not None and not isinstance(text, str):
         raise ValueError("text must be a string when present")
+    for name, value in (("source", source), ("target", target), ("text", text or "")):
+        _require_utf8(value, f"{name}: ")
     if source == target:
         raise ValueError("source equals target (self-mention)")
     return InteractionEvent(source, target, ts, Sentiment[token], text)

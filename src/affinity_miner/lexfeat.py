@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     ConstantVector,
@@ -54,8 +57,9 @@ class Lexicon:
 
     categories: Mapping[str, frozenset[str]]
 
+    @cached_property
     def compiled(self) -> dict[str, tuple[frozenset[str], tuple[str, ...]]]:
-        """Per category: (literal tokens, prefix stems)."""
+        """Per category: (literal tokens, prefix stems), built once."""
         out = {}
         for name, patterns in self.categories.items():
             literals = frozenset(p for p in patterns if not p.endswith("*"))
@@ -92,20 +96,21 @@ def extract_features(text: str, lex: Lexicon) -> FeatureVector:
     """Per-category matched-token proportions plus first-person proportion.
 
     Empty text yields an all-zero vector. Categories may overlap, so the
-    proportions need not sum to 1.
+    proportions need not sum to 1. Each distinct token is matched once and
+    adds its count; integer counts are exact in float64.
     """
     tokens = tokenize(text)
-    compiled = lex.compiled()
+    compiled = lex.compiled
     values = {name: 0.0 for name in compiled}
     values[FIRST_PERSON_KEY] = 0.0
     if not tokens:
         return values
-    for token in tokens:
+    for token, count in Counter(tokens).items():
         for name, (literals, prefixes) in compiled.items():
-            if token in literals or any(token.startswith(p) for p in prefixes):
-                values[name] += 1.0
+            if token in literals or token.startswith(prefixes):
+                values[name] += count
         if token in FIRST_PERSON_PRONOUNS:
-            values[FIRST_PERSON_KEY] += 1.0
+            values[FIRST_PERSON_KEY] += count
     n = float(len(tokens))
     return {name: count / n for name, count in values.items()}
 
@@ -233,16 +238,30 @@ def pearson_r(x, y) -> float:
     return float(dx @ dy) / math.sqrt(sxx * syy)
 
 
-def _token_count_rows(
-    documents: Sequence[str],
-) -> tuple[list[str], np.ndarray]:
+def count_matrix(
+    token_lists: Iterable[Sequence[str]], vocabulary: Mapping[str, int]
+) -> sparse.csr_matrix:
+    """Documents x vocabulary token counts (float64 CSR).
+
+    Row i counts the tokens of token_lists[i] found in `vocabulary` (token
+    -> column); other tokens are skipped. Columns ascend within each row.
+    """
+    indptr, indices, data = [0], [], []
+    for tokens in token_lists:
+        row = sorted((vocabulary[t], n) for t, n in Counter(tokens).items() if t in vocabulary)
+        indices.extend(j for j, _ in row)
+        data.extend(n for _, n in row)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
+        shape=(len(indptr) - 1, len(vocabulary)),
+    )
+
+
+def _token_count_rows(documents: Sequence[str]) -> tuple[list[str], np.ndarray]:
     vocab = sorted({t for doc in documents for t in tokenize(doc)})
     index = {t: j for j, t in enumerate(vocab)}
-    X = np.zeros((len(documents), len(vocab)))
-    for i, doc in enumerate(documents):
-        for t in tokenize(doc):
-            X[i, index[t]] += 1.0
-    return vocab, X
+    return vocab, count_matrix((tokenize(doc) for doc in documents), index).toarray()
 
 
 def _category_weights(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from affinity_miner import cli as cli_module
@@ -220,6 +222,52 @@ class TestNonUtf8Input:
         assert f"(first: line {lineno}: not valid UTF-8" in err
         assert "Traceback" not in err
         assert not (out / "ingest.txt").exists()
+
+
+class TestEscapedSurrogate:
+    """A JSON escape that decodes to a lone surrogate rejects its line."""
+
+    @staticmethod
+    def escape_copy(src, dst, field, linenos):
+        """Copy src with `field` of each listed line set to the escape \\udcff."""
+        lines = src.read_text(encoding="utf-8").splitlines()
+        for lineno in linenos:
+            record = json.loads(lines[lineno - 1])
+            record[field] = "\udcff"
+            lines[lineno - 1] = json.dumps(record)
+        dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @staticmethod
+    def affinity_stage(dataset, interactions, out):
+        return main([
+            "affinity",
+            *(f"--set={k}={dataset[k]}" for k in ("profiles", "embeddings", "lexicon")),
+            f"--set=interactions={interactions}",
+            "--out", str(out),
+        ])
+
+    @pytest.mark.parametrize("field", ["source", "target", "text"])
+    def test_under_limit_lines_rejected(self, dataset, tmp_path, caplog, field):
+        bad = tmp_path / "interactions.jsonl"
+        linenos = [7, 14, 21, 28, 35]
+        self.escape_copy(dataset["interactions"], bad, field, linenos)
+        out = tmp_path / "results"
+        assert self.affinity_stage(dataset, bad, out) == 0
+        for lineno in linenos:
+            assert f"line {lineno} rejected: {field}: not valid UTF-8" in caplog.text
+        assert (out / "scores.tsv").is_file()
+
+    @pytest.mark.parametrize("field", ["source", "target", "text"])
+    def test_over_limit_exits_one(self, dataset, tmp_path, capsys, field):
+        bad = tmp_path / "interactions.jsonl"
+        n = len(dataset["interactions"].read_text(encoding="utf-8").splitlines())
+        self.escape_copy(dataset["interactions"], bad, field, range(5, n + 1, 5))
+        out = tmp_path / "results"
+        assert self.affinity_stage(dataset, bad, out) == 1
+        err = capsys.readouterr().err
+        assert f"(first: line 5: {field}: not valid UTF-8" in err
+        assert "Traceback" not in err
+        assert not (out / "scores.tsv").exists()
 
 
 class TestAtomicWrites:

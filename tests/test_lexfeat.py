@@ -56,6 +56,11 @@ class TestLoadLexicon:
         lex = load_lexicon(["a\tWord"])
         assert lex.categories["a"] == frozenset({"word"})
 
+    def test_patterns_compiled_once(self):
+        lex = load_lexicon(["a\tword", "a\tpre*"])
+        assert lex.compiled == {"a": (frozenset({"word"}), ("pre",))}
+        assert lex.compiled is lex.compiled
+
 
 class TestExtractFeatures:
     def test_hand_counted_proportions(self):

@@ -19,8 +19,21 @@ from affinity_miner.errors import (
     MalformedRecord,
 )
 from affinity_miner.graph import EDGE_TSV_HEADER, parse_graph_tsv
-from affinity_miner.ingest import load_interactions, load_profiles, open_input
-from affinity_miner.lexfeat import load_lexicon
+from affinity_miner.ingest import (
+    ALL_TYPES,
+    MbtiType,
+    load_interactions,
+    load_profiles,
+    open_input,
+)
+from affinity_miner.lexfeat import (
+    FIRST_PERSON_KEY,
+    FIRST_PERSON_PRONOUNS,
+    count_matrix,
+    extract_features,
+    load_lexicon,
+    tokenize,
+)
 from affinity_miner.semsim import load_embeddings
 
 PROPERTY = settings(
@@ -133,3 +146,110 @@ def test_loaders_raise_only_domain_errors(input_path, loader, data):
         assert all(1 <= n <= len(lines) for n in named if n is not None)
     except AffinityMinerError:
         pass
+
+
+# a small alphabet, so literals, prefixes and tokens overlap often
+words = st.text(alphabet="abc", min_size=1, max_size=4)
+
+
+def dict_count_oracle(token_lists, vocabulary):
+    """CSR (data, indices, indptr) of per-document token counts, counted
+    one occurrence at a time into a dict."""
+    data, indices, indptr = [], [], [0]
+    for tokens in token_lists:
+        counts = {}
+        for token in tokens:
+            if token in vocabulary:
+                j = vocabulary[token]
+                counts[j] = counts.get(j, 0) + 1
+        for j, c in sorted(counts.items()):
+            indices.append(j)
+            data.append(float(c))
+        indptr.append(len(indices))
+    return data, indices, indptr
+
+
+@st.composite
+def counted_corpora(draw):
+    token_lists = draw(st.lists(st.lists(words, max_size=12), max_size=8))
+    seen = sorted({t for tokens in token_lists for t in tokens})
+    if draw(st.booleans()):
+        # every token in the vocabulary, plus some never seen
+        vocab = sorted(set(seen) | draw(st.sets(words, max_size=4)))
+    else:
+        # out-of-vocabulary tokens are skipped
+        vocab = sorted(draw(st.sets(words, max_size=10)))
+    return token_lists, {t: j for j, t in enumerate(vocab)}
+
+
+@PROPERTY
+@given(counted_corpora())
+@example(([], {}))
+@example(([[], ["a", "a"], []], {"a": 0}))
+@example(([["a", "b"]], {}))
+def test_count_matrix_matches_dict_count_oracle(corpus):
+    token_lists, vocabulary = corpus
+    m = count_matrix(token_lists, vocabulary)
+    data, indices, indptr = dict_count_oracle(token_lists, vocabulary)
+    assert m.shape == (len(token_lists), len(vocabulary))
+    assert m.data.dtype == np.float64
+    assert m.data.tolist() == data
+    assert m.indices.tolist() == indices
+    assert m.indptr.tolist() == indptr
+
+
+def per_occurrence_features(text, lex):
+    """Category proportions matching every token occurrence against every
+    category, with the patterns compiled from lex.categories."""
+    tokens = tokenize(text)
+    compiled = {
+        name: (
+            frozenset(p for p in patterns if not p.endswith("*")),
+            tuple(sorted(p[:-1] for p in patterns if p.endswith("*"))),
+        )
+        for name, patterns in lex.categories.items()
+    }
+    values = {name: 0.0 for name in compiled}
+    values[FIRST_PERSON_KEY] = 0.0
+    if not tokens:
+        return values
+    for token in tokens:
+        for name, (literals, prefixes) in compiled.items():
+            if token in literals or any(token.startswith(p) for p in prefixes):
+                values[name] += 1.0
+        if token in FIRST_PERSON_PRONOUNS:
+            values[FIRST_PERSON_KEY] += 1.0
+    n = float(len(tokens))
+    return {name: count / n for name, count in values.items()}
+
+
+lexicon_lines = st.lists(
+    st.tuples(st.sampled_from(["posemo", "negemo", "anx"]), words, st.booleans()).map(
+        lambda r: f"{r[0]}\t{r[1]}{'*' if r[2] else ''}"
+    ),
+    max_size=10,
+)
+document_words = words | words.map(str.upper) | st.sampled_from(sorted(FIRST_PERSON_PRONOUNS))
+documents = st.lists(
+    st.tuples(document_words, st.sampled_from([" ", ", ", "! ", "\n", "_"])),
+    max_size=30,
+).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@PROPERTY
+@given(lexicon_lines, documents)
+@example(["posemo\ta*", "posemo\tab", "negemo\tab*", "negemo\ta"], "a ab abc I me")
+@example(["posemo\ta"], "")
+@example([], "we ab")
+def test_extract_features_matches_per_occurrence_loop(lines, text):
+    lex = load_lexicon(lines)
+    got = extract_features(text, lex)
+    assert list(got.items()) == list(per_occurrence_features(text, lex).items())
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(list(MbtiType)), max_size=40))
+def test_type_order_is_code_order(types):
+    assert ALL_TYPES == tuple(sorted(MbtiType))
+    assert [t.value for t in ALL_TYPES] == sorted(t.value for t in MbtiType)
+    assert sorted(types) == sorted(types, key=lambda t: t.value)
