@@ -28,7 +28,6 @@ from .classify import (
 )
 from .cluster import (
     Clustering,
-    StochasticMatrix,
     clustering_error,
     hitting_times,
     k_destinations,
@@ -68,7 +67,6 @@ from .lexfeat import (
     tokenize,
 )
 from .semsim import (
-    DocVector,
     EmbeddingTable,
     cosine,
     doc_vector,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import tempfile
@@ -81,11 +82,16 @@ def _convert(key: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        if kind != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}", key=key) from None
+    # inf passes the one-sided range checks (inf > 1, inf >= 0) and then
+    # turns into NaN arithmetic inside a solver
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {raw!r}", key=key)
+    return value
 
 
 def _validate(cfg: PipelineConfig) -> PipelineConfig:

@@ -13,7 +13,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from .affinity import stationary_distribution
 from .errors import (
@@ -27,20 +26,6 @@ from .graph import AffinityGraph
 DEFAULT_TELEPORT = 0.01
 MCL_MAX_ITER = 200
 MCL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """Row-stochastic walk matrix over the graph's sorted nodes."""
-
-    entries: np.ndarray
-    nodes: tuple[str, ...]
-    teleport: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -71,16 +56,9 @@ class Clustering:
             raise ValueError("cluster contains unknown node")
 
 
-def _weight_matrix(g: AffinityGraph, order: Sequence[str]) -> np.ndarray:
-    index = {u: i for i, u in enumerate(order)}
-    W = np.zeros((len(order), len(order)))
-    for (u, v), w in g.edges.items():
-        W[index[u], index[v]] = w
-    return W
-
-
-def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> StochasticMatrix:
-    """Row-normalized out-weights mixed with uniform teleportation.
+def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray:
+    """Row-stochastic walk matrix over g.order: row-normalized out-weights
+    mixed with uniform teleportation.
 
     Rows of nodes without out-edges become uniform before mixing, so the
     result is strictly positive and ergodic for any 0 < tau < 1.
@@ -89,15 +67,15 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> Stoch
         raise EmptyGraph("walk matrix needs at least one node")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"teleport must be in (0, 1), got {tau}")
-    order = tuple(g.sorted_nodes())
-    n = len(order)
-    W = _weight_matrix(g, order)
+    n = len(g.order)
+    src, dst, w = g.edge_arrays
+    W = np.zeros((n, n))
+    W[src, dst] = w
     out = W.sum(axis=1)
     dangling = out == 0.0
     W[dangling] = 1.0 / n
     out[dangling] = 1.0
-    P = (1.0 - tau) * (W / out[:, None]) + tau / n
-    return StochasticMatrix(P, order, tau)
+    return (1.0 - tau) * (W / out[:, None]) + tau / n
 
 
 def hitting_times(P: np.ndarray) -> np.ndarray:
@@ -130,16 +108,13 @@ def _normalize_columns(M: sp.csc_array, sums: np.ndarray) -> sp.csc_array:
     return M
 
 
-def _mcl_seed_matrix(g: AffinityGraph, order: Sequence[str]) -> sp.csc_array:
+def _mcl_seed_matrix(g: AffinityGraph) -> sp.csc_array:
     """Column-stochastic flow matrix with self-loops of max(1, max incident).
 
     Column u holds u's out-weights, M[v, u] = w(u -> v), plus the loop.
     """
-    index = {u: i for i, u in enumerate(order)}
-    n, m = len(order), len(g.edges)
-    src = np.fromiter((index[u] for u, _ in g.edges), dtype=np.intp, count=m)
-    dst = np.fromiter((index[v] for _, v in g.edges), dtype=np.intp, count=m)
-    w = np.fromiter(g.edges.values(), dtype=float, count=m)
+    n = len(g.order)
+    src, dst, w = g.edge_arrays
     loops = np.ones(n)
     np.maximum.at(loops, src, w)
     np.maximum.at(loops, dst, w)
@@ -244,8 +219,7 @@ def mcl(
         raise ValueError(f"inflation power must be > 1, got {r}")
     if not g.nodes:
         raise EmptyGraph("clustering needs at least one node")
-    order = tuple(g.sorted_nodes())
-    M = _mcl_seed_matrix(g, order)
+    M = _mcl_seed_matrix(g)
     converged = False
     iterations = 0
     for M_next in mcl_flow(M, e, r, prune):
@@ -257,20 +231,20 @@ def mcl(
         M = M_next
         if iterations >= max_iter:
             break
-    clusters, attraction = _clusters_from_limit(M, order)
+    clusters, attraction = _clusters_from_limit(M, g.order)
     return Clustering(
         clusters=tuple(clusters),
         method="mcl",
         params={"e": e, "r": r, "prune": prune},
         overlapping=True,
-        nodes=order,
+        nodes=g.order,
         iterations=iterations,
         converged=converged,
         attraction=attraction,
     )
 
 
-def _init_destinations(g: AffinityGraph, H: np.ndarray, order: Sequence[str], k: int) -> list[int]:
+def _init_destinations(g: AffinityGraph, H: np.ndarray, k: int) -> list[int]:
     """Deterministic greedy coverage: max weighted in-degree first, then
     repeatedly the node whose addition most lowers the total assignment
     cost sum_i min_d H(i, d).
@@ -279,10 +253,9 @@ def _init_destinations(g: AffinityGraph, H: np.ndarray, order: Sequence[str], k:
     times to low-traffic nodes are uniformly large, so it keeps electing
     peripheral nodes and can leave a dense region without a destination.
     """
-    index = {u: i for i, u in enumerate(order)}
-    in_weight = np.zeros(len(order))
-    for (_, v), w in g.edges.items():
-        in_weight[index[v]] += w
+    _, dst, w = g.edge_arrays
+    # bincount adds in edge order, as a per-edge loop would
+    in_weight = np.bincount(dst, weights=w, minlength=len(g.order))
     # argmax's first maximum: ties on weight break toward the smaller node id
     destinations = [int(np.argmax(in_weight))]
     while len(destinations) < k:
@@ -308,13 +281,12 @@ def k_destinations(
     """
     if not g.nodes:
         raise EmptyGraph("clustering needs at least one node")
-    # node ids ascend with their index, so index order is id order throughout
-    order = tuple(g.sorted_nodes())
+    order = g.order
     n = len(order)
     if not 1 <= k <= n:
         raise KOutOfRange(f"k must be in 1..{n}, got {k}")
-    H = hitting_times(random_walk_matrix(g, tau).entries)
-    destinations = _init_destinations(g, H, order, k)
+    H = hitting_times(random_walk_matrix(g, tau))
+    destinations = _init_destinations(g, H, k)
     assignment = np.full(n, -1, dtype=int)
     trace: list[float] = []
     converged = False
@@ -399,6 +371,10 @@ def clustering_error(pred, truth) -> float:
     Solved as an optimal assignment on the confusion matrix; label sets of
     different sizes are padded with empty clusters.
     """
+    # imported here: the pipeline never calls this metric, and scipy.optimize
+    # is the slowest import of the package
+    from scipy.optimize import linear_sum_assignment
+
     pred, truth = _as_labels(pred), _as_labels(truth)
     if len(pred) != len(truth) or len(pred) == 0:
         raise LengthMismatch(f"lengths {len(pred)} vs {len(truth)}")

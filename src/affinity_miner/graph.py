@@ -9,8 +9,11 @@ from __future__ import annotations
 import io
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import EmptyGraph, InvalidType, MalformedRecord
 from .ingest import ALL_TYPES, MbtiType, UserProfile, parse_mbti, read_lines
@@ -24,14 +27,37 @@ EDGE_TSV_HEADER = "source\ttarget\tweight\tsource_type\ttarget_type"
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """nodes maps user_id -> type label; edges map (u, v) -> weight."""
+    """nodes maps user_id -> type label; edges map (u, v) -> weight.
+
+    Both dicts are stored in sorted key order whatever order they arrive
+    in, and node index i is the i-th smallest user id: index order is id
+    order everywhere an array is indexed by node.
+    """
 
     nodes: dict[str, MbtiType]
     edges: dict[tuple[str, str], float]
     threshold: float = field(default=DEFAULT_EDGE_THRESHOLD)
 
-    def sorted_nodes(self) -> list[str]:
-        return sorted(self.nodes)
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", dict(sorted(self.nodes.items())))
+        object.__setattr__(self, "edges", dict(sorted(self.edges.items())))
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """Node ids in index order."""
+        return tuple(self.nodes)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source index, target index, weight), one entry per edge in edge order."""
+        index = {u: i for i, u in enumerate(self.order)}
+        m = len(self.edges)
+        src = np.fromiter((index[u] for u, _ in self.edges), dtype=np.intp, count=m)
+        dst = np.fromiter((index[v] for _, v in self.edges), dtype=np.intp, count=m)
+        w = np.fromiter(self.edges.values(), dtype=float, count=m)
+        for a in (src, dst, w):
+            a.setflags(write=False)
+        return src, dst, w
 
     def undirected_neighbors(self) -> dict[str, set[str]]:
         """Adjacency with direction collapsed; reciprocal edges count once."""
@@ -86,10 +112,9 @@ def build_affinity_graph(
         edges[(u, v)] = w
     if missing_profile:
         log.info("dropped %d scored pairs lacking a profile", missing_profile)
-    nodes = {u for edge in edges for u in edge}
     return AffinityGraph(
-        nodes={u: labels[u] for u in sorted(nodes)},
-        edges=dict(sorted(edges.items())),
+        nodes={u: labels[u] for edge in edges for u in edge},
+        edges=edges,
         threshold=threshold,
     )
 
@@ -111,14 +136,14 @@ def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
     """Serialize the graph; edge-tsv round-trips exactly (17 digit weights)."""
     if format == "edge-tsv":
         lines = [EDGE_TSV_HEADER]
-        for (u, v), w in sorted(g.edges.items()):
+        for (u, v), w in g.edges.items():
             lines.append(f"{u}\t{v}\t{w:.17g}\t{g.nodes[u]}\t{g.nodes[v]}")
         return "\n".join(lines) + "\n"
     if format == "dot":
         lines = ["digraph affinity {"]
-        for u in g.sorted_nodes():
-            lines.append(f'  "{u}" [label="{g.nodes[u]}"];')
-        for (u, v), w in sorted(g.edges.items()):
+        for u, label in g.nodes.items():
+            lines.append(f'  "{u}" [label="{label}"];')
+        for (u, v), w in g.edges.items():
             lines.append(f'  "{u}" -> "{v}" [weight={w:.17g}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -146,8 +171,4 @@ def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> Aff
             nodes[v] = parse_mbti(v_type)
         except (ValueError, InvalidType) as exc:
             raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
-    return AffinityGraph(
-        nodes=dict(sorted(nodes.items())),
-        edges=dict(sorted(edges.items())),
-        threshold=threshold,
-    )
+    return AffinityGraph(nodes, edges, threshold)

@@ -203,24 +203,6 @@ def fit_elastic_net(
     return EnetFit(coef, intercept, sweeps, converged, tuple(trace))
 
 
-def pearson_p_value(r: float, n: int) -> float:
-    """Two-sided t-test p-value for the null of zero correlation.
-
-    Informational only; t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of
-    freedom. |r| = 1 gives 0.0.
-    """
-    from scipy import stats
-
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"correlation outside [-1, 1]: {r}")
-    if n < 3:
-        raise ValueError(f"need at least 3 points, got {n}")
-    if abs(r) == 1.0:
-        return 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stats.t.sf(abs(t), n - 2))
-
-
 def pearson_r(x, y) -> float:
     """Pearson correlation; identical inputs give exactly 1.0."""
     x = np.asarray(x, dtype=float)
@@ -309,12 +291,11 @@ def emotion_correlation_table(
         for name, docs in sorted(documents_by_group.items())
     }
     names = sorted(weights)
+    top = {name: set(_top_n_keys(weights[name], n)) for name in names}
     table: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):
         for b in names[:i]:
-            keys = sorted(
-                set(_top_n_keys(weights[a], n)) | set(_top_n_keys(weights[b], n))
-            )
+            keys = sorted(top[a] | top[b])
             va = np.array([weights[a].get(k, 0.0) for k in keys])
             vb = np.array([weights[b].get(k, 0.0) for k in keys])
             table[(a, b)] = pearson_r(va, vb)

@@ -25,12 +25,6 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
-class DocVector:
-    values: np.ndarray
-    in_vocab_fraction: float
-
-
 def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     """Parse token-plus-numbers lines; dimension inferred from the first.
 
@@ -61,14 +55,12 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     return EmbeddingTable(dimension, vectors)
 
 
-def doc_vector(tokens: Sequence[str], table: EmbeddingTable) -> DocVector:
+def doc_vector(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     """Mean of in-vocabulary token vectors; OOV tokens are skipped."""
     hits = [table.vectors[t] for t in tokens if t in table.vectors]
     if not hits:
-        return DocVector(np.zeros(table.dimension), 0.0)
-    return DocVector(
-        np.mean(hits, axis=0), len(hits) / len(tokens)
-    )
+        return np.zeros(table.dimension)
+    return np.mean(hits, axis=0)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -96,7 +88,7 @@ def type_similarity_matrix(
         )
     vectors: dict[MbtiType, np.ndarray] = {}
     for t in ALL_TYPES:
-        v = doc_vector(tokenize(corpora[t]), table).values
+        v = doc_vector(tokenize(corpora[t]), table)
         if not v.any():
             raise ZeroVector(f"corpus for {t} has no in-vocabulary tokens")
         vectors[t] = v

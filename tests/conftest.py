@@ -11,12 +11,10 @@ def rng():
 
 def make_graph(edge_list, types=None, threshold=1e-5):
     """Graph from (u, v, w) triples; default label INFJ for every node."""
-    edges = {(u, v): w for u, v, w in edge_list}
-    nodes = sorted({x for u, v, _ in edge_list for x in (u, v)})
     types = types or {}
     return AffinityGraph(
-        nodes={u: parse_mbti(types.get(u, "INFJ")) for u in nodes},
-        edges=dict(sorted(edges.items())),
+        nodes={x: parse_mbti(types.get(x, "INFJ")) for u, v, _ in edge_list for x in (u, v)},
+        edges={(u, v): w for u, v, w in edge_list},
         threshold=threshold,
     )
 

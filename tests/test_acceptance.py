@@ -82,7 +82,7 @@ def test_02_clustering_recovery():
             w_in=(0.8, 1.0), w_out=(0.01, 0.05), seed=seed,
         )
         g, truth = planted_partition(spec)
-        order = g.sorted_nodes()
+        order = g.order
         tvec = np.array([truth[u] for u in order])
         start = time.perf_counter()
         for clustering in (mcl(g), k_destinations(g, 4)):
@@ -313,7 +313,7 @@ def test_10_influence_invariance():
         c = Clustering(
             clusters=tuple(frozenset(v) for _, v in sorted(groups.items())),
             method="k-destinations", params={}, overlapping=False,
-            nodes=tuple(g.sorted_nodes()), iterations=1, converged=True,
+            nodes=g.order, iterations=1, converged=True,
         )
         base = influential_types(g, c)
         for scale in (0.001, 42.0):

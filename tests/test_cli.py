@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from affinity_miner import cli as cli_module
 from affinity_miner.cli import (
+    PipelineConfig,
     _write_atomic,
     _write_atomic_bytes,
     main,
@@ -50,6 +56,9 @@ def config_for(dataset, out_dir, **extra):
     return resolve_config({}, overrides)
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"]
+
+
 class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve_config({}, {})
@@ -88,6 +97,20 @@ class TestConfigResolution:
     def test_smoothing_range_is_closed(self):
         cfg = resolve_config({}, {"alpha": "1e-6", "kappa": "1e6"})
         assert (cfg.alpha, cfg.kappa) == (1e-6, 1e6)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, tmp_path, key):
+        path = tmp_path / "c.txt"
+        path.write_text(f"{key} = inf\n")
+        sources = [
+            (parse_config_file(path), {}, {}),
+            ({}, {}, {f"AFFINITY_MINER_{key.upper()}": "-inf"}),
+            ({}, {key: "nan"}, {}),
+        ]
+        for file_values, overrides, env in sources:
+            with pytest.raises(ConfigError, match=f"config key {key} must be finite") as info:
+                resolve_config(file_values, overrides, env=env)
+            assert info.value.key == key
 
 
 class TestRunPipeline:
@@ -341,6 +364,13 @@ class TestBadInputsExitOne:
         assert "Traceback" not in err
         assert not (out / "scores.tsv").exists()
 
+    @pytest.mark.parametrize("key", ["ridge", "inflation", "prune", "lam"])
+    def test_infinite_float_exits_one(self, capsys, key):
+        assert main(["run", "--set", f"{key}=inf"]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key} must be finite, got 'inf'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["pos_category", "neg_category"])
     def test_unknown_category_rejected_before_fitting(
         self, dataset, tmp_path, capsys, monkeypatch, key
@@ -364,3 +394,17 @@ class TestBadInputsExitOne:
         assert main(["ingest", *args]) == 0
         assert f"line {len(lines) + 1} rejected: invalid JSON: nested too deeply" in caplog.text
         assert (out / "ingest.txt").read_text().startswith(f"events = {len(lines)}\n")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # clustering_error imports it on first call; the pipeline never calls it
+    code = "import sys, affinity_miner.cli; print('scipy.optimize' in sys.modules)"
+    src = Path(cli_module.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

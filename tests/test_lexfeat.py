@@ -9,7 +9,6 @@ from affinity_miner import (
     pearson_r,
     tokenize,
 )
-from affinity_miner.lexfeat import pearson_p_value
 from affinity_miner.errors import (
     ConstantVector,
     DegenerateCorpus,
@@ -178,37 +177,6 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pearson_r([1.0], [1.0])
-
-
-class TestPearsonPValue:
-    def test_zero_correlation_is_one(self):
-        assert pearson_p_value(0.0, 30) == pytest.approx(1.0)
-
-    def test_perfect_correlation_is_zero(self):
-        assert pearson_p_value(1.0, 30) == 0.0
-        assert pearson_p_value(-1.0, 30) == 0.0
-
-    def test_against_incomplete_beta_oracle(self):
-        import mpmath
-
-        mpmath.mp.dps = 30
-        for r, n in [(0.5, 30), (0.2, 100), (-0.7, 12)]:
-            t = abs(r) * np.sqrt((n - 2) / (1 - r * r))
-            nu = n - 2
-            oracle = float(mpmath.betainc(
-                nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True
-            ))
-            assert pearson_p_value(r, n) == pytest.approx(oracle, rel=1e-10)
-
-    def test_monotone_in_strength(self):
-        ps = [pearson_p_value(r, 25) for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        assert all(a > b for a, b in zip(ps, ps[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pearson_p_value(1.5, 10)
-        with pytest.raises(ValueError):
-            pearson_p_value(0.5, 2)
 
 
 def synthetic_corpus(rng, emotion_rate, vocab, emotion_word="happy", n_docs=12):

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from affinity_miner import Sentiment, affinity_score, stationary_distribution
 from affinity_miner.cli import parse_config_file
+from affinity_miner.cluster import DEFAULT_TELEPORT, k_destinations, mcl, random_walk_matrix
 from affinity_miner.errors import (
     AffinityMinerError,
     ConfigError,
     DimensionMismatch,
     MalformedRecord,
 )
-from affinity_miner.graph import EDGE_TSV_HEADER, parse_graph_tsv
+from affinity_miner.graph import AffinityGraph, EDGE_TSV_HEADER, export_graph, parse_graph_tsv
 from affinity_miner.ingest import (
     ALL_TYPES,
     MbtiType,
@@ -253,3 +254,100 @@ def test_type_order_is_code_order(types):
     assert ALL_TYPES == tuple(sorted(MbtiType))
     assert [t.value for t in ALL_TYPES] == sorted(t.value for t in MbtiType)
     assert sorted(types) == sorted(types, key=lambda t: t.value)
+
+
+# -- the affinity graph's node order and edge arrays ---------------------------
+
+node_ids = st.text(alphabet="abcd", min_size=1, max_size=2)
+
+
+@st.composite
+def edge_lists(draw):
+    """(u, v, weight) triples over a small id alphabet, self-edges included."""
+    edges = draw(
+        st.dictionaries(
+            st.tuples(node_ids, node_ids),
+            st.floats(min_value=1e-3, max_value=10.0),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    return [(u, v, w) for (u, v), w in edges.items()]
+
+
+def graph_of(edge_list, shuffle=None):
+    """The graph of `edge_list`; `shuffle` reorders both dicts' insertion."""
+    edge_list = list(edge_list)
+    ids = sorted({x for u, v, _ in edge_list for x in (u, v)})
+    if shuffle is not None:
+        shuffle(edge_list)
+        shuffle(ids)
+    return AffinityGraph(
+        nodes={u: ALL_TYPES[ord(u[-1]) % 16] for u in ids},
+        edges={(u, v): w for u, v, w in edge_list},
+    )
+
+
+def dict_loop_edge_arrays(g):
+    """Index by position among the sorted ids, one edge at a time."""
+    index = {u: i for i, u in enumerate(sorted(g.nodes))}
+    edges = sorted(g.edges.items())
+    src = np.array([index[u] for (u, _), _ in edges], dtype=np.intp)
+    dst = np.array([index[v] for (_, v), _ in edges], dtype=np.intp)
+    w = np.array([w for _, w in edges], dtype=float)
+    return src, dst, w
+
+
+def dict_loop_walk_matrix(g, tau):
+    """Dense weights filled by a per-edge dict loop, then the same mixing."""
+    order = sorted(g.nodes)
+    index = {u: i for i, u in enumerate(order)}
+    n = len(order)
+    W = np.zeros((n, n))
+    for (u, v), w in g.edges.items():
+        W[index[u], index[v]] = w
+    out = W.sum(axis=1)
+    dangling = out == 0.0
+    W[dangling] = 1.0 / n
+    out[dangling] = 1.0
+    return (1.0 - tau) * (W / out[:, None]) + tau / n
+
+
+@PROPERTY
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_graph_stores_sorted_order_whatever_the_insertion_order(edge_list, rnd):
+    g = graph_of(edge_list)
+    h = graph_of(edge_list, shuffle=rnd.shuffle)
+    assert list(h.nodes) == sorted(h.nodes) and list(h.edges) == sorted(h.edges)
+    assert h.order == g.order == tuple(sorted(g.nodes))
+    for got, want in zip(h.edge_arrays, g.edge_arrays):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for fmt in ("edge-tsv", "dot"):
+        assert export_graph(h, fmt) == export_graph(g, fmt)
+
+
+@PROPERTY
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_edge_arrays_and_walk_matrix_match_dict_loops(edge_list, rnd):
+    g = graph_of(edge_list, shuffle=rnd.shuffle)
+    for got, want in zip(g.edge_arrays, dict_loop_edge_arrays(g)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for tau in (DEFAULT_TELEPORT, 0.3):
+        assert np.array_equal(random_walk_matrix(g, tau), dict_loop_walk_matrix(g, tau))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_clusterings_ignore_insertion_order(edge_list, rnd):
+    g = graph_of(edge_list)
+    h = graph_of(edge_list, shuffle=rnd.shuffle)
+    a, b = mcl(g), mcl(h)
+    assert (a.clusters, a.nodes, a.iterations, a.converged) == (
+        b.clusters, b.nodes, b.iterations, b.converged
+    )
+    assert np.array_equal(a.attraction, b.attraction)
+    for k in range(1, min(3, len(g.nodes)) + 1):
+        a, b = k_destinations(g, k), k_destinations(h, k)
+        assert (a.clusters, a.destinations, a.objective_trace, a.iterations) == (
+            b.clusters, b.destinations, b.objective_trace, b.iterations
+        )

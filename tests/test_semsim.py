@@ -3,7 +3,6 @@ import pytest
 
 from affinity_miner import (
     ALL_TYPES,
-    DocVector,
     cosine,
     doc_vector,
     load_embeddings,
@@ -46,22 +45,19 @@ class TestDocVector:
 
     def test_single_token(self):
         v = doc_vector(["aa"], self.table)
-        assert np.allclose(v.values, [1, 0])
-        assert v.in_vocab_fraction == 1.0
+        assert np.allclose(v, [1, 0])
 
     def test_componentwise_mean(self):
         v = doc_vector(["aa", "bb"], self.table)
-        assert np.allclose(v.values, [0.5, 0.5])
+        assert np.allclose(v, [0.5, 0.5])
 
     def test_all_oov(self):
         v = doc_vector(["zz", "qq"], self.table)
-        assert np.all(v.values == 0.0)
-        assert v.in_vocab_fraction == 0.0
+        assert np.all(v == 0.0)
 
-    def test_oov_skipped_fraction_reported(self):
+    def test_oov_tokens_skipped(self):
         v = doc_vector(["aa", "zz", "bb", "qq"], self.table)
-        assert np.allclose(v.values, [0.5, 0.5])
-        assert v.in_vocab_fraction == 0.5
+        assert np.array_equal(v, doc_vector(["aa", "bb"], self.table))
 
     def test_permutation_invariant(self, rng):
         tokens = ["aa", "bb", "cc", "aa", "zz"]
@@ -69,7 +65,7 @@ class TestDocVector:
         for _ in range(5):
             shuffled = list(rng.permutation(tokens))
             v2 = doc_vector(shuffled, self.table)
-            assert np.allclose(v1.values, v2.values, atol=1e-15)
+            assert np.allclose(v1, v2, atol=1e-15)
 
 
 class TestCosine:
@@ -97,8 +93,9 @@ class TestCosine:
             cosine(np.zeros(3), np.ones(3))
 
     def test_doc_vector_values(self):
-        a = DocVector(np.array([1.0, 2.0]), 1.0)
-        assert cosine(a.values, a.values) == 1.0
+        table = table_of(["aa 1 2", "bb 3 4"])
+        a = doc_vector(["aa", "bb", "zz"], table)
+        assert cosine(a, a) == 1.0
 
     def test_range(self, rng):
         for _ in range(50):

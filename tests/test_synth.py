@@ -66,7 +66,7 @@ class TestPlantedPartition:
         for seed in range(5):
             spec = PlantedSpec(n=60, k=3, p_in=0.15, p_out=0.15, seed=seed)
             g, truth = planted_partition(spec)
-            order = g.sorted_nodes()
+            order = g.order
             tvec = np.array([truth[u] for u in order])
             labels = labels_from_clustering(k_destinations(g, 3))
             scores.append(nmi(labels, tvec))
