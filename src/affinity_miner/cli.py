@@ -23,7 +23,7 @@ import traceback
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from . import affinity, classify, cluster, graph, influence, lexfeat, semsim, synth
 from .errors import AffinityMinerError, ConfigError
@@ -189,12 +189,15 @@ def _write_atomic_bytes(path: Path, data: bytes):
 
 
 def render_lower_triangular(
-    entries: dict[tuple[str, str], float], names: list[str]
+    entries: Mapping[tuple[Hashable, Hashable], float], names: Sequence[Hashable]
 ) -> str:
-    """Tab-delimited lower-triangular table; unset cells hold a dash."""
-    lines = ["\t".join([""] + names)]
+    """Tab-delimited lower-triangular table; unset cells hold a dash.
+
+    `entries` is keyed by (row, column) name pairs; names print with str().
+    """
+    lines = ["\t".join([""] + [str(name) for name in names])]
     for i, row in enumerate(names):
-        cells = [row]
+        cells = [str(row)]
         for j, col in enumerate(names):
             cells.append(f"{entries[(row, col)]:.6f}" if j < i else "-")
         lines.append("\t".join(cells))
@@ -287,7 +290,7 @@ class PipelineRunner:
         return semsim.type_similarity_matrix(corpora, table)
 
     @cached_property
-    def lexcorr(self) -> dict[str, dict[tuple[str, str], float]]:
+    def lexcorr(self) -> dict[str, dict[tuple[MbtiType, MbtiType], float]]:
         """Correlation tables for the "pos" and "neg" categories."""
         with open_input(self._require_file("lexicon")) as fh:
             lex = lexfeat.load_lexicon(fh)
@@ -299,10 +302,10 @@ class PipelineRunner:
                     f"the lexicon has: {', '.join(lex.categories)}",
                     key=key,
                 )
-        by_type = {t.value: docs for t, docs in self.documents_by_type.items()}
         return {
             name: lexfeat.emotion_correlation_table(
-                by_type, lex, category, self.cfg.top_n, self.cfg.lam, self.cfg.mix
+                self.documents_by_type, lex, category,
+                self.cfg.top_n, self.cfg.lam, self.cfg.mix,
             )
             for name, category in (
                 ("pos", self.cfg.pos_category),
@@ -359,12 +362,10 @@ class PipelineRunner:
         return influence.render_influence_report(self.influence_report)
 
     def semsim_text(self) -> str:
-        names = [t.value for t in ALL_TYPES]
-        entries = {(a.value, b.value): v for (a, b), v in self.similarity.items()}
-        return render_lower_triangular(entries, names)
+        return render_lower_triangular(self.similarity, ALL_TYPES)
 
     def lexcorr_text(self, which: str) -> str:
-        return render_lower_triangular(self.lexcorr[which], [t.value for t in ALL_TYPES])
+        return render_lower_triangular(self.lexcorr[which], ALL_TYPES)
 
     def classify_text(self) -> str:
         return classify.render_cv_report(self.cv_report)

@@ -63,22 +63,6 @@ class MbtiType(enum.Enum):
             return NotImplemented
         return self.value < other.value
 
-    @property
-    def attitude(self) -> str:
-        return self.value[0]
-
-    @property
-    def perceiving(self) -> str:
-        return self.value[1]
-
-    @property
-    def judging(self) -> str:
-        return self.value[2]
-
-    @property
-    def lifestyle(self) -> str:
-        return self.value[3]
-
 
 ALL_TYPES: tuple[MbtiType, ...] = tuple(sorted(MbtiType))
 

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +38,7 @@ FIRST_PERSON_KEY = "first_person_pronoun"
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 FeatureVector = dict[str, float]
+G = TypeVar("G")
 
 # stop when the largest per-sweep coefficient change falls below this;
 # 1e-8 rather than 1e-6 because correlated designs contract slowly and the
@@ -271,20 +272,20 @@ def _top_n_keys(weights: dict[str, float], n: int) -> list[str]:
 
 
 def emotion_correlation_table(
-    documents_by_group: Mapping[str, Sequence[str]],
+    documents_by_group: Mapping[G, Sequence[str]],
     lex: Lexicon,
     target: str,
     n: int = 1000,
     lam: float = 0.01,
     mix: float = 0.5,
-) -> dict[tuple[str, str], float]:
+) -> dict[tuple[G, G], float]:
     """Correlations of every two groups' elastic-net emotion weights.
 
     Each group's target-category proportion is regressed on its token
     counts, once per group. For each pair of groups the top-n coefficients
     of each fit (by descending value) are aligned on the union of selected
     keys, missing keys as 0, and the aligned vectors are Pearson-correlated.
-    Keys are (later group, earlier group) in sorted name order.
+    Groups must sort; keys are (later group, earlier group) in sorted order.
     """
     weights = {
         name: _category_weights(docs, lex, target, lam, mix)

@@ -2,8 +2,9 @@
 
 Planted-partition graphs provide ground-truth labels for clustering
 recovery tests; sentiment sequences sampled from known chains provide a
-recovery oracle for chain estimation. Both draw from per-node spawned
-generator streams so parallel generation stays reproducible.
+recovery oracle for chain estimation. planted_partition gives each node
+its own spawned generator stream; sample_chain_sequence and
+generate_dataset each draw from one generator seeded by their argument.
 
 generate_dataset writes a complete, self-consistent input set
 (interactions, profiles, embeddings, lexicon and a ready-to-run config)
@@ -13,8 +14,10 @@ in the exact formats the ingestion layer consumes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,12 +70,10 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
     width = len(str(spec.n - 1)) if spec.n > 1 else 1
     ids = [f"u{i:0{width}d}" for i in range(spec.n)]
     blocks = _block_of(spec)
-    labels: dict[str, MbtiType] = {}
-    position_in_block: dict[int, int] = {}
-    for i in range(spec.n):
-        pos = position_in_block.get(blocks[i], 0)
-        labels[ids[i]] = ALL_TYPES[pos % len(ALL_TYPES)]
-        position_in_block[blocks[i]] = pos + 1
+    block_start = np.searchsorted(blocks, blocks)
+    labels = {
+        ids[i]: ALL_TYPES[(i - block_start[i]) % len(ALL_TYPES)] for i in range(spec.n)
+    }
 
     streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
     edges: dict[tuple[str, str], float] = {}
@@ -144,8 +145,10 @@ DISTANT_CHAIN = np.array(
 )
 
 
-def _type_words(t: MbtiType) -> list[str]:
-    return [f"{t.value.lower()}word{i}" for i in range(5)]
+# five marker words per type: the type signal the classifier learns
+TYPE_WORDS: dict[MbtiType, tuple[str, ...]] = {
+    t: tuple(f"{t.value.lower()}word{i}" for i in range(5)) for t in ALL_TYPES
+}
 
 
 # P(positive word), P(negative word) per sentiment state
@@ -162,16 +165,26 @@ def _event_text(
     sentiment: Sentiment,
     emotionality: tuple[float, float] = (1.0, 1.0),
 ) -> str:
-    words = list(rng.choice(_type_words(t), size=3))
-    words.append(str(rng.choice(SHARED_WORDS)))
-    words.append(str(rng.choice(PRONOUNS)))
+    words = [TYPE_WORDS[t][i] for i in rng.integers(len(TYPE_WORDS[t]), size=3)]
+    words.append(SHARED_WORDS[rng.integers(len(SHARED_WORDS))])
+    words.append(PRONOUNS[rng.integers(len(PRONOUNS))])
     p_pos, p_neg = _EMOTION_RATES[sentiment]
     if rng.random() < min(p_pos * emotionality[0], 0.95):
-        words.append(str(rng.choice(POSITIVE_WORDS)))
+        words.append(POSITIVE_WORDS[rng.integers(len(POSITIVE_WORDS))])
     if rng.random() < min(p_neg * emotionality[1], 0.95):
-        words.append(str(rng.choice(NEGATIVE_WORDS)))
+        words.append(NEGATIVE_WORDS[rng.integers(len(NEGATIVE_WORDS))])
     order = rng.permutation(len(words))
     return " ".join(words[i] for i in order)
+
+
+class _User(NamedTuple):
+    """One row of the generated user table; bots follow the users."""
+
+    name: str
+    mbti: MbtiType
+    bot_score: float
+    block: int
+    emotionality: tuple[float, float]
 
 
 def generate_dataset(
@@ -186,66 +199,66 @@ def generate_dataset(
     The 16 types are split into `blocks` groups; users mention others in
     their own group often and with friendlier sentiment, so the affinity
     graph carries recoverable block structure. A few extra high-bot-score
-    profiles (with events) exercise the bot filter downstream.
+    profiles (with events) exercise the bot filter downstream. Raises
+    InvalidSpec for fewer than one user per type or two blocks, which give
+    no usable dataset.
     """
+    if users_per_type < 1:
+        raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
+    if blocks < 2:
+        raise InvalidSpec(f"blocks must be >= 2, got {blocks}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    users: list[tuple[str, MbtiType, float]] = []
-    user_block: dict[str, int] = {}
-    per_block: dict[int, list[str]] = {b: [] for b in range(blocks)}
-    # per-user emotional expressiveness spreads the category proportions so
-    # the downstream regressions have something to fit; a deterministic
-    # within-type grid guarantees the spread for every type (pure sampling
-    # can clump and let the elastic-net soft threshold zero everything)
-    emotionality: dict[str, tuple[float, float]] = {}
-
-    def bias(j: int, m: int) -> float:
-        return 0.1 + 2.6 * j / max(m - 1, 1)
-
-    uid = 0
-    for ti, t in enumerate(ALL_TYPES):
-        block = ti % blocks
-        for j in range(users_per_type):
-            name = f"user{uid:04d}"
-            users.append((name, t, round(float(rng.uniform(0.0, 2.2)), 3)))
-            user_block[name] = block
-            per_block[block].append(name)
-            emotionality[name] = (
-                bias(j, users_per_type),
-                bias((j * 3 + 1) % users_per_type, users_per_type),
-            )
-            uid += 1
-    for b in range(bots):
-        name = f"bot{b:02d}"
-        users.append((name, ALL_TYPES[b % len(ALL_TYPES)], round(float(rng.uniform(2.5, 5.0)), 3)))
-        user_block[name] = b % blocks
-        per_block[b % blocks].append(name)
-        emotionality[name] = (1.0, 1.0)
+    # the last field, emotional expressiveness, spreads the category
+    # proportions so the downstream regressions have something to fit; a
+    # deterministic within-type grid guarantees the spread for every type
+    # (pure sampling can clump and let the elastic-net soft threshold zero
+    # everything)
+    m = users_per_type
+    table = [
+        _User(
+            f"user{ti * m + j:04d}", t, round(float(rng.uniform(0.0, 2.2)), 3), ti % blocks,
+            (0.1 + 2.6 * j / max(m - 1, 1), 0.1 + 2.6 * ((j * 3 + 1) % m) / max(m - 1, 1)),
+        )
+        for ti, t in enumerate(ALL_TYPES)
+        for j in range(m)
+    ]
+    table += [
+        _User(
+            f"bot{b:02d}", ALL_TYPES[b % len(ALL_TYPES)],
+            round(float(rng.uniform(2.5, 5.0)), 3), b % blocks, (1.0, 1.0),
+        )
+        for b in range(bots)
+    ]
+    # table indices per block, ascending, and everyone outside each block
+    members = [[i for i, u in enumerate(table) if u.block == b] for b in range(blocks)]
+    outsiders = [[u for u in table if u.block != b] for b in range(blocks)]
 
     events: list[dict] = []
     timestamp = 1_600_000_000
-    for name, t, _ in users:
-        block = user_block[name]
-        mates = [u for u in per_block[block] if u != name]
-        partner_count = min(len(mates), 4)
-        partners = [str(p) for p in rng.choice(mates, size=partner_count, replace=False)]
-        others = [u for u, _, _ in users if user_block[u] != block]
-        partners += [str(p) for p in rng.choice(others, size=2, replace=False)]
+    for i, user in enumerate(table):
+        block = members[user.block]
+        # mate k is the k-th block member other than the user
+        own = bisect_left(block, i)
+        picks = rng.choice(len(block) - 1, size=min(len(block) - 1, 4), replace=False)
+        partners = [table[block[k + (k >= own)]] for k in picks]
+        outside = outsiders[user.block]
+        partners += [outside[k] for k in rng.choice(len(outside), size=2, replace=False)]
         for partner in partners:
-            friendly = user_block[partner] == block
+            friendly = partner.block == user.block
             chain = FRIENDLY_CHAIN if friendly else DISTANT_CHAIN
             length = int(rng.integers(8, 14)) if friendly else int(rng.integers(1, 4))
             seq = sample_chain_sequence(chain, length, int(rng.integers(0, 2**32)))
             for s in seq:
                 events.append(
                     {
-                        "source": name,
-                        "target": partner,
+                        "source": user.name,
+                        "target": partner.name,
                         "timestamp": timestamp,
                         "sentiment": s.name,
-                        "text": _event_text(rng, t, s, emotionality[name]),
+                        "text": _event_text(rng, user.mbti, s, user.emotionality),
                     }
                 )
                 timestamp += 1
@@ -259,17 +272,11 @@ def generate_dataset(
     profiles_path = out / "profiles.tsv"
     with profiles_path.open("w", encoding="utf-8") as fh:
         fh.write("user_id\tmbti\tbot_score\n")
-        for name, t, score in users:
-            fh.write(f"{name}\t{t}\t{score}\n")
+        for u in table:
+            fh.write(f"{u.name}\t{u.mbti}\t{u.bot_score}\n")
 
     vocabulary = sorted(
-        set(
-            POSITIVE_WORDS
-            + NEGATIVE_WORDS
-            + PRONOUNS
-            + SHARED_WORDS
-            + [w for t in ALL_TYPES for w in _type_words(t)]
-        )
+        set(POSITIVE_WORDS + NEGATIVE_WORDS + PRONOUNS + SHARED_WORDS).union(*TYPE_WORDS.values())
     )
     embeddings_path = out / "embeddings.txt"
     with embeddings_path.open("w", encoding="utf-8") as fh:

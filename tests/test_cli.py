@@ -160,6 +160,12 @@ class TestMainEntry:
         assert main(["run", "--config", str(tmp_path / "config.txt")]) == 0
         assert (tmp_path / "results" / "report.txt").is_file()
 
+    def test_synth_without_users_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        assert main(["synth", "--out", str(out), "--users-per-type", "0"]) == 1
+        assert "users_per_type" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_stage_subcommand(self, dataset, tmp_path):
         out = tmp_path / "stage_out"
         code = main([

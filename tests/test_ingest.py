@@ -36,10 +36,6 @@ class TestParseMbti:
         with pytest.raises(InvalidType):
             parse_mbti("ABCD")
 
-    def test_axes(self):
-        t = parse_mbti("INFJ")
-        assert (t.attitude, t.perceiving, t.judging, t.lifestyle) == ("I", "N", "F", "J")
-
 
 class TestDetectSelfIdentification:
     def test_single_code_with_marker(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,65 @@ class TestGenerateDataset:
         assert events and profiles
         assert any(p.bot_score >= 2.5 for p in profiles)
         assert {p.mbti for p in profiles} == set(__import__("affinity_miner").ALL_TYPES)
+
+    def test_no_users_rejected(self, tmp_path):
+        with pytest.raises(InvalidSpec, match="users_per_type"):
+            generate_dataset(tmp_path, users_per_type=0)
+
+    def test_one_block_rejected(self, tmp_path):
+        with pytest.raises(InvalidSpec, match="blocks"):
+            generate_dataset(tmp_path, blocks=1)
+
+    def test_no_blocks_rejected(self, tmp_path):
+        with pytest.raises(InvalidSpec, match="blocks"):
+            generate_dataset(tmp_path, blocks=0)
+
+
+_LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b"
+
+
+@pytest.mark.parametrize(
+    "kwargs, digests",
+    [
+        (
+            dict(seed=7, users_per_type=12),
+            dict(
+                interactions="807d354bfb766f177e3c164c2ffeefda42f0cdbc5948db4d4d34b68f9440bf33",
+                profiles="4c4ce9c5e5c3320adbd342a8fe30e664857471cf05de4435a18e088dcda23969",
+                embeddings="ddcf57a0e24dcff3c8974fafd4f0638ce59ec69098438908d5d1dd7501c32b95",
+            ),
+        ),
+        (
+            dict(seed=5, users_per_type=2),
+            dict(
+                interactions="6e57d138eef0ecbc02f834d9d4cee0fccae9188849bcd90aa0c74b3fa1c81b7e",
+                profiles="5fcb1741ddf7135b2978f5a01acdbab1e5dc8fabef5cc4e6b2a00ea424b54e28",
+                embeddings="83ac2794d903f1b63f788adf0ec73941de5f81be471d6a84884789656e2f3b86",
+            ),
+        ),
+        (
+            dict(seed=3, users_per_type=1, bots=20),
+            dict(
+                interactions="3fde65c0a3434f4e24a790d45cd994fc18195016e2fa8891550f592bb4fc2997",
+                profiles="8e62526aa9283f878fd97063ce3b3dea74362d9ad980dfbd792cc286674a7231",
+                embeddings="36748da9e0b2397f5689f26c2a1536426a51384a46e46643c13a5993741c14f4",
+            ),
+        ),
+        # one user per block plus a bot in four of them: zero or one mate
+        (
+            dict(seed=11, users_per_type=1, blocks=16),
+            dict(
+                interactions="cdd43371d7dc601b28993472304e1d7f65bb284f91a4a30dd02cdc846f0a1d13",
+                profiles="4f5277fa1b6422d850ad69b5df832b3daa2225d8b2b38640e64750ab16c3f34d",
+                embeddings="95a980f40042c1830e6eea628adbbf7c7b1852f366e56bec98b462c7e1cce073",
+            ),
+        ),
+    ],
+    ids=["seed7-12", "seed5-2", "seed3-1-bots20", "seed11-1-blocks16"],
+)
+def test_generated_files_are_pinned(tmp_path, kwargs, digests):
+    """Generated inputs are byte-for-byte those every golden was recorded on."""
+    paths = generate_dataset(tmp_path, **kwargs)
+    expected = dict(digests, lexicon=_LEXICON_SHA)
+    actual = {k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in expected}
+    assert actual == expected
