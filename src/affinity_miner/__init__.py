@@ -8,7 +8,6 @@ type prediction).
 """
 
 from .affinity import (
-    TransitionMatrix,
     affinity_score,
     build_pair_sequences,
     estimate_chain,

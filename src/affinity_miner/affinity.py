@@ -8,7 +8,6 @@ n / (n + kappa) so that thin interaction histories score low.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,22 +19,6 @@ N_STATES = 3
 
 # a stationary distribution's residual max|pi P - pi| must fall below this
 STATIONARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic matrix over (NEG, NEU, POS)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (N_STATES, N_STATES):
-            raise ValueError(f"expected {N_STATES}x{N_STATES}, got {entries.shape}")
-        if np.max(np.abs(entries.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("rows must sum to 1 within 1e-12")
 
 
 def build_pair_sequences(
@@ -52,8 +35,9 @@ def build_pair_sequences(
     return {pair: tuple(states) for pair, states in grouped.items()}
 
 
-def estimate_chain(states: Sequence[Sentiment], alpha: float = 1.0) -> TransitionMatrix:
-    """Laplace-smoothed transition matrix from consecutive state pairs.
+def estimate_chain(states: Sequence[Sentiment], alpha: float = 1.0) -> np.ndarray:
+    """Laplace-smoothed 3x3 row-stochastic transition matrix over
+    (NEG, NEU, POS), from consecutive state pairs.
 
     entry(i, j) = (count(i->j) + alpha) / (count(i->.) + 3 alpha). With
     alpha > 0 every entry is strictly positive, so the chain is ergodic.
@@ -63,8 +47,7 @@ def estimate_chain(states: Sequence[Sentiment], alpha: float = 1.0) -> Transitio
     counts = np.zeros((N_STATES, N_STATES))
     for a, b in zip(states, states[1:]):
         counts[int(a), int(b)] += 1.0
-    entries = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + N_STATES * alpha)
-    return TransitionMatrix(entries)
+    return (counts + alpha) / (counts.sum(axis=1, keepdims=True) + N_STATES * alpha)
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -100,7 +83,7 @@ def affinity_score(
     n = len(states)
     if n == 0:
         return 0.0
-    pi = stationary_distribution(estimate_chain(states, alpha).entries)
+    pi = stationary_distribution(estimate_chain(states, alpha))
     return float(pi[int(Sentiment.POS)]) * (n / (n + kappa))
 
 

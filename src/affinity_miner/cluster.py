@@ -9,7 +9,8 @@ nearest destination node and re-centers destinations until stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,30 +31,41 @@ MCL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Clustering:
-    """Cluster assignment plus the metadata needed to serialize it.
+    """Clusters as ascending node-index arrays over `nodes` (the graph's
+    g.order), plus the metadata needed to serialize them.
 
-    For the flow clusterer, `attraction[c, i]` holds the limit-matrix mass
-    of node i on cluster c's attractor rows; the hitting-time clusterer
-    fills `destinations` and `objective_trace` instead.
+    For the flow clusterer, `attraction` is a sparse CSR c x n matrix whose
+    entry (c, i) is the limit-matrix mass of node i on cluster c's attractor
+    rows; clusters may overlap only then. The hitting-time clusterer fills
+    `destinations` and `objective_trace` instead.
     """
 
-    clusters: tuple[frozenset[str], ...]
+    clusters: tuple[np.ndarray, ...]
     method: str
     params: dict
-    overlapping: bool
     nodes: tuple[str, ...]
     iterations: int
     converged: bool
-    attraction: np.ndarray | None = field(default=None)
+    attraction: sp.csr_array | None = field(default=None)
     destinations: tuple[str, ...] | None = field(default=None)
     objective_trace: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
-        if any(not c for c in self.clusters):
-            raise ValueError("empty cluster")
-        universe = set(self.nodes)
-        if any(not c <= universe for c in self.clusters):
-            raise ValueError("cluster contains unknown node")
+        n = len(self.nodes)
+        for members in self.clusters:
+            if not len(members):
+                raise ValueError("empty cluster")
+            if members[0] < 0 or members[-1] >= n or np.any(np.diff(members) <= 0):
+                raise ValueError("cluster indices must ascend within range(len(nodes))")
+
+    @cached_property
+    def memberships(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node index, cluster index) per membership, cluster by cluster."""
+        sizes = [len(members) for members in self.clusters]
+        return (
+            np.concatenate(self.clusters),
+            np.repeat(np.arange(len(self.clusters)), sizes),
+        )
 
 
 def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray:
@@ -167,36 +179,34 @@ def mcl_flow(
         yield _normalize_columns(M, sums)
 
 
-def _clusters_from_limit(
-    M: sp.csc_array, order: Sequence[str]
-) -> tuple[list[frozenset[str]], np.ndarray]:
+def _clusters_from_limit(M: sp.csc_array) -> tuple[list[np.ndarray], sp.csr_array]:
     """Read clusters off the limit matrix's attractor rows.
 
     Attractors are nodes with positive diagonal mass; each attractor row
     defines the member set of nodes flowing to it (the flow stores no
     zeros, so these are the row's stored columns). Identical member sets
     (one attractor system) collapse to a single cluster; a node's
-    attraction to a cluster is its total mass on that cluster's rows.
+    attraction to a cluster is its total mass on that cluster's rows,
+    summed for every cluster at once by one cluster x attractor product.
     """
     n = M.shape[0]
     attractors = np.flatnonzero(M.diagonal() > 0.0)
     if not attractors.size:
         # degenerate non-converged flow: fall back to one cluster of all
-        return [frozenset(order)], np.ones((1, n))
+        return [np.arange(n)], sp.csr_array(np.ones((1, n)))
     rows_of = M.tocsr()
-    by_members: dict[frozenset[int], list[int]] = {}
+    rows_of.sort_indices()
+    by_members: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for a in attractors.tolist():
-        start, stop = rows_of.indptr[a], rows_of.indptr[a + 1]
-        members = frozenset(rows_of.indices[start:stop].tolist())
-        by_members.setdefault(members, []).append(a)
-    ordered = sorted(by_members.items(), key=lambda kv: min(kv[0]))
-    clusters = [
-        frozenset(order[i] for i in members) for members, _ in ordered
-    ]
-    attraction = np.vstack(
-        [rows_of[rows].sum(axis=0) for _, rows in ordered]
-    )
-    return clusters, attraction
+        members = rows_of.indices[rows_of.indptr[a]:rows_of.indptr[a + 1]]
+        by_members.setdefault(members.tobytes(), (members, []))[1].append(a)
+    # ordered by smallest member; sorted is stable, so ties keep attractor order
+    ordered = sorted(by_members.values(), key=lambda group: group[0][0])
+    clusters = [members.astype(np.intp) for members, _ in ordered]
+    rows = [a for _, attractor_rows in ordered for a in attractor_rows]
+    owner = np.repeat(np.arange(len(ordered)), [len(r) for _, r in ordered])
+    S = sp.csr_array((np.ones(len(rows)), (owner, rows)), shape=(len(ordered), n))
+    return clusters, S @ rows_of
 
 
 def mcl(
@@ -210,8 +220,9 @@ def mcl(
 
     Runs until the matrix moves less than 1e-8 in max norm or max_iter
     passes; a non-converged run still returns its partial clusters with
-    converged=False. The flow matrix is sparse (CSC) throughout, so memory
-    grows with its nonzeros, never with n^2.
+    converged=False. The flow matrix is sparse (CSC) throughout and the
+    attraction it leaves is a sparse CSR matrix, so memory grows with
+    their nonzeros, never with n^2.
     """
     if e < 2:
         raise ValueError(f"expansion power must be >= 2, got {e}")
@@ -231,12 +242,11 @@ def mcl(
         M = M_next
         if iterations >= max_iter:
             break
-    clusters, attraction = _clusters_from_limit(M, g.order)
+    clusters, attraction = _clusters_from_limit(M)
     return Clustering(
         clusters=tuple(clusters),
         method="mcl",
         params={"e": e, "r": r, "prune": prune},
-        overlapping=True,
         nodes=g.order,
         iterations=iterations,
         converged=converged,
@@ -308,15 +318,10 @@ def k_destinations(
             # members ascend, so argmin's first minimum is the smallest id
             new_destinations.append(int(members[np.argmin(totals)]))
         destinations = sorted(new_destinations)
-    clusters = tuple(
-        frozenset(order[i] for i in np.flatnonzero(assignment == c))
-        for c in range(k)
-    )
     return Clustering(
-        clusters=clusters,
+        clusters=tuple(np.flatnonzero(assignment == c) for c in range(k)),
         method="k-destinations",
         params={"k": k, "tau": tau},
-        overlapping=False,
         nodes=order,
         iterations=iterations,
         converged=converged,
@@ -392,26 +397,23 @@ def clustering_error(pred, truth) -> float:
 def labels_from_clustering(c: Clustering) -> np.ndarray:
     """Cluster index per node, aligned with c.nodes.
 
-    Overlapping clusterings resolve each node to the cluster with the
-    largest attraction value (ties and missing attraction data fall back
-    to the smallest containing cluster index).
+    With attraction set (overlapping MCL clusters), each node goes to the
+    cluster it is most attracted to, ties to the smallest cluster index;
+    otherwise the clusters are disjoint and each node takes its own.
     """
-    index = {u: i for i, u in enumerate(c.nodes)}
+    if c.attraction is not None:
+        return c.attraction.argmax(axis=0)
     labels = np.zeros(len(c.nodes), dtype=int)
-    if c.overlapping and c.attraction is not None:
-        return np.argmax(c.attraction, axis=0)
-    assigned = np.full(len(c.nodes), False)
-    for ci, members in enumerate(c.clusters):
-        for u in members:
-            i = index[u]
-            if not assigned[i]:
-                labels[i] = ci
-                assigned[i] = True
+    nodes, owners = c.memberships
+    labels[nodes] = owners
     return labels
 
 
 def serialize_clustering(c: Clustering) -> str:
-    """Rows of node_id / cluster_index under a metadata comment header."""
+    """Rows of node_id / cluster_index under a metadata comment header.
+
+    Rows ascend by node index, which is id order, then by cluster index.
+    """
     params = " ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
     lines = [
         f"# method={c.method}",
@@ -420,8 +422,9 @@ def serialize_clustering(c: Clustering) -> str:
         f"# converged={'true' if c.converged else 'false'}",
         "node_id\tcluster_index",
     ]
-    rows = sorted(
-        (u, ci) for ci, members in enumerate(c.clusters) for u in members
+    nodes, owners = c.memberships
+    rows = np.lexsort((owners, nodes))
+    lines.extend(
+        f"{c.nodes[i]}\t{ci}" for i, ci in zip(nodes[rows].tolist(), owners[rows].tolist())
     )
-    lines.extend(f"{u}\t{ci}" for u, ci in rows)
     return "\n".join(lines) + "\n"

@@ -59,14 +59,6 @@ class AffinityGraph:
             a.setflags(write=False)
         return src, dst, w
 
-    def undirected_neighbors(self) -> dict[str, set[str]]:
-        """Adjacency with direction collapsed; reciprocal edges count once."""
-        neigh: dict[str, set[str]] = {u: set() for u in self.nodes}
-        for u, v in self.edges:
-            neigh[u].add(v)
-            neigh[v].add(u)
-        return neigh
-
 
 @dataclass(frozen=True)
 class TypePairTable:

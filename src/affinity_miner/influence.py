@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import scipy.sparse as sp
+
 from .cluster import Clustering
 from .errors import UnknownNode
 from .graph import AffinityGraph
-from .ingest import MbtiType
+from .ingest import ALL_TYPES, MbtiType
 
 
 @dataclass(frozen=True)
@@ -30,47 +33,62 @@ class InfluenceReport:
     per_cluster: tuple[ClusterInfluence, ...]
 
 
-def cluster_link_counts(
-    g: AffinityGraph, c: Clustering
-) -> dict[tuple[int, str], int]:
-    """Distinct within-cluster neighbors per (cluster, node).
+def _undirected_links(g: AffinityGraph) -> sp.csr_array:
+    """0/1 adjacency over g.order: both directions, reciprocal edges once,
+    self-edges dropped."""
+    n = len(g.order)
+    src, dst, _ = g.edge_arrays
+    off = src != dst
+    ends = (np.concatenate([src[off], dst[off]]), np.concatenate([dst[off], src[off]]))
+    # the CSR conversion sums duplicate entries; setting them to 1 collapses them
+    links = sp.coo_array((np.ones(len(ends[0]), dtype=np.int64), ends), shape=(n, n)).tocsr()
+    links.data[:] = 1
+    return links
+
+
+def cluster_link_counts(g: AffinityGraph, c: Clustering) -> tuple[np.ndarray, ...]:
+    """Distinct within-cluster neighbors per member, one array per cluster,
+    aligned with that cluster's node indices.
 
     Reciprocal edges collapse to one link; a node appearing in several
     overlapping clusters gets an independent count per cluster.
     """
-    neigh = g.undirected_neighbors()
-    counts: dict[tuple[int, str], int] = {}
-    for ci, members in enumerate(c.clusters):
-        for u in sorted(members):
-            if u not in g.nodes:
-                raise UnknownNode(f"cluster {ci} node not in graph: {u!r}")
-            counts[(ci, u)] = len(neigh[u] & members) - (u in neigh[u])
-    return counts
+    if c.nodes != g.order:
+        raise UnknownNode("clustering nodes are not the graph's nodes")
+    nodes, owners = c.memberships
+    inside = sp.csr_array(
+        (np.ones(len(nodes), dtype=np.int64), (owners, nodes)),
+        shape=(len(c.clusters), len(c.nodes)),
+    )
+    # per membership: the member's neighbor row times its cluster's indicator row
+    counts = _undirected_links(g)[nodes].multiply(inside[owners]).sum(axis=1)
+    # split after every cluster's last member; the piece after the last is empty
+    return tuple(np.split(counts, np.cumsum([len(m) for m in c.clusters]))[:-1])
 
 
 def influential_types(g: AffinityGraph, c: Clustering) -> InfluenceReport:
     """Top-linked node and per-type link totals for every cluster.
 
-    Ties on link count go to the lexicographically smallest user id.
+    Ties on link count go to the smallest node index, which is the
+    lexicographically smallest user id.
     """
     counts = cluster_link_counts(g, c)
+    types = list(g.nodes.values())
+    type_code = np.array([ALL_TYPES.index(t) for t in types], dtype=np.intp)
     records = []
-    for ci, members in enumerate(c.clusters):
-        ordered = sorted(members)
-        best = ordered[0]
-        for u in ordered[1:]:
-            if counts[(ci, u)] > counts[(ci, best)]:
-                best = u
-        totals: dict[MbtiType, int] = {}
-        for u in ordered:
-            totals[g.nodes[u]] = totals.get(g.nodes[u], 0) + counts[(ci, u)]
+    for ci, (members, links) in enumerate(zip(c.clusters, counts)):
+        best = int(np.argmax(links))
+        member_types = type_code[members]
+        totals = np.bincount(member_types, weights=links, minlength=len(ALL_TYPES))
         records.append(
             ClusterInfluence(
                 cluster_index=ci,
-                top_node=best,
-                top_type=g.nodes[best],
-                link_count=counts[(ci, best)],
-                per_type_link_totals=dict(sorted(totals.items())),
+                top_node=c.nodes[members[best]],
+                top_type=types[members[best]],
+                link_count=int(links[best]),
+                per_type_link_totals={
+                    ALL_TYPES[t]: int(totals[t]) for t in np.unique(member_types)
+                },
             )
         )
     return InfluenceReport(tuple(records))

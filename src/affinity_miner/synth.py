@@ -201,13 +201,14 @@ def generate_dataset(
     graph carries recoverable block structure. A few extra high-bot-score
     profiles (with events) exercise the bot filter downstream. Raises
     InvalidSpec for fewer than one user per type or two blocks, which give
-    no usable dataset.
+    no usable dataset. The config and the returned paths are absolute.
     """
     if users_per_type < 1:
         raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
     if blocks < 2:
         raise InvalidSpec(f"blocks must be >= 2, got {blocks}")
-    out = Path(out_dir)
+    # absolute, so the written config.txt runs from any working directory
+    out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affinity_miner import AffinityGraph, parse_mbti
+from affinity_miner import AffinityGraph, cluster_link_counts, parse_mbti
 
 
 @pytest.fixture
@@ -17,6 +17,36 @@ def make_graph(edge_list, types=None, threshold=1e-5):
         edges={(u, v): w for u, v, w in edge_list},
         threshold=threshold,
     )
+
+
+def index_clusters(groups, order):
+    """Groups of node ids as ascending node-index arrays over `order`."""
+    index = {u: i for i, u in enumerate(order)}
+    return tuple(np.array(sorted(index[u] for u in group), dtype=np.intp) for group in groups)
+
+
+def id_sets(c):
+    """A clustering's clusters as sets of node ids, in cluster order."""
+    return [{c.nodes[i] for i in members} for members in c.clusters]
+
+
+def counts_by_id(g, c):
+    """cluster_link_counts keyed by (cluster index, node id)."""
+    return {
+        (ci, c.nodes[i]): n
+        for ci, (members, counts) in enumerate(zip(c.clusters, cluster_link_counts(g, c)))
+        for i, n in zip(members.tolist(), counts.tolist())
+    }
+
+
+def neighbor_sets(g):
+    """Adjacency with direction collapsed, one id set per node; a self-edge
+    puts a node in its own set."""
+    neigh = {u: set() for u in g.nodes}
+    for u, v in g.edges:
+        neigh[u].add(v)
+        neigh[v].add(u)
+    return neigh
 
 
 def two_block_graph(block_size=10, in_w=1.0, cross_w=0.01):

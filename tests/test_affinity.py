@@ -51,28 +51,28 @@ class TestBuildPairSequences:
 class TestEstimateChain:
     def test_empty_sequence_uniform(self):
         tm = estimate_chain([])
-        assert np.allclose(tm.entries, 1.0 / 3)
+        assert np.allclose(tm, 1.0 / 3)
 
     def test_all_pos_hand_count(self):
         tm = estimate_chain([POS, POS, POS], alpha=1.0)
-        assert np.allclose(tm.entries[int(POS)], [1 / 5, 1 / 5, 3 / 5])
-        assert np.allclose(tm.entries[int(NEG)], [1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(tm.entries[int(NEU)], [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(tm[int(POS)], [1 / 5, 1 / 5, 3 / 5])
+        assert np.allclose(tm[int(NEG)], [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(tm[int(NEU)], [1 / 3, 1 / 3, 1 / 3])
 
     def test_alternating_hand_count(self):
         tm = estimate_chain([POS, NEG, POS, NEG, POS], alpha=1.0)
-        assert np.allclose(tm.entries[int(POS)], [3 / 5, 1 / 5, 1 / 5])
-        assert np.allclose(tm.entries[int(NEG)], [1 / 5, 1 / 5, 3 / 5])
+        assert np.allclose(tm[int(POS)], [3 / 5, 1 / 5, 1 / 5])
+        assert np.allclose(tm[int(NEG)], [1 / 5, 1 / 5, 3 / 5])
 
     def test_rows_sum_to_one(self, rng):
         for _ in range(50):
             states = [Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 30))]
             tm = estimate_chain(states, alpha=float(rng.uniform(0.1, 3.0)))
-            assert np.max(np.abs(tm.entries.sum(axis=1) - 1.0)) < 1e-12
+            assert np.max(np.abs(tm.sum(axis=1) - 1.0)) < 1e-12
 
     def test_strictly_positive(self, rng):
         tm = estimate_chain([POS] * 10, alpha=0.5)
-        assert (tm.entries > 0).all()
+        assert (tm > 0).all()
 
     def test_non_positive_smoothing(self):
         with pytest.raises(NonPositiveSmoothing):
@@ -83,7 +83,7 @@ class TestEstimateChain:
             P = well_separated_chain(rng)
             seq = sample_chain_sequence(P, 10_000, seed=seed)
             est = estimate_chain(seq, alpha=1.0)
-            assert np.max(np.abs(est.entries - P)) < 0.02
+            assert np.max(np.abs(est - P)) < 0.02
 
 
 class TestStationaryDistribution:
@@ -127,7 +127,7 @@ class TestAffinityScore:
         from affinity_miner.affinity import estimate_chain as ec
         from affinity_miner import stationary_distribution as sd
 
-        pos_mass = sd(ec((POS,) * 5).entries)[int(POS)]
+        pos_mass = sd(ec((POS,) * 5))[int(POS)]
         fixed = [pos_mass * n / (n + 5.0) for n in (3, 6, 12, 24)]
         assert all(a < b for a, b in zip(fixed, fixed[1:]))
         assert all(0.0 <= v < 1.0 for v in values)

@@ -160,6 +160,14 @@ class TestMainEntry:
         assert main(["run", "--config", str(tmp_path / "config.txt")]) == 0
         assert (tmp_path / "results" / "report.txt").is_file()
 
+    def test_synth_config_runs_from_the_dataset_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "demo", "--seed", "3",
+                     "--users-per-type", "10"]) == 0
+        monkeypatch.chdir(tmp_path / "demo")
+        assert main(["run", "--config", "config.txt"]) == 0
+        assert (tmp_path / "demo" / "results" / "report.txt").is_file()
+
     def test_synth_without_users_exits_one(self, tmp_path, capsys):
         out = tmp_path / "empty"
         assert main(["synth", "--out", str(out), "--users-per-type", "0"]) == 1

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from affinity_miner import (
     Clustering,
@@ -20,7 +21,7 @@ from affinity_miner.errors import EmptyGraph, KOutOfRange, LengthMismatch
 from affinity_miner.graph import AffinityGraph
 from affinity_miner.synth import PlantedSpec, planted_partition
 
-from conftest import make_graph, random_ergodic_chain, two_block_graph
+from conftest import id_sets, make_graph, random_ergodic_chain, two_block_graph
 
 
 # -- independent oracles ------------------------------------------------------
@@ -96,7 +97,8 @@ def dense_mcl_flow(M, e=2, r=2.0, prune=1e-6):
 
 
 def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
-    """Dense n x n MCL: (clusters, iterations, converged, attraction)."""
+    """Dense n x n MCL: (clusters as ascending index tuples, iterations,
+    converged, dense attraction)."""
     order = g.order
     M = dense_seed_matrix(g, order)
     converged, iterations = False, 0
@@ -110,13 +112,13 @@ def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
             break
     attractors = [i for i in range(len(order)) if M[i, i] > 0.0]
     if not attractors:
-        return (frozenset(order),), iterations, converged, np.ones((1, len(order)))
+        return (tuple(range(len(order))),), iterations, converged, np.ones((1, len(order)))
     by_members: dict[frozenset, list[int]] = {}
     for a in attractors:
         members = frozenset(np.flatnonzero(M[a] > 0.0).tolist())
         by_members.setdefault(members, []).append(a)
     ordered = sorted(by_members.items(), key=lambda kv: min(kv[0]))
-    clusters = tuple(frozenset(order[i] for i in members) for members, _ in ordered)
+    clusters = tuple(tuple(sorted(members)) for members, _ in ordered)
     attraction = np.vstack([M[rows].sum(axis=0) for _, rows in ordered])
     return clusters, iterations, converged, attraction
 
@@ -197,7 +199,7 @@ class TestMcl:
                 edge_list.append((f"n{base+j}", f"n{base+i}", 1.0))
         g = make_graph(edge_list)
         c = mcl(g)
-        got = sorted(tuple(sorted(cl)) for cl in c.clusters)
+        got = sorted(tuple(sorted(cl)) for cl in id_sets(c))
         assert got == [("n0", "n1", "n2"), ("n3", "n4", "n5")]
         # oracle: connected components
         assert len(got) == 2
@@ -209,7 +211,7 @@ class TestMcl:
         g = make_graph(edge_list)
         c = mcl(g)
         assert len(c.clusters) == 1
-        assert c.clusters[0] == frozenset(f"n{i}" for i in range(5))
+        assert c.clusters[0].tolist() == list(range(5))
 
     def test_single_node(self):
         from affinity_miner.graph import AffinityGraph
@@ -217,12 +219,12 @@ class TestMcl:
 
         g = AffinityGraph(nodes={"solo": parse_mbti("INFJ")}, edges={})
         c = mcl(g)
-        assert [set(x) for x in c.clusters] == [{"solo"}]
+        assert id_sets(c) == [{"solo"}]
 
     def test_deterministic(self):
         g = two_block_graph(6)
         c1, c2 = mcl(g), mcl(g)
-        assert c1.clusters == c2.clusters
+        assert [x.tolist() for x in c1.clusters] == [x.tolist() for x in c2.clusters]
         assert c1.iterations == c2.iterations
 
     def test_dead_columns_restart_uniform(self):
@@ -291,11 +293,12 @@ def _assert_matches_dense(g, **params):
         assert np.max(np.abs(M_next.toarray() - D_next)) <= 1e-12
     c = mcl(g, **params)
     clusters, iterations, converged, attraction = dense_mcl(g, **params)
-    assert c.clusters == clusters
+    assert [tuple(x.tolist()) for x in c.clusters] == list(clusters)
     assert c.iterations == iterations
     assert c.converged == converged
+    assert isinstance(c.attraction, sp.csr_array)
     assert c.attraction.shape == attraction.shape
-    assert np.max(np.abs(c.attraction - attraction)) <= 1e-12
+    assert np.max(np.abs(c.attraction.toarray() - attraction)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -362,9 +365,38 @@ def test_mcl_10k_nodes_without_dense_matrix():
         tracemalloc.stop()
     assert c.converged
     assert len(c.clusters) == blocks
-    truth = {frozenset(names[b * size:(b + 1) * size]) for b in range(blocks)}
-    assert set(c.clusters) == truth
+    # names ascend with i, so node index i is names[i]
+    assert [x.tolist() for x in c.clusters] == [
+        list(range(b * size, (b + 1) * size)) for b in range(blocks)
+    ]
     assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_mcl_many_clusters_keeps_attraction_sparse():
+    """2000 reciprocal pairs: 4000 nodes and 2000 clusters.
+
+    A dense 2000 x 4000 attraction matrix alone is 64 MB; the sparse one
+    holds two entries per cluster, so the whole run stays small.
+    """
+    pairs = 2000
+    names = [f"p{i:05d}" for i in range(2 * pairs)]
+    edges = {}
+    for p in range(pairs):
+        a, b = names[2 * p], names[2 * p + 1]
+        edges[(a, b)] = edges[(b, a)] = 1.0
+    label = parse_mbti("INFJ")
+    g = AffinityGraph(nodes={u: label for u in names}, edges=edges)
+    tracemalloc.start()
+    try:
+        c = mcl(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert c.converged
+    assert [x.tolist() for x in c.clusters] == [[2 * p, 2 * p + 1] for p in range(pairs)]
+    assert c.attraction.shape == (pairs, 2 * pairs)
+    assert c.attraction.nnz == 2 * pairs
 
 
 # -- k-destinations --------------------------------------------------------------
@@ -374,7 +406,7 @@ class TestKDestinations:
         g = two_block_graph(4)
         c = k_destinations(g, 1)
         assert len(c.clusters) == 1
-        assert c.clusters[0] == frozenset(g.nodes)
+        assert c.clusters[0].tolist() == list(range(len(g.nodes)))
 
     def test_kn_singletons(self):
         g = two_block_graph(3)
@@ -392,8 +424,8 @@ class TestKDestinations:
     def test_disjoint_and_total(self):
         g = two_block_graph(6, in_w=1.0, cross_w=0.05)
         c = k_destinations(g, 3)
-        all_members = [u for cl in c.clusters for u in cl]
-        assert sorted(all_members) == sorted(g.nodes)
+        all_members = [i for cl in c.clusters for i in cl.tolist()]
+        assert sorted(all_members) == list(range(len(g.nodes)))
         assert len(all_members) == len(set(all_members))
 
     def test_objective_non_increasing(self):
@@ -413,14 +445,14 @@ class TestKDestinations:
         g = two_block_graph(5, in_w=0.9, cross_w=0.1)
         c1 = k_destinations(g, 2)
         c2 = k_destinations(g, 2)
-        assert c1.clusters == c2.clusters
+        assert [x.tolist() for x in c1.clusters] == [x.tolist() for x in c2.clusters]
         assert c1.destinations == c2.destinations
 
     def test_single_directed_edge(self):
         # teleportation keeps hitting times finite on weakly connected input
         g = make_graph([("a", "b", 1.0)])
         c = k_destinations(g, 2)
-        assert sorted(sorted(x) for x in c.clusters) == [["a"], ["b"]]
+        assert sorted(sorted(x) for x in id_sets(c)) == [["a"], ["b"]]
 
     def test_disconnected_components_recovered(self):
         edge_list = []
@@ -436,7 +468,7 @@ class TestKDestinations:
         components = [
             {f"m{base + i}" for i in range(5)} for base in (0, 10)
         ]
-        assert {frozenset(x) for x in c.clusters} == {frozenset(x) for x in components}
+        assert {frozenset(x) for x in id_sets(c)} == {frozenset(x) for x in components}
 
 
 # -- metrics ----------------------------------------------------------------------
@@ -512,36 +544,52 @@ class TestClusteringError:
 
 
 class TestLabelsFromClustering:
-    def base(self, clusters, overlapping, attraction=None, nodes=("a", "b", "c")):
+    def base(self, clusters, attraction=None, nodes=("a", "b", "c")):
         return Clustering(
-            clusters=tuple(frozenset(c) for c in clusters),
-            method="mcl" if overlapping else "k-destinations",
+            clusters=tuple(np.array(c, dtype=np.intp) for c in clusters),
+            method="k-destinations" if attraction is None else "mcl",
             params={},
-            overlapping=overlapping,
             nodes=tuple(nodes),
             iterations=1,
             converged=True,
-            attraction=attraction,
+            attraction=None if attraction is None else sp.csr_array(attraction),
         )
 
     def test_disjoint_direct_mapping(self):
-        c = self.base([{"a"}, {"b", "c"}], overlapping=False)
+        c = self.base([[0], [1, 2]])
         assert list(labels_from_clustering(c)) == [0, 1, 1]
 
     def test_overlap_argmax_attraction(self):
         attraction = np.array([[0.3, 1.0, 0.7], [0.7, 0.0, 0.3]])
-        c = self.base(
-            [{"a", "b", "c"}, {"a", "c"}], overlapping=True, attraction=attraction
-        )
+        c = self.base([[0, 1, 2], [0, 2]], attraction=attraction)
         assert list(labels_from_clustering(c)) == [1, 0, 0]
 
     def test_equal_attraction_smaller_index(self):
         attraction = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
-        c = self.base(
-            [{"a", "b", "c"}, {"a", "b", "c"}], overlapping=True, attraction=attraction
-        )
+        c = self.base([[0, 1, 2], [0, 1, 2]], attraction=attraction)
         assert list(labels_from_clustering(c)) == [0, 0, 0]
 
-    def test_overlap_without_attraction_first_cluster(self):
-        c = self.base([{"a", "b"}, {"b", "c"}], overlapping=True)
-        assert list(labels_from_clustering(c)) == [0, 0, 1]
+    def test_matches_dense_argmax_on_mcl(self):
+        c = mcl(two_block_graph(6, in_w=1.0, cross_w=0.1), max_iter=2)
+        dense = c.attraction.toarray()
+        assert np.array_equal(labels_from_clustering(c), np.argmax(dense, axis=0))
+
+
+class TestClusteringValidation:
+    def make(self, clusters):
+        return Clustering(
+            clusters=tuple(np.array(c, dtype=np.intp) for c in clusters),
+            method="k-destinations", params={}, nodes=("a", "b", "c"),
+            iterations=1, converged=True,
+        )
+
+    def test_valid(self):
+        assert len(self.make([[0, 2], [1]]).clusters) == 2
+
+    @pytest.mark.parametrize(
+        "clusters", [[[]], [[0, 3]], [[-1, 0]], [[1, 0]], [[0, 0]]],
+        ids=["empty", "past-end", "negative", "descending", "repeated"],
+    )
+    def test_rejected(self, clusters):
+        with pytest.raises(ValueError):
+            self.make(clusters)

@@ -9,16 +9,16 @@ from affinity_miner import (
 from affinity_miner.errors import UnknownNode
 from affinity_miner.synth import PlantedSpec, planted_partition
 
-from conftest import make_graph
+from conftest import counts_by_id, index_clusters, make_graph, neighbor_sets
 
 
-def clustering_of(groups, nodes, overlapping=False):
+def clustering_of(groups, nodes):
+    order = tuple(sorted(nodes))
     return Clustering(
-        clusters=tuple(frozenset(g) for g in groups),
+        clusters=index_clusters(groups, order),
         method="k-destinations",
         params={},
-        overlapping=overlapping,
-        nodes=tuple(sorted(nodes)),
+        nodes=order,
         iterations=1,
         converged=True,
     )
@@ -29,7 +29,7 @@ class TestClusterLinkCounts:
         edge_list = [("hub", f"leaf{i}", 0.5) for i in range(5)]
         g = make_graph(edge_list)
         c = clustering_of([set(g.nodes)], g.nodes)
-        counts = cluster_link_counts(g, c)
+        counts = counts_by_id(g, c)
         assert counts[(0, "hub")] == 5
         for i in range(5):
             assert counts[(0, f"leaf{i}")] == 1
@@ -37,14 +37,14 @@ class TestClusterLinkCounts:
     def test_reciprocal_edges_count_once(self):
         g = make_graph([("u", "v", 0.5), ("v", "u", 0.9)])
         c = clustering_of([{"u", "v"}], g.nodes)
-        counts = cluster_link_counts(g, c)
+        counts = counts_by_id(g, c)
         assert counts[(0, "u")] == 1
         assert counts[(0, "v")] == 1
 
     def test_overlapping_clusters_independent_counts(self):
         g = make_graph([("a", "b", 0.5), ("b", "c", 0.5)])
-        c = clustering_of([{"a", "b"}, {"b", "c"}], g.nodes, overlapping=True)
-        counts = cluster_link_counts(g, c)
+        c = clustering_of([{"a", "b"}, {"b", "c"}], g.nodes)
+        counts = counts_by_id(g, c)
         assert counts[(0, "b")] == 1
         assert counts[(1, "b")] == 1
 
@@ -60,18 +60,18 @@ class TestClusterLinkCounts:
             g, _ = planted_partition(spec)
             nodes = list(g.nodes)
             half = set(nodes[: len(nodes) // 2])
-            c = clustering_of([half, set(nodes) - half], nodes)
+            groups = [half, set(nodes) - half]
+            c = clustering_of(groups, nodes)
             counts = cluster_link_counts(g, c)
-            neigh = g.undirected_neighbors()
-            for ci, members in enumerate(c.clusters):
+            neigh = neighbor_sets(g)
+            for members, member_counts in zip(groups, counts):
                 links = sum(
                     1
                     for u in members
                     for v in neigh[u]
                     if v in members and u < v
                 )
-                total = sum(counts[(ci, u)] for u in members)
-                assert total == 2 * links
+                assert int(member_counts.sum()) == 2 * links
 
 
 class TestInfluentialTypes:
@@ -144,14 +144,14 @@ class TestInvariances:
                 threshold=g.threshold,
             )
             c2 = Clustering(
-                clusters=tuple(frozenset(rename[u] for u in cl) for cl in c.clusters),
+                clusters=c.clusters,
                 method=c.method,
                 params={},
-                overlapping=False,
-                nodes=tuple(sorted(rename[u] for u in c.nodes)),
+                nodes=tuple(rename[u] for u in c.nodes),
                 iterations=1,
                 converged=True,
             )
+            assert c2.nodes == g2.order
             r1 = influential_types(g, c)
             r2 = influential_types(g2, c2)
             for a, b in zip(r1.per_cluster, r2.per_cluster):

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from affinity_miner import Sentiment, affinity_score, stationary_distribution
 from affinity_miner.cli import parse_config_file
-from affinity_miner.cluster import DEFAULT_TELEPORT, k_destinations, mcl, random_walk_matrix
+from affinity_miner.cluster import (
+    DEFAULT_TELEPORT,
+    Clustering,
+    k_destinations,
+    mcl,
+    random_walk_matrix,
+    serialize_clustering,
+)
 from affinity_miner.errors import (
     AffinityMinerError,
     ConfigError,
@@ -20,6 +27,7 @@ from affinity_miner.errors import (
     MalformedRecord,
 )
 from affinity_miner.graph import AffinityGraph, EDGE_TSV_HEADER, export_graph, parse_graph_tsv
+from affinity_miner.influence import cluster_link_counts, influential_types
 from affinity_miner.ingest import (
     ALL_TYPES,
     MbtiType,
@@ -36,6 +44,8 @@ from affinity_miner.lexfeat import (
     tokenize,
 )
 from affinity_miner.semsim import load_embeddings
+
+from conftest import counts_by_id, id_sets, neighbor_sets
 
 PROPERTY = settings(
     derandomize=True,
@@ -342,12 +352,86 @@ def test_clusterings_ignore_insertion_order(edge_list, rnd):
     g = graph_of(edge_list)
     h = graph_of(edge_list, shuffle=rnd.shuffle)
     a, b = mcl(g), mcl(h)
-    assert (a.clusters, a.nodes, a.iterations, a.converged) == (
-        b.clusters, b.nodes, b.iterations, b.converged
+    assert (index_lists(a), a.nodes, a.iterations, a.converged) == (
+        index_lists(b), b.nodes, b.iterations, b.converged
     )
-    assert np.array_equal(a.attraction, b.attraction)
+    assert np.array_equal(a.attraction.toarray(), b.attraction.toarray())
     for k in range(1, min(3, len(g.nodes)) + 1):
         a, b = k_destinations(g, k), k_destinations(h, k)
-        assert (a.clusters, a.destinations, a.objective_trace, a.iterations) == (
-            b.clusters, b.destinations, b.objective_trace, b.iterations
+        assert (index_lists(a), a.destinations, a.objective_trace, a.iterations) == (
+            index_lists(b), b.destinations, b.objective_trace, b.iterations
         )
+
+
+def index_lists(c):
+    return [members.tolist() for members in c.clusters]
+
+
+@st.composite
+def clustered_graphs(draw):
+    """A graph of `edge_lists()` and 1-4 random clusters over its nodes,
+    which may overlap and need not cover every node."""
+    g = graph_of(draw(edge_lists()))
+    n = len(g.order)
+    groups = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1).map(sorted), min_size=1, max_size=4
+        )
+    )
+    c = Clustering(
+        clusters=tuple(np.array(members, dtype=np.intp) for members in groups),
+        method="mcl", params={}, nodes=g.order, iterations=1, converged=True,
+    )
+    return g, c
+
+
+def dict_of_sets_link_counts(g, groups):
+    """Per (cluster, id): distinct within-cluster neighbors, self excluded."""
+    neigh = neighbor_sets(g)
+    counts = {}
+    for ci, members in enumerate(groups):
+        for u in sorted(members):
+            counts[(ci, u)] = len(neigh[u] & members) - (u in neigh[u])
+    return counts
+
+
+def top_node_loop_report(g, groups, counts):
+    """Per cluster: first strictly larger count in id order wins; per-type
+    totals over the types present, in code order."""
+    records = []
+    for ci, members in enumerate(groups):
+        ordered = sorted(members)
+        best = ordered[0]
+        for u in ordered[1:]:
+            if counts[(ci, u)] > counts[(ci, best)]:
+                best = u
+        totals = {}
+        for u in ordered:
+            totals[g.nodes[u]] = totals.get(g.nodes[u], 0) + counts[(ci, u)]
+        records.append(
+            (ci, best, g.nodes[best], counts[(ci, best)], sorted(totals.items()))
+        )
+    return records
+
+
+@PROPERTY
+@given(clustered_graphs())
+def test_influence_and_serialization_match_id_set_oracles(clustered):
+    g, c = clustered
+    groups = id_sets(c)
+    want = dict_of_sets_link_counts(g, groups)
+    assert len(cluster_link_counts(g, c)) == len(c.clusters)
+    assert counts_by_id(g, c) == want
+    report = influential_types(g, c)
+    assert [
+        (r.cluster_index, r.top_node, r.top_type, r.link_count,
+         list(r.per_type_link_totals.items()))
+        for r in report.per_cluster
+    ] == top_node_loop_report(g, groups, want)
+    assert all(
+        type(r.link_count) is int and all(type(n) is int for n in r.per_type_link_totals.values())
+        for r in report.per_cluster
+    )
+    rows = sorted((u, ci) for ci, members in enumerate(groups) for u in members)
+    text = serialize_clustering(c)
+    assert text.endswith("node_id\tcluster_index\n" + "".join(f"{u}\t{ci}\n" for u, ci in rows))
