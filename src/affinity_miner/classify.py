@@ -92,7 +92,6 @@ class LrModel:
     classes: tuple[MbtiType, ...]
     weights: np.ndarray
     intercepts: np.ndarray
-    ridge: float
     converged: tuple[bool, ...]
 
 
@@ -132,12 +131,20 @@ def predict_many(model: NbModel | LrModel, rows: sparse.csr_matrix) -> list[Mbti
     return [model.classes[i] for i in np.argmax(scores, axis=1)]
 
 
-def _lr_grad(X, XT, targets: np.ndarray, w: np.ndarray, b: float, ridge: float):
-    """(grad_w, grad_b) of the loss lr_loss_grad returns; XT is X.T."""
-    z = np.asarray(X @ w).ravel() + b
-    diff = 1.0 / (1.0 + np.exp(-z)) - targets
-    grad_w = np.asarray(XT @ diff).ravel() / X.shape[0] + ridge * w
-    return grad_w, float(diff.mean())
+def _lr_gradients(X, XT, targets: np.ndarray, W: np.ndarray, b: np.ndarray, ridge: float):
+    """(grad_W, grad_b) of the loss lr_loss_grad returns, for k classes at once.
+
+    targets is k x n, W is k x p and b has length k; XT is X.T. Each class's
+    gradient is computed bitwise as it would be alone: the sparse
+    multi-vector products add every output element over the same nonzeros
+    in the same order as the single-vector ones, and the rows of both
+    results are made contiguous so the intercept mean and the callers' dot
+    products take the 1-d summation path.
+    """
+    Z = np.ascontiguousarray(np.asarray(X @ W.T).T) + b[:, None]
+    diff = 1.0 / (1.0 + np.exp(-Z)) - targets
+    grad_W = np.ascontiguousarray(np.asarray(XT @ diff.T).T) / X.shape[0] + ridge * W
+    return grad_W, diff.mean(axis=1)
 
 
 def lr_loss_grad(
@@ -145,13 +152,15 @@ def lr_loss_grad(
 ) -> tuple[float, np.ndarray, float]:
     """Mean log-loss with L2 penalty (ridge/2)||w||^2; intercept unpenalized.
 
-    Returns (loss, grad_w, grad_b) for binary targets in {0, 1}.
+    Returns (loss, grad_w, grad_b) for binary targets in {0, 1}; the gradient
+    is the one train_lr descends, for a single class.
     """
     z = np.asarray(X @ w).ravel() + b
     # stable log(1 + exp(-s z)) with s = 2t - 1
     margins = (2.0 * targets - 1.0) * z
     loss = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * ridge * float(w @ w)
-    return (loss, *_lr_grad(X, X.T, targets, w, b, ridge))
+    grad_W, grad_b = _lr_gradients(X, X.T, targets[None, :], w[None, :], np.array([b]), ridge)
+    return loss, grad_W[0], float(grad_b[0])
 
 
 def train_lr(
@@ -161,9 +170,12 @@ def train_lr(
 ) -> LrModel:
     """One-vs-rest logistic regression by fixed-step gradient descent.
 
-    The step is 1/L for a Frobenius-norm Lipschitz bound, weights start at
-    zero, and each binary problem stops at gradient norm < 1e-6 or after
-    1000 epochs (converged flag records which).
+    The step is 1/L for a Frobenius-norm Lipschitz bound and weights start
+    at zero. All binary problems descend together, one batched gradient
+    per epoch; each class stops at its own epoch, when its gradient norm
+    falls below 1e-6, or runs to the 1000-epoch cap (the converged flag
+    records which, and a warning names the classes that hit the cap). Each
+    class's model is bitwise the one a descent of that class alone gives.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -174,26 +186,32 @@ def train_lr(
     n, p = X.shape
     lipschitz = (float(X.multiply(X).sum()) + n) / (4.0 * n) + ridge
     step = 1.0 / lipschitz
+    targets = (label_arr == np.array([c.value for c in classes])[:, None]).astype(float)
     weights = np.zeros((len(classes), p))
     intercepts = np.zeros(len(classes))
-    converged = []
-    for ci, cls in enumerate(classes):
-        targets = (label_arr == cls.value).astype(float)
-        w = np.zeros(p)
-        b = 0.0
-        ok = False
-        for _ in range(LR_MAX_EPOCHS):
-            grad_w, grad_b = _lr_grad(X, XT, targets, w, b, ridge)
-            gnorm = np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
-            if gnorm < LR_GRAD_TOL:
-                ok = True
-                break
-            w -= step * grad_w
-            b -= step * grad_b
-        weights[ci] = w
-        intercepts[ci] = b
-        converged.append(ok)
-    return LrModel(classes, weights, intercepts, ridge, tuple(converged))
+    converged = np.zeros(len(classes), dtype=bool)
+    active = np.arange(len(classes))
+    for _ in range(LR_MAX_EPOCHS):
+        grad_W, grad_b = _lr_gradients(
+            X, XT, targets[active], weights[active], intercepts[active], ridge
+        )
+        # one g @ g per class: the dot product a descent of that class alone takes
+        gnorm = np.sqrt(np.array([g @ g for g in grad_W]) + grad_b * grad_b)
+        done = gnorm < LR_GRAD_TOL
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+        weights[active] -= step * grad_W[~done]
+        intercepts[active] -= step * grad_b[~done]
+    if active.size:
+        log.warning(
+            "logistic regression: %d of %d classes reached %d epochs without "
+            "converging: %s",
+            active.size, len(classes), LR_MAX_EPOCHS,
+            " ".join(classes[i].value for i in active),
+        )
+    return LrModel(classes, weights, intercepts, tuple(converged.tolist()))
 
 
 def f1_score(pred: Sequence[MbtiType], truth: Sequence[MbtiType], positive_type: MbtiType) -> float:

@@ -10,6 +10,7 @@ coefficient vectors are correlated.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from collections import Counter
@@ -29,6 +30,8 @@ from .errors import (
     MalformedRecord,
 )
 from .ingest import read_lines
+
+log = logging.getLogger(__name__)
 
 FIRST_PERSON_PRONOUNS = frozenset(
     ["i", "me", "my", "mine", "myself", "we", "us", "our", "ours", "ourselves"]
@@ -262,6 +265,11 @@ def _category_weights(
     y = np.array([extract_features(doc, lex)[target] for doc in documents])
     vocab, X = _token_count_rows(documents)
     fit = fit_elastic_net(X, y, lam, mix)
+    if not fit.converged:
+        log.warning(
+            "elastic net on %r proportions stopped unconverged at the %d-sweep cap",
+            target, fit.sweeps,
+        )
     return {t: float(c) for t, c in zip(vocab, fit.coef)}
 
 

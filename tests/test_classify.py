@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from affinity_miner import classify
 from affinity_miner import (
     ALL_TYPES,
     LabeledCorpus,
@@ -12,6 +15,7 @@ from affinity_miner import (
     vectorize_corpus,
 )
 from affinity_miner.classify import (
+    LrModel,
     NbModel,
     lr_loss_grad,
     predict_many,
@@ -123,6 +127,61 @@ class TestNaiveBayes:
         assert predict_many(model, m.rows) == predict_many(scaled, m.rows)
 
 
+def per_class_train_lr(m, labels, ridge=1.0):
+    """Reference: one-vs-rest descent one class at a time, the loop train_lr
+    batches. Returns the model and each class's gradient-evaluation count."""
+    X = m.rows
+    XT = X.T
+    classes = tuple(sorted(set(labels)))
+    label_arr = np.array([c.value for c in labels])
+    n, p = X.shape
+    step = 1.0 / ((float(X.multiply(X).sum()) + n) / (4.0 * n) + ridge)
+    weights = np.zeros((len(classes), p))
+    intercepts = np.zeros(len(classes))
+    converged, evaluations = [], []
+    for ci, cls in enumerate(classes):
+        targets = (label_arr == cls.value).astype(float)
+        w = np.zeros(p)
+        b = 0.0
+        ok = False
+        for epoch in range(classify.LR_MAX_EPOCHS):
+            z = np.asarray(X @ w).ravel() + b
+            diff = 1.0 / (1.0 + np.exp(-z)) - targets
+            grad_w = np.asarray(XT @ diff).ravel() / n + ridge * w
+            grad_b = float(diff.mean())
+            if np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < classify.LR_GRAD_TOL:
+                ok = True
+                break
+            w -= step * grad_w
+            b -= step * grad_b
+        weights[ci] = w
+        intercepts[ci] = b
+        converged.append(ok)
+        evaluations.append(epoch + 1)
+    return LrModel(classes, weights, intercepts, tuple(converged)), evaluations
+
+
+def assert_bitwise_equal(model, expected):
+    assert model.classes == expected.classes
+    assert model.weights.shape == expected.weights.shape
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    assert model.intercepts.tobytes() == expected.intercepts.tobytes()
+    assert model.converged == expected.converged
+
+
+def imbalanced_corpus(rng, sizes=(30, 18, 11, 7, 4), noise_tokens=6):
+    """Overlapping vocabularies and unequal class sizes, so the binary
+    problems converge at different epochs."""
+    shared = [f"noise{i}" for i in range(noise_tokens)]
+    docs = []
+    for t, size in zip(ALL_TYPES, sizes):
+        own = [f"{t.value.lower()}tok{j}" for j in range(3)]
+        for _ in range(size):
+            words = list(rng.choice(own, size=3)) + list(rng.choice(shared, size=5))
+            docs.append((" ".join(words), t))
+    return corpus_of(docs)
+
+
 class TestLogisticRegression:
     def test_separable_perfect_accuracy(self):
         c = separable_corpus()
@@ -160,6 +219,61 @@ class TestLogisticRegression:
             down, *_ = lr_loss_grad(X, targets, w, b - eps, ridge)
             assert abs((up - down) / (2 * eps) - grad_b) < 1e-6
 
+    @pytest.mark.parametrize("ridge", [0.01, 1.0])
+    def test_matches_per_class_descent_with_staggered_stops(self, rng, ridge):
+        c = imbalanced_corpus(rng)
+        m = vectorize_corpus(c)
+        labels = [lab for _, lab in c.documents]
+        expected, evaluations = per_class_train_lr(m, labels, ridge)
+        assert all(expected.converged) and len(set(evaluations)) > 1
+        assert_bitwise_equal(train_lr(m, labels, ridge), expected)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e8])
+    def test_matches_per_class_descent_at_extreme_ridge(self, rng, ridge):
+        c = imbalanced_corpus(rng)
+        m = vectorize_corpus(c)
+        labels = [lab for _, lab in c.documents]
+        expected, _ = per_class_train_lr(m, labels, ridge)
+        assert_bitwise_equal(train_lr(m, labels, ridge), expected)
+
+    def test_matches_per_class_descent_at_epoch_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(classify, "LR_MAX_EPOCHS", 3)
+        c = imbalanced_corpus(rng)
+        m = vectorize_corpus(c)
+        labels = [lab for _, lab in c.documents]
+        expected, evaluations = per_class_train_lr(m, labels)
+        assert evaluations == [3] * 5 and not any(expected.converged)
+        assert_bitwise_equal(train_lr(m, labels), expected)
+
+    def test_matches_per_class_descent_on_empty_vocabulary(self):
+        docs = [("alpha", INFJ), ("beta", ENTP), ("gamma", INFJ), ("delta", ISTJ)]
+        m = vectorize_corpus(corpus_of(docs))
+        assert m.vocabulary == ()
+        labels = [lab for _, lab in docs]
+        expected, _ = per_class_train_lr(m, labels)
+        model = train_lr(m, labels)
+        assert model.weights.shape == (3, 0)
+        assert_bitwise_equal(model, expected)
+
+    def test_cap_reached_is_logged(self, caplog):
+        docs = [("alpha beta", INFJ)] * 6 + [("delta zeta", ENTP)] * 3
+        m = vectorize_corpus(corpus_of(docs))
+        with caplog.at_level(logging.WARNING, logger="affinity_miner.classify"):
+            model = train_lr(m, [lab for _, lab in docs], ridge=1e8)
+        assert model.converged == (False, False)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "2 of 2 classes reached 1000 epochs" in record.getMessage()
+        assert record.getMessage().endswith("ENTP INFJ")
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        c = separable_corpus()
+        m = vectorize_corpus(c)
+        with caplog.at_level(logging.WARNING, logger="affinity_miner.classify"):
+            model = train_lr(m, [lab for _, lab in c.documents])
+        assert all(model.converged)
+        assert caplog.records == []
+
     def test_negative_ridge_rejected(self):
         c = separable_corpus()
         m = vectorize_corpus(c)
@@ -196,13 +310,13 @@ class TestF1Score:
             f1_score([INFJ], [INFJ, ENTP], INFJ)
 
 
-def sixteen_type_corpus(rng, docs_per_type=12, noise_tokens=8):
+def sixteen_type_corpus(rng, docs_per_type=12, noise_tokens=8, own_tokens=4, own_words=6):
     shared = [f"noise{i}" for i in range(noise_tokens)]
     docs = []
     for t in ALL_TYPES:
-        own = [f"{t.value.lower()}tok{j}" for j in range(4)]
+        own = [f"{t.value.lower()}tok{j}" for j in range(own_tokens)]
         for _ in range(docs_per_type):
-            words = list(rng.choice(own, size=6)) + list(rng.choice(shared, size=4))
+            words = list(rng.choice(own, size=own_words)) + list(rng.choice(shared, size=4))
             docs.append((" ".join(words), t))
     return corpus_of(docs)
 
@@ -269,6 +383,17 @@ class TestCrossValidate:
     def test_unknown_classifier(self, rng):
         with pytest.raises(ValueError):
             cross_validate(sixteen_type_corpus(rng), "svm")
+
+    def test_lr_report_matches_per_class_descent(self, rng, monkeypatch):
+        # rare own tokens, some below the document-frequency cut: F-1 < 1
+        c = sixteen_type_corpus(rng, docs_per_type=10, noise_tokens=4, own_tokens=8, own_words=2)
+        report = render_cv_report(cross_validate(c, "lr", folds=10, seed=0))
+        monkeypatch.setattr(
+            classify, "train_lr", lambda m, labels, ridge: per_class_train_lr(m, labels, ridge)[0]
+        )
+        expected = cross_validate(c, "lr", folds=10, seed=0)
+        assert expected.macro_f1() < 1.0
+        assert report == render_cv_report(expected)
 
     def test_report_renders_16_rows(self, rng):
         c = sixteen_type_corpus(rng)

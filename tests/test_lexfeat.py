@@ -1,6 +1,10 @@
+import logging
+from functools import partial
+
 import numpy as np
 import pytest
 
+from affinity_miner import lexfeat
 from affinity_miner import (
     emotion_correlation_table,
     extract_features,
@@ -214,6 +218,20 @@ class TestTypeEmotionCorrelation:
             docs_b = synthetic_corpus(rng, 0.6, vocab_b, "happiness", n_docs=20)
             rs.append(correlation(docs_a, docs_b, lex, "posemo"))
         assert abs(np.mean(rs)) < 0.1
+
+    def test_unconverged_fit_is_logged(self, rng, monkeypatch, caplog):
+        monkeypatch.setattr(lexfeat, "fit_elastic_net", partial(fit_elastic_net, max_sweeps=1))
+        docs = synthetic_corpus(rng, 0.9, [f"w{i}" for i in range(10)])
+        with caplog.at_level(logging.WARNING, logger="affinity_miner.lexfeat"):
+            correlation(docs, list(docs), small_lexicon(), "posemo")
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert messages == ["elastic net on 'posemo' proportions stopped unconverged at the 1-sweep cap"] * 2
+
+    def test_converged_fits_log_nothing(self, rng, caplog):
+        docs = synthetic_corpus(rng, 0.9, [f"w{i}" for i in range(10)])
+        with caplog.at_level(logging.WARNING, logger="affinity_miner.lexfeat"):
+            correlation(docs, list(docs), small_lexicon(), "posemo")
+        assert caplog.records == []
 
     def test_degenerate_corpus(self):
         with pytest.raises(DegenerateCorpus):
