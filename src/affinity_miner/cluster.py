@@ -8,6 +8,7 @@ nearest destination node and re-centers destinations until stable.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -23,6 +24,8 @@ from .errors import (
     SingularSystem,
 )
 from .graph import AffinityGraph
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TELEPORT = 0.01
 MCL_MAX_ITER = 200
@@ -179,7 +182,9 @@ def mcl_flow(
         yield _normalize_columns(M, sums)
 
 
-def _clusters_from_limit(M: sp.csc_array) -> tuple[list[np.ndarray], sp.csr_array]:
+def _clusters_from_limit(
+    M: sp.csc_array, iterations: int
+) -> tuple[list[np.ndarray], sp.csr_array]:
     """Read clusters off the limit matrix's attractor rows.
 
     Attractors are nodes with positive diagonal mass; each attractor row
@@ -193,6 +198,10 @@ def _clusters_from_limit(M: sp.csc_array) -> tuple[list[np.ndarray], sp.csr_arra
     attractors = np.flatnonzero(M.diagonal() > 0.0)
     if not attractors.size:
         # degenerate non-converged flow: fall back to one cluster of all
+        log.warning(
+            "mcl flow has no attractor after %d iterations; "
+            "returning one cluster of all %d nodes", iterations, n,
+        )
         return [np.arange(n)], sp.csr_array(np.ones((1, n)))
     rows_of = M.tocsr()
     rows_of.sort_indices()
@@ -241,8 +250,9 @@ def mcl(
             break
         M = M_next
         if iterations >= max_iter:
+            log.warning("mcl stopped unconverged at the %d-iteration cap", iterations)
             break
-    clusters, attraction = _clusters_from_limit(M)
+    clusters, attraction = _clusters_from_limit(M, iterations)
     return Clustering(
         clusters=tuple(clusters),
         method="mcl",
@@ -318,6 +328,10 @@ def k_destinations(
             # members ascend, so argmin's first minimum is the smallest id
             new_destinations.append(int(members[np.argmin(totals)]))
         destinations = sorted(new_destinations)
+    if not converged:
+        log.warning(
+            "k-destinations stopped unconverged at the %d-iteration cap", iterations
+        )
     return Clustering(
         clusters=tuple(np.flatnonzero(assignment == c) for c in range(k)),
         method="k-destinations",

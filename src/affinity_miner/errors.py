@@ -51,7 +51,12 @@ class UnknownNode(AffinityMinerError):
 
 
 class MalformedPattern(AffinityMinerError):
-    """Lexicon pattern is empty or has an interior wildcard."""
+    """Lexicon pattern is empty, has an interior wildcard, or is not one token;
+    `line` carries its 1-based line number."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 class DimensionMismatch(AffinityMinerError):

@@ -399,6 +399,18 @@ class TestBadInputsExitOne:
         assert f"config key {key}: 'nosuch' is not a lexicon category" in err
         assert "the lexicon has: negemo, posemo" in err
 
+    def test_lexicon_pattern_that_cannot_match(self, dataset, tmp_path, capsys):
+        lines = dataset["lexicon"].read_text().splitlines(keepends=True)
+        lines[3] = "negemo\tself-*\n"
+        bad = tmp_path / "lexicon.tsv"
+        bad.write_text("".join(lines))
+        args = self.stage_args(dataset, tmp_path / "results",
+                               "interactions", "profiles", lexicon=bad)
+        assert main(["lexcorr", *args]) == 1
+        err = capsys.readouterr().err
+        assert "line 4: 'self-*' is not one token and can never match" in err
+        assert "Traceback" not in err
+
     def test_deeply_nested_json_line_rejected(self, dataset, tmp_path, caplog):
         lines = dataset["interactions"].read_bytes().splitlines(keepends=True)
         bad = tmp_path / "interactions.jsonl"

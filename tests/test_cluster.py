@@ -260,12 +260,26 @@ class TestMcl:
         with pytest.raises(ValueError):
             mcl(g, r=1.0)
 
-    def test_iteration_cap_returns_partial_result(self):
+    def test_iteration_cap_returns_partial_result(self, caplog):
         g = two_block_graph(6, in_w=1.0, cross_w=0.1)
         c = mcl(g, max_iter=1)
         assert not c.converged
         assert c.iterations == 1
         assert c.clusters
+        assert "mcl stopped unconverged at the 1-iteration cap" in caplog.text
+
+    def test_flow_without_attractor_falls_back_to_one_cluster(self, caplog):
+        # at prune=0.1 each column of a directed 3-cycle keeps only its
+        # successor: the flow permutes, never converges, and has no diagonal
+        g = make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
+        c = mcl(g, prune=0.1, max_iter=3)
+        assert not c.converged
+        assert [x.tolist() for x in c.clusters] == [[0, 1, 2]]
+        assert "mcl stopped unconverged at the 3-iteration cap" in caplog.text
+        assert (
+            "mcl flow has no attractor after 3 iterations; "
+            "returning one cluster of all 3 nodes" in caplog.text
+        )
 
     def test_prune_above_all_entries_survives(self):
         g = make_graph(
@@ -433,6 +447,15 @@ class TestKDestinations:
         c = k_destinations(g, 4)
         trace = c.objective_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+
+    def test_iteration_cap_warns(self, caplog):
+        # the first pass only assigns; convergence needs a second pass
+        c = k_destinations(two_block_graph(6), 2, max_iter=1)
+        assert not c.converged
+        assert "k-destinations stopped unconverged at the 1-iteration cap" in caplog.text
+        caplog.clear()
+        assert k_destinations(two_block_graph(6), 2).converged
+        assert not caplog.text
 
     def test_k_out_of_range(self):
         g = two_block_graph(2)

@@ -47,6 +47,22 @@ class TestLoadLexicon:
         with pytest.raises(MalformedPattern):
             load_lexicon(["x\t*"])
 
+    @pytest.mark.parametrize(
+        "pattern", ["don't", "self-*", "two words", "snake_case", "\u0130*"]
+    )
+    def test_pattern_that_is_not_one_token_rejected(self, pattern):
+        # tokenize splits or drops these characters, so no token can match
+        with pytest.raises(MalformedPattern, match=r"line 2: .* not one token") as info:
+            load_lexicon(["a\tjoy", f"b\t{pattern}"])
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("pattern", ["", "ha*p"])
+    def test_pattern_errors_carry_line(self, pattern):
+        with pytest.raises(MalformedPattern) as info:
+            load_lexicon(["a\tjoy", "", f"b\t{pattern}"])
+        assert info.value.line == 3
+        assert str(info.value).startswith("line 3: ")
+
     def test_duplicates_collapse(self):
         lex = load_lexicon(["a\tword", "a\tword"])
         assert lex.categories["a"] == frozenset({"word"})
@@ -89,8 +105,31 @@ class TestExtractFeatures:
             assert all(0.0 <= v <= 1.0 for v in features.values())
 
     def test_tokenizer(self):
-        assert tokenize("Hello, world! x2") == ["hello", "world", "x2"]
-        assert tokenize("don't_stop") == ["don", "t", "stop"]
+        cases = {
+            "ascii-punctuation": ("Hello, world! x2", ["hello", "world", "x2"]),
+            "apostrophe-underscore": ("don't_stop", ["don", "t", "stop"]),
+            "underscore": ("_", []),
+            "underscore-runs": ("a_b__c", ["a", "b", "c"]),
+            # str.split() also breaks at these; they are not alphanumeric either
+            "split-whitespace-controls": (
+                "a\x0bb\x1cc\x1dd\x1ee\x1ff", ["a", "b", "c", "d", "e", "f"]
+            ),
+            "other-controls": ("\x00a\x7fb\tc\r\nd", ["a", "b", "c", "d"]),
+            # KELVIN SIGN lowercases to ASCII k
+            "kelvin-sign": ("\u212aelvin", ["kelvin"]),
+            # I WITH DOT ABOVE lowercases to i and a combining dot, which is
+            # not alphanumeric
+            "dotted-capital-i": ("\u0130stanbul", ["i", "stanbul"]),
+            "superscript-arabic-digit": ("x\u00b2 \u0663", ["x\u00b2", "\u0663"]),
+            "accent-quote-fullwidth": (
+                "caf\u00e9\u2019s \uff21\uff22", ["caf\u00e9", "s", "\uff41\uff42"]
+            ),
+            "emoji-dash": ("joy\U0001f600joy \u2014 ok", ["joy", "joy", "ok"]),
+            "empty": ("", []),
+        }
+        for name, (text, tokens) in cases.items():
+            assert tokenize(text) == tokens, name
+            assert lexfeat._TOKEN_RE.findall(text.lower()) == tokens, name
 
     def test_overlapping_categories_not_normalized(self):
         # a token may count toward several categories; sums can exceed 1

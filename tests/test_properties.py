@@ -24,6 +24,7 @@ from affinity_miner.errors import (
     AffinityMinerError,
     ConfigError,
     DimensionMismatch,
+    MalformedPattern,
     MalformedRecord,
 )
 from affinity_miner.graph import AffinityGraph, EDGE_TSV_HEADER, export_graph, parse_graph_tsv
@@ -38,6 +39,7 @@ from affinity_miner.ingest import (
 from affinity_miner.lexfeat import (
     FIRST_PERSON_KEY,
     FIRST_PERSON_PRONOUNS,
+    _TOKEN_RE,
     count_matrix,
     extract_features,
     load_lexicon,
@@ -147,7 +149,7 @@ def test_loaders_raise_only_domain_errors(input_path, loader, data):
     input_path.write_bytes(data)
     try:
         LOADERS[loader](input_path)
-    except (MalformedRecord, DimensionMismatch, ConfigError) as exc:
+    except (MalformedRecord, MalformedPattern, DimensionMismatch, ConfigError) as exc:
         # every line an error names is a physical line of the file
         with open_input(input_path) as fh:
             lines = fh.readlines()
@@ -207,6 +209,33 @@ def test_count_matrix_matches_dict_count_oracle(corpus):
     assert m.data.tolist() == data
     assert m.indices.tolist() == indices
     assert m.indptr.tolist() == indptr
+
+
+# ASCII text (half the examples) is mostly punctuation, controls and
+# whitespace around short alphanumeric runs, with `_`, `'`, `-` and the
+# controls str.split() treats as whitespace drawn often; mixed text adds any
+# code point and ones whose lowercase or class is easy to get wrong: KELVIN
+# SIGN lowercases to ASCII k, I WITH DOT ABOVE to two code points, and
+# superscript two, Arabic-Indic three and full-width A are alphanumeric
+ascii_separators = st.sampled_from(
+    [chr(c) for c in range(128) if not chr(c).isalnum()]
+) | st.sampled_from("_'-\x0b\x1c\x1d\x1e\x1f")
+ascii_text = st.text(alphabet=ascii_separators | st.sampled_from("aZ09"), max_size=40)
+mixed_text = st.text(
+    alphabet=ascii_separators
+    | st.sampled_from("aZ09\u212a\u0130\u00b2\u0663\uff21\u00e9\u2019\u2014\U0001f600")
+    | st.characters(),
+    max_size=40,
+)
+
+
+@PROPERTY
+@given(ascii_text | mixed_text)
+@example("don't_stop\x0bnow\x1f")
+@example("\u212a\u0130x\u00b2")
+@example("")
+def test_tokenize_matches_regex_oracle(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 def per_occurrence_features(text, lex):
