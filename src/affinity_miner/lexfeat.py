@@ -96,8 +96,7 @@ def _check_pattern(pattern: str, lineno: int) -> str:
             f"line {lineno}: interior wildcard in {pattern!r}", line=lineno
         )
     pattern = pattern.lower()
-    # the regex, not tokenize: a tokenize call per lexicon line would count
-    # as text work
+    # _TOKEN_RE, not tokenize: tokenize's call count measures document text
     if not _TOKEN_RE.fullmatch(pattern.removesuffix("*")):
         raise MalformedPattern(
             f"line {lineno}: {pattern!r} is not one token and can never match",
