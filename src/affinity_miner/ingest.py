@@ -34,6 +34,9 @@ class Sentiment(enum.IntEnum):
     POS = 2
 
 
+_SENTIMENT_BY_NAME = {s.name: s for s in Sentiment}
+
+
 class MbtiType(enum.Enum):
     """The 16 four-letter personality type codes."""
 
@@ -231,7 +234,7 @@ def _parse_event_line(line: str) -> InteractionEvent:
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError(f"timestamp must be an integer, got {ts!r}")
     token = record["sentiment"]
-    if not isinstance(token, str) or token not in Sentiment.__members__:
+    if not isinstance(token, str) or token not in _SENTIMENT_BY_NAME:
         raise ValueError(f"unknown sentiment token: {token!r}")
     text = record.get("text")
     if text is not None and not isinstance(text, str):
@@ -240,7 +243,7 @@ def _parse_event_line(line: str) -> InteractionEvent:
         _require_utf8(value, f"{name}: ")
     if source == target:
         raise ValueError("source equals target (self-mention)")
-    return InteractionEvent(source, target, ts, Sentiment[token], text)
+    return InteractionEvent(source, target, ts, _SENTIMENT_BY_NAME[token], text)
 
 
 def load_interactions(stream: Iterable[str]) -> list[InteractionEvent]:

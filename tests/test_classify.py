@@ -127,38 +127,106 @@ class TestNaiveBayes:
         assert predict_many(model, m.rows) == predict_many(scaled, m.rows)
 
 
-def per_class_train_lr(m, labels, ridge=1.0):
-    """Reference: one-vs-rest descent one class at a time, the loop train_lr
-    batches. Returns the model and each class's gradient-evaluation count."""
-    X = m.rows
-    XT = X.T
+def lr_step(X, ridge):
+    n = X.shape[0]
+    return 1.0 / ((float(X.multiply(X).sum()) + n) / (4.0 * n) + ridge)
+
+
+def one_class_gradient(X, XT, targets, w, b, ridge):
+    z = np.asarray(X @ w).ravel() + b
+    diff = 1.0 / (1.0 + np.exp(-z)) - targets
+    return np.asarray(XT @ diff).ravel() / X.shape[0] + ridge * w, float(diff.mean())
+
+
+def per_class_lr(m, labels, fit_one, ridge):
     classes = tuple(sorted(set(labels)))
     label_arr = np.array([c.value for c in labels])
-    n, p = X.shape
-    step = 1.0 / ((float(X.multiply(X).sum()) + n) / (4.0 * n) + ridge)
-    weights = np.zeros((len(classes), p))
-    intercepts = np.zeros(len(classes))
-    converged, evaluations = [], []
-    for ci, cls in enumerate(classes):
+    weights, intercepts, converged, epochs = zip(
+        *(fit_one(m.rows, (label_arr == c.value).astype(float), ridge) for c in classes)
+    )
+    return LrModel(classes, np.array(weights), np.array(intercepts), converged, epochs)
+
+
+def fista_one_class(X, targets, ridge):
+    """The loop train_lr batches: FISTA with gradient restart, one class.
+    Returns (w, b, converged, gradient evaluations)."""
+    XT = X.T
+    step = lr_step(X, ridge)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    y_w, y_b, t = w.copy(), b, 1.0
+    for epoch in range(classify.LR_MAX_EPOCHS):
+        grad_w, grad_b = one_class_gradient(X, XT, targets, y_w, y_b, ridge)
+        if np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < classify.LR_GRAD_TOL:
+            return y_w, y_b, True, epoch + 1
+        next_w = y_w - step * grad_w
+        next_b = y_b - step * grad_b
+        d_w = next_w - w
+        d_b = next_b - b
+        if float(grad_w @ d_w) + grad_b * d_b > 0:
+            t = 1.0
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y_w = next_w + ((t - 1.0) / t_next) * d_w
+        y_b = next_b + ((t - 1.0) / t_next) * d_b
+        w, b, t = next_w, next_b, t_next
+    return w, b, False, classify.LR_MAX_EPOCHS
+
+
+def gd_one_class(X, targets, ridge):
+    """Fixed-step gradient descent, one class: the solver train_lr used
+    before FISTA, with the same objective, step and stop rule."""
+    XT = X.T
+    step = lr_step(X, ridge)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for epoch in range(classify.LR_MAX_EPOCHS):
+        grad_w, grad_b = one_class_gradient(X, XT, targets, w, b, ridge)
+        if np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < classify.LR_GRAD_TOL:
+            return w, b, True, epoch + 1
+        w = w - step * grad_w
+        b = b - step * grad_b
+    return w, b, False, classify.LR_MAX_EPOCHS
+
+
+def per_class_train_lr(m, labels, ridge=1.0):
+    """Reference: one-vs-rest FISTA one class at a time."""
+    return per_class_lr(m, labels, fista_one_class, ridge)
+
+
+def per_class_gd(m, labels, ridge=1.0):
+    """Reference: one-vs-rest fixed-step descent one class at a time."""
+    return per_class_lr(m, labels, gd_one_class, ridge)
+
+
+def lbfgs_objectives(m, labels, ridge):
+    """Each class's objective at a tight L-BFGS-B minimum."""
+    from scipy.optimize import minimize
+
+    X = m.rows
+    label_arr = np.array([c.value for c in labels])
+    p = X.shape[1]
+    objectives = []
+    for cls in sorted(set(labels)):
         targets = (label_arr == cls.value).astype(float)
-        w = np.zeros(p)
-        b = 0.0
-        ok = False
-        for epoch in range(classify.LR_MAX_EPOCHS):
-            z = np.asarray(X @ w).ravel() + b
-            diff = 1.0 / (1.0 + np.exp(-z)) - targets
-            grad_w = np.asarray(XT @ diff).ravel() / n + ridge * w
-            grad_b = float(diff.mean())
-            if np.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < classify.LR_GRAD_TOL:
-                ok = True
-                break
-            w -= step * grad_w
-            b -= step * grad_b
-        weights[ci] = w
-        intercepts[ci] = b
-        converged.append(ok)
-        evaluations.append(epoch + 1)
-    return LrModel(classes, weights, intercepts, tuple(converged)), evaluations
+
+        def fun(v):
+            loss, grad_w, grad_b = lr_loss_grad(X, targets, v[:p], float(v[p]), ridge)
+            return loss, np.append(grad_w, grad_b)
+
+        res = minimize(
+            fun, np.zeros(p + 1), jac=True, method="L-BFGS-B",
+            options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        objectives.append(float(res.fun))
+    return np.array(objectives)
+
+
+def lr_objectives(model, m, labels, ridge):
+    label_arr = np.array([c.value for c in labels])
+    return np.array([
+        lr_loss_grad(m.rows, (label_arr == c.value).astype(float), w, float(b), ridge)[0]
+        for c, w, b in zip(model.classes, model.weights, model.intercepts)
+    ])
 
 
 def assert_bitwise_equal(model, expected):
@@ -167,6 +235,7 @@ def assert_bitwise_equal(model, expected):
     assert model.weights.tobytes() == expected.weights.tobytes()
     assert model.intercepts.tobytes() == expected.intercepts.tobytes()
     assert model.converged == expected.converged
+    assert model.epochs == expected.epochs
 
 
 def imbalanced_corpus(rng, sizes=(30, 18, 11, 7, 4), noise_tokens=6):
@@ -224,8 +293,8 @@ class TestLogisticRegression:
         c = imbalanced_corpus(rng)
         m = vectorize_corpus(c)
         labels = [lab for _, lab in c.documents]
-        expected, evaluations = per_class_train_lr(m, labels, ridge)
-        assert all(expected.converged) and len(set(evaluations)) > 1
+        expected = per_class_train_lr(m, labels, ridge)
+        assert all(expected.converged) and len(set(expected.epochs)) > 1
         assert_bitwise_equal(train_lr(m, labels, ridge), expected)
 
     @pytest.mark.parametrize("ridge", [0.0, 1e8])
@@ -233,7 +302,7 @@ class TestLogisticRegression:
         c = imbalanced_corpus(rng)
         m = vectorize_corpus(c)
         labels = [lab for _, lab in c.documents]
-        expected, _ = per_class_train_lr(m, labels, ridge)
+        expected = per_class_train_lr(m, labels, ridge)
         assert_bitwise_equal(train_lr(m, labels, ridge), expected)
 
     def test_matches_per_class_descent_at_epoch_cap(self, rng, monkeypatch):
@@ -241,8 +310,8 @@ class TestLogisticRegression:
         c = imbalanced_corpus(rng)
         m = vectorize_corpus(c)
         labels = [lab for _, lab in c.documents]
-        expected, evaluations = per_class_train_lr(m, labels)
-        assert evaluations == [3] * 5 and not any(expected.converged)
+        expected = per_class_train_lr(m, labels)
+        assert expected.epochs == (3,) * 5 and not any(expected.converged)
         assert_bitwise_equal(train_lr(m, labels), expected)
 
     def test_matches_per_class_descent_on_empty_vocabulary(self):
@@ -250,10 +319,35 @@ class TestLogisticRegression:
         m = vectorize_corpus(corpus_of(docs))
         assert m.vocabulary == ()
         labels = [lab for _, lab in docs]
-        expected, _ = per_class_train_lr(m, labels)
+        expected = per_class_train_lr(m, labels)
         model = train_lr(m, labels)
         assert model.weights.shape == (3, 0)
         assert_bitwise_equal(model, expected)
+
+    @pytest.mark.parametrize(
+        "ridge, rtol, descent_converges",
+        [(0.01, 1e-8, True), (1.0, 1e-8, True), (1e-3, 1e-7, False)],
+    )
+    def test_objective_matches_lbfgs(self, rng, ridge, rtol, descent_converges):
+        c = imbalanced_corpus(rng)
+        m = vectorize_corpus(c)
+        labels = [lab for _, lab in c.documents]
+        model = train_lr(m, labels, ridge)
+        assert all(model.converged)
+        descent = per_class_gd(m, labels, ridge)
+        assert descent.converged == (descent_converges,) * len(model.classes)
+        expected = lbfgs_objectives(m, labels, ridge)
+        got = lr_objectives(model, m, labels, ridge)
+        assert np.all(np.abs(got - expected) <= rtol * np.abs(expected))
+
+    def test_fewer_epochs_than_descent(self, rng):
+        c = imbalanced_corpus(rng)
+        m = vectorize_corpus(c)
+        labels = [lab for _, lab in c.documents]
+        descent = per_class_gd(m, labels)
+        assert all(descent.converged)
+        model = train_lr(m, labels)
+        assert all(f < g for f, g in zip(model.epochs, descent.epochs))
 
     def test_cap_reached_is_logged(self, caplog):
         docs = [("alpha beta", INFJ)] * 6 + [("delta zeta", ENTP)] * 3
@@ -388,9 +482,7 @@ class TestCrossValidate:
         # rare own tokens, some below the document-frequency cut: F-1 < 1
         c = sixteen_type_corpus(rng, docs_per_type=10, noise_tokens=4, own_tokens=8, own_words=2)
         report = render_cv_report(cross_validate(c, "lr", folds=10, seed=0))
-        monkeypatch.setattr(
-            classify, "train_lr", lambda m, labels, ridge: per_class_train_lr(m, labels, ridge)[0]
-        )
+        monkeypatch.setattr(classify, "train_lr", per_class_gd)
         expected = cross_validate(c, "lr", folds=10, seed=0)
         assert expected.macro_f1() < 1.0
         assert report == render_cv_report(expected)
