@@ -50,7 +50,6 @@ from .ingest import (
     MbtiType,
     Sentiment,
     UserProfile,
-    detect_self_identification,
     filter_bots,
     load_interactions,
     load_profiles,

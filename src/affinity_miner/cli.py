@@ -107,7 +107,7 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
         ("expansion", cfg.expansion >= 2, "must be >= 2"),
         ("inflation", cfg.inflation > 1, "must be > 1"),
         ("tau", 0 < cfg.tau < 1, "must be in (0, 1)"),
-        ("prune", cfg.prune > 0, "must be > 0"),
+        ("prune", 0 < cfg.prune < 1, "must be in (0, 1)"),
         ("lam", cfg.lam >= 0, "must be >= 0"),
         ("mix", 0 <= cfg.mix <= 1, "must be in [0, 1]"),
         ("top_n", cfg.top_n >= 1, "must be >= 1"),

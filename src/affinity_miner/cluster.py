@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 DEFAULT_TELEPORT = 0.01
 MCL_MAX_ITER = 200
 MCL_TOL = 1e-8
+# expansion product columns computed, inflated and pruned at a time
+MCL_BLOCK_COLUMNS = 512
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,59 @@ def _mcl_seed_matrix(g: AffinityGraph) -> sp.csc_array:
     return _normalize_columns(M, _column_sums(M))
 
 
+def _column_ranges(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each MCL_BLOCK_COLUMNS-wide block of n columns."""
+    return [
+        (start, min(start + MCL_BLOCK_COLUMNS, n))
+        for start in range(0, n, MCL_BLOCK_COLUMNS)
+    ]
+
+
+def _column_block(M: sp.csc_array, start: int, stop: int) -> sp.csc_array:
+    """Columns start:stop of M as a CSC array over views of M's arrays."""
+    lo, hi = M.indptr[start], M.indptr[stop]
+    return sp.csc_array(
+        (M.data[lo:hi], M.indices[lo:hi], M.indptr[start:stop + 1] - lo),
+        shape=(M.shape[0], stop - start),
+    )
+
+
+def _inflate_prune(M: sp.csc_array, r: float, prune: float) -> sp.csc_array:
+    M.data **= r
+    M.data[M.data < prune] = 0.0
+    M.eliminate_zeros()
+    return M
+
+
+def _expand_inflate_prune(
+    left: sp.csc_array, M: sp.csc_array, r: float, prune: float
+) -> sp.csc_array:
+    """left @ M with the entrywise r-th power applied and entries below
+    prune dropped, MCL_BLOCK_COLUMNS columns of the product at a time.
+
+    Column j of the product needs only column j of M, and a sparse product
+    sums each entry in the stored order of that column, so every block
+    holds the same entries, bit for bit, as the full product would. Only
+    one block is ever unpruned. Indices are left unsorted.
+    """
+    n = M.shape[1]
+    if n <= MCL_BLOCK_COLUMNS:
+        return _inflate_prune(left @ M, r, prune)
+    blocks = [
+        _inflate_prune(left @ _column_block(M, start, stop), r, prune)
+        for start, stop in _column_ranges(n)
+    ]
+    counts = np.concatenate([np.diff(block.indptr) for block in blocks])
+    return sp.csc_array(
+        (
+            np.concatenate([block.data for block in blocks]),
+            np.concatenate([block.indices for block in blocks]),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+        shape=(M.shape[0], n),
+    )
+
+
 def mcl_flow(
     M: sp.csc_array, e: int = 2, r: float = 2.0, prune: float = 1e-6
 ) -> Iterator[sp.csc_array]:
@@ -154,16 +209,19 @@ def mcl_flow(
     Each step: raise the column-stochastic matrix to the e-th power by
     e - 1 sparse products, apply the entrywise r-th power, drop entries
     below prune, renormalize columns. The caller decides when to stop.
+
+    The last product is computed, inflated and pruned one column block at
+    a time, so a step holds the pruned flow, M^(e-1) and one block of the
+    product, never the whole unpruned M^e.
     """
     n = M.shape[0]
     while True:
-        M_e = M @ M
+        left = M
         for _ in range(e - 2):
-            M_e = M_e @ M
-        M = M_e
-        M.data **= r
-        M.data[M.data < prune] = 0.0
-        M.eliminate_zeros()
+            left = left @ M
+        M = _expand_inflate_prune(left, M, r, prune)
+        # a suspended generator keeps its locals: do not hold M^(e-1) too
+        del left
         M.sort_indices()
         sums = _column_sums(M)
         # After expansion a column's largest entry is >= 1/n, so >= n^-r
@@ -180,6 +238,24 @@ def mcl_flow(
             )
             sums = _column_sums(M)
         yield _normalize_columns(M, sums)
+
+
+def _max_abs_difference(A: sp.csc_array, B: sp.csc_array) -> float:
+    """max |A - B| over all entries, one column block at a time; the same
+    value the whole difference gives, without holding it."""
+    return max(
+        abs(_column_block(A, start, stop) - _column_block(B, start, stop)).max()
+        for start, stop in _column_ranges(A.shape[1])
+    )
+
+
+def _same_matrix(A: sp.csc_array, B: sp.csc_array) -> bool:
+    """Bitwise equality of two flow matrices with sorted indices."""
+    return (
+        np.array_equal(A.indptr, B.indptr)
+        and np.array_equal(A.indices, B.indices)
+        and np.array_equal(A.data, B.data)
+    )
 
 
 def _clusters_from_limit(
@@ -227,11 +303,14 @@ def mcl(
 ) -> Clustering:
     """Flow-simulation clustering by expansion and inflation.
 
-    Runs until the matrix moves less than 1e-8 in max norm or max_iter
-    passes; a non-converged run still returns its partial clusters with
-    converged=False. The flow matrix is sparse (CSC) throughout and the
-    attraction it leaves is a sparse CSR matrix, so memory grows with
-    their nonzeros, never with n^2.
+    Runs until the matrix moves less than 1e-8 in max norm, max_iter
+    passes, or the flow equals the iterate of two steps before (a cycle of
+    period 2, which no further step leaves); a non-converged run still
+    returns its partial clusters with converged=False. The flow matrix is
+    sparse (CSC) throughout and the attraction it leaves is a sparse CSR
+    matrix. Each expansion is pruned one column block at a time (see
+    mcl_flow), so memory grows with the pruned flow plus one block of the
+    product, never with the unpruned square or with n^2.
     """
     if e < 2:
         raise ValueError(f"expansion power must be >= 2, got {e}")
@@ -240,17 +319,26 @@ def mcl(
     if not g.nodes:
         raise EmptyGraph("clustering needs at least one node")
     M = _mcl_seed_matrix(g)
+    previous = None  # the iterate before M
     converged = False
     iterations = 0
     for M_next in mcl_flow(M, e, r, prune):
         iterations += 1
-        if abs(M_next - M).max() < MCL_TOL:
+        if _max_abs_difference(M_next, M) < MCL_TOL:
             M = M_next
             converged = True
             break
-        M = M_next
+        # a flow that equals the iterate two steps back cycles forever
+        periodic = previous is not None and _same_matrix(M_next, previous)
+        previous, M = M, M_next
         if iterations >= max_iter:
             log.warning("mcl stopped unconverged at the %d-iteration cap", iterations)
+            break
+        if periodic:
+            log.warning(
+                "mcl flow repeats with period 2 after %d iterations; "
+                "stopping unconverged", iterations,
+            )
             break
     clusters, attraction = _clusters_from_limit(M, iterations)
     return Clustering(

@@ -13,7 +13,7 @@ import enum
 import json
 import logging
 import os
-import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -69,11 +69,6 @@ class MbtiType(enum.Enum):
 
 ALL_TYPES: tuple[MbtiType, ...] = tuple(sorted(MbtiType))
 
-_TYPE_CODE_RE = re.compile(
-    r"\b(" + "|".join(t.value for t in ALL_TYPES) + r")\b", re.IGNORECASE
-)
-_MARKER_RE = re.compile(r"\b(mbti|briggs|myers)\b", re.IGNORECASE)
-
 
 def parse_mbti(code: str) -> MbtiType:
     """Case-insensitive lookup of a four-letter type code."""
@@ -81,21 +76,6 @@ def parse_mbti(code: str) -> MbtiType:
         return MbtiType(code.upper())
     except ValueError:
         raise InvalidType(f"not a personality type code: {code!r}") from None
-
-
-def detect_self_identification(text: str) -> MbtiType | None:
-    """Return the type a text self-identifies with, if unambiguous.
-
-    Requires exactly one distinct type code (word-boundary match) plus at
-    least one of the marker terms mbti/briggs/myers. Texts naming two or
-    more distinct codes are ambiguous and yield None.
-    """
-    codes = {m.group(1).upper() for m in _TYPE_CODE_RE.finditer(text)}
-    if len(codes) != 1:
-        return None
-    if not _MARKER_RE.search(text):
-        return None
-    return MbtiType(codes.pop())
 
 
 @dataclass(frozen=True)
@@ -111,8 +91,11 @@ class UserProfile:
             raise ValueError(f"bot_score outside [0, 5]: {self.bot_score}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
+    """One mention. Slots and interned ids keep a large event list small:
+    the loader gives every event naming a user the same id string."""
+
     source: str
     target: str
     timestamp: int
@@ -243,7 +226,9 @@ def _parse_event_line(line: str) -> InteractionEvent:
         _require_utf8(value, f"{name}: ")
     if source == target:
         raise ValueError("source equals target (self-mention)")
-    return InteractionEvent(source, target, ts, _SENTIMENT_BY_NAME[token], text)
+    return InteractionEvent(
+        sys.intern(source), sys.intern(target), ts, _SENTIMENT_BY_NAME[token], text
+    )
 
 
 def load_interactions(stream: Iterable[str]) -> list[InteractionEvent]:

@@ -385,6 +385,13 @@ class TestBadInputsExitOne:
         assert f"config key {key} must be finite, got 'inf'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["1", "1.5"])
+    def test_prune_of_one_or_more_exits_one(self, capsys, value):
+        assert main(["run", "--set", f"prune={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "config key prune must be in (0, 1)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["pos_category", "neg_category"])
     def test_unknown_category_rejected_before_fitting(
         self, dataset, tmp_path, capsys, monkeypatch, key

@@ -16,7 +16,16 @@ from affinity_miner import (
     parse_mbti,
     random_walk_matrix,
 )
-from affinity_miner.cluster import MCL_MAX_ITER, MCL_TOL, mcl_flow, _mcl_seed_matrix
+from affinity_miner import cluster as cluster_module
+from affinity_miner.cluster import (
+    MCL_BLOCK_COLUMNS,
+    MCL_MAX_ITER,
+    MCL_TOL,
+    _column_sums,
+    _mcl_seed_matrix,
+    _normalize_columns,
+    mcl_flow,
+)
 from affinity_miner.errors import EmptyGraph, KOutOfRange, LengthMismatch
 from affinity_miner.graph import AffinityGraph
 from affinity_miner.synth import PlantedSpec, planted_partition
@@ -96,19 +105,48 @@ def dense_mcl_flow(M, e=2, r=2.0, prune=1e-6):
         yield M
 
 
+def single_product_mcl_flow(M, e=2, r=2.0, prune=1e-6):
+    """The sparse flow with each step's whole unpruned M^e formed at once,
+    then inflated and pruned: the bitwise oracle for the blocked flow."""
+    n = M.shape[0]
+    while True:
+        M_e = M @ M
+        for _ in range(e - 2):
+            M_e = M_e @ M
+        M = M_e
+        M.data **= r
+        M.data[M.data < prune] = 0.0
+        M.eliminate_zeros()
+        M.sort_indices()
+        sums = _column_sums(M)
+        dead = np.flatnonzero(sums == 0.0)
+        if dead.size:
+            M = M + sp.csc_array(
+                (
+                    np.full(n * dead.size, 1.0 / n),
+                    (np.tile(np.arange(n), dead.size), np.repeat(dead, n)),
+                ),
+                shape=(n, n),
+            )
+            sums = _column_sums(M)
+        yield _normalize_columns(M, sums)
+
+
 def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
     """Dense n x n MCL: (clusters as ascending index tuples, iterations,
-    converged, dense attraction)."""
+    converged, dense attraction); stops at the cap or on a period-2 flow."""
     order = g.order
     M = dense_seed_matrix(g, order)
+    previous = None
     converged, iterations = False, 0
     for M_next in dense_mcl_flow(M, e, r, prune):
         iterations += 1
         if np.max(np.abs(M_next - M)) < MCL_TOL:
             M, converged = M_next, True
             break
-        M = M_next
-        if iterations >= max_iter:
+        periodic = previous is not None and np.array_equal(M_next, previous)
+        previous, M = M, M_next
+        if iterations >= max_iter or periodic:
             break
     attractors = [i for i in range(len(order)) if M[i, i] > 0.0]
     if not attractors:
@@ -281,6 +319,20 @@ class TestMcl:
             "returning one cluster of all 3 nodes" in caplog.text
         )
 
+    def test_period_two_flow_stops_without_running_to_the_cap(self, caplog):
+        # the same 3-cycle: iterate 3 equals iterate 1, so the flow stops there
+        g = make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
+        c = mcl(g, prune=0.1)
+        assert not c.converged
+        assert c.iterations == 3
+        assert [x.tolist() for x in c.clusters] == [[0, 1, 2]]
+        assert (
+            "mcl flow repeats with period 2 after 3 iterations; "
+            "stopping unconverged" in caplog.text
+        )
+        assert "cap" not in caplog.text
+        assert "mcl flow has no attractor after 3 iterations" in caplog.text
+
     def test_prune_above_all_entries_survives(self):
         g = make_graph(
             [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
@@ -350,6 +402,12 @@ def test_mcl_matches_dense_oracle_directed_heavy_weights(seed):
     _assert_matches_dense(make_graph(edge_list))
 
 
+def test_mcl_matches_dense_oracle_period_two():
+    _assert_matches_dense(
+        make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]), prune=0.1
+    )
+
+
 def test_mcl_10k_nodes_without_dense_matrix():
     """100 blocks of 100: ~6 in-block edges and 1 cross edge per node.
 
@@ -411,6 +469,82 @@ def test_mcl_many_clusters_keeps_attraction_sparse():
     assert [x.tolist() for x in c.clusters] == [[2 * p, 2 * p + 1] for p in range(pairs)]
     assert c.attraction.shape == (pairs, 2 * pairs)
     assert c.attraction.nnz == 2 * pairs
+
+
+# -- column-blocked expansion against the single product -----------------------
+
+def _assert_flows_bitwise_equal(g, **flow):
+    """Blocked and single-product flows agree in every array, dtype and bit
+    at every iteration until the oracle converges; returns the iterates."""
+    M = _mcl_seed_matrix(g)
+    previous, iterates = M, []
+    blocked, single = mcl_flow(M, **flow), single_product_mcl_flow(M.copy(), **flow)
+    for step, A, B in zip(range(1, MCL_MAX_ITER + 1), blocked, single):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype, f"{name} dtype at iteration {step}"
+            assert a.tobytes() == b.tobytes(), f"{name} at iteration {step}"
+        iterates.append(A)
+        if abs(B - previous).max() < MCL_TOL:
+            break
+        previous = B
+    return iterates
+
+
+def _planted_flow_graph(n):
+    spec = PlantedSpec(
+        n=n, k=max(n // 128, 2), p_in=0.03, p_out=0.001,
+        w_in=(0.8, 1.0), w_out=(0.1, 0.5), seed=0,
+    )
+    return planted_partition(spec)[0]
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_blocked_flow_is_the_single_product_flow(e):
+    g = _planted_flow_graph(1100)
+    n = len(g.order)
+    # three blocks, the last one partial
+    assert n > 2 * MCL_BLOCK_COLUMNS and n % MCL_BLOCK_COLUMNS
+    assert len(_assert_flows_bitwise_equal(g, e=e)) > 3
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("r", [2.0, 1.5])
+def test_blocked_flow_is_the_single_product_flow_narrow_blocks(monkeypatch, e, r):
+    monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 64)
+    g = _planted(3)
+    assert len(g.order) > 2 * 64 and len(g.order) % 64
+    assert len(_assert_flows_bitwise_equal(g, e=e, r=r)) > 3
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_blocked_flow_restarts_dead_columns_like_the_single_product(monkeypatch, e):
+    # 5 nodes in blocks of 2, 2 and 1; at prune=0.5 the clique columns die
+    monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 2)
+    g = make_graph(
+        [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
+    )
+    g = AffinityGraph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+    iterates = _assert_flows_bitwise_equal(g, e=e, prune=0.5)
+    restarted = iterates[0].toarray()[:, :4]
+    assert np.array_equal(restarted, np.full((5, 4), 1 / 5))
+
+
+def test_mcl_blocked_expansion_bounds_peak_memory():
+    """A planted 2048-node graph with about 6 edges per node, as on the
+    benchmark's MCL workload. Its unpruned square M @ M reaches 3.0M
+    nonzeros (36 MB of values and indices) and set a 52 MiB peak when it
+    was formed whole.
+    """
+    g = _planted_flow_graph(2048)
+    tracemalloc.start()
+    try:
+        c = mcl(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.converged
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- k-destinations --------------------------------------------------------------

@@ -6,7 +6,6 @@ from affinity_miner import (
     ALL_TYPES,
     MbtiType,
     UserProfile,
-    detect_self_identification,
     filter_bots,
     load_interactions,
     load_profiles,
@@ -35,36 +34,6 @@ class TestParseMbti:
     def test_invalid_code(self):
         with pytest.raises(InvalidType):
             parse_mbti("ABCD")
-
-
-class TestDetectSelfIdentification:
-    def test_single_code_with_marker(self):
-        assert detect_self_identification("I am an INFJ #mbti") is MbtiType.INFJ
-
-    def test_two_codes_rejected(self):
-        assert detect_self_identification("INFJ or ENFP? mbti quiz") is None
-
-    def test_no_code_no_marker(self):
-        assert detect_self_identification("hello world") is None
-
-    def test_marker_required(self):
-        assert detect_self_identification("I am an INFJ") is None
-
-    def test_marker_variants(self):
-        for marker in ("MBTI", "Briggs", "myers"):
-            assert detect_self_identification(f"ENTP {marker}") is MbtiType.ENTP
-
-    def test_repeated_same_code_still_detected(self):
-        assert detect_self_identification("ISTP ISTP mbti") is MbtiType.ISTP
-
-    def test_word_boundary(self):
-        assert detect_self_identification("INFJs are rare, mbti") is None
-
-    def test_all_pairs_rejected(self):
-        codes = [str(t) for t in ALL_TYPES]
-        for i, a in enumerate(codes):
-            for b in codes[i + 1:]:
-                assert detect_self_identification(f"{a} and {b} mbti") is None
 
 
 class TestFilterBots:
@@ -164,6 +133,14 @@ class TestLoadInteractions:
     def test_non_integer_timestamp_rejected(self):
         lines = [event_line(timestamp="noon")] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
+
+    def test_events_are_compact(self):
+        # CPython shares one-character strings anyway, so the ids are longer
+        lines = [event_line("user_0001", "user_0002"), event_line("user_0002", "user_0001")]
+        first, second = load_interactions(lines)
+        assert not hasattr(first, "__dict__")
+        assert first.source is second.target
+        assert first.target is second.source
 
 
 class TestLoadProfiles:
