@@ -184,12 +184,12 @@ def _expand_inflate_prune(
     one block is ever unpruned. Indices are left unsorted.
     """
     n = M.shape[1]
-    if n <= MCL_BLOCK_COLUMNS:
-        return _inflate_prune(left @ M, r, prune)
     blocks = [
         _inflate_prune(left @ _column_block(M, start, stop), r, prune)
         for start, stop in _column_ranges(n)
     ]
+    if len(blocks) == 1:
+        return blocks[0]
     counts = np.concatenate([np.diff(block.indptr) for block in blocks])
     return sp.csc_array(
         (

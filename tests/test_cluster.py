@@ -500,11 +500,12 @@ def _planted_flow_graph(n):
 
 
 @pytest.mark.parametrize("e", [2, 3])
-def test_blocked_flow_is_the_single_product_flow(e):
-    g = _planted_flow_graph(1100)
-    n = len(g.order)
-    # three blocks, the last one partial
-    assert n > 2 * MCL_BLOCK_COLUMNS and n % MCL_BLOCK_COLUMNS
+@pytest.mark.parametrize("n, blocks", [(1100, 3), (300, 1)])
+def test_blocked_flow_is_the_single_product_flow(e, n, blocks):
+    g = _planted_flow_graph(n)
+    # the last block is partial
+    assert len(g.order) == n and n % MCL_BLOCK_COLUMNS
+    assert len(cluster_module._column_ranges(n)) == blocks
     assert len(_assert_flows_bitwise_equal(g, e=e)) > 3
 
 
