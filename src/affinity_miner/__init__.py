@@ -8,9 +8,8 @@ type prediction).
 """
 
 from .affinity import (
-    affinity_score,
     build_pair_sequences,
-    estimate_chain,
+    estimate_chains,
     score_sequences,
     stationary_distribution,
 )

@@ -114,6 +114,7 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
         ("classifier", cfg.classifier in ("nb", "lr"), "must be nb or lr"),
         ("ridge", cfg.ridge >= 0, "must be >= 0"),
         ("folds", cfg.folds >= 2, "must be >= 2"),
+        ("seed", cfg.seed >= 0, "must be >= 0"),
     ]
     for key, ok, message in checks:
         if not ok:

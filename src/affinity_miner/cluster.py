@@ -16,12 +16,11 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .affinity import stationary_distribution
 from .errors import (
     EmptyGraph,
     KOutOfRange,
     LengthMismatch,
-    SingularSystem,
+    NonErgodic,
 )
 from .graph import AffinityGraph
 
@@ -32,6 +31,8 @@ MCL_MAX_ITER = 200
 MCL_TOL = 1e-8
 # expansion product columns computed, inflated and pruned at a time
 MCL_BLOCK_COLUMNS = 512
+# a stationary distribution's residual max|pi P - pi| must fall below this
+STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,19 @@ def hitting_times(P: np.ndarray) -> np.ndarray:
     """Expected first-arrival steps between all node pairs: H[i, j] is the
     expected number of walk steps from state i to state j.
 
-    Uses the fundamental matrix Z = inv(I - P + 1 pi^T) of the ergodic
-    chain: H[i, j] = (Z[j, j] - Z[i, j]) / pi[j]. One matrix inverse
-    replaces n per-target linear solves.
+    One inverse Z = inv(I - P + 1 1^T / n) gives pi as the column means of
+    Z and (I - P) Z = I - 1 pi^T, so H[i, j] = (Z[j, j] - Z[i, j]) / pi[j]
+    (Kemeny and Snell, 1960). Raises NonErgodic when the inverse fails or
+    max|pi P - pi| >= STATIONARY_TOL, as for a chain with two closed classes.
     """
     n = P.shape[0]
-    pi = stationary_distribution(P)
     try:
-        Z = np.linalg.inv(np.eye(n) - P + np.outer(np.ones(n), pi))
+        Z = np.linalg.inv(np.eye(n) - P + 1.0 / n)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"fundamental matrix inverse failed: {exc}") from None
+        raise NonErgodic(f"fundamental matrix inverse failed: {exc}") from None
+    pi = Z.mean(axis=0)
+    if not np.max(np.abs(pi @ P - pi)) < STATIONARY_TOL:
+        raise NonErgodic("no stationary distribution within tolerance")
     H = (np.diag(Z)[None, :] - Z) / pi[None, :]
     np.fill_diagonal(H, 0.0)
     return H

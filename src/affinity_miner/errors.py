@@ -34,10 +34,6 @@ class EmptyGraph(AffinityMinerError):
     """Operation requires a graph with at least one node/edge."""
 
 
-class SingularSystem(AffinityMinerError):
-    """Linear system for hitting times is singular (non-ergodic input)."""
-
-
 class KOutOfRange(AffinityMinerError):
     """Requested cluster count outside 1..n."""
 

@@ -29,6 +29,7 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     """Parse token-plus-numbers lines; dimension inferred from the first.
 
     Tokens are lowercased; a token repeated later wins (last occurrence).
+    A component that is not a finite number fails the load naming its line.
     """
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
@@ -48,6 +49,8 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
             vec = np.array([float(v) for v in values])
         except ValueError as exc:
             raise MalformedRecord(f"line {lineno}: bad number: {exc}", line=lineno) from None
+        if not np.isfinite(vec).all():
+            raise MalformedRecord(f"line {lineno}: components must be finite", line=lineno)
         vec.setflags(write=False)
         vectors[token] = vec
     if dimension is None:

@@ -100,20 +100,14 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
 
 def sample_chain_sequence(P: np.ndarray, length: int, seed: int) -> tuple[Sentiment, ...]:
     """Sample states from a chain, starting from its stationary distribution."""
-    if length == 0:
-        return ()
     rng = np.random.default_rng(seed)
-    pi = stationary_distribution(P)
-    cumulative = np.cumsum(P, axis=1)
-    uniforms = rng.random(length)
-    state = int(np.searchsorted(np.cumsum(pi), uniforms[0], side="right"))
-    state = min(state, P.shape[0] - 1)
-    states = [state]
-    for t in range(1, length):
-        state = int(np.searchsorted(cumulative[state], uniforms[t], side="right"))
-        state = min(state, P.shape[0] - 1)
-        states.append(state)
-    return tuple(Sentiment(s) for s in states)
+    # rows 0-2 step from a state; row 3 draws the first state
+    cumulative = np.cumsum(np.concatenate([P, stationary_distribution(P)[None]]), axis=1)
+    state, states = len(P), []
+    for u in rng.random(length).tolist():
+        state = min(int(cumulative[state].searchsorted(u, side="right")), len(P) - 1)
+        states.append(Sentiment(state))
+    return tuple(states)
 
 
 # dataset generation ---------------------------------------------------------
@@ -200,13 +194,15 @@ def generate_dataset(
     their own group often and with friendlier sentiment, so the affinity
     graph carries recoverable block structure. A few extra high-bot-score
     profiles (with events) exercise the bot filter downstream. Raises
-    InvalidSpec for fewer than one user per type or two blocks, which give
-    no usable dataset. The config and the returned paths are absolute.
+    InvalidSpec for a negative seed, fewer than one user per type or two
+    blocks (no usable dataset). The config and the returned paths are absolute.
     """
     if users_per_type < 1:
         raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
     if blocks < 2:
         raise InvalidSpec(f"blocks must be >= 2, got {blocks}")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     # absolute, so the written config.txt runs from any working directory
     out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)

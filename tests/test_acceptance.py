@@ -128,14 +128,14 @@ def test_04_metric_oracle(rng):
 
 
 def test_05_chain_estimation_consistency(rng):
-    from affinity_miner import estimate_chain
+    from affinity_miner import estimate_chains
 
     start = time.perf_counter()
     worst = 0.0
     for seed in range(50):
         P = well_separated_chain(rng)
         seq = sample_chain_sequence(P, 10_000, seed=seed)
-        est = estimate_chain(seq, alpha=1.0)
+        est = estimate_chains([seq], alpha=1.0)[0]
         worst = max(worst, float(np.max(np.abs(est - P))))
     elapsed = time.perf_counter() - start
     ok = worst < 0.02 and elapsed < 5.0

@@ -3,13 +3,12 @@ import pytest
 
 from affinity_miner import (
     InteractionEvent,
-    affinity_score,
     build_pair_sequences,
-    estimate_chain,
+    estimate_chains,
     score_sequences,
     stationary_distribution,
 )
-from affinity_miner.errors import NonPositiveSmoothing
+from affinity_miner.errors import DimensionMismatch, NonErgodic, NonPositiveSmoothing
 from affinity_miner.ingest import Sentiment
 from affinity_miner.synth import sample_chain_sequence
 
@@ -20,6 +19,22 @@ NEG, NEU, POS = Sentiment.NEG, Sentiment.NEU, Sentiment.POS
 
 def ev(source, target, ts, s=POS):
     return InteractionEvent(source, target, ts, s)
+
+
+def estimate_chain(states, alpha=1.0):
+    return estimate_chains([states], alpha)[0]
+
+
+def one_sequence_chain(states, alpha=1.0):
+    """Reference: count one sequence's transitions in a loop, then smooth."""
+    counts = np.zeros((3, 3))
+    for a, b in zip(states, states[1:]):
+        counts[int(a), int(b)] += 1.0
+    return (counts + alpha) / (counts.sum(axis=1, keepdims=True) + 3 * alpha)
+
+
+def affinity_score(states, alpha=1.0, kappa=5.0):
+    return score_sequences({("a", "b"): tuple(states)}, alpha, kappa)[("a", "b")]
 
 
 class TestBuildPairSequences:
@@ -65,10 +80,13 @@ class TestEstimateChain:
         assert np.allclose(tm[int(NEG)], [1 / 5, 1 / 5, 3 / 5])
 
     def test_rows_sum_to_one(self, rng):
-        for _ in range(50):
-            states = [Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 30))]
-            tm = estimate_chain(states, alpha=float(rng.uniform(0.1, 3.0)))
-            assert np.max(np.abs(tm.sum(axis=1) - 1.0)) < 1e-12
+        sequences = [
+            [Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 30))]
+            for _ in range(50)
+        ]
+        tm = estimate_chains(sequences, alpha=float(rng.uniform(0.1, 3.0)))
+        assert tm.shape == (50, 3, 3)
+        assert np.max(np.abs(tm.sum(axis=2) - 1.0)) < 1e-12
 
     def test_strictly_positive(self, rng):
         tm = estimate_chain([POS] * 10, alpha=0.5)
@@ -85,6 +103,27 @@ class TestEstimateChain:
             est = estimate_chain(seq, alpha=1.0)
             assert np.max(np.abs(est - P)) < 0.02
 
+    @pytest.mark.parametrize("alpha", [1e-6, 0.5, 1.0, 3.7, 1e6])
+    def test_batch_is_the_one_sequence_loop_bitwise(self, rng, alpha):
+        # empty, one-state and long sequences side by side: a transition
+        # from one sequence's last state to the next one's first would
+        # change a count
+        sequences = [(), (POS,), (NEG,), (POS, POS), (), (NEU, NEG, POS), (POS,)]
+        sequences += [
+            tuple(Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 12)))
+            for _ in range(300)
+        ]
+        batch = estimate_chains(sequences, alpha)
+        for k, states in enumerate(sequences):
+            assert np.array_equal(batch[k], one_sequence_chain(states, alpha))
+
+    def test_no_transition_spans_two_sequences(self):
+        tm = estimate_chains([(POS, POS), (NEG, NEG), (NEU,)], alpha=1.0)
+        assert np.array_equal(tm[0][int(POS)], [1 / 4, 1 / 4, 2 / 4])
+        assert np.array_equal(tm[0][[int(NEG), int(NEU)]], np.full((2, 3), 1 / 3))
+        assert np.array_equal(tm[1][int(NEG)], [2 / 4, 1 / 4, 1 / 4])
+        assert np.array_equal(tm[2], np.full((3, 3), 1 / 3))
+
 
 class TestStationaryDistribution:
     def test_uniform_matrix(self):
@@ -93,29 +132,53 @@ class TestStationaryDistribution:
 
     def test_doubly_stochastic(self, rng):
         # random doubly stochastic via Sinkhorn scaling
-        M = rng.random((4, 4)) + 0.1
+        M = rng.random((3, 3)) + 0.1
         for _ in range(500):
             M /= M.sum(axis=1, keepdims=True)
             M /= M.sum(axis=0, keepdims=True)
         M /= M.sum(axis=1, keepdims=True)
         pi = stationary_distribution(M)
-        assert np.allclose(pi, 0.25, atol=1e-8)
+        assert np.allclose(pi, 1 / 3, atol=1e-8)
 
-    def test_two_state_hand_solve(self):
-        pi = stationary_distribution(np.array([[0.9, 0.1], [0.5, 0.5]]))
-        assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-12)
+    def test_three_state_hand_solve(self):
+        # birth-death chain: detailed balance gives pi = (1/4, 1/2, 1/4),
+        # and every tree weight is exact in binary
+        P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        assert np.array_equal(stationary_distribution(P), [0.25, 0.5, 0.25])
 
     def test_residual_tolerance(self, rng):
         for _ in range(20):
-            P = random_ergodic_chain(rng, k=int(rng.integers(2, 7)))
+            P = random_ergodic_chain(rng)
             pi = stationary_distribution(P)
             assert np.max(np.abs(pi @ P - pi)) < 1e-12
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_batch_is_row_by_row(self, rng):
+        chains = np.stack([random_ergodic_chain(rng) for _ in range(40)]).reshape(4, 10, 3, 3)
+        batch = stationary_distribution(chains)
+        assert batch.shape == (4, 10, 3)
+        for index in np.ndindex(4, 10):
+            assert np.array_equal(batch[index], stationary_distribution(chains[index]))
+
+    def test_single_closed_class_with_transient_state(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        assert np.allclose(stationary_distribution(P), [0.5, 0.5, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("P", [np.eye(3), [[1, 0, 0], [0, 1, 0], [0.2, 0.3, 0.5]]])
+    def test_two_closed_classes(self, P):
+        with pytest.raises(NonErgodic):
+            stationary_distribution(np.array(P, dtype=float))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 2), (3,), (5, 2, 3)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            stationary_distribution(np.full(shape, 0.5))
 
 
 class TestAffinityScore:
     def test_empty_is_zero(self):
         assert affinity_score(()) == 0.0
+        assert score_sequences({}) == {}
 
     def test_all_pos_hand_value(self):
         assert affinity_score((POS, POS, POS)) == pytest.approx(15 / 88, rel=1e-12)
@@ -124,21 +187,19 @@ class TestAffinityScore:
         # same estimated chain, growing evidence
         values = [affinity_score((POS,) * n) for n in (3, 6, 12, 24)]
         # chains differ slightly, so recompute with a fixed chain factor instead
-        from affinity_miner.affinity import estimate_chain as ec
-        from affinity_miner import stationary_distribution as sd
-
-        pos_mass = sd(ec((POS,) * 5))[int(POS)]
+        pos_mass = stationary_distribution(estimate_chain((POS,) * 5))[int(POS)]
         fixed = [pos_mass * n / (n + 5.0) for n in (3, 6, 12, 24)]
         assert all(a < b for a, b in zip(fixed, fixed[1:]))
         assert all(0.0 <= v < 1.0 for v in values)
 
     def test_bounds_random(self, rng):
-        for _ in range(100):
-            states = tuple(
+        sequences = {
+            (f"u{k}", "v"): tuple(
                 Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 40))
             )
-            v = affinity_score(states)
-            assert 0.0 <= v < 1.0
+            for k in range(100)
+        }
+        assert all(0.0 <= v < 1.0 for v in score_sequences(sequences).values())
 
     def test_order_sensitivity(self):
         a = affinity_score((POS, POS, NEG, NEG))
@@ -166,3 +227,4 @@ class TestAffinityScore:
         s1 = score_sequences(seqs)
         s2 = score_sequences(dict(reversed(list(seqs.items()))))
         assert s1 == s2
+        assert list(s1) == [("a", "b"), ("b", "a")]

@@ -174,6 +174,23 @@ class TestMainEntry:
         assert "users_per_type" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "negative"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_negative_seed_exits_one_before_any_stage(self, dataset, tmp_path, capsys):
+        out = tmp_path / "results"
+        args = ["--config", str(dataset["config"]), "--seed", "-1", "--out", str(out)]
+        assert main(["run", *args]) == 1
+        err = capsys.readouterr().err
+        assert "config key seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_single_stage_subcommand(self, dataset, tmp_path):
         out = tmp_path / "stage_out"
         code = main([
@@ -405,6 +422,21 @@ class TestBadInputsExitOne:
         err = capsys.readouterr().err
         assert f"config key {key}: 'nosuch' is not a lexicon category" in err
         assert "the lexicon has: negemo, posemo" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_embedding_component(self, dataset, tmp_path, capsys, value):
+        lines = dataset["embeddings"].read_text().splitlines(keepends=True)
+        token, *components = lines[4].split()
+        lines[4] = " ".join([token, value, *components[1:]]) + "\n"
+        bad = tmp_path / "embeddings.txt"
+        bad.write_text("".join(lines))
+        out = tmp_path / "results"
+        args = self.stage_args(dataset, out, "interactions", "profiles", embeddings=bad)
+        assert main(["semsim", *args]) == 1
+        err = capsys.readouterr().err
+        assert "line 5: components must be finite" in err
+        assert "Traceback" not in err
+        assert not (out / "semsim.tsv").exists()
 
     def test_lexicon_pattern_that_cannot_match(self, dataset, tmp_path, capsys):
         lines = dataset["lexicon"].read_text().splitlines(keepends=True)

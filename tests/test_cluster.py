@@ -26,7 +26,7 @@ from affinity_miner.cluster import (
     _normalize_columns,
     mcl_flow,
 )
-from affinity_miner.errors import EmptyGraph, KOutOfRange, LengthMismatch
+from affinity_miner.errors import EmptyGraph, KOutOfRange, LengthMismatch, NonErgodic
 from affinity_miner.graph import AffinityGraph
 from affinity_miner.synth import PlantedSpec, planted_partition
 
@@ -224,6 +224,19 @@ class TestHittingTimes:
         P = random_ergodic_chain(rng, 7)
         H = hitting_times(P)
         assert (H[~np.eye(7, dtype=bool)] > 0).all()
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            np.eye(2),
+            [[0.3, 0.7, 0, 0], [0.6, 0.4, 0, 0], [0, 0, 0.9, 0.1], [0, 0, 0.2, 0.8]],
+            [[1, 0, 0], [0, 1, 0], [0.3, 0.3, 0.4]],
+        ],
+        ids=["identity", "two-closed-blocks", "two-absorbing-states"],
+    )
+    def test_chain_with_two_closed_classes_refused(self, P):
+        with pytest.raises(NonErgodic):
+            hitting_times(np.array(P, dtype=float))
 
 
 # -- MCL ------------------------------------------------------------------------

@@ -2,15 +2,20 @@
 
 Every refactor must leave these bytes unchanged. The report digests are the
 benchmark's own (perfbench/golden.json, without the path-bearing [config]
-section); the other stage files are pinned here by SHA-256.
+section); the other stage files are pinned here by SHA-256. The same bytes
+must come out whichever OpenBLAS kernel the CPU selects.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import affinity_miner
 from affinity_miner.cli import resolve_config, run_pipeline
 from affinity_miner.synth import generate_dataset
 
@@ -22,9 +27,9 @@ import harness  # noqa: E402
 # files that do not depend on the clustering method or the classifier
 SHARED = {
     "ingest.txt": "e6da25295ef35714718d92564dde5aba0ac1409d2fd4153f28c3161b7f65ebfe",
-    "scores.tsv": "90966016dd1b25d8cae710a582f9b25ab4f876b3a8a83b83b09503f0d53becfd",
-    "graph.tsv": "0b168f389db4ec22e565f33af2a9361dbf754e504d0a8cbd9a0f649d95c3e9d0",
-    "graph.dot": "1ab4b5f14badc9a44fea6b4bc1bbafced2d8d55a0e7eb5045e84b4be058a498c",
+    "scores.tsv": "7ca49e877426e86af322a614b04c4a876ea6b7f0caf734fcb227606fa7339f8e",
+    "graph.tsv": "955f932a9127c0354c01e59778288a5e547ee9dc92e428994e91787057a912c0",
+    "graph.dot": "b16b25946d28bf2dc2b2b95f25921c7ef1acfda09fb4d67a43fd410ae34ce94f",
     "type_pairs.tsv": "c964afc0c04ac9f9046f7b21388a96c67c3cefbfd0350f50cd14624336c43d7e",
     "semsim.tsv": "957b92ff21e9ef202e6e1a5d817285b070d476e36135a4d76b06a586fec6d978",
     "lexcorr_pos.tsv": "78cafbdd32bd0e88cf60a9e935fefc366a010232432c70baa2208ac0fadafe11",
@@ -73,3 +78,41 @@ def test_demo_outputs_match_golden(demo, tmp_path, method, classifier):
         for name in pinned
     }
     assert found == pinned
+
+
+def _openblas_kernels() -> list[str | None]:
+    """The default kernel plus older ones this CPU can run; None is the default."""
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = cpuinfo.read_text().split() if cpuinfo.is_file() else []
+    return [None, "Nehalem"] + (["Haswell"] if "avx2" in flags else [])
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS core types named here are x86-64 kernels",
+)
+@pytest.mark.parametrize("method, classifier", [("mcl", "nb"), ("k-destinations", "lr")])
+def test_demo_outputs_identical_under_every_openblas_kernel(demo, tmp_path, method, classifier):
+    src = Path(affinity_miner.__file__).parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(src)
+    outputs = {}
+    for kernel in _openblas_kernels():
+        out = tmp_path / f"out-{kernel}"
+        kernel_env = env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel}
+        subprocess.run(
+            harness.PIPELINE + harness.run_args(demo["config"], out, method, classifier),
+            env=kernel_env,
+            capture_output=True,
+            check=True,
+        )
+        files = {name: (out / name).read_bytes() for name in harness.STAGE_OUTPUTS}
+        report = files["report.txt"].decode("utf-8")
+        files["report.txt"] = harness.report_without_config(report).encode("utf-8")
+        outputs[kernel] = files
+    default = outputs.pop(None)
+    differing = {
+        kernel: [name for name in harness.STAGE_OUTPUTS if files[name] != default[name]]
+        for kernel, files in outputs.items()
+    }
+    assert differing == {kernel: [] for kernel in outputs}

@@ -5,12 +5,13 @@ Examples are derandomized and bounded, so every run checks the same cases.
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affinity_miner import Sentiment, affinity_score, stationary_distribution
+from affinity_miner import Sentiment, score_sequences, stationary_distribution
 from affinity_miner.cli import parse_config_file
 from affinity_miner.cluster import (
     DEFAULT_TELEPORT,
@@ -68,16 +69,54 @@ smoothing = st.floats(min_value=1e-6, max_value=1e6)
 @PROPERTY
 @given(state_tuples, smoothing, smoothing)
 def test_affinity_score_in_half_open_unit_interval(states, alpha, kappa):
-    assert 0.0 <= affinity_score(states, alpha, kappa) < 1.0
+    assert 0.0 <= score_sequences({("a", "b"): states}, alpha, kappa)[("a", "b")] < 1.0
+
+
+def mp_affinity_score(states, alpha, kappa):
+    """Reference: the smoothed chain's stationary POS mass times n / (n + kappa),
+    by one linear solve at the caller's mpmath precision."""
+    alpha, kappa = mpmath.mpf(alpha), mpmath.mpf(kappa)
+    counts = mpmath.zeros(3, 3)
+    for a, b in zip(states, states[1:]):
+        counts[int(a), int(b)] += 1
+    # pi^T (P - I) = 0 with its last equation replaced by sum(pi) = 1
+    A = mpmath.zeros(3, 3)
+    for i in range(3):
+        row_total = sum(counts[i, j] for j in range(3)) + 3 * alpha
+        for j in range(3):
+            A[j, i] = (counts[i, j] + alpha) / row_total - (1 if i == j else 0)
+    for i in range(3):
+        A[2, i] = 1
+    pi = mpmath.lu_solve(A, mpmath.matrix([0, 0, 1]))
+    n = len(states)
+    return pi[int(Sentiment.POS)] * n / (n + kappa)
+
+
+@PROPERTY
+@given(st.lists(state_tuples, max_size=4), smoothing, smoothing)
+@example([], 1.0, 5.0)
+@example([(), ()], 1e-6, 1e-6)
+@example([(Sentiment.POS,) * 3, (Sentiment.NEG, Sentiment.POS) * 100], 1e-6, 1e6)
+# no POS state: the POS mass is of order alpha, and a linear solve's
+# absolute rounding error swamps it
+@example([(Sentiment.NEG, Sentiment.NEU) * 50], 1e-6, 1.0)
+def test_score_sequences_matches_mpmath_oracle(sequences, alpha, kappa):
+    pairs = {(f"u{k}", "v"): states for k, states in enumerate(sequences)}
+    scores = score_sequences(pairs, alpha, kappa)
+    assert list(scores) == sorted(pairs)
+    for pair, states in pairs.items():
+        if not states:
+            assert scores[pair] == 0.0
+            continue
+        with mpmath.workdps(50):
+            expected = mp_affinity_score(states, alpha, kappa)
+            assert abs(scores[pair] - expected) <= mpmath.mpf(2e-15) * expected
 
 
 @st.composite
 def positive_chains(draw):
-    k = draw(st.integers(min_value=2, max_value=8))
-    weights = draw(
-        st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=k * k, max_size=k * k)
-    )
-    P = np.array(weights).reshape(k, k)
+    weights = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=9, max_size=9))
+    P = np.array(weights).reshape(3, 3)
     return P / P.sum(axis=1, keepdims=True)
 
 

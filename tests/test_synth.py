@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affinity_miner import (
-    estimate_chain,
+    estimate_chains,
     k_destinations,
     labels_from_clustering,
     nmi,
@@ -122,7 +122,7 @@ class TestSampleChainSequence:
     def test_empirical_frequencies_match(self, rng):
         P = random_ergodic_chain(rng)
         seq = sample_chain_sequence(P, 100_000, seed=7)
-        est = estimate_chain(seq, alpha=1.0)
+        est = estimate_chains([seq], alpha=1.0)[0]
         assert np.max(np.abs(est - P)) < 0.02
 
     def test_seeded_determinism(self, rng):
