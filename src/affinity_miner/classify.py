@@ -1,8 +1,9 @@
 """Personality type prediction from text.
 
 Bag-of-words tf-idf vectors feed either a multinomial naive Bayes or a
-one-vs-rest ridge logistic regression; both are evaluated with per-type
-F-1 under seeded stratified cross-validation.
+one-vs-rest ridge logistic regression; both fit one linear model, scored
+as rows @ weights.T + intercepts, and are evaluated with per-type F-1
+under seeded stratified cross-validation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     LengthMismatch,
     SingleClass,
 )
-from .ingest import MbtiType
+from .ingest import ALL_TYPES, MbtiType
 from .lexfeat import count_matrix, tokenize
 
 log = logging.getLogger(__name__)
@@ -48,26 +49,22 @@ class TfIdfMatrix:
 def _tf_idf(
     texts: Sequence[str], vocabulary: tuple[str, ...], idf: np.ndarray
 ) -> sparse.csr_matrix:
-    """L2-normalized tf * idf rows; the (all-empty) raw counts when the
-    vocabulary is empty."""
+    """L2-normalized tf * idf rows; all-zero rows stay zero."""
     index = {t: j for j, t in enumerate(vocabulary)}
     counts = count_matrix((tokenize(text) for text in texts), index)
-    if not vocabulary:
-        return counts
     rows = counts @ sparse.diags(idf)
     norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
     norms[norms == 0.0] = 1.0
     return (sparse.diags(1.0 / norms) @ rows).tocsr()
 
 
-def vectorize_corpus(c: LabeledCorpus) -> TfIdfMatrix:
+def vectorize_corpus(texts: Sequence[str]) -> TfIdfMatrix:
     """Build vocabulary (document frequency >= 2), idf weights and rows.
 
     idf = ln((1 + N) / (1 + df)) + 1; rows are tf * idf, L2-normalized.
     """
-    if not c.documents:
+    if not texts:
         raise EmptyCorpus("no documents")
-    texts = [text for text, _ in c.documents]
     df = Counter(t for text in texts for t in set(tokenize(text)))
     vocab = tuple(sorted(t for t, n in df.items() if n >= MIN_DOCUMENT_FREQUENCY))
     n_docs = len(texts)
@@ -81,55 +78,51 @@ def transform_documents(texts: Sequence[str], m: TfIdfMatrix) -> sparse.csr_matr
 
 
 @dataclass(frozen=True)
-class NbModel:
-    classes: tuple[MbtiType, ...]
-    class_log_prior: np.ndarray
-    feature_log_prob: np.ndarray
+class LinearModel:
+    """One row of `weights` and one intercept per class; a row's class
+    scores are rows @ weights.T + intercepts."""
 
-
-@dataclass(frozen=True)
-class LrModel:
     classes: tuple[MbtiType, ...]
     weights: np.ndarray
     intercepts: np.ndarray
+
+
+@dataclass(frozen=True)
+class LrModel(LinearModel):
     converged: tuple[bool, ...]
     epochs: tuple[int, ...]
 
 
-def _class_order(labels: Sequence[MbtiType]) -> tuple[MbtiType, ...]:
+def _class_order(labels: Sequence[MbtiType]) -> tuple[tuple[MbtiType, ...], np.ndarray]:
+    """Sorted classes and the 0/1 class x document indicator."""
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise SingleClass(f"need at least 2 classes, got {len(classes)}")
-    return classes
-
-
-def train_nb(m: TfIdfMatrix, labels: Sequence[MbtiType], smoothing: float = 1.0) -> NbModel:
-    """Multinomial naive Bayes over tf-idf masses with additive smoothing."""
-    classes = _class_order(labels)
     label_arr = np.array([c.value for c in labels])
-    n_features = len(m.vocabulary)
-    priors = np.empty(len(classes))
-    flp = np.zeros((len(classes), n_features))
-    for ci, cls in enumerate(classes):
-        mask = label_arr == cls.value
-        priors[ci] = mask.sum() / len(labels)
-        if n_features:
-            mass = np.asarray(m.rows[np.flatnonzero(mask)].sum(axis=0)).ravel()
-            flp[ci] = np.log(mass + smoothing) - np.log(
-                mass.sum() + smoothing * n_features
-            )
-    return NbModel(classes, np.log(priors), flp)
+    codes = np.array([c.value for c in classes])
+    return classes, (label_arr == codes[:, None]).astype(float)
 
 
-def predict_many(model: NbModel | LrModel, rows: sparse.csr_matrix) -> list[MbtiType]:
+def train_nb(
+    m: TfIdfMatrix, labels: Sequence[MbtiType], smoothing: float = 1.0
+) -> LinearModel:
+    """Multinomial naive Bayes over tf-idf masses with additive smoothing:
+    the weights are the feature log-probabilities, the intercepts the log
+    priors. The indicator product adds each class's rows in row order."""
+    classes, indicator = _class_order(labels)
+    mass = np.asarray(indicator @ m.rows)
+    # one 1-d sum per class, as a 2-d row reduction may add in another order
+    totals = np.array([row.sum() + smoothing * mass.shape[1] for row in mass])
+    with np.errstate(divide="ignore"):  # an empty vocabulary has totals 0
+        log_totals = np.log(totals)
+    weights = np.log(mass + smoothing) - log_totals[:, None]
+    return LinearModel(classes, weights, np.log(indicator.sum(axis=1) / len(labels)))
+
+
+def predict_many(model: LinearModel, rows: sparse.csr_matrix) -> list[MbtiType]:
     """Most probable class per vectorized row; ties break to the
     lexicographically smallest type code."""
-    if isinstance(model, NbModel):
-        scores = rows @ model.feature_log_prob.T + model.class_log_prior
-    else:
-        scores = rows @ model.weights.T + model.intercepts
-    scores = np.asarray(scores)
-    return [model.classes[i] for i in np.argmax(scores, axis=1)]
+    return [model.classes[i] for i in np.argmax(rows @ model.weights.T + model.intercepts, axis=1)]
 
 
 def _lr_gradients(X, XT, targets: np.ndarray, W: np.ndarray, b: np.ndarray, ridge: float):
@@ -191,12 +184,10 @@ def train_lr(
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     X = m.rows
     XT = X.T
-    classes = _class_order(labels)
-    label_arr = np.array([c.value for c in labels])
+    classes, targets = _class_order(labels)
     n, p = X.shape
     lipschitz = (float(X.multiply(X).sum()) + n) / (4.0 * n) + ridge
     step = 1.0 / lipschitz
-    targets = (label_arr == np.array([c.value for c in classes])[:, None]).astype(float)
     weights = np.zeros((len(classes), p))
     intercepts = np.zeros(len(classes))
     y_w, y_b = weights.copy(), intercepts.copy()
@@ -256,19 +247,11 @@ def f1_score(pred: Sequence[MbtiType], truth: Sequence[MbtiType], positive_type:
 
 
 @dataclass(frozen=True)
-class FoldResult:
-    fold: int
-    test_size: int
-    correct: int
-
-
-@dataclass(frozen=True)
 class CvReport:
     classifier: str
     seed: int
     folds: int
     per_type_f1: dict[MbtiType, float]
-    per_fold: tuple[FoldResult, ...]
     excluded: tuple[MbtiType, ...]
 
     def macro_f1(self) -> float:
@@ -317,45 +300,24 @@ def cross_validate(
         raise InsufficientData("fewer than 2 types have enough documents")
     texts = [text for text, _ in kept]
     labels = [lab for _, lab in kept]
-    fold_sets = _stratified_folds(labels, folds, seed)
-    predictions: dict[int, MbtiType] = {}
-    fold_results = []
-    for fi, test_idx in enumerate(fold_sets):
-        test_mask = np.zeros(len(kept), dtype=bool)
-        test_mask[test_idx] = True
-        train_docs = LabeledCorpus(
-            tuple((texts[i], labels[i]) for i in np.flatnonzero(~test_mask))
-        )
-        train_labels = [labels[i] for i in np.flatnonzero(~test_mask)]
-        matrix = vectorize_corpus(train_docs)
+    predicted = [None] * len(kept)
+    for test_idx in _stratified_folds(labels, folds, seed):
+        train_idx = np.setdiff1d(np.arange(len(kept)), test_idx)
+        matrix = vectorize_corpus([texts[i] for i in train_idx])
+        train_labels = [labels[i] for i in train_idx]
         if classifier == "nb":
             model = train_nb(matrix, train_labels)
         else:
             model = train_lr(matrix, train_labels, ridge)
         test_rows = transform_documents([texts[i] for i in test_idx], matrix)
-        preds = predict_many(model, test_rows)
-        correct = 0
-        for i, p in zip(test_idx, preds):
-            predictions[int(i)] = p
-            if p == labels[i]:
-                correct += 1
-        fold_results.append(FoldResult(fi, len(test_idx), correct))
-    pred_vec = [predictions[i] for i in range(len(kept))]
-    per_type = {t: f1_score(pred_vec, labels, t) for t in sorted(set(labels))}
-    return CvReport(
-        classifier=classifier,
-        seed=seed,
-        folds=folds,
-        per_type_f1=per_type,
-        per_fold=tuple(fold_results),
-        excluded=excluded,
-    )
+        for i, p in zip(test_idx, predict_many(model, test_rows)):
+            predicted[i] = p
+    per_type = {t: f1_score(predicted, labels, t) for t in sorted(set(labels))}
+    return CvReport(classifier, seed, folds, per_type, excluded)
 
 
 def render_cv_report(report: CvReport) -> str:
     """16-row type table (excluded or unseen types marked with a dash)."""
-    from .ingest import ALL_TYPES
-
     lines = [
         f"# classifier={report.classifier} folds={report.folds} seed={report.seed}",
         f"type\tf1_{report.classifier}",

@@ -43,7 +43,7 @@ class Clustering:
     For the flow clusterer, `attraction` is a sparse CSR c x n matrix whose
     entry (c, i) is the limit-matrix mass of node i on cluster c's attractor
     rows; clusters may overlap only then. The hitting-time clusterer fills
-    `destinations` and `objective_trace` instead.
+    `objective_trace` instead.
     """
 
     clusters: tuple[np.ndarray, ...]
@@ -53,7 +53,6 @@ class Clustering:
     iterations: int
     converged: bool
     attraction: sp.csr_array | None = field(default=None)
-    destinations: tuple[str, ...] | None = field(default=None)
     objective_trace: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
@@ -431,7 +430,6 @@ def k_destinations(
         nodes=order,
         iterations=iterations,
         converged=converged,
-        destinations=tuple(order[d] for d in destinations),
         objective_trace=tuple(trace),
     )
 

@@ -2,7 +2,14 @@
 
 
 class AffinityMinerError(Exception):
-    """Base class for all domain errors; CLI maps these to exit code 1."""
+    """Base class for all domain errors; CLI maps these to exit code 1.
+
+    `line` carries the 1-based input line number when one line is at fault.
+    """
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 class InvalidType(AffinityMinerError):
@@ -17,8 +24,7 @@ class MalformedRecord(AffinityMinerError):
     """
 
     def __init__(self, message, line=None, line_errors=None):
-        super().__init__(message)
-        self.line = line
+        super().__init__(message, line)
         self.line_errors = line_errors or []
 
 
@@ -47,20 +53,11 @@ class UnknownNode(AffinityMinerError):
 
 
 class MalformedPattern(AffinityMinerError):
-    """Lexicon pattern is empty, has an interior wildcard, or is not one token;
-    `line` carries its 1-based line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """Lexicon pattern is empty, has an interior wildcard, or is not one token."""
 
 
 class DimensionMismatch(AffinityMinerError):
     """Vector or matrix dimensions disagree."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
 
 
 class ConstantVector(AffinityMinerError):
@@ -99,6 +96,5 @@ class ConfigError(AffinityMinerError):
     """Invalid pipeline configuration; `key` names the offender, `line` its config-file line."""
 
     def __init__(self, message, key=None, line=None):
-        super().__init__(message)
+        super().__init__(message, line)
         self.key = key
-        self.line = line

@@ -132,11 +132,15 @@ def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
             lines.append(f"{u}\t{v}\t{w:.17g}\t{g.nodes[u]}\t{g.nodes[v]}")
         return "\n".join(lines) + "\n"
     if format == "dot":
+        # node ids are quoted, with backslash and double quote escaped
+        quoted = {
+            u: '"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"' for u in g.nodes
+        }
         lines = ["digraph affinity {"]
         for u, label in g.nodes.items():
-            lines.append(f'  "{u}" [label="{label}"];')
+            lines.append(f'  {quoted[u]} [label="{label}"];')
         for (u, v), w in g.edges.items():
-            lines.append(f'  "{u}" -> "{v}" [weight={w:.17g}];')
+            lines.append(f'  {quoted[u]} -> {quoted[v]} [weight={w:.17g}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format: {format!r}")

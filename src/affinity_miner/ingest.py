@@ -209,10 +209,11 @@ def _parse_event_line(line: str) -> InteractionEvent:
     if missing:
         raise ValueError(f"missing field(s): {sorted(missing)}")
     source, target = record["source"], record["target"]
-    if not isinstance(source, str) or not source:
-        raise ValueError("source must be a non-empty string")
-    if not isinstance(target, str) or not target:
-        raise ValueError("target must be a non-empty string")
+    for name, value in (("source", source), ("target", target)):
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"{name} must be a non-empty string")
+        if "\t" in value or "\r" in value or "\n" in value:
+            raise ValueError(f"{name} contains a tab or line break")
     ts = record["timestamp"]
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError(f"timestamp must be an integer, got {ts!r}")

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from affinity_miner import classify
 from affinity_miner import (
@@ -15,8 +16,10 @@ from affinity_miner import (
     vectorize_corpus,
 )
 from affinity_miner.classify import (
+    LinearModel,
     LrModel,
-    NbModel,
+    TfIdfMatrix,
+    _stratified_folds,
     lr_loss_grad,
     predict_many,
     render_cv_report,
@@ -36,6 +39,10 @@ def corpus_of(pairs):
     return LabeledCorpus(tuple((text, lab) for text, lab in pairs))
 
 
+def texts_of(c):
+    return [text for text, _ in c.documents]
+
+
 def separable_corpus(n_per_class=6):
     docs = []
     for i in range(n_per_class):
@@ -47,7 +54,7 @@ def separable_corpus(n_per_class=6):
 class TestVectorizeCorpus:
     def test_everywhere_token_has_idf_one(self):
         c = corpus_of([("common one", INFJ), ("common two", ENTP), ("common one", INFJ)])
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         j = m.vocabulary.index("common")
         assert m.idf[j] == pytest.approx(1.0)
 
@@ -55,35 +62,35 @@ class TestVectorizeCorpus:
         c = corpus_of(
             [("common rare", INFJ)] + [("common word", ENTP)] * 5 + [("rare word", INFJ)]
         )
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         assert m.idf[m.vocabulary.index("rare")] > m.idf[m.vocabulary.index("common")]
 
     def test_df_below_two_excluded(self):
         c = corpus_of([("unique common", INFJ), ("common", ENTP)])
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         assert "unique" not in m.vocabulary
         assert "common" in m.vocabulary
 
     def test_vocabulary_sorted(self):
         c = corpus_of([("zeta alpha", INFJ), ("zeta alpha", ENTP)])
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         assert list(m.vocabulary) == sorted(m.vocabulary)
 
     def test_rows_l2_normalized(self):
         c = corpus_of([("aa bb cc", INFJ), ("aa bb", ENTP), ("cc aa", INFJ)])
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         norms = np.sqrt(np.asarray(m.rows.multiply(m.rows).sum(axis=1)).ravel())
         assert np.allclose(norms, 1.0)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            vectorize_corpus(corpus_of([]))
+            vectorize_corpus([])
 
 
 class TestNaiveBayes:
     def test_disjoint_vocabulary_perfect_training_accuracy(self):
         c = separable_corpus()
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         model = train_nb(m, labels)
         preds = predict_many(model, m.rows)
@@ -92,7 +99,7 @@ class TestNaiveBayes:
     def test_identical_documents_fall_to_prior(self):
         docs = [("same text here", INFJ)] * 5 + [("same text here", ENTP)] * 2
         c = corpus_of(docs)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         model = train_nb(m, [lab for _, lab in c.documents])
         preds = predict_many(model, m.rows)
         assert all(p is INFJ for p in preds)
@@ -101,7 +108,7 @@ class TestNaiveBayes:
         c = separable_corpus()
         docs = list(c.documents) + [("alpha beta", INFJ)]
         c = corpus_of(docs)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         model = train_nb(m, [lab for _, lab in c.documents])
         empty_row = transform_documents([""], m)
         [pred] = predict_many(model, empty_row)
@@ -110,21 +117,75 @@ class TestNaiveBayes:
 
     def test_single_class_rejected(self):
         c = corpus_of([("a b", INFJ), ("a c", INFJ)])
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         with pytest.raises(SingleClass):
             train_nb(m, [INFJ, INFJ])
 
     def test_argmax_invariant_to_likelihood_scaling(self):
         c = separable_corpus()
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         model = train_nb(m, labels)
-        scaled = NbModel(
-            model.classes,
-            model.class_log_prior,
-            model.feature_log_prob + np.log(3.7),
-        )
+        scaled = LinearModel(model.classes, model.weights + np.log(3.7), model.intercepts)
         assert predict_many(model, m.rows) == predict_many(scaled, m.rows)
+
+    @pytest.mark.parametrize("smoothing", [1.0, 0.25])
+    def test_matches_per_class_masked_sums_bitwise(self, rng, smoothing):
+        for sizes in [(30, 18, 11, 7, 4), (3, 2), (60, 45, 20, 9, 5)]:
+            c = imbalanced_corpus(rng, sizes=sizes)
+            m = vectorize_corpus(texts_of(c))
+            labels = [lab for _, lab in c.documents]
+            expected = masked_sum_nb(m, labels, smoothing)
+            assert_nb_bitwise_equal(train_nb(m, labels, smoothing), expected)
+        c = sixteen_type_corpus(rng, docs_per_type=10, noise_tokens=4, own_tokens=8, own_words=2)
+        m = vectorize_corpus(texts_of(c))
+        labels = [lab for _, lab in c.documents]
+        expected = masked_sum_nb(m, labels, smoothing)
+        assert_nb_bitwise_equal(train_nb(m, labels, smoothing), expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_class_masked_sums_on_random_rows(self, seed):
+        gen = np.random.default_rng(seed)
+        n, p = int(gen.integers(50, 2001)), int(gen.integers(1, 400))
+        rows = sparse.random(n, p, density=0.05, format="csr", random_state=seed)
+        m = TfIdfMatrix(tuple(f"t{j:03d}" for j in range(p)), np.ones(p), rows)
+        labels = [ALL_TYPES[i] for i in gen.integers(0, 16, size=n)]
+        assert_nb_bitwise_equal(train_nb(m, labels), masked_sum_nb(m, labels))
+
+    def test_matches_per_class_masked_sums_on_empty_vocabulary(self):
+        docs = [("alpha", INFJ), ("beta", ENTP), ("gamma", INFJ), ("delta", ISTJ)]
+        m = vectorize_corpus([text for text, _ in docs])
+        assert m.vocabulary == () and m.rows.shape == (4, 0)
+        labels = [lab for _, lab in docs]
+        model = train_nb(m, labels)
+        assert model.weights.shape == (3, 0)
+        assert_nb_bitwise_equal(model, masked_sum_nb(m, labels))
+        assert predict_many(model, m.rows) == [INFJ] * 4
+
+
+def masked_sum_nb(m, labels, smoothing=1.0):
+    """Reference: naive Bayes one class at a time, each class's mass the
+    masked sum of its rows."""
+    classes = tuple(sorted(set(labels)))
+    label_arr = np.array([c.value for c in labels])
+    n_features = len(m.vocabulary)
+    priors = np.empty(len(classes))
+    flp = np.zeros((len(classes), n_features))
+    for ci, cls in enumerate(classes):
+        mask = label_arr == cls.value
+        priors[ci] = mask.sum() / len(labels)
+        if n_features:
+            mass = np.asarray(m.rows[np.flatnonzero(mask)].sum(axis=0)).ravel()
+            flp[ci] = np.log(mass + smoothing) - np.log(mass.sum() + smoothing * n_features)
+    return LinearModel(classes, flp, np.log(priors))
+
+
+def assert_nb_bitwise_equal(model, expected):
+    assert type(model) is LinearModel
+    assert model.classes == expected.classes
+    assert model.weights.shape == expected.weights.shape
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    assert model.intercepts.tobytes() == expected.intercepts.tobytes()
 
 
 def lr_step(X, ridge):
@@ -254,7 +315,7 @@ def imbalanced_corpus(rng, sizes=(30, 18, 11, 7, 4), noise_tokens=6):
 class TestLogisticRegression:
     def test_separable_perfect_accuracy(self):
         c = separable_corpus()
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         model = train_lr(m, labels, ridge=0.01)
         assert predict_many(model, m.rows) == labels
@@ -262,7 +323,7 @@ class TestLogisticRegression:
     def test_huge_ridge_falls_to_prior(self):
         docs = [("alpha beta", INFJ)] * 6 + [("delta zeta", ENTP)] * 3
         c = corpus_of(docs)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         model = train_lr(m, labels, ridge=1e8)
         assert np.max(np.abs(model.weights)) < 1e-6
@@ -291,7 +352,7 @@ class TestLogisticRegression:
     @pytest.mark.parametrize("ridge", [0.01, 1.0])
     def test_matches_per_class_descent_with_staggered_stops(self, rng, ridge):
         c = imbalanced_corpus(rng)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         expected = per_class_train_lr(m, labels, ridge)
         assert all(expected.converged) and len(set(expected.epochs)) > 1
@@ -300,7 +361,7 @@ class TestLogisticRegression:
     @pytest.mark.parametrize("ridge", [0.0, 1e8])
     def test_matches_per_class_descent_at_extreme_ridge(self, rng, ridge):
         c = imbalanced_corpus(rng)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         expected = per_class_train_lr(m, labels, ridge)
         assert_bitwise_equal(train_lr(m, labels, ridge), expected)
@@ -308,7 +369,7 @@ class TestLogisticRegression:
     def test_matches_per_class_descent_at_epoch_cap(self, rng, monkeypatch):
         monkeypatch.setattr(classify, "LR_MAX_EPOCHS", 3)
         c = imbalanced_corpus(rng)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         expected = per_class_train_lr(m, labels)
         assert expected.epochs == (3,) * 5 and not any(expected.converged)
@@ -316,7 +377,7 @@ class TestLogisticRegression:
 
     def test_matches_per_class_descent_on_empty_vocabulary(self):
         docs = [("alpha", INFJ), ("beta", ENTP), ("gamma", INFJ), ("delta", ISTJ)]
-        m = vectorize_corpus(corpus_of(docs))
+        m = vectorize_corpus(texts_of(corpus_of(docs)))
         assert m.vocabulary == ()
         labels = [lab for _, lab in docs]
         expected = per_class_train_lr(m, labels)
@@ -330,7 +391,7 @@ class TestLogisticRegression:
     )
     def test_objective_matches_lbfgs(self, rng, ridge, rtol, descent_converges):
         c = imbalanced_corpus(rng)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         model = train_lr(m, labels, ridge)
         assert all(model.converged)
@@ -342,7 +403,7 @@ class TestLogisticRegression:
 
     def test_fewer_epochs_than_descent(self, rng):
         c = imbalanced_corpus(rng)
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         descent = per_class_gd(m, labels)
         assert all(descent.converged)
@@ -351,7 +412,7 @@ class TestLogisticRegression:
 
     def test_cap_reached_is_logged(self, caplog):
         docs = [("alpha beta", INFJ)] * 6 + [("delta zeta", ENTP)] * 3
-        m = vectorize_corpus(corpus_of(docs))
+        m = vectorize_corpus(texts_of(corpus_of(docs)))
         with caplog.at_level(logging.WARNING, logger="affinity_miner.classify"):
             model = train_lr(m, [lab for _, lab in docs], ridge=1e8)
         assert model.converged == (False, False)
@@ -362,7 +423,7 @@ class TestLogisticRegression:
 
     def test_converged_fit_logs_nothing(self, caplog):
         c = separable_corpus()
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         with caplog.at_level(logging.WARNING, logger="affinity_miner.classify"):
             model = train_lr(m, [lab for _, lab in c.documents])
         assert all(model.converged)
@@ -370,7 +431,7 @@ class TestLogisticRegression:
 
     def test_negative_ridge_rejected(self):
         c = separable_corpus()
-        m = vectorize_corpus(c)
+        m = vectorize_corpus(texts_of(c))
         with pytest.raises(ValueError):
             train_lr(m, [lab for _, lab in c.documents], ridge=-1.0)
 
@@ -416,16 +477,12 @@ def sixteen_type_corpus(rng, docs_per_type=12, noise_tokens=8, own_tokens=4, own
 
 
 class TestCrossValidate:
-    def test_even_fold_sizes(self, rng):
-        docs = []
-        for i, t in enumerate(ALL_TYPES[:10]):
-            docs += [(f"w{i} tok{j % 3} filler", t) for j in range(10)]
-        report = cross_validate(corpus_of(docs), "nb", folds=10, seed=3)
-        assert all(f.test_size == 10 for f in report.per_fold)
+    def test_even_fold_sizes(self):
+        labels = [t for t in ALL_TYPES[:10] for _ in range(10)]
+        folds = _stratified_folds(labels, 10, seed=3)
+        assert [len(fold) for fold in folds] == [10] * 10
 
     def test_folds_partition_the_corpus(self, rng):
-        from affinity_miner.classify import _stratified_folds
-
         c = sixteen_type_corpus(rng, docs_per_type=11)
         labels = [lab for _, lab in c.documents]
         folds = _stratified_folds(labels, 10, seed=4)
@@ -440,8 +497,6 @@ class TestCrossValidate:
         assert r1 == r2
 
     def test_seed_changes_folds(self, rng):
-        from affinity_miner.classify import _stratified_folds
-
         c = sixteen_type_corpus(rng)
         labels = [lab for _, lab in c.documents]
         folds1 = _stratified_folds(labels, 10, seed=1)
@@ -454,12 +509,12 @@ class TestCrossValidate:
             report = cross_validate(c, classifier, folds=10, seed=0)
             assert report.macro_f1() >= 0.95
 
-    def test_stratification_within_one_document(self, rng):
-        docs = []
-        for count, t in [(20, INFJ), (30, ENTP), (10, ISTJ)]:
-            docs += [(f"{t.value.lower()} tok{j % 4}", t) for j in range(count)]
-        report = cross_validate(corpus_of(docs), "nb", folds=10, seed=5)
-        assert all(f.test_size == 6 for f in report.per_fold)
+    def test_stratification_within_one_document(self):
+        labels = [t for count, t in [(20, INFJ), (30, ENTP), (10, ISTJ)] for _ in range(count)]
+        folds = _stratified_folds(labels, 10, seed=5)
+        assert [len(fold) for fold in folds] == [6] * 10
+        for t, count in [(INFJ, 20), (ENTP, 30), (ISTJ, 10)]:
+            assert all(sum(labels[i] is t for i in fold) == count // 10 for fold in folds)
 
     def test_small_types_excluded_with_warning(self, rng, caplog):
         docs = [(f"a{j % 3} x", INFJ) for j in range(12)]

@@ -617,7 +617,7 @@ class TestKDestinations:
         c1 = k_destinations(g, 2)
         c2 = k_destinations(g, 2)
         assert [x.tolist() for x in c1.clusters] == [x.tolist() for x in c2.clusters]
-        assert c1.destinations == c2.destinations
+        assert c1.objective_trace == c2.objective_trace
 
     def test_single_directed_edge(self):
         # teleportation keeps hitting times finite on weakly connected input

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from affinity_miner import (
@@ -161,6 +163,20 @@ class TestExportImport:
         assert text.startswith("digraph affinity {")
         assert '"a" [label="ESFJ"];' in text
         assert '"a" -> "b" [weight=0.5];' in text
+
+    def test_dot_escapes_quotes_and_backslashes_in_ids(self):
+        ids = ['al"ice\\', "b\\ob", '"', "\\", 'x\\"y', "plain"]
+        g = make_graph([(u, v, 0.5) for u in ids for v in ids if u != v])
+        text = export_graph(g, "dot")
+        dot_string = re.compile(r'"(?:[^"\\]|\\.)*"')
+        quoted = dot_string.findall(text)
+        # every line is exactly its quoted strings plus the DOT syntax around them
+        for line in text.splitlines()[1:-1]:
+            rest = dot_string.sub("Q", line)
+            assert rest in ("  Q [label=Q];", "  Q -> Q [weight=0.5];")
+        unescaped = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted}
+        assert unescaped == set(ids) | {"INFJ"}
+        assert '"al\\"ice\\\\" -> "b\\\\ob" [weight=0.5];' in text
 
     @pytest.mark.parametrize(
         "bad_row",

@@ -130,6 +130,16 @@ class TestLoadInteractions:
         events = load_interactions([event_line()])
         assert events[0].text is None
 
+    @pytest.mark.parametrize("field", ["source", "target"])
+    @pytest.mark.parametrize("brk", ["\t", "\r", "\n"])
+    def test_tab_or_line_break_in_id_rejected(self, caplog, field, brk):
+        lines = [event_line(timestamp=i) for i in range(20)]
+        lines.insert(3, event_line(**{field: f"x{brk}y"}))
+        events = load_interactions(lines)
+        assert len(events) == 20
+        assert all(brk not in e.source + e.target for e in events)
+        assert f"interactions line 4 rejected: {field} contains a tab or line break" in caplog.text
+
     def test_non_integer_timestamp_rejected(self):
         lines = [event_line(timestamp="noon")] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
