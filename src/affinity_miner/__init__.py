@@ -45,7 +45,7 @@ from .graph import (
 from .influence import InfluenceReport, cluster_link_counts, influential_types
 from .ingest import (
     ALL_TYPES,
-    InteractionEvent,
+    EventTable,
     MbtiType,
     Sentiment,
     UserProfile,

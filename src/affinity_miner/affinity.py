@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonErgodic, NonPositiveSmoothing
-from .ingest import InteractionEvent, Sentiment
+from .ingest import EventTable, Sentiment
 
 N_STATES = 3
 
@@ -24,19 +24,28 @@ N_STATES = 3
 # P[b, j], P[a, b] and P[b, a], one column per root j = 0, 1, 2.
 _TREE_EDGES = np.array([[3, 1, 2], [6, 7, 5], [5, 2, 1], [7, 6, 3]])
 
+_STATES = tuple(Sentiment)
 
-def build_pair_sequences(
-    events: Sequence[InteractionEvent],
-) -> dict[tuple[str, str], tuple[Sentiment, ...]]:
+
+def build_pair_sequences(events: EventTable) -> dict[tuple[str, str], tuple[Sentiment, ...]]:
     """Group events into one sentiment state tuple per directed pair.
 
-    Events are expected in ingest order (timestamp, input position), which
-    the sequences preserve.
+    Each sequence keeps the table's row order (timestamp, input position),
+    and the pairs come in the order of their first row.
     """
-    grouped: dict[tuple[str, str], list[Sentiment]] = {}
-    for event in events:
-        grouped.setdefault((event.source, event.target), []).append(event.sentiment)
-    return {pair: tuple(states) for pair, states in grouped.items()}
+    pair = events.source.astype(np.int64) * len(events.users) + events.target
+    rows = np.argsort(pair, kind="stable")
+    starts = np.flatnonzero(np.diff(pair[rows], prepend=-1))
+    # the stable sort puts each pair's first row at the start of its group
+    first = rows[starts]
+    bounds = np.r_[starts, len(rows)].tolist()
+    sources, targets = events.source[first].tolist(), events.target[first].tolist()
+    states = list(map(_STATES.__getitem__, events.sentiment[rows].tolist()))
+    users = events.users
+    return {
+        (users[sources[g]], users[targets[g]]): tuple(states[bounds[g] : bounds[g + 1]])
+        for g in np.argsort(first).tolist()
+    }
 
 
 def estimate_chains(

@@ -29,7 +29,7 @@ from . import affinity, classify, cluster, graph, influence, lexfeat, semsim, sy
 from .errors import AffinityMinerError, ConfigError
 from .ingest import (
     ALL_TYPES,
-    InteractionEvent,
+    EventTable,
     MbtiType,
     Sentiment,
     UserProfile,
@@ -224,7 +224,7 @@ class PipelineRunner:
     # -- data stages ---------------------------------------------------------
 
     @cached_property
-    def events(self) -> list[InteractionEvent]:
+    def events(self) -> EventTable:
         with open_input(self._require_file("interactions")) as fh:
             return load_interactions(fh)
 
@@ -269,11 +269,7 @@ class PipelineRunner:
     def documents(self) -> dict[str, str]:
         """Each kept user's event texts, joined in event order."""
         kept = {p.user_id for p in self.profiles}
-        parts: dict[str, list[str]] = {}
-        for event in self.events:
-            if event.text and event.source in kept:
-                parts.setdefault(event.source, []).append(event.text)
-        return {u: " ".join(p) for u, p in parts.items()}
+        return {u: text for u, text in self.events.documents.items() if u in kept}
 
     @cached_property
     def documents_by_type(self) -> dict[MbtiType, list[str]]:

@@ -13,15 +13,16 @@ import enum
 import json
 import logging
 import os
-import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import InvalidType, MalformedRecord
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
@@ -91,20 +92,26 @@ class UserProfile:
             raise ValueError(f"bot_score outside [0, 5]: {self.bot_score}")
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionEvent:
-    """One mention. Slots and interned ids keep a large event list small:
-    the loader gives every event naming a user the same id string."""
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Mention events as read-only columns, one row per event in
+    (timestamp, input position) order.
 
-    source: str
-    target: str
-    timestamp: int
-    sentiment: Sentiment
-    text: str | None = field(default=None)
+    `source` and `target` are int32 codes into `users`, which holds each
+    id once; `timestamp` is int64 and `sentiment` int8 (Sentiment values).
+    The event texts are not kept: `documents` maps each source id that has
+    non-empty texts to those texts joined by " " in row order.
+    """
 
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError("self-mentions are excluded")
+    users: tuple[str, ...]
+    source: np.ndarray
+    target: np.ndarray
+    timestamp: np.ndarray
+    sentiment: np.ndarray
+    documents: dict[str, str]
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
 
 
 def filter_bots(profiles: list[UserProfile], threshold: float = 2.5) -> list[UserProfile]:
@@ -141,11 +148,13 @@ def _require_utf8(text: str, what: str = "") -> None:
 
 
 def _numbered_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(line number, line without its line break) per non-blank line; the
-    numbers count blank lines too, so a diagnostic names the physical line."""
+    """(line number, line without its line break) per non-blank line, where
+    a blank line holds nothing but spaces and tabs; the numbers count blank
+    lines too, so a diagnostic names the physical line."""
     for lineno, line in enumerate(stream, start=1):
-        if line.strip():
-            yield lineno, line.rstrip("\r\n")
+        line = line.rstrip("\r\n")
+        if line.strip(" \t"):
+            yield lineno, line
 
 
 def read_lines(stream: Iterable[str], error=MalformedRecord) -> Iterator[tuple[int, str]]:
@@ -163,23 +172,24 @@ def read_lines(stream: Iterable[str], error=MalformedRecord) -> Iterator[tuple[i
 
 
 def parse_lines(
-    lines: Iterable[tuple[int, str]], what: str, parse: Callable[[str], T]
-) -> list[T]:
-    """Tolerant loop: parse each numbered line, rejecting bad ones.
+    lines: Iterable[tuple[int, str]], what: str, parse: Callable[[str], None]
+) -> None:
+    """Tolerant loop: hand each numbered line to `parse`, which keeps what
+    it accepts, rejecting bad lines.
 
     A line that is not valid UTF-8, or that `parse` refuses with ValueError
-    or InvalidType, is logged as "<what> line N rejected: <reason>" and
-    skipped. If more than 10% of the lines are rejected the load fails
-    with an aggregate MalformedRecord naming the first one.
+    or InvalidType (before keeping any of it), is logged as "<what> line N
+    rejected: <reason>" and skipped. If more than 10% of the lines are
+    rejected the load fails with an aggregate MalformedRecord naming the
+    first one.
     """
-    values: list[T] = []
     bad: list[tuple[int, str]] = []
     total = 0
     for lineno, line in lines:
         total += 1
         try:
             _require_utf8(line)
-            values.append(parse(line))
+            parse(line)
         except (ValueError, InvalidType) as exc:
             bad.append((lineno, str(exc)))
             log.warning("%s line %d rejected: %s", what, lineno, exc)
@@ -190,10 +200,10 @@ def parse_lines(
             line=bad[0][0],
             line_errors=bad,
         )
-    return values
 
 
-def _parse_event_line(line: str) -> InteractionEvent:
+def _parse_event_line(line: str) -> tuple[str, str, int, Sentiment, str | None]:
+    """(source, target, timestamp, sentiment, text) of one record."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -217,6 +227,8 @@ def _parse_event_line(line: str) -> InteractionEvent:
     ts = record["timestamp"]
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError(f"timestamp must be an integer, got {ts!r}")
+    if not -(2**63) <= ts < 2**63:
+        raise ValueError("timestamp out of range (not a 64-bit signed integer)")
     token = record["sentiment"]
     if not isinstance(token, str) or token not in _SENTIMENT_BY_NAME:
         raise ValueError(f"unknown sentiment token: {token!r}")
@@ -227,19 +239,51 @@ def _parse_event_line(line: str) -> InteractionEvent:
         _require_utf8(value, f"{name}: ")
     if source == target:
         raise ValueError("source equals target (self-mention)")
-    return InteractionEvent(
-        sys.intern(source), sys.intern(target), ts, _SENTIMENT_BY_NAME[token], text
-    )
+    return source, target, ts, _SENTIMENT_BY_NAME[token], text
 
 
-def load_interactions(stream: Iterable[str]) -> list[InteractionEvent]:
-    """Parse interaction records under the parse_lines policy.
+def load_interactions(stream: Iterable[str]) -> EventTable:
+    """Parse interaction records under the parse_lines policy into columns.
 
-    Output is sorted by timestamp; the sort is stable, so ties keep input
-    order.
+    Rows are sorted by timestamp; the sort is stable, so ties keep input
+    order. Each accepted line goes straight into typed columns, and a
+    non-empty text into its source's list, so no per-event object outlives
+    its line.
     """
-    events = parse_lines(_numbered_lines(stream), "interactions", _parse_event_line)
-    return sorted(events, key=lambda event: event.timestamp)
+    codes: dict[str, int] = {}
+    source, target = array("i"), array("i")
+    timestamp, sentiment = array("q"), bytearray()
+    # per source code: its non-empty texts and their timestamps, in input order
+    texts: defaultdict[int, tuple[list[str], array]] = defaultdict(lambda: ([], array("q")))
+
+    def keep(line: str) -> None:
+        src, dst, ts, state, text = _parse_event_line(line)
+        code = codes.setdefault(src, len(codes))
+        source.append(code)
+        target.append(codes.setdefault(dst, len(codes)))
+        timestamp.append(ts)
+        sentiment.append(state)
+        if text:
+            parts, stamps = texts[code]
+            parts.append(text)
+            stamps.append(ts)
+
+    parse_lines(_numbered_lines(stream), "interactions", keep)
+    users = tuple(codes)
+    documents = {}
+    for code, (parts, stamps) in texts.items():
+        rows = np.argsort(np.frombuffer(stamps, np.int64), kind="stable").tolist()
+        documents[users[code]] = " ".join([parts[i] for i in rows])
+    order = np.argsort(np.frombuffer(timestamp, np.int64), kind="stable")
+    columns = [
+        np.frombuffer(column, dtype)[order]
+        for column, dtype in (
+            (source, np.int32), (target, np.int32), (timestamp, np.int64), (sentiment, np.int8)
+        )
+    ]
+    for column in columns:
+        column.setflags(write=False)
+    return EventTable(users, *columns, documents)
 
 
 def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
@@ -255,9 +299,10 @@ def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
     names = [c.strip() for c in header.split("\t")]
     if names != ["user_id", "mbti", "bot_score"]:
         raise MalformedRecord(f"line {lineno}: bad profiles header: {names}", line=lineno)
+    profiles: list[UserProfile] = []
     seen: set[str] = set()
 
-    def parse_row(line: str) -> UserProfile:
+    def parse_row(line: str) -> None:
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(f"expected 3 fields, got {len(fields)}")
@@ -266,6 +311,7 @@ def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
         if user_id in seen:
             raise ValueError(f"duplicate user_id: {user_id!r}")
         seen.add(user_id)
-        return profile
+        profiles.append(profile)
 
-    return parse_lines(lines, "profiles", parse_row)
+    parse_lines(lines, "profiles", parse_row)
+    return profiles

@@ -35,6 +35,8 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     dimension: int | None = None
     for lineno, line in read_lines(stream):
         parts = line.split()
+        if not parts:
+            raise MalformedRecord(f"line {lineno}: only whitespace, no token", line=lineno)
         token, values = parts[0].lower(), parts[1:]
         if dimension is None:
             if not values:

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from affinity_miner import (
-    InteractionEvent,
     build_pair_sequences,
     estimate_chains,
+    load_interactions,
     score_sequences,
     stationary_distribution,
 )
@@ -18,7 +20,11 @@ NEG, NEU, POS = Sentiment.NEG, Sentiment.NEU, Sentiment.POS
 
 
 def ev(source, target, ts, s=POS):
-    return InteractionEvent(source, target, ts, s)
+    return json.dumps({"source": source, "target": target, "timestamp": ts, "sentiment": s.name})
+
+
+def table(*lines):
+    return load_interactions(lines)
 
 
 def estimate_chain(states, alpha=1.0):
@@ -41,12 +47,12 @@ class TestBuildPairSequences:
     def test_direction_preserved(self):
         events = [ev("u", "v", 1), ev("u", "v", 2), ev("u", "v", 3),
                   ev("v", "u", 4), ev("v", "u", 5)]
-        seqs = build_pair_sequences(events)
+        seqs = build_pair_sequences(table(*events))
         assert len(seqs[("u", "v")]) == 3
         assert len(seqs[("v", "u")]) == 2
 
     def test_empty(self):
-        assert build_pair_sequences([]) == {}
+        assert build_pair_sequences(table()) == {}
 
     def test_lengths_sum_to_event_count(self, rng):
         events = []
@@ -54,13 +60,19 @@ class TestBuildPairSequences:
         for t in range(200):
             a, b = rng.choice(6, size=2, replace=False)
             events.append(ev(users[a], users[b], t, Sentiment(int(rng.integers(3)))))
-        seqs = build_pair_sequences(events)
+        seqs = build_pair_sequences(table(*events))
         assert sum(len(s) for s in seqs.values()) == len(events)
 
     def test_order_follows_sorted_input(self):
-        events = [ev("u", "v", 1, POS), ev("u", "v", 2, NEG), ev("u", "v", 3, NEU)]
-        seqs = build_pair_sequences(events)
+        events = [ev("u", "v", 3, NEU), ev("u", "v", 1, POS), ev("u", "v", 2, NEG)]
+        seqs = build_pair_sequences(table(*events))
         assert seqs[("u", "v")] == (POS, NEG, NEU)
+        assert all(type(state) is Sentiment for state in seqs[("u", "v")])
+
+    def test_pairs_in_order_of_first_event(self):
+        events = [ev("b", "a", 4), ev("a", "b", 2), ev("c", "a", 3), ev("b", "a", 1)]
+        seqs = build_pair_sequences(table(*events))
+        assert list(seqs) == [("b", "a"), ("a", "b"), ("c", "a")]
 
 
 class TestEstimateChain:

@@ -383,6 +383,41 @@ class TestBadInputsExitOne:
         assert "line 2: not valid UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("blank", ["\xa0", "\x0c", "\u3000"])
+    def test_whitespace_config_line_is_not_blank(self, tmp_path, capsys, blank):
+        # a blank line holds nothing but spaces and tabs
+        path = tmp_path / "config.txt"
+        path.write_text(f"seed = 1\n \t\n{blank}\n", encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: expected key = value" in err
+        assert "Traceback" not in err
+
+    def test_whitespace_embedding_line_exits_one(self, dataset, tmp_path, capsys):
+        lines = dataset["embeddings"].read_text().splitlines(keepends=True)
+        lines.insert(2, "\x0c\n")
+        bad = tmp_path / "embeddings.txt"
+        bad.write_text("".join(lines))
+        args = self.stage_args(dataset, tmp_path / "results",
+                               "interactions", "profiles", embeddings=bad)
+        assert main(["semsim", *args]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: only whitespace, no token" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["\x0c", '{"source": "a", "target": "b", '
+                                      '"timestamp": 9223372036854775808, "sentiment": "POS"}'])
+    def test_interactions_line_rejected_not_crashed(self, dataset, tmp_path, caplog, line):
+        lines = dataset["interactions"].read_text().splitlines(keepends=True)
+        lines.insert(4, line + "\n")
+        bad = tmp_path / "interactions.jsonl"
+        bad.write_text("".join(lines))
+        out = tmp_path / "results"
+        args = self.stage_args(dataset, out, "profiles", interactions=bad)
+        assert main(["ingest", *args]) == 0
+        assert "interactions line 5 rejected: " in caplog.text
+        assert (out / "ingest.txt").read_text().startswith(f"events = {len(lines) - 1}\n")
+
     @pytest.mark.parametrize("key", ["alpha", "kappa"])
     @pytest.mark.parametrize("value", ["1e-20", "1.45e308"])
     def test_smoothing_out_of_range(self, dataset, tmp_path, capsys, key, value):

@@ -1,5 +1,8 @@
 import json
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from affinity_miner import (
@@ -12,13 +15,17 @@ from affinity_miner import (
     parse_mbti,
 )
 from affinity_miner.errors import InvalidType, MalformedRecord
-from affinity_miner.ingest import Sentiment
+from affinity_miner.ingest import Sentiment, open_input
 
 
 def event_line(source="a", target="b", timestamp=1, sentiment="POS", **extra):
     record = {"source": source, "target": target, "timestamp": timestamp,
               "sentiment": sentiment, **extra}
     return json.dumps(record)
+
+
+def ids(events, codes):
+    return [events.users[c] for c in codes.tolist()]
 
 
 class TestParseMbti:
@@ -65,16 +72,34 @@ class TestFilterBots:
 
 class TestLoadInteractions:
     def test_basic_mapping(self):
-        events = load_interactions([event_line(sentiment="POS")])
+        events = load_interactions([event_line(sentiment="POS", timestamp=7)])
         assert len(events) == 1
-        assert events[0].sentiment is Sentiment.POS
+        assert events.users == ("a", "b")
+        assert events.source.tolist() == [0] and events.target.tolist() == [1]
+        assert events.timestamp.tolist() == [7]
+        assert events.sentiment.tolist() == [Sentiment.POS]
+
+    def test_column_types(self):
+        events = load_interactions([event_line(), event_line("b", "c")])
+        assert events.source.dtype == np.int32 and events.target.dtype == np.int32
+        assert events.timestamp.dtype == np.int64 and events.sentiment.dtype == np.int8
+        with pytest.raises(ValueError):
+            events.source[0] = 1
+
+    def test_each_user_once(self):
+        lines = [event_line("a", "b"), event_line("b", "a"), event_line("c", "a")]
+        events = load_interactions(lines)
+        assert sorted(events.users) == ["a", "b", "c"]
+        assert ids(events, events.source) == ["a", "b", "c"]
+        assert ids(events, events.target) == ["b", "a", "a"]
 
     def test_self_mention_rejected(self):
         lines = [event_line(), event_line(source="x", target="x")] + [
             event_line(timestamp=i) for i in range(2, 20)
         ]
         events = load_interactions(lines)
-        assert all(e.source != e.target for e in events)
+        assert np.all(events.source != events.target)
+        assert "x" not in events.users
         assert len(events) == 19
 
     def test_tie_broken_by_input_position(self):
@@ -83,13 +108,14 @@ class TestLoadInteractions:
             event_line(source="second", timestamp=5),
         ]
         events = load_interactions(lines)
-        assert [e.source for e in events] == ["first", "second"]
+        assert ids(events, events.source) == ["first", "second"]
 
     def test_sorted_by_timestamp(self):
-        lines = [event_line(timestamp=t) for t in (5, 1, 3, 2, 4)]
+        lines = [event_line(timestamp=t, sentiment=s)
+                 for t, s in ((5, "POS"), (1, "NEG"), (3, "NEU"), (2, "POS"), (4, "NEG"))]
         events = load_interactions(lines)
-        stamps = [e.timestamp for e in events]
-        assert stamps == sorted(stamps)
+        assert events.timestamp.tolist() == [1, 2, 3, 4, 5]
+        assert events.sentiment.tolist() == [0, 2, 1, 0, 2]
 
     def test_unknown_sentiment_rejected(self):
         lines = [event_line(sentiment="MEH")] + [event_line(timestamp=i) for i in range(20)]
@@ -121,14 +147,33 @@ class TestLoadInteractions:
         assert len(events) == 20
 
     def test_blank_lines_skipped(self):
-        events = load_interactions(["", event_line(), "   "])
+        events = load_interactions(["", event_line(), "   ", " \t \r\n"])
         assert len(events) == 1
+
+    @pytest.mark.parametrize("blank", ["\x0c", "\xa0", "\u3000", "\x0b"])
+    def test_other_whitespace_is_not_blank(self, caplog, blank):
+        lines = [event_line(timestamp=i) for i in range(20)]
+        lines.insert(5, blank + "\n")
+        assert len(load_interactions(lines)) == 20
+        assert "interactions line 6 rejected: invalid JSON" in caplog.text
+
+    def test_text_joined_per_source_in_event_order(self):
+        lines = [
+            event_line("a", "b", 3, text="third"),
+            event_line("a", "c", 1, text="first"),
+            event_line("b", "a", 2, text="other"),
+            event_line("a", "b", 2, text=""),
+            event_line("a", "c", 2),
+            event_line("a", "b", 1, text="second"),
+        ]
+        events = load_interactions(lines)
+        assert events.documents == {"a": "first second third", "b": "other"}
 
     def test_text_optional(self):
         events = load_interactions([event_line(text="hi there")])
-        assert events[0].text == "hi there"
-        events = load_interactions([event_line()])
-        assert events[0].text is None
+        assert events.documents == {"a": "hi there"}
+        assert load_interactions([event_line()]).documents == {}
+        assert load_interactions([event_line(text="")]).documents == {}
 
     @pytest.mark.parametrize("field", ["source", "target"])
     @pytest.mark.parametrize("brk", ["\t", "\r", "\n"])
@@ -137,20 +182,53 @@ class TestLoadInteractions:
         lines.insert(3, event_line(**{field: f"x{brk}y"}))
         events = load_interactions(lines)
         assert len(events) == 20
-        assert all(brk not in e.source + e.target for e in events)
+        assert all(brk not in user for user in events.users)
         assert f"interactions line 4 rejected: {field} contains a tab or line break" in caplog.text
 
     def test_non_integer_timestamp_rejected(self):
         lines = [event_line(timestamp="noon")] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
 
-    def test_events_are_compact(self):
-        # CPython shares one-character strings anyway, so the ids are longer
-        lines = [event_line("user_0001", "user_0002"), event_line("user_0002", "user_0001")]
-        first, second = load_interactions(lines)
-        assert not hasattr(first, "__dict__")
-        assert first.source is second.target
-        assert first.target is second.source
+    @pytest.mark.parametrize("timestamp", [2**63, -(2**63) - 1, 10**30])
+    def test_timestamp_outside_int64_rejected(self, caplog, timestamp):
+        lines = [event_line(timestamp=i) for i in range(20)]
+        lines.insert(2, event_line(timestamp=timestamp))
+        events = load_interactions(lines)
+        assert len(events) == 20
+        assert "interactions line 3 rejected: timestamp out of range" in caplog.text
+
+    def test_timestamp_outside_int64_counts_toward_limit(self):
+        lines = [event_line(timestamp=2**63)] * 2 + [event_line()] * 8
+        with pytest.raises(MalformedRecord, match="first: line 1: timestamp out of range"):
+            load_interactions(lines)
+
+    def test_int64_bounds_accepted(self):
+        lines = [event_line(timestamp=2**63 - 1), event_line(timestamp=-(2**63))]
+        events = load_interactions(lines)
+        assert events.timestamp.tolist() == [-(2**63), 2**63 - 1]
+
+    def test_retained_memory_is_bounded(self, tmp_path):
+        """The table keeps typed columns and one document per source, not an
+        object per event: 50k events with texts of about 37 characters stay under 4 MiB."""
+        rng = random.Random(0)
+        words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
+        users = [f"user_{i:04d}" for i in range(100)]
+        path = tmp_path / "interactions.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            for _ in range(50_000):
+                source, target = rng.sample(users, 2)
+                text = " ".join(rng.choice(words) for _ in range(6))
+                fh.write(event_line(source, target, rng.randrange(10**9),
+                                    rng.choice(["NEG", "NEU", "POS"]), text=text) + "\n")
+        tracemalloc.start()
+        try:
+            with open_input(path) as fh:
+                events = load_interactions(fh)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 50_000 and len(events.documents) == 100
+        assert retained <= 4 * 2**20
 
 
 class TestLoadProfiles:

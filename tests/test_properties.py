@@ -11,7 +11,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affinity_miner import Sentiment, score_sequences, stationary_distribution
+from affinity_miner import (
+    Sentiment,
+    build_pair_sequences,
+    score_sequences,
+    stationary_distribution,
+)
 from affinity_miner.cli import parse_config_file
 from affinity_miner.cluster import (
     DEFAULT_TELEPORT,
@@ -184,6 +189,7 @@ def input_path(tmp_path_factory):
 @example(data=b"user_id\tmbti\tbot_score\ncaf\xe9\tINFJ\t1.0")
 @example(data=EDGE_TSV_HEADER.encode() + b"\n\na\tb\tx\tINFJ\tENTP\n")
 @example(data=b"\r\n\r" + EDGE_TSV_HEADER.encode() + b"\n\n\na\tb\n")
+@example(data=b" \t\n\x0c\n\xc2\xa0\n")
 def test_loaders_raise_only_domain_errors(input_path, loader, data):
     input_path.write_bytes(data)
     try:
@@ -193,11 +199,94 @@ def test_loaders_raise_only_domain_errors(input_path, loader, data):
         with open_input(input_path) as fh:
             lines = fh.readlines()
         if exc.line is None:
-            assert not any(line.strip() for line in lines)
+            # only a file of blank lines (spaces and tabs) has no line to name
+            assert not any(line.strip(" \t\r\n") for line in lines)
         named = [exc.line] + [n for n, _ in getattr(exc, "line_errors", [])]
         assert all(1 <= n <= len(lines) for n in named if n is not None)
     except AffinityMinerError:
         pass
+
+
+# Mostly accepted records, with tied and extreme timestamps and absent, None
+# and "" texts, shuffled with a few blank lines and lines the loader rejects
+# (self-mentions, timestamps outside int64, bad JSON), so that both loads
+# and over-10% failures occur.
+def _event(source, target, timestamps):
+    return st.fixed_dictionaries(
+        {
+            "source": st.just(source),
+            "target": st.just(target),
+            "timestamp": timestamps,
+            "sentiment": st.sampled_from(["NEG", "NEU", "POS"]),
+        },
+        optional={"text": st.none() | st.just("") | st.text(alphabet="xy ", max_size=3)},
+    )
+
+
+accepted_events = st.sampled_from([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")]).flatmap(
+    lambda pair: _event(*pair, st.integers(0, 3) | st.sampled_from([-(2**63), 2**63 - 1]))
+)
+rejected_lines = (
+    _event("a", "a", st.integers(0, 3))
+    | _event("a", "b", st.sampled_from([-(2**63) - 1, 2**63]))
+    | st.sampled_from(["not json", "{}", "\x0c", "", " \t"])
+)
+interaction_items = st.tuples(
+    st.lists(accepted_events, max_size=30), st.lists(rejected_lines, max_size=3)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+def per_event_oracle(items):
+    """The per-event path the columns replace: the accepted records in one
+    list sorted stably by timestamp, grouped per pair and joined per source
+    one event at a time. Also says whether over 10% of the lines are bad."""
+    lines = [item for item in items if not isinstance(item, str) or item.strip(" \t")]
+    records = [
+        item for item in lines
+        if isinstance(item, dict)
+        and item["source"] != item["target"]
+        and -(2**63) <= item["timestamp"] < 2**63
+    ]
+    too_many_bad = bool(lines) and (len(lines) - len(records)) / len(lines) > 0.10
+    records.sort(key=lambda record: record["timestamp"])
+    sequences, parts = {}, {}
+    for record in records:
+        pair = (record["source"], record["target"])
+        sequences.setdefault(pair, []).append(Sentiment[record["sentiment"]])
+        if record.get("text"):
+            parts.setdefault(record["source"], []).append(record["text"])
+    sequences = {pair: tuple(states) for pair, states in sequences.items()}
+    return records, too_many_bad, sequences, {u: " ".join(p) for u, p in parts.items()}
+
+
+@PROPERTY
+@given(interaction_items)
+@example([
+    {"source": "a", "target": "b", "timestamp": 2, "sentiment": "POS", "text": "late"},
+    {"source": "b", "target": "a", "timestamp": 1, "sentiment": "NEG", "text": ""},
+    {"source": "a", "target": "b", "timestamp": 1, "sentiment": "NEU", "text": "early"},
+    {"source": "a", "target": "c", "timestamp": 1, "sentiment": "NEG", "text": None},
+])
+def test_event_table_matches_per_event_oracle(input_path, items):
+    input_path.write_text(
+        "\n".join(json.dumps(item) if isinstance(item, dict) else item for item in items)
+    )
+    records, too_many_bad, sequences, documents = per_event_oracle(items)
+    with open_input(input_path) as fh:
+        if too_many_bad:
+            with pytest.raises(MalformedRecord):
+                load_interactions(fh)
+            return
+        events = load_interactions(fh)
+    assert len(events) == len(records)
+    assert len(set(events.users)) == len(events.users)
+    assert set(events.users) == {r[key] for r in records for key in ("source", "target")}
+    assert [events.users[c] for c in events.source.tolist()] == [r["source"] for r in records]
+    assert [events.users[c] for c in events.target.tolist()] == [r["target"] for r in records]
+    assert events.timestamp.tolist() == [r["timestamp"] for r in records]
+    assert events.sentiment.tolist() == [Sentiment[r["sentiment"]] for r in records]
+    assert events.documents == documents
+    assert list(build_pair_sequences(events).items()) == list(sequences.items())
 
 
 # a small alphabet, so literals, prefixes and tokens overlap often

@@ -147,7 +147,9 @@ class TestGenerateDataset:
             events = load_interactions(fh)
         with paths["profiles"].open() as fh:
             profiles = load_profiles(fh)
-        assert events and profiles
+        assert len(events) and profiles
+        assert set(events.users) <= {p.user_id for p in profiles}
+        assert set(events.documents) <= set(events.users)
         assert any(p.bot_score >= 2.5 for p in profiles)
         assert {p.mbti for p in profiles} == set(__import__("affinity_miner").ALL_TYPES)
 
