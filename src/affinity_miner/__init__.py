@@ -8,6 +8,7 @@ type prediction).
 """
 
 from .affinity import (
+    PairSequences,
     build_pair_sequences,
     estimate_chains,
     score_sequences,
@@ -36,7 +37,6 @@ from .cluster import (
 )
 from .graph import (
     AffinityGraph,
-    TypePairTable,
     build_affinity_graph,
     export_graph,
     parse_graph_tsv,

@@ -8,8 +8,7 @@ n / (n + kappa) so that thin interaction histories score low.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +23,59 @@ N_STATES = 3
 # P[b, j], P[a, b] and P[b, a], one column per root j = 0, 1, 2.
 _TREE_EDGES = np.array([[3, 1, 2], [6, 7, 5], [5, 2, 1], [7, 6, 3]])
 
-_STATES = tuple(Sentiment)
+
+@dataclass(frozen=True, eq=False)
+class PairSequences:
+    """Every directed pair's sentiment states as read-only arrays, one entry
+    per pair in (source id, target id) order: `source` and `target` are int32
+    codes into `users`, `length` counts each pair's states, and `states`
+    holds them as int8 Sentiment values, pair after pair, in event order."""
+
+    users: tuple[str, ...]
+    source: np.ndarray
+    target: np.ndarray
+    length: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.source, self.target, self.length, self.states):
+            a.setflags(write=False)
 
 
-def build_pair_sequences(events: EventTable) -> dict[tuple[str, str], tuple[Sentiment, ...]]:
-    """Group events into one sentiment state tuple per directed pair.
-
-    Each sequence keeps the table's row order (timestamp, input position),
-    and the pairs come in the order of their first row.
-    """
-    pair = events.source.astype(np.int64) * len(events.users) + events.target
+def build_pair_sequences(events: EventTable) -> PairSequences:
+    """Group the event table's rows by directed pair, keeping row order
+    (timestamp, input position) inside each pair."""
+    # ids ranked in Python's str order: a NumPy "U" array drops trailing
+    # NULs, so "a" and "a\x00" would compare equal there
+    users = events.users
+    rank = np.empty(len(users), dtype=np.int64)
+    rank[sorted(range(len(users)), key=users.__getitem__)] = np.arange(len(users))
+    pair = rank[events.source] * len(users) + rank[events.target]
     rows = np.argsort(pair, kind="stable")
     starts = np.flatnonzero(np.diff(pair[rows], prepend=-1))
     # the stable sort puts each pair's first row at the start of its group
     first = rows[starts]
-    bounds = np.r_[starts, len(rows)].tolist()
-    sources, targets = events.source[first].tolist(), events.target[first].tolist()
-    states = list(map(_STATES.__getitem__, events.sentiment[rows].tolist()))
-    users = events.users
-    return {
-        (users[sources[g]], users[targets[g]]): tuple(states[bounds[g] : bounds[g + 1]])
-        for g in np.argsort(first).tolist()
-    }
+    return PairSequences(
+        users, events.source[first], events.target[first],
+        np.diff(np.r_[starts, len(rows)]), events.sentiment[rows],
+    )
 
 
-def estimate_chains(
-    sequences: Sequence[Sequence[Sentiment]], alpha: float = 1.0
-) -> np.ndarray:
+def estimate_chains(length: np.ndarray, states: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Laplace-smoothed m x 3 x 3 row-stochastic transition matrices over
     (NEG, NEU, POS), one per sequence, from the consecutive states inside
-    each sequence; no transition spans two sequences.
+    each sequence; `length` holds the m lengths and `states` the sequences
+    one after another, so no transition spans two sequences.
 
     entry(k, i, j) = (count_k(i->j) + alpha) / (count_k(i->.) + 3 alpha).
     With alpha > 0 every entry is strictly positive, so each chain is ergodic.
     """
     if alpha <= 0:
         raise NonPositiveSmoothing(f"smoothing must be > 0, got {alpha}")
-    m = len(sequences)
-    owner = np.repeat(np.arange(m), np.fromiter(map(len, sequences), np.intp, count=m))
-    states = np.fromiter(chain.from_iterable(sequences), np.intp, count=len(owner))
+    m = len(length)
+    owner = np.repeat(np.arange(m), length)
+    if len(states) != len(owner):
+        raise DimensionMismatch(f"{len(states)} states for lengths summing to {len(owner)}")
     cell = (owner[1:] * N_STATES + states[:-1]) * N_STATES + states[1:]
     counts = np.bincount(cell[owner[1:] == owner[:-1]], minlength=m * N_STATES**2)
     counts = counts.reshape(m, N_STATES, N_STATES)
@@ -90,19 +103,14 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 def score_sequences(
-    sequences: Mapping[tuple[str, str], Sequence[Sentiment]],
-    alpha: float = 1.0,
-    kappa: float = 5.0,
-) -> dict[tuple[str, str], float]:
-    """Score every directed pair: its chain's stationary POS mass times the
-    evidence factor n / (n + kappa), for n states.
-
-    Empty sequences score exactly 0. Deterministic regardless of map order.
+    length: np.ndarray, states: np.ndarray, alpha: float = 1.0, kappa: float = 5.0
+) -> np.ndarray:
+    """One float64 score per sequence (as laid out for estimate_chains): its
+    chain's stationary POS mass times the evidence factor n / (n + kappa),
+    for n states. Empty sequences score exactly 0.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    pairs = sorted(sequences)
-    states = [sequences[pair] for pair in pairs]
-    n = np.fromiter(map(len, states), dtype=float, count=len(states))
-    pos = stationary_distribution(estimate_chains(states, alpha))[:, int(Sentiment.POS)]
-    return dict(zip(pairs, (pos * (n / (n + kappa))).tolist()))
+    n = np.asarray(length, dtype=float)
+    pos = stationary_distribution(estimate_chains(length, states, alpha))[:, int(Sentiment.POS)]
+    return pos * (n / (n + kappa))

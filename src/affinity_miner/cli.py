@@ -25,13 +25,14 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 
+import numpy as np
+
 from . import affinity, classify, cluster, graph, influence, lexfeat, semsim, synth
 from .errors import AffinityMinerError, ConfigError
 from .ingest import (
     ALL_TYPES,
     EventTable,
     MbtiType,
-    Sentiment,
     UserProfile,
     filter_bots,
     load_interactions,
@@ -239,19 +240,21 @@ class PipelineRunner:
         return filter_bots(self.profiles_all)
 
     @cached_property
-    def sequences(self) -> dict[tuple[str, str], tuple[Sentiment, ...]]:
+    def pairs(self) -> affinity.PairSequences:
         return affinity.build_pair_sequences(self.events)
 
     @cached_property
-    def scores(self) -> dict[tuple[str, str], float]:
-        return affinity.score_sequences(self.sequences, self.cfg.alpha, self.cfg.kappa)
+    def scores(self) -> np.ndarray:
+        pairs, cfg = self.pairs, self.cfg
+        return affinity.score_sequences(pairs.length, pairs.states, cfg.alpha, cfg.kappa)
 
     @cached_property
     def affinity_graph(self) -> graph.AffinityGraph:
-        return graph.build_affinity_graph(self.scores, self.profiles, self.cfg.threshold)
+        cfg = self.cfg
+        return graph.build_affinity_graph(self.pairs, self.scores, self.profiles, cfg.threshold)
 
     @cached_property
-    def type_pairs(self) -> graph.TypePairTable:
+    def type_pairs(self) -> dict[tuple[MbtiType, MbtiType], float]:
         return graph.type_pair_percentages(self.affinity_graph)
 
     @cached_property
@@ -336,21 +339,18 @@ class PipelineRunner:
         )
 
     def scores_text(self) -> str:
-        lines = ["source\ttarget\tn\tscore"]
-        for pair in sorted(self.scores):
-            n = len(self.sequences[pair])
-            lines.append(f"{pair[0]}\t{pair[1]}\t{n}\t{self.scores[pair]:.17g}")
-        return "\n".join(lines) + "\n"
+        pairs, users = self.pairs, self.pairs.users
+        rows = zip(*(a.tolist() for a in (pairs.source, pairs.target, pairs.length, self.scores)))
+        lines = [f"{users[u]}\t{users[v]}\t{n}\t{x:.17g}" for u, v, n, x in rows]
+        return "\n".join(["source\ttarget\tn\tscore", *lines]) + "\n"
 
     def type_pairs_text(self) -> str:
-        lines = ["type_a\ttype_b\tpercent"]
-        for (p, q), pct in sorted(self.type_pairs.entries.items()):
-            lines.append(f"{p}\t{q}\t{pct:.12g}")
-        return "\n".join(lines) + "\n"
+        lines = [f"{p}\t{q}\t{pct:.12g}" for (p, q), pct in self.type_pairs.items()]
+        return "\n".join(["type_a\ttype_b\tpercent", *lines]) + "\n"
 
     def graph_summary_text(self) -> str:
         g = self.affinity_graph
-        return f"nodes = {len(g.nodes)}\nedges = {len(g.edges)}\n"
+        return f"nodes = {len(g.order)}\nedges = {len(g.edge_arrays[2])}\n"
 
     def clustering_text(self) -> str:
         return cluster.serialize_clustering(self.clustering)

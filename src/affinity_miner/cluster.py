@@ -80,7 +80,7 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.nd
     Rows of nodes without out-edges become uniform before mixing, so the
     result is strictly positive and ergodic for any 0 < tau < 1.
     """
-    if not g.nodes:
+    if not g.order:
         raise EmptyGraph("walk matrix needs at least one node")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"teleport must be in (0, 1), got {tau}")
@@ -319,7 +319,7 @@ def mcl(
         raise ValueError(f"expansion power must be >= 2, got {e}")
     if r <= 1.0:
         raise ValueError(f"inflation power must be > 1, got {r}")
-    if not g.nodes:
+    if not g.order:
         raise EmptyGraph("clustering needs at least one node")
     M = _mcl_seed_matrix(g)
     previous = None  # the iterate before M
@@ -390,7 +390,7 @@ def k_destinations(
     and (b) re-centering each cluster on the member minimizing the sum of
     hitting times from the cluster to it, until assignments stop changing.
     """
-    if not g.nodes:
+    if not g.order:
         raise EmptyGraph("clustering needs at least one node")
     order = g.order
     n = len(order)

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .affinity import PairSequences
 from .errors import EmptyGraph, InvalidType, MalformedRecord
 from .ingest import ALL_TYPES, MbtiType, UserProfile, parse_mbti, read_lines
 
@@ -24,130 +26,119 @@ DEFAULT_EDGE_THRESHOLD = 1e-5
 
 EDGE_TSV_HEADER = "source\ttarget\tweight\tsource_type\ttarget_type"
 
+# the 136 unordered pairs of the 16 types, same-type included, in sorted code order
+TYPE_PAIRS = tuple(combinations_with_replacement(ALL_TYPES, 2))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """nodes maps user_id -> type label; edges map (u, v) -> weight.
+    """A typed, weighted digraph. Node index i is the i-th smallest user id:
+    `order` holds the ids in index order, `node_types` each node's type as an
+    int8 index into ALL_TYPES, and `edge_arrays` is (source index, target
+    index, weight), one read-only entry per edge in (source id, target id) order."""
 
-    Both dicts are stored in sorted key order whatever order they arrive
-    in, and node index i is the i-th smallest user id: index order is id
-    order everywhere an array is indexed by node.
-    """
-
-    nodes: dict[str, MbtiType]
-    edges: dict[tuple[str, str], float]
-    threshold: float = field(default=DEFAULT_EDGE_THRESHOLD)
+    order: tuple[str, ...]
+    node_types: np.ndarray
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+    threshold: float = DEFAULT_EDGE_THRESHOLD
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", dict(sorted(self.nodes.items())))
-        object.__setattr__(self, "edges", dict(sorted(self.edges.items())))
-
-    @cached_property
-    def order(self) -> tuple[str, ...]:
-        """Node ids in index order."""
-        return tuple(self.nodes)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(source index, target index, weight), one entry per edge in edge order."""
-        index = {u: i for i, u in enumerate(self.order)}
-        m = len(self.edges)
-        src = np.fromiter((index[u] for u, _ in self.edges), dtype=np.intp, count=m)
-        dst = np.fromiter((index[v] for _, v in self.edges), dtype=np.intp, count=m)
-        w = np.fromiter(self.edges.values(), dtype=float, count=m)
-        for a in (src, dst, w):
+        for a in (self.node_types, *self.edge_arrays):
             a.setflags(write=False)
-        return src, dst, w
 
+    @classmethod
+    def from_dicts(
+        cls,
+        nodes: Mapping[str, MbtiType],
+        edges: Mapping[tuple[str, str], float],
+        threshold: float = DEFAULT_EDGE_THRESHOLD,
+    ) -> AffinityGraph:
+        """The graph of id -> type and (source, target) -> weight maps in any order."""
+        order = tuple(sorted(nodes))
+        index = {u: i for i, u in enumerate(order)}
+        pairs = sorted(edges)
+        src, dst = (np.array([index[p[k]] for p in pairs], dtype=np.intp) for k in (0, 1))
+        w = np.array([edges[p] for p in pairs], dtype=float)
+        types = np.array([ALL_TYPES.index(nodes[u]) for u in order], dtype=np.int8)
+        return cls(order, types, (src, dst, w), threshold)
 
-@dataclass(frozen=True)
-class TypePairTable:
-    """Percentages over the 136 unordered type pairs (same-type included)."""
+    @property
+    def nodes(self) -> Mapping[str, MbtiType]:
+        """Read-only id -> type view, built on each access."""
+        return MappingProxyType(dict(zip(self.order, map(ALL_TYPES.__getitem__, self.node_types))))
 
-    entries: dict[tuple[MbtiType, MbtiType], float]
-
-    def __post_init__(self):
-        if len(self.entries) != 136:
-            raise ValueError(f"expected 136 entries, got {len(self.entries)}")
-
-
-def all_type_pairs() -> list[tuple[MbtiType, MbtiType]]:
-    """The 136 unordered pairs of the 16 types, in sorted code order."""
-    return list(combinations_with_replacement(ALL_TYPES, 2))
-
-
-def _pair_key(p: MbtiType, q: MbtiType) -> tuple[MbtiType, MbtiType]:
-    return (q, p) if q < p else (p, q)
+    @property
+    def edges(self) -> Mapping[tuple[str, str], float]:
+        """Read-only (source, target) -> weight view, built on each access."""
+        src, dst, w = (a.tolist() for a in self.edge_arrays)
+        return MappingProxyType({(self.order[s], self.order[d]): x for s, d, x in zip(src, dst, w)})
 
 
 def build_affinity_graph(
-    scores: Mapping[tuple[str, str], float],
+    pairs: PairSequences,
+    scores: np.ndarray,
     profiles: Iterable[UserProfile],
     threshold: float = DEFAULT_EDGE_THRESHOLD,
 ) -> AffinityGraph:
-    """Keep edges with weight >= threshold whose endpoints both have profiles.
-
-    Pairs with a missing profile are dropped and counted in a log
-    diagnostic; isolated nodes are dropped.
-    """
+    """The pairs scoring >= threshold (`scores` aligns with `pairs`) whose
+    endpoints both have profiles; pairs lacking one are counted in a log line."""
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    labels = {p.user_id: p.mbti for p in profiles}
-    edges: dict[tuple[str, str], float] = {}
-    missing_profile = 0
-    for (u, v), w in scores.items():
-        if w < threshold:
-            continue
-        if u not in labels or v not in labels:
-            missing_profile += 1
-            continue
-        edges[(u, v)] = w
+    labels = {p.user_id: ALL_TYPES.index(p.mbti) for p in profiles}
+    # per user code: its type's index, or -1 without a profile
+    user_type = np.array([labels.get(u, -1) for u in pairs.users], dtype=np.int8)
+    strong = scores >= threshold
+    typed = (user_type[pairs.source] >= 0) & (user_type[pairs.target] >= 0)
+    missing_profile = np.count_nonzero(strong & ~typed)
     if missing_profile:
         log.info("dropped %d scored pairs lacking a profile", missing_profile)
-    return AffinityGraph(
-        nodes={u: labels[u] for edge in edges for u in edge},
-        edges=edges,
-        threshold=threshold,
-    )
+    keep = strong & typed
+    src, dst = pairs.source[keep], pairs.target[keep]
+    codes = sorted(np.unique(np.r_[src, dst]).tolist(), key=pairs.users.__getitem__)
+    index = np.zeros(len(pairs.users), dtype=np.intp)
+    index[codes] = np.arange(len(codes))
+    # the pairs come in id order, and so do the node indices
+    order = tuple(pairs.users[c] for c in codes)
+    return AffinityGraph(order, user_type[codes], (index[src], index[dst], scores[keep]), threshold)
 
 
-def type_pair_percentages(g: AffinityGraph) -> TypePairTable:
-    """Share of edges per unordered label pair, as percentages of all edges."""
-    if not g.edges:
+def type_pair_percentages(g: AffinityGraph) -> dict[tuple[MbtiType, MbtiType], float]:
+    """Share of edges per unordered label pair, as percentages of all edges,
+    for every pair of TYPE_PAIRS, in that order."""
+    src, dst, _ = g.edge_arrays
+    if not len(src):
         raise EmptyGraph("type-pair percentages need at least one edge")
-    counts = {pair: 0 for pair in all_type_pairs()}
-    for u, v in g.edges:
-        counts[_pair_key(g.nodes[u], g.nodes[v])] += 1
-    total = len(g.edges)
-    return TypePairTable(
-        {pair: 100.0 * c / total for pair, c in counts.items()}
-    )
+    types, k = g.node_types.astype(np.intp), len(ALL_TYPES)
+    ends = types[src], types[dst]
+    counts = np.bincount(np.minimum(*ends) * k + np.maximum(*ends), minlength=k * k)
+    # the upper triangle in row-major order is TYPE_PAIRS order
+    percent = 100.0 * counts.reshape(k, k)[np.triu_indices(k)] / len(src)
+    return dict(zip(TYPE_PAIRS, percent.tolist()))
 
 
 def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
     """Serialize the graph; edge-tsv round-trips exactly (17 digit weights)."""
+    src, dst, w = (a.tolist() for a in g.edge_arrays)
+    types = [str(ALL_TYPES[t]) for t in g.node_types.tolist()]
     if format == "edge-tsv":
-        lines = [EDGE_TSV_HEADER]
-        for (u, v), w in g.edges.items():
-            lines.append(f"{u}\t{v}\t{w:.17g}\t{g.nodes[u]}\t{g.nodes[v]}")
-        return "\n".join(lines) + "\n"
+        ids = g.order
+        rows = [
+            f"{ids[s]}\t{ids[d]}\t{x:.17g}\t{types[s]}\t{types[d]}" for s, d, x in zip(src, dst, w)
+        ]
+        return "\n".join([EDGE_TSV_HEADER, *rows]) + "\n"
     if format == "dot":
         # node ids are quoted, with backslash and double quote escaped
-        quoted = {
-            u: '"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"' for u in g.nodes
-        }
-        lines = ["digraph affinity {"]
-        for u, label in g.nodes.items():
-            lines.append(f'  {quoted[u]} [label="{label}"];')
-        for (u, v), w in g.edges.items():
-            lines.append(f'  {quoted[u]} -> {quoted[v]} [weight={w:.17g}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        q = ['"' + u.replace("\\", "\\\\").replace('"', '\\"') + '"' for u in g.order]
+        lines = [f'  {q[i]} [label="{t}"];' for i, t in enumerate(types)]
+        lines += [f"  {q[s]} -> {q[d]} [weight={x:.17g}];" for s, d, x in zip(src, dst, w)]
+        return "\n".join(["digraph affinity {", *lines, "}"]) + "\n"
     raise ValueError(f"unknown export format: {format!r}")
 
 
 def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> AffinityGraph:
-    """Inverse of export_graph(.., "edge-tsv"); errors name the physical line."""
+    """Inverse of export_graph(.., "edge-tsv"); errors name the physical line.
+    Weights must be finite and > 0, no (source, target) pair may repeat, and
+    each node keeps one type."""
     lines = read_lines(io.StringIO(text))
     lineno, header = next(lines, (None, None))
     if header != EDGE_TSV_HEADER:
@@ -156,15 +147,20 @@ def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> Aff
     edges: dict[tuple[str, str], float] = {}
     for lineno, line in lines:
         parts = line.split("\t")
-        if len(parts) != 5:
-            raise MalformedRecord(
-                f"line {lineno}: expected 5 fields, got {len(parts)}", line=lineno
-            )
-        u, v, weight_text, u_type, v_type = parts
         try:
-            edges[(u, v)] = float(weight_text)
-            nodes[u] = parse_mbti(u_type)
-            nodes[v] = parse_mbti(v_type)
+            if len(parts) != 5:
+                raise ValueError(f"expected 5 fields, got {len(parts)}")
+            u, v, weight_text, u_type, v_type = parts
+            weight = float(weight_text)
+            if not 0 < weight < math.inf:
+                raise ValueError(f"weight must be finite and > 0, got {weight_text!r}")
+            if (u, v) in edges:
+                raise ValueError(f"repeated edge {u!r} -> {v!r}")
+            for node, code in ((u, u_type), (v, v_type)):
+                mbti = parse_mbti(code)
+                if nodes.setdefault(node, mbti) != mbti:
+                    raise ValueError(f"node {node!r} typed both {nodes[node]} and {mbti}")
+            edges[(u, v)] = weight
         except (ValueError, InvalidType) as exc:
             raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
-    return AffinityGraph(nodes, edges, threshold)
+    return AffinityGraph.from_dicts(nodes, edges, threshold)

@@ -73,18 +73,16 @@ def influential_types(g: AffinityGraph, c: Clustering) -> InfluenceReport:
     lexicographically smallest user id.
     """
     counts = cluster_link_counts(g, c)
-    types = list(g.nodes.values())
-    type_code = np.array([ALL_TYPES.index(t) for t in types], dtype=np.intp)
     records = []
     for ci, (members, links) in enumerate(zip(c.clusters, counts)):
         best = int(np.argmax(links))
-        member_types = type_code[members]
+        member_types = g.node_types[members]
         totals = np.bincount(member_types, weights=links, minlength=len(ALL_TYPES))
         records.append(
             ClusterInfluence(
                 cluster_index=ci,
                 top_node=c.nodes[members[best]],
-                top_type=types[members[best]],
+                top_type=ALL_TYPES[member_types[best]],
                 link_count=int(links[best]),
                 per_type_link_totals={
                     ALL_TYPES[t]: int(totals[t]) for t in np.unique(member_types)

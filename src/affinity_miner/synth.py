@@ -89,11 +89,8 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
         for j in np.flatnonzero(hit):
             edges[(ids[i], ids[j])] = float(weight[j])
 
-    graph = AffinityGraph(
-        nodes={u: labels[u] for e in edges for u in e},
-        edges=edges,
-        threshold=min(spec.w_in[0], spec.w_out[0]),
-    )
+    nodes = {u: labels[u] for e in edges for u in e}
+    graph = AffinityGraph.from_dicts(nodes, edges, min(spec.w_in[0], spec.w_out[0]))
     truth = {ids[i]: int(blocks[i]) for i in range(spec.n)}
     return graph, truth
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affinity_miner import AffinityGraph, cluster_link_counts, parse_mbti
+from affinity_miner import AffinityGraph, PairSequences, Sentiment, cluster_link_counts, parse_mbti
 
 
 @pytest.fixture
@@ -12,10 +12,47 @@ def rng():
 def make_graph(edge_list, types=None, threshold=1e-5):
     """Graph from (u, v, w) triples; default label INFJ for every node."""
     types = types or {}
-    return AffinityGraph(
+    return AffinityGraph.from_dicts(
         nodes={x: parse_mbti(types.get(x, "INFJ")) for u, v, _ in edge_list for x in (u, v)},
         edges={(u, v): w for u, v, w in edge_list},
         threshold=threshold,
+    )
+
+
+def flat(sequences):
+    """(lengths, concatenated int8 states) of state sequences, the layout
+    estimate_chains and score_sequences read."""
+    lengths = np.array([len(states) for states in sequences], dtype=np.intp)
+    return lengths, np.array([int(x) for states in sequences for x in states], dtype=np.int8)
+
+
+def sequence_dict(pairs):
+    """PairSequences as a (source id, target id) -> Sentiment tuple dict, in pair order."""
+    bounds = np.r_[0, np.cumsum(pairs.length)].tolist()
+    states = [Sentiment(s) for s in pairs.states.tolist()]
+    ends = zip(pairs.source.tolist(), pairs.target.tolist())
+    return {
+        (pairs.users[u], pairs.users[v]): tuple(states[bounds[k] : bounds[k + 1]])
+        for k, (u, v) in enumerate(ends)
+    }
+
+
+def scored_pairs(scores):
+    """(PairSequences, score array) for a (source, target) -> score dict:
+    pairs in id order, one NEU state each, user codes in reverse id order."""
+    users = tuple(sorted({u for pair in scores for u in pair}, reverse=True))
+    code = {u: i for i, u in enumerate(users)}
+    pairs = sorted(scores)
+    m = len(pairs)
+    return (
+        PairSequences(
+            users,
+            np.array([code[u] for u, _ in pairs], dtype=np.int32),
+            np.array([code[v] for _, v in pairs], dtype=np.int32),
+            np.ones(m, dtype=np.intp),
+            np.full(m, int(Sentiment.NEU), dtype=np.int8),
+        ),
+        np.array([scores[pair] for pair in pairs], dtype=float),
     )
 
 

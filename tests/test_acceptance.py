@@ -36,7 +36,13 @@ from affinity_miner.lexfeat import load_lexicon
 from affinity_miner.semsim import load_embeddings
 from affinity_miner.synth import PlantedSpec, generate_dataset, sample_chain_sequence
 
-from conftest import index_clusters, make_graph, random_ergodic_chain, well_separated_chain
+from conftest import (
+    flat,
+    index_clusters,
+    make_graph,
+    random_ergodic_chain,
+    well_separated_chain,
+)
 from test_cluster import brute_force_error, direct_hitting_times, naive_nmi
 
 
@@ -66,8 +72,8 @@ def test_01_type_pair_enumeration(rng):
             continue
         g = make_graph([(u, v, w) for (u, v), w in edges.items()], types=types)
         table = type_pair_percentages(g)
-        sizes_ok &= len(table.entries) == 136
-        worst_dev = max(worst_dev, abs(sum(table.entries.values()) - 100.0))
+        sizes_ok &= len(table) == 136
+        worst_dev = max(worst_dev, abs(sum(table.values()) - 100.0))
     elapsed = time.perf_counter() - start
     ok = sizes_ok and worst_dev < 1e-9 and elapsed < 1.0
     report(1, "type-pair enumeration", ok,
@@ -135,7 +141,7 @@ def test_05_chain_estimation_consistency(rng):
     for seed in range(50):
         P = well_separated_chain(rng)
         seq = sample_chain_sequence(P, 10_000, seed=seed)
-        est = estimate_chains([seq], alpha=1.0)[0]
+        est = estimate_chains(*flat([seq]), alpha=1.0)[0]
         worst = max(worst, float(np.max(np.abs(est - P))))
     elapsed = time.perf_counter() - start
     ok = worst < 0.02 and elapsed < 5.0
@@ -317,7 +323,7 @@ def test_10_influence_invariance():
         )
         base = influential_types(g, c)
         for scale in (0.001, 42.0):
-            scaled = AffinityGraph(
+            scaled = AffinityGraph.from_dicts(
                 nodes=g.nodes,
                 edges={e: w * scale for e, w in g.edges.items()},
                 threshold=g.threshold * scale,
@@ -326,7 +332,7 @@ def test_10_influence_invariance():
                 ok = False
                 detail.append(f"seed {seed}: rescale x{scale} changed the report")
         rename = {u: f"zz_{u}" for u in g.nodes}  # order-preserving
-        g2 = AffinityGraph(
+        g2 = AffinityGraph.from_dicts(
             nodes={rename[u]: t for u, t in g.nodes.items()},
             edges={(rename[u], rename[v]): w for (u, v), w in g.edges.items()},
             threshold=g.threshold,

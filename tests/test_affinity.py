@@ -14,7 +14,7 @@ from affinity_miner.errors import DimensionMismatch, NonErgodic, NonPositiveSmoo
 from affinity_miner.ingest import Sentiment
 from affinity_miner.synth import sample_chain_sequence
 
-from conftest import random_ergodic_chain, well_separated_chain
+from conftest import flat, random_ergodic_chain, sequence_dict, well_separated_chain
 
 NEG, NEU, POS = Sentiment.NEG, Sentiment.NEU, Sentiment.POS
 
@@ -28,7 +28,7 @@ def table(*lines):
 
 
 def estimate_chain(states, alpha=1.0):
-    return estimate_chains([states], alpha)[0]
+    return estimate_chains(*flat([states]), alpha)[0]
 
 
 def one_sequence_chain(states, alpha=1.0):
@@ -40,19 +40,21 @@ def one_sequence_chain(states, alpha=1.0):
 
 
 def affinity_score(states, alpha=1.0, kappa=5.0):
-    return score_sequences({("a", "b"): tuple(states)}, alpha, kappa)[("a", "b")]
+    return score_sequences(*flat([states]), alpha, kappa)[0]
 
 
 class TestBuildPairSequences:
     def test_direction_preserved(self):
         events = [ev("u", "v", 1), ev("u", "v", 2), ev("u", "v", 3),
                   ev("v", "u", 4), ev("v", "u", 5)]
-        seqs = build_pair_sequences(table(*events))
+        seqs = sequence_dict(build_pair_sequences(table(*events)))
         assert len(seqs[("u", "v")]) == 3
         assert len(seqs[("v", "u")]) == 2
 
     def test_empty(self):
-        assert build_pair_sequences(table()) == {}
+        pairs = build_pair_sequences(table())
+        assert pairs.users == ()
+        assert all(len(a) == 0 for a in (pairs.source, pairs.target, pairs.length, pairs.states))
 
     def test_lengths_sum_to_event_count(self, rng):
         events = []
@@ -60,19 +62,34 @@ class TestBuildPairSequences:
         for t in range(200):
             a, b = rng.choice(6, size=2, replace=False)
             events.append(ev(users[a], users[b], t, Sentiment(int(rng.integers(3)))))
-        seqs = build_pair_sequences(table(*events))
-        assert sum(len(s) for s in seqs.values()) == len(events)
+        pairs = build_pair_sequences(table(*events))
+        assert int(pairs.length.sum()) == len(pairs.states) == len(events)
 
     def test_order_follows_sorted_input(self):
         events = [ev("u", "v", 3, NEU), ev("u", "v", 1, POS), ev("u", "v", 2, NEG)]
-        seqs = build_pair_sequences(table(*events))
-        assert seqs[("u", "v")] == (POS, NEG, NEU)
-        assert all(type(state) is Sentiment for state in seqs[("u", "v")])
+        pairs = build_pair_sequences(table(*events))
+        assert sequence_dict(pairs)[("u", "v")] == (POS, NEG, NEU)
+        assert pairs.states.dtype == np.int8
 
-    def test_pairs_in_order_of_first_event(self):
+    def test_pairs_in_id_order(self):
         events = [ev("b", "a", 4), ev("a", "b", 2), ev("c", "a", 3), ev("b", "a", 1)]
-        seqs = build_pair_sequences(table(*events))
-        assert list(seqs) == [("b", "a"), ("a", "b"), ("c", "a")]
+        pairs = build_pair_sequences(table(*events))
+        assert pairs.users == ("b", "a", "c")
+        assert list(sequence_dict(pairs)) == [("a", "b"), ("b", "a"), ("c", "a")]
+        assert pairs.length.tolist() == [1, 2, 1]
+
+    def test_trailing_nul_ids_stay_apart(self):
+        # NumPy "U" arrays compare "a" and "a\x00" equal; Python does not
+        events = [ev("a\x00", "b", 1, NEG), ev("a", "b", 2, POS), ev("a\x00", "b", 3, NEU)]
+        seqs = sequence_dict(build_pair_sequences(table(*events)))
+        assert seqs == {("a", "b"): (POS,), ("a\x00", "b"): (NEG, NEU)}
+        assert list(seqs) == [("a", "b"), ("a\x00", "b")]
+
+    def test_arrays_read_only(self):
+        pairs = build_pair_sequences(table(ev("a", "b", 1), ev("b", "a", 2)))
+        for a in (pairs.source, pairs.target, pairs.length, pairs.states):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestEstimateChain:
@@ -96,7 +113,7 @@ class TestEstimateChain:
             [Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 30))]
             for _ in range(50)
         ]
-        tm = estimate_chains(sequences, alpha=float(rng.uniform(0.1, 3.0)))
+        tm = estimate_chains(*flat(sequences), alpha=float(rng.uniform(0.1, 3.0)))
         assert tm.shape == (50, 3, 3)
         assert np.max(np.abs(tm.sum(axis=2) - 1.0)) < 1e-12
 
@@ -125,16 +142,20 @@ class TestEstimateChain:
             tuple(Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 12)))
             for _ in range(300)
         ]
-        batch = estimate_chains(sequences, alpha)
+        batch = estimate_chains(*flat(sequences), alpha)
         for k, states in enumerate(sequences):
             assert np.array_equal(batch[k], one_sequence_chain(states, alpha))
 
     def test_no_transition_spans_two_sequences(self):
-        tm = estimate_chains([(POS, POS), (NEG, NEG), (NEU,)], alpha=1.0)
+        tm = estimate_chains(*flat([(POS, POS), (NEG, NEG), (NEU,)]), alpha=1.0)
         assert np.array_equal(tm[0][int(POS)], [1 / 4, 1 / 4, 2 / 4])
         assert np.array_equal(tm[0][[int(NEG), int(NEU)]], np.full((2, 3), 1 / 3))
         assert np.array_equal(tm[1][int(NEG)], [2 / 4, 1 / 4, 1 / 4])
         assert np.array_equal(tm[2], np.full((3, 3), 1 / 3))
+
+    def test_lengths_must_cover_the_states(self):
+        with pytest.raises(DimensionMismatch):
+            estimate_chains(np.array([2, 1]), np.zeros(4, dtype=np.int8))
 
 
 class TestStationaryDistribution:
@@ -190,7 +211,8 @@ class TestStationaryDistribution:
 class TestAffinityScore:
     def test_empty_is_zero(self):
         assert affinity_score(()) == 0.0
-        assert score_sequences({}) == {}
+        scores = score_sequences(*flat([]))
+        assert scores.dtype == np.float64 and scores.shape == (0,)
 
     def test_all_pos_hand_value(self):
         assert affinity_score((POS, POS, POS)) == pytest.approx(15 / 88, rel=1e-12)
@@ -205,13 +227,12 @@ class TestAffinityScore:
         assert all(0.0 <= v < 1.0 for v in values)
 
     def test_bounds_random(self, rng):
-        sequences = {
-            (f"u{k}", "v"): tuple(
-                Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 40))
-            )
+        sequences = [
+            tuple(Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 40)))
             for k in range(100)
-        }
-        assert all(0.0 <= v < 1.0 for v in score_sequences(sequences).values())
+        ]
+        scores = score_sequences(*flat(sequences))
+        assert ((0.0 <= scores) & (scores < 1.0)).all()
 
     def test_order_sensitivity(self):
         a = affinity_score((POS, POS, NEG, NEG))
@@ -220,8 +241,8 @@ class TestAffinityScore:
 
     def test_relabeling_invariance(self):
         states = (POS, NEG, NEU, POS)
-        scores = score_sequences({("a", "b"): states, ("x", "y"): states})
-        assert scores[("a", "b")] == scores[("x", "y")]
+        scores = score_sequences(*flat([states, (NEG,), states]))
+        assert scores[0] == scores[2]
 
     def test_smoothing_error_propagates(self):
         with pytest.raises(NonPositiveSmoothing):
@@ -232,11 +253,8 @@ class TestAffinityScore:
             affinity_score((POS,), kappa=0.0)
 
     def test_score_sequences_deterministic(self):
-        seqs = {
-            ("b", "a"): (POS, NEG),
-            ("a", "b"): (POS,),
-        }
-        s1 = score_sequences(seqs)
-        s2 = score_sequences(dict(reversed(list(seqs.items()))))
-        assert s1 == s2
-        assert list(s1) == [("a", "b"), ("b", "a")]
+        seqs = [(POS, NEG), (POS,), (), (NEU, POS, POS)]
+        s1 = score_sequences(*flat(seqs))
+        s2 = score_sequences(*flat(seqs[::-1]))
+        assert np.array_equal(s1, s2[::-1])
+        assert s1.tolist() == [affinity_score(states) for states in seqs]

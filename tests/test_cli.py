@@ -153,6 +153,26 @@ class TestRunPipeline:
         assert header == "# method=k-destinations"
 
 
+def test_graph_stage_caches_no_dict_keyed_by_id_pairs(dataset, tmp_path):
+    runner = cli_module.PipelineRunner(config_for(dataset, tmp_path))
+    for stage in ("ingest", "affinity", "graph"):
+        runner.write_stage(stage)
+    assert not hasattr(cli_module.PipelineRunner, "sequences")
+    cached = vars(runner)
+    assert {"events", "pairs", "scores", "affinity_graph", "type_pairs"} <= set(cached)
+    # the cached values and their attributes, one level down
+    values = [*cached.values()]
+    values += [v for value in cached.values() for v in getattr(value, "__dict__", {}).values()]
+    for value in values:
+        if isinstance(value, dict):
+            assert not any(
+                isinstance(k, tuple) and len(k) == 2 and all(isinstance(x, str) for x in k)
+                for k in value
+            )
+    g = runner.affinity_graph
+    assert set(vars(g)) == {"order", "node_types", "edge_arrays", "threshold"}
+
+
 class TestMainEntry:
     def test_synth_then_run(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--seed", "3",

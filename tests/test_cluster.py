@@ -185,7 +185,7 @@ class TestRandomWalkMatrix:
         from affinity_miner.graph import AffinityGraph
 
         with pytest.raises(EmptyGraph):
-            random_walk_matrix(AffinityGraph(nodes={}, edges={}))
+            random_walk_matrix(AffinityGraph.from_dicts(nodes={}, edges={}))
 
     def test_bad_tau(self):
         g = make_graph([("a", "b", 1.0)])
@@ -268,7 +268,7 @@ class TestMcl:
         from affinity_miner.graph import AffinityGraph
         from affinity_miner import parse_mbti
 
-        g = AffinityGraph(nodes={"solo": parse_mbti("INFJ")}, edges={})
+        g = AffinityGraph.from_dicts(nodes={"solo": parse_mbti("INFJ")}, edges={})
         c = mcl(g)
         assert id_sets(c) == [{"solo"}]
 
@@ -284,7 +284,7 @@ class TestMcl:
         g = make_graph(
             [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
         )
-        g = AffinityGraph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+        g = AffinityGraph.from_dicts(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
         M = next(mcl_flow(_mcl_seed_matrix(g), prune=0.5))
         dense = M.toarray()
         assert np.array_equal(dense[:, :4], np.full((5, 4), 1 / 5))
@@ -441,7 +441,7 @@ def test_mcl_10k_nodes_without_dense_matrix():
         if j // size != i // size:
             edges[(names[i], names[j])] = float(rng.uniform(0.01, 0.05))
     label = parse_mbti("INFJ")
-    g = AffinityGraph(nodes={u: label for u in names}, edges=dict(sorted(edges.items())))
+    g = AffinityGraph.from_dicts(nodes={u: label for u in names}, edges=dict(sorted(edges.items())))
     tracemalloc.start()
     try:
         c = mcl(g)
@@ -470,7 +470,7 @@ def test_mcl_many_clusters_keeps_attraction_sparse():
         a, b = names[2 * p], names[2 * p + 1]
         edges[(a, b)] = edges[(b, a)] = 1.0
     label = parse_mbti("INFJ")
-    g = AffinityGraph(nodes={u: label for u in names}, edges=edges)
+    g = AffinityGraph.from_dicts(nodes={u: label for u in names}, edges=edges)
     tracemalloc.start()
     try:
         c = mcl(g)
@@ -538,7 +538,7 @@ def test_blocked_flow_restarts_dead_columns_like_the_single_product(monkeypatch,
     g = make_graph(
         [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
     )
-    g = AffinityGraph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+    g = AffinityGraph.from_dicts(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
     iterates = _assert_flows_bitwise_equal(g, e=e, prune=0.5)
     restarted = iterates[0].toarray()[:, :4]
     assert np.array_equal(restarted, np.full((5, 4), 1 / 5))

@@ -1,22 +1,25 @@
+import json
 import re
 
+import numpy as np
 import pytest
 
 from affinity_miner import (
     MbtiType,
-    Sentiment,
     UserProfile,
     build_affinity_graph,
+    build_pair_sequences,
     export_graph,
+    load_interactions,
     parse_graph_tsv,
     parse_mbti,
     score_sequences,
     type_pair_percentages,
 )
 from affinity_miner.errors import EmptyGraph, MalformedRecord
-from affinity_miner.graph import EDGE_TSV_HEADER, all_type_pairs
+from affinity_miner.graph import EDGE_TSV_HEADER, TYPE_PAIRS
 
-from conftest import make_graph
+from conftest import make_graph, scored_pairs
 
 
 def profile(uid, code="INFJ"):
@@ -25,16 +28,16 @@ def profile(uid, code="INFJ"):
 
 class TestBuildAffinityGraph:
     def test_below_threshold_excluded(self):
-        g = build_affinity_graph({("a", "b"): 9e-6}, [profile("a"), profile("b")])
+        g = build_affinity_graph(*scored_pairs({("a", "b"): 9e-6}), [profile("a"), profile("b")])
         assert g.edges == {}
 
     def test_exact_threshold_included(self):
-        g = build_affinity_graph({("a", "b"): 1e-5}, [profile("a"), profile("b")])
+        g = build_affinity_graph(*scored_pairs({("a", "b"): 1e-5}), [profile("a"), profile("b")])
         assert g.edges == {("a", "b"): 1e-5}
 
     def test_missing_profile_drops_edge(self):
         g = build_affinity_graph(
-            {("a", "b"): 0.5, ("a", "c"): 0.5},
+            *scored_pairs({("a", "b"): 0.5, ("a", "c"): 0.5}),
             [profile("a"), profile("b")],
         )
         assert ("a", "c") not in g.edges
@@ -42,15 +45,17 @@ class TestBuildAffinityGraph:
 
     def test_isolated_nodes_dropped(self):
         g = build_affinity_graph(
-            {("a", "b"): 0.5},
+            *scored_pairs({("a", "b"): 0.5}),
             [profile("a"), profile("b"), profile("z")],
         )
         assert set(g.nodes) == {"a", "b"}
 
     def test_accepts_score_sequences_output(self):
-        scores = score_sequences({("a", "b"): (Sentiment.POS,) * 3})
-        g = build_affinity_graph(scores, [profile("a"), profile("b")])
-        assert g.edges[("a", "b")] == scores[("a", "b")]
+        line = {"source": "a", "target": "b", "timestamp": 1, "sentiment": "POS"}
+        pairs = build_pair_sequences(load_interactions([json.dumps(line)] * 3))
+        scores = score_sequences(pairs.length, pairs.states)
+        g = build_affinity_graph(pairs, scores, [profile("a"), profile("b")])
+        assert g.edges == {("a", "b"): scores[0]}
 
     def test_min_weight_respects_threshold(self, rng):
         for _ in range(20):
@@ -61,13 +66,25 @@ class TestBuildAffinityGraph:
                 if i != j
             }
             profiles = [profile(f"u{i}") for i in range(8)]
-            g = build_affinity_graph(scores, profiles)
+            g = build_affinity_graph(*scored_pairs(scores), profiles)
             if g.edges:
                 assert min(g.edges.values()) >= g.threshold
 
+    def test_arrays_in_id_order_and_read_only(self):
+        g = build_affinity_graph(
+            *scored_pairs({("c", "a"): 0.5, ("a", "c"): 0.25, ("b", "a"): 0.75}),
+            [profile("a", "ESTJ"), profile("b"), profile("c", "ENFP")],
+        )
+        assert g.order == ("a", "b", "c")
+        assert [str(t) for t in g.nodes.values()] == ["ESTJ", "INFJ", "ENFP"]
+        assert [a.tolist() for a in g.edge_arrays] == [[0, 1, 2], [2, 0, 0], [0.25, 0.75, 0.5]]
+        for a in (g.node_types, *g.edge_arrays):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_positive_threshold_required(self):
         with pytest.raises(ValueError):
-            build_affinity_graph({}, [], threshold=0.0)
+            build_affinity_graph(*scored_pairs({}), [], threshold=0.0)
 
 
 class TestTypePairPercentages:
@@ -75,7 +92,7 @@ class TestTypePairPercentages:
         g = make_graph([("a", "b", 0.5)], types={"a": "ESFJ", "b": "ISFP"})
         table = type_pair_percentages(g)
         key = (parse_mbti("ESFJ"), parse_mbti("ISFP"))
-        assert table.entries[key] == 100.0
+        assert table[key] == 100.0
 
     def test_two_pairs_split(self):
         g = make_graph(
@@ -83,14 +100,14 @@ class TestTypePairPercentages:
             types={"a": "ESFJ", "b": "ISFP", "c": "INTJ", "d": "INTP"},
         )
         table = type_pair_percentages(g)
-        values = sorted(v for v in table.entries.values() if v > 0)
+        values = sorted(v for v in table.values() if v > 0)
         assert values == [50.0, 50.0]
-        assert sum(1 for v in table.entries.values() if v == 0) == 134
+        assert sum(1 for v in table.values() if v == 0) == 134
 
     def test_exactly_136_entries(self):
         g = make_graph([("a", "b", 0.5)])
-        assert len(type_pair_percentages(g).entries) == 136
-        assert len(all_type_pairs()) == 136
+        assert len(type_pair_percentages(g)) == 136
+        assert len(TYPE_PAIRS) == 136
 
     def test_percentages_sum_to_100(self, rng):
         codes = [str(t) for t in MbtiType]
@@ -104,7 +121,7 @@ class TestTypePairPercentages:
             types[v] = types.get(v, codes[int(rng.integers(16))])
             edge_list.append((u, v, float(rng.random() + 0.01)))
         g = make_graph(edge_list, types=types)
-        total = sum(type_pair_percentages(g).entries.values())
+        total = sum(type_pair_percentages(g).values())
         assert abs(total - 100.0) < 1e-9
 
     def test_relabeling_invariance(self):
@@ -115,13 +132,13 @@ class TestTypePairPercentages:
             [("x", "y", 0.5), ("z", "y", 0.2)],
             types={renamed[k]: v for k, v in types.items()},
         )
-        assert type_pair_percentages(g1).entries == type_pair_percentages(g2).entries
+        assert type_pair_percentages(g1) == type_pair_percentages(g2)
 
     def test_empty_graph_raises(self):
         from affinity_miner.graph import AffinityGraph
 
         with pytest.raises(EmptyGraph):
-            type_pair_percentages(AffinityGraph(nodes={}, edges={}))
+            type_pair_percentages(AffinityGraph.from_dicts(nodes={}, edges={}))
 
 
 class TestExportImport:
@@ -135,7 +152,7 @@ class TestExportImport:
     def test_empty_graph_header_only(self):
         from affinity_miner.graph import AffinityGraph
 
-        g = AffinityGraph(nodes={}, edges={})
+        g = AffinityGraph.from_dicts(nodes={}, edges={})
         lines = export_graph(g, "edge-tsv").splitlines()
         assert lines == ["source\ttarget\tweight\tsource_type\ttarget_type"]
 
@@ -155,7 +172,10 @@ class TestExportImport:
                 continue
             g = make_graph(edge_list, types=types)
             back = parse_graph_tsv(export_graph(g, "edge-tsv"), threshold=g.threshold)
-            assert back == g
+            assert (back.order, back.threshold) == (g.order, g.threshold)
+            arrays = zip((back.node_types, *back.edge_arrays), (g.node_types, *g.edge_arrays))
+            for got, want in arrays:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_dot_output(self):
         g = make_graph([("a", "b", 0.5)], types={"a": "ESFJ", "b": "ISFP"})
@@ -186,6 +206,28 @@ class TestExportImport:
         text = f"{EDGE_TSV_HEADER}\n\na\tc\t0.5\tESFJ\tISFP\n\n{bad_row}\n"
         with pytest.raises(MalformedRecord, match="^line 5: ") as info:
             parse_graph_tsv(text)
+        assert info.value.line == 5
+
+    @pytest.mark.parametrize(
+        "bad_row, reason",
+        [
+            ("a\tc\t0.7\tESFJ\tISFP", "repeated edge 'a' -> 'c'"),
+            ("a\tb\t0.5\tINTJ\tISFP", "node 'a' typed both ESFJ and INTJ"),
+            ("b\tb\t0.5\tINTJ\tISFP", "node 'b' typed both INTJ and ISFP"),
+            ("a\tb\tnan\tESFJ\tISFP", "weight must be finite and > 0, got 'nan'"),
+            ("a\tb\tinf\tESFJ\tISFP", "weight must be finite and > 0, got 'inf'"),
+            ("a\tb\t-inf\tESFJ\tISFP", "weight must be finite and > 0, got '-inf'"),
+            ("a\tb\t0\tESFJ\tISFP", "weight must be finite and > 0, got '0'"),
+            ("a\tb\t-0.5\tESFJ\tISFP", "weight must be finite and > 0, got '-0.5'"),
+        ],
+        ids=["repeated-edge", "two-types", "self-edge-two-types", "nan", "inf", "-inf",
+             "zero", "negative"],
+    )
+    def test_inconsistent_row_rejected_naming_its_line(self, bad_row, reason):
+        text = f"{EDGE_TSV_HEADER}\n\na\tc\t0.5\tESFJ\tISFP\n\n{bad_row}\n"
+        with pytest.raises(MalformedRecord) as info:
+            parse_graph_tsv(text)
+        assert str(info.value) == f"line 5: {reason}"
         assert info.value.line == 5
 
     def test_unknown_format(self):

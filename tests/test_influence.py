@@ -125,7 +125,7 @@ class TestInvariances:
 
         for seed in range(20):
             g, c = random_graph_and_clustering(seed)
-            scaled = AffinityGraph(
+            scaled = AffinityGraph.from_dicts(
                 nodes=g.nodes,
                 edges={e: w * scale for e, w in g.edges.items()},
                 threshold=g.threshold * scale,
@@ -138,7 +138,7 @@ class TestInvariances:
         for seed in range(20):
             g, c = random_graph_and_clustering(seed)
             rename = {u: f"x_{u}" for u in g.nodes}  # preserves lexicographic order
-            g2 = AffinityGraph(
+            g2 = AffinityGraph.from_dicts(
                 nodes={rename[u]: t for u, t in g.nodes.items()},
                 edges={(rename[u], rename[v]): w for (u, v), w in g.edges.items()},
                 threshold=g.threshold,

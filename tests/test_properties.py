@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from affinity_miner import (
     Sentiment,
+    UserProfile,
+    build_affinity_graph,
     build_pair_sequences,
     score_sequences,
     stationary_distribution,
+    type_pair_percentages,
 )
 from affinity_miner.cli import parse_config_file
 from affinity_miner.cluster import (
@@ -30,10 +33,17 @@ from affinity_miner.errors import (
     AffinityMinerError,
     ConfigError,
     DimensionMismatch,
+    EmptyGraph,
     MalformedPattern,
     MalformedRecord,
 )
-from affinity_miner.graph import AffinityGraph, EDGE_TSV_HEADER, export_graph, parse_graph_tsv
+from affinity_miner.graph import (
+    EDGE_TSV_HEADER,
+    TYPE_PAIRS,
+    AffinityGraph,
+    export_graph,
+    parse_graph_tsv,
+)
 from affinity_miner.influence import cluster_link_counts, influential_types
 from affinity_miner.ingest import (
     ALL_TYPES,
@@ -53,7 +63,7 @@ from affinity_miner.lexfeat import (
 )
 from affinity_miner.semsim import load_embeddings
 
-from conftest import counts_by_id, id_sets, neighbor_sets
+from conftest import counts_by_id, flat, id_sets, neighbor_sets
 
 PROPERTY = settings(
     derandomize=True,
@@ -74,7 +84,7 @@ smoothing = st.floats(min_value=1e-6, max_value=1e6)
 @PROPERTY
 @given(state_tuples, smoothing, smoothing)
 def test_affinity_score_in_half_open_unit_interval(states, alpha, kappa):
-    assert 0.0 <= score_sequences({("a", "b"): states}, alpha, kappa)[("a", "b")] < 1.0
+    assert 0.0 <= score_sequences(*flat([states]), alpha, kappa)[0] < 1.0
 
 
 def mp_affinity_score(states, alpha, kappa):
@@ -106,16 +116,15 @@ def mp_affinity_score(states, alpha, kappa):
 # absolute rounding error swamps it
 @example([(Sentiment.NEG, Sentiment.NEU) * 50], 1e-6, 1.0)
 def test_score_sequences_matches_mpmath_oracle(sequences, alpha, kappa):
-    pairs = {(f"u{k}", "v"): states for k, states in enumerate(sequences)}
-    scores = score_sequences(pairs, alpha, kappa)
-    assert list(scores) == sorted(pairs)
-    for pair, states in pairs.items():
+    scores = score_sequences(*flat(sequences), alpha, kappa)
+    assert scores.dtype == np.float64 and len(scores) == len(sequences)
+    for score, states in zip(scores.tolist(), sequences):
         if not states:
-            assert scores[pair] == 0.0
+            assert score == 0.0
             continue
         with mpmath.workdps(50):
             expected = mp_affinity_score(states, alpha, kappa)
-            assert abs(scores[pair] - expected) <= mpmath.mpf(2e-15) * expected
+            assert abs(score - expected) <= mpmath.mpf(2e-15) * expected
 
 
 @st.composite
@@ -223,7 +232,13 @@ def _event(source, target, timestamps):
     )
 
 
-accepted_events = st.sampled_from([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")]).flatmap(
+# First-seen order differs from id order: "b" sorts after "a", "a\x00"
+# (which a NumPy "U" array compares equal to "a") sorts right after "a",
+# and the non-ASCII id sorts last.
+EVENT_IDS = ["b", "a", "a\x00", "c", "\u00e9t\u00e9"]
+EVENT_PAIRS = [("b", "a"), ("a", "b"), ("a", "c"), ("c", "b"), ("a\x00", "a"),
+               ("a", "a\x00"), ("a\x00", "b"), ("\u00e9t\u00e9", "a"), ("b", "\u00e9t\u00e9")]
+accepted_events = st.sampled_from(EVENT_PAIRS).flatmap(
     lambda pair: _event(*pair, st.integers(0, 3) | st.sampled_from([-(2**63), 2**63 - 1]))
 )
 rejected_lines = (
@@ -259,6 +274,18 @@ def per_event_oracle(items):
     return records, too_many_bad, sequences, {u: " ".join(p) for u, p in parts.items()}
 
 
+def write_items(path, items):
+    path.write_text(
+        "\n".join(json.dumps(item) if isinstance(item, dict) else item for item in items)
+    )
+    return path
+
+
+def pair_ids(pairs):
+    users = pairs.users
+    return [(users[u], users[v]) for u, v in zip(pairs.source.tolist(), pairs.target.tolist())]
+
+
 @PROPERTY
 @given(interaction_items)
 @example([
@@ -267,12 +294,15 @@ def per_event_oracle(items):
     {"source": "a", "target": "b", "timestamp": 1, "sentiment": "NEU", "text": "early"},
     {"source": "a", "target": "c", "timestamp": 1, "sentiment": "NEG", "text": None},
 ])
+@example([
+    {"source": "\u00e9t\u00e9", "target": "b", "timestamp": 0, "sentiment": "NEG"},
+    {"source": "b", "target": "a\x00", "timestamp": 1, "sentiment": "POS"},
+    {"source": "b", "target": "a", "timestamp": 1, "sentiment": "NEU"},
+    {"source": "b", "target": "a\x00", "timestamp": 0, "sentiment": "NEU"},
+])
 def test_event_table_matches_per_event_oracle(input_path, items):
-    input_path.write_text(
-        "\n".join(json.dumps(item) if isinstance(item, dict) else item for item in items)
-    )
     records, too_many_bad, sequences, documents = per_event_oracle(items)
-    with open_input(input_path) as fh:
+    with open_input(write_items(input_path, items)) as fh:
         if too_many_bad:
             with pytest.raises(MalformedRecord):
                 load_interactions(fh)
@@ -286,7 +316,91 @@ def test_event_table_matches_per_event_oracle(input_path, items):
     assert events.timestamp.tolist() == [r["timestamp"] for r in records]
     assert events.sentiment.tolist() == [Sentiment[r["sentiment"]] for r in records]
     assert events.documents == documents
-    assert list(build_pair_sequences(events).items()) == list(sequences.items())
+    # the pairs in id order, each with its states in row order
+    pairs, want = build_pair_sequences(events), sorted(sequences.items())
+    assert pairs.users is events.users
+    assert pair_ids(pairs) == [pair for pair, _ in want]
+    assert pairs.length.tolist() == [len(states) for _, states in want]
+    assert pairs.states.dtype == np.int8
+    assert pairs.states.tolist() == [int(x) for _, states in want for x in states]
+
+
+def tuple_dict_scores(sequences, alpha, kappa):
+    """The tuple-dict scorer the arrays replace: pairs in sorted order, each
+    tuple's transitions counted in a loop."""
+    scores = {}
+    for pair in sorted(sequences):
+        states = sequences[pair]
+        counts = np.zeros((3, 3))
+        for a, b in zip(states, states[1:]):
+            counts[int(a), int(b)] += 1.0
+        P = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + 3 * alpha)
+        n = float(len(states))
+        scores[pair] = float(stationary_distribution(P)[int(Sentiment.POS)] * (n / (n + kappa)))
+    return scores
+
+
+def dict_loop_graph(scores, labels, threshold):
+    """The per-pair dict loop build_affinity_graph replaces: (nodes, edges)."""
+    edges = {}
+    for (u, v), w in scores.items():
+        if w >= threshold and u in labels and v in labels:
+            edges[(u, v)] = w
+    return {u: labels[u] for edge in edges for u in edge}, edges
+
+
+def counting_loop_type_pairs(nodes, edges):
+    """The per-edge counting loop type_pair_percentages replaces."""
+    counts = {pair: 0 for pair in TYPE_PAIRS}
+    for u, v in edges:
+        p, q = nodes[u], nodes[v]
+        counts[(q, p) if q < p else (p, q)] += 1
+    return {pair: 100.0 * c / len(edges) for pair, c in counts.items()}
+
+
+@PROPERTY
+@given(
+    interaction_items,
+    st.just(1.0) | smoothing,
+    st.just(5.0) | smoothing,
+    st.lists(st.sampled_from(ALL_TYPES), min_size=len(EVENT_IDS), max_size=len(EVENT_IDS)),
+    st.sets(st.sampled_from(EVENT_IDS), max_size=2),
+    st.integers(min_value=0, max_value=40),
+)
+@example(
+    [{"source": u, "target": v, "timestamp": t // 2, "sentiment": "POS"}
+     for t, (u, v) in enumerate(EVENT_PAIRS * 3)],
+    1.0, 5.0, list(ALL_TYPES[:len(EVENT_IDS)]), {"c"}, 0,
+)
+def test_scores_graph_and_type_pairs_match_dict_oracles(
+    input_path, items, alpha, kappa, types, unprofiled, pick
+):
+    _, too_many_bad, sequences, _ = per_event_oracle(items)
+    if too_many_bad:
+        return
+    with open_input(write_items(input_path, items)) as fh:
+        pairs = build_pair_sequences(load_interactions(fh))
+    scores = score_sequences(pairs.length, pairs.states, alpha, kappa)
+    want = tuple_dict_scores(sequences, alpha, kappa)
+    assert pair_ids(pairs) == list(want)
+    assert scores.dtype == np.float64 and scores.tolist() == list(want.values())
+
+    # the threshold is exactly one of the scores, the default, or above
+    # every score (an empty graph)
+    labels = {u: t for u, t in zip(EVENT_IDS, types) if u not in unprofiled}
+    profiles = [UserProfile(u, t, 0.0) for u, t in labels.items()]
+    thresholds = sorted(w for w in want.values() if w > 0) + [1e-5, 1.0]
+    threshold = thresholds[pick % len(thresholds)]
+    g = build_affinity_graph(pairs, scores, profiles, threshold)
+    nodes, edges = dict_loop_graph(want, labels, threshold)
+    assert list(g.nodes.items()) == sorted(nodes.items())
+    assert list(g.edges.items()) == sorted(edges.items())
+    if not edges:
+        with pytest.raises(EmptyGraph):
+            type_pair_percentages(g)
+        return
+    got = type_pair_percentages(g)
+    assert list(got.items()) == list(counting_loop_type_pairs(nodes, edges).items())
 
 
 # a small alphabet, so literals, prefixes and tokens overlap often
@@ -449,29 +563,29 @@ def graph_of(edge_list, shuffle=None):
     if shuffle is not None:
         shuffle(edge_list)
         shuffle(ids)
-    return AffinityGraph(
+    return AffinityGraph.from_dicts(
         nodes={u: ALL_TYPES[ord(u[-1]) % 16] for u in ids},
         edges={(u, v): w for u, v, w in edge_list},
     )
 
 
-def dict_loop_edge_arrays(g):
+def dict_loop_edge_arrays(edge_list):
     """Index by position among the sorted ids, one edge at a time."""
-    index = {u: i for i, u in enumerate(sorted(g.nodes))}
-    edges = sorted(g.edges.items())
+    index = {u: i for i, u in enumerate(sorted({x for u, v, _ in edge_list for x in (u, v)}))}
+    edges = sorted(((u, v), w) for u, v, w in edge_list)
     src = np.array([index[u] for (u, _), _ in edges], dtype=np.intp)
     dst = np.array([index[v] for (_, v), _ in edges], dtype=np.intp)
     w = np.array([w for _, w in edges], dtype=float)
     return src, dst, w
 
 
-def dict_loop_walk_matrix(g, tau):
+def dict_loop_walk_matrix(edge_list, tau):
     """Dense weights filled by a per-edge dict loop, then the same mixing."""
-    order = sorted(g.nodes)
+    order = sorted({x for u, v, _ in edge_list for x in (u, v)})
     index = {u: i for i, u in enumerate(order)}
     n = len(order)
     W = np.zeros((n, n))
-    for (u, v), w in g.edges.items():
+    for u, v, w in edge_list:
         W[index[u], index[v]] = w
     out = W.sum(axis=1)
     dangling = out == 0.0
@@ -497,10 +611,10 @@ def test_graph_stores_sorted_order_whatever_the_insertion_order(edge_list, rnd):
 @given(edge_lists(), st.randoms(use_true_random=False))
 def test_edge_arrays_and_walk_matrix_match_dict_loops(edge_list, rnd):
     g = graph_of(edge_list, shuffle=rnd.shuffle)
-    for got, want in zip(g.edge_arrays, dict_loop_edge_arrays(g)):
+    for got, want in zip(g.edge_arrays, dict_loop_edge_arrays(edge_list)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for tau in (DEFAULT_TELEPORT, 0.3):
-        assert np.array_equal(random_walk_matrix(g, tau), dict_loop_walk_matrix(g, tau))
+        assert np.array_equal(random_walk_matrix(g, tau), dict_loop_walk_matrix(edge_list, tau))
 
 
 @settings(PROPERTY, max_examples=60)
