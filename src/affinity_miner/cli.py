@@ -226,8 +226,18 @@ class PipelineRunner:
 
     @cached_property
     def events(self) -> EventTable:
+        """The interactions table; building `pairs` releases it."""
         with open_input(self._require_file("interactions")) as fh:
             return load_interactions(fh)
+
+    @cached_property
+    def event_count(self) -> int:
+        return len(self.events)
+
+    @cached_property
+    def event_documents(self) -> dict[str, str]:
+        """Each source's event texts, joined in event order (bots included)."""
+        return self.events.documents
 
     @cached_property
     def profiles_all(self) -> list[UserProfile]:
@@ -241,7 +251,13 @@ class PipelineRunner:
 
     @cached_property
     def pairs(self) -> affinity.PairSequences:
-        return affinity.build_pair_sequences(self.events)
+        """The pair sequences. Later stages read only the event count and the
+        documents, so those are cached here and the event columns released
+        instead of staying cached through clustering."""
+        events = self.events
+        self.__dict__.update(event_count=len(events), event_documents=events.documents)
+        del self.events
+        return affinity.build_pair_sequences(events)
 
     @cached_property
     def scores(self) -> np.ndarray:
@@ -272,7 +288,7 @@ class PipelineRunner:
     def documents(self) -> dict[str, str]:
         """Each kept user's event texts, joined in event order."""
         kept = {p.user_id for p in self.profiles}
-        return {u: text for u, text in self.events.documents.items() if u in kept}
+        return {u: text for u, text in self.event_documents.items() if u in kept}
 
     @cached_property
     def documents_by_type(self) -> dict[MbtiType, list[str]]:
@@ -333,7 +349,7 @@ class PipelineRunner:
 
     def ingest_text(self) -> str:
         return (
-            f"events = {len(self.events)}\n"
+            f"events = {self.event_count}\n"
             f"profiles_total = {len(self.profiles_all)}\n"
             f"profiles_kept = {len(self.profiles)}\n"
         )

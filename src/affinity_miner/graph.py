@@ -137,8 +137,8 @@ def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
 
 def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> AffinityGraph:
     """Inverse of export_graph(.., "edge-tsv"); errors name the physical line.
-    Weights must be finite and > 0, no (source, target) pair may repeat, and
-    each node keeps one type."""
+    Weights must be finite, > 0 and at least `threshold`, no (source, target)
+    pair may repeat, and each node keeps one type."""
     lines = read_lines(io.StringIO(text))
     lineno, header = next(lines, (None, None))
     if header != EDGE_TSV_HEADER:
@@ -154,6 +154,8 @@ def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> Aff
             weight = float(weight_text)
             if not 0 < weight < math.inf:
                 raise ValueError(f"weight must be finite and > 0, got {weight_text!r}")
+            if weight < threshold:
+                raise ValueError(f"weight below the threshold {threshold!r}, got {weight_text!r}")
             if (u, v) in edges:
                 raise ValueError(f"repeated edge {u!r} -> {v!r}")
             for node, code in ((u, u_type), (v, v_type)):

@@ -235,8 +235,11 @@ def _parse_event_line(line: str) -> tuple[str, str, int, Sentiment, str | None]:
     text = record.get("text")
     if text is not None and not isinstance(text, str):
         raise ValueError("text must be a string when present")
-    for name, value in (("source", source), ("target", target), ("text", text or "")):
-        _require_utf8(value, f"{name}: ")
+    # parse_lines checked the raw line, so only a \u escape can decode to a
+    # lone surrogate
+    if "\\u" in line:
+        for name, value in (("source", source), ("target", target), ("text", text or "")):
+            _require_utf8(value, f"{name}: ")
     if source == target:
         raise ValueError("source equals target (self-mention)")
     return source, target, ts, _SENTIMENT_BY_NAME[token], text

@@ -13,8 +13,7 @@ in the exact formats the ingestion layer consumes.
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -95,16 +94,26 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
     return graph, truth
 
 
+def _chain_cdf(P: np.ndarray) -> list[list[float]]:
+    """Cumulative rows of a chain as Python floats: rows 0-2 step from a
+    state, row 3 draws the first state from the stationary distribution."""
+    return np.cumsum(np.concatenate([P, stationary_distribution(P)[None]]), axis=1).tolist()
+
+
+def _sample_states(cdf: list[list[float]], length: int, seed: int) -> list[int]:
+    """`length` state values from a chain given by _chain_cdf, drawn with
+    one uniform per state from a generator seeded by `seed`."""
+    last = len(cdf) - 2
+    state, states = last + 1, []
+    for u in np.random.default_rng(seed).random(length).tolist():
+        state = min(bisect_right(cdf[state], u), last)
+        states.append(state)
+    return states
+
+
 def sample_chain_sequence(P: np.ndarray, length: int, seed: int) -> tuple[Sentiment, ...]:
     """Sample states from a chain, starting from its stationary distribution."""
-    rng = np.random.default_rng(seed)
-    # rows 0-2 step from a state; row 3 draws the first state
-    cumulative = np.cumsum(np.concatenate([P, stationary_distribution(P)[None]]), axis=1)
-    state, states = len(P), []
-    for u in rng.random(length).tolist():
-        state = min(int(cumulative[state].searchsorted(u, side="right")), len(P) - 1)
-        states.append(Sentiment(state))
-    return tuple(states)
+    return tuple(map(Sentiment, _sample_states(_chain_cdf(P), length, seed)))
 
 
 # dataset generation ---------------------------------------------------------
@@ -142,30 +151,8 @@ TYPE_WORDS: dict[MbtiType, tuple[str, ...]] = {
 }
 
 
-# P(positive word), P(negative word) per sentiment state
-_EMOTION_RATES = {
-    Sentiment.POS: (0.85, 0.10),
-    Sentiment.NEU: (0.30, 0.20),
-    Sentiment.NEG: (0.10, 0.85),
-}
-
-
-def _event_text(
-    rng: np.random.Generator,
-    t: MbtiType,
-    sentiment: Sentiment,
-    emotionality: tuple[float, float] = (1.0, 1.0),
-) -> str:
-    words = [TYPE_WORDS[t][i] for i in rng.integers(len(TYPE_WORDS[t]), size=3)]
-    words.append(SHARED_WORDS[rng.integers(len(SHARED_WORDS))])
-    words.append(PRONOUNS[rng.integers(len(PRONOUNS))])
-    p_pos, p_neg = _EMOTION_RATES[sentiment]
-    if rng.random() < min(p_pos * emotionality[0], 0.95):
-        words.append(POSITIVE_WORDS[rng.integers(len(POSITIVE_WORDS))])
-    if rng.random() < min(p_neg * emotionality[1], 0.95):
-        words.append(NEGATIVE_WORDS[rng.integers(len(NEGATIVE_WORDS))])
-    order = rng.permutation(len(words))
-    return " ".join(words[i] for i in order)
+# P(positive word), P(negative word), indexed by Sentiment value (NEG, NEU, POS)
+_EMOTION_RATES = ((0.10, 0.85), (0.30, 0.20), (0.85, 0.10))
 
 
 class _User(NamedTuple):
@@ -230,7 +217,15 @@ def generate_dataset(
     members = [[i for i, u in enumerate(table) if u.block == b] for b in range(blocks)]
     outsiders = [[u for u in table if u.block != b] for b in range(blocks)]
 
-    events: list[dict] = []
+    # The generator calls below, their arguments and their order are part of
+    # the pinned output: every golden was recorded on these bytes. Per event:
+    # three type words, one shared word, one pronoun, a uniform (and maybe a
+    # word) per emotion category, then the word order.
+    cdf = {True: _chain_cdf(FRIENDLY_CHAIN), False: _chain_cdf(DISTANT_CHAIN)}
+    integers, random, permutation = rng.integers, rng.random, rng.permutation
+    n_shared, n_pronouns = len(SHARED_WORDS), len(PRONOUNS)
+    n_positive, n_negative = len(POSITIVE_WORDS), len(NEGATIVE_WORDS)
+    lines: list[str] = []
     timestamp = 1_600_000_000
     for i, user in enumerate(table):
         block = members[user.block]
@@ -240,28 +235,45 @@ def generate_dataset(
         partners = [table[block[k + (k >= own)]] for k in picks]
         outside = outsiders[user.block]
         partners += [outside[k] for k in rng.choice(len(outside), size=2, replace=False)]
+        words_of_type = TYPE_WORDS[user.mbti]
+        n_type = len(words_of_type)
+        # per state value: the user's capped P(positive word), P(negative word)
+        e_pos, e_neg = user.emotionality
+        rates = [(min(p * e_pos, 0.95), min(q * e_neg, 0.95)) for p, q in _EMOTION_RATES]
         for partner in partners:
             friendly = partner.block == user.block
-            chain = FRIENDLY_CHAIN if friendly else DISTANT_CHAIN
-            length = int(rng.integers(8, 14)) if friendly else int(rng.integers(1, 4))
-            seq = sample_chain_sequence(chain, length, int(rng.integers(0, 2**32)))
-            for s in seq:
-                events.append(
-                    {
-                        "source": user.name,
-                        "target": partner.name,
-                        "timestamp": timestamp,
-                        "sentiment": s.name,
-                        "text": _event_text(rng, user.mbti, s, user.emotionality),
-                    }
-                )
+            length = int(integers(8, 14)) if friendly else int(integers(1, 4))
+            states = _sample_states(cdf[friendly], length, int(integers(0, 2**32)))
+            # each line is json.dumps(event, sort_keys=True): every id and
+            # word is plain ASCII, so nothing needs escaping
+            heads = [
+                f'{{"sentiment": "{s.name}", "source": "{user.name}", '
+                f'"target": "{partner.name}", "text": "'
+                for s in Sentiment
+            ]
+            for s in states:
+                p_pos, p_neg = rates[s]
+                words = [
+                    words_of_type[integers(n_type)],
+                    words_of_type[integers(n_type)],
+                    words_of_type[integers(n_type)],
+                    SHARED_WORDS[integers(n_shared)],
+                    PRONOUNS[integers(n_pronouns)],
+                ]
+                if random() < p_pos:
+                    words.append(POSITIVE_WORDS[integers(n_positive)])
+                if random() < p_neg:
+                    words.append(NEGATIVE_WORDS[integers(n_negative)])
+                text = " ".join([words[k] for k in permutation(len(words)).tolist()])
+                lines.append(f'{heads[s]}{text}", "timestamp": {timestamp}}}\n')
                 timestamp += 1
 
-    shuffle = rng.permutation(len(events))
+    shuffle = rng.permutation(len(lines))
     interactions_path = out / "interactions.jsonl"
     with interactions_path.open("w", encoding="utf-8") as fh:
-        for i in shuffle:
-            fh.write(json.dumps(events[i], sort_keys=True) + "\n")
+        # line by line: a joined string plus its encoded copy would more
+        # than double the memory the lines hold
+        fh.writelines(lines[i] for i in shuffle.tolist())
 
     profiles_path = out / "profiles.tsv"
     with profiles_path.open("w", encoding="utf-8") as fh:

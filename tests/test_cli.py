@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -159,7 +161,7 @@ def test_graph_stage_caches_no_dict_keyed_by_id_pairs(dataset, tmp_path):
         runner.write_stage(stage)
     assert not hasattr(cli_module.PipelineRunner, "sequences")
     cached = vars(runner)
-    assert {"events", "pairs", "scores", "affinity_graph", "type_pairs"} <= set(cached)
+    assert {"event_count", "pairs", "scores", "affinity_graph", "type_pairs"} <= set(cached)
     # the cached values and their attributes, one level down
     values = [*cached.values()]
     values += [v for value in cached.values() for v in getattr(value, "__dict__", {}).values()]
@@ -171,6 +173,30 @@ def test_graph_stage_caches_no_dict_keyed_by_id_pairs(dataset, tmp_path):
             )
     g = runner.affinity_graph
     assert set(vars(g)) == {"order", "node_types", "edge_arrays", "threshold"}
+
+
+def test_graph_stage_holds_no_event_column(dataset, tmp_path):
+    cfg = config_for(dataset, tmp_path)
+    runner = cli_module.PipelineRunner(cfg)
+    runner.write_stage("ingest")
+    table = runner.events
+    columns = [weakref.ref(c) for c in (table.source, table.target, table.timestamp, table.sentiment)]
+    n_events = len(table)
+    del table
+    for stage in ("affinity", "graph"):
+        runner.write_stage(stage)
+    gc.collect()
+    assert "events" not in vars(runner)
+    assert [ref() for ref in columns] == [None] * 4
+    assert runner.event_count == n_events
+    for stage in cli_module.RUN_STAGES[3:]:
+        runner.write_stage(stage)
+    assert "events" not in vars(runner)
+    staged = (tmp_path / "report.txt").read_text()
+    assert f"\n[ingest]\nevents = {n_events}\n" in staged
+    # the same report from a runner that reads the table in another order
+    cli_module.PipelineRunner(cfg).write_stage("report")
+    assert (tmp_path / "report.txt").read_text() == staged
 
 
 class TestMainEntry:

@@ -230,6 +230,16 @@ class TestExportImport:
         assert str(info.value) == f"line 5: {reason}"
         assert info.value.line == 5
 
+    def test_weight_below_threshold_rejected_naming_its_line(self):
+        text = f"{EDGE_TSV_HEADER}\na\tb\t1e-9\tINFJ\tINFJ\n"
+        with pytest.raises(MalformedRecord) as info:
+            parse_graph_tsv(text, threshold=1e-5)
+        assert str(info.value) == "line 2: weight below the threshold 1e-05, got '1e-9'"
+        assert info.value.line == 2
+        # a weight exactly at the threshold is an edge, as in build_affinity_graph
+        g = parse_graph_tsv(text, threshold=1e-9)
+        assert g.edge_arrays[2].tolist() == [1e-9] and g.threshold == 1e-9
+
     def test_unknown_format(self):
         g = make_graph([("a", "b", 0.5)])
         with pytest.raises(ValueError):

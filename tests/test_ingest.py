@@ -207,6 +207,26 @@ class TestLoadInteractions:
         events = load_interactions(lines)
         assert events.timestamp.tolist() == [-(2**63), 2**63 - 1]
 
+    @pytest.mark.parametrize("field", ["source", "target", "text"])
+    def test_escaped_surrogate_rejected_naming_field(self, caplog, field):
+        lines = [event_line(timestamp=i) for i in range(20)]
+        # json.dumps writes the lone surrogate as the escape \udcff
+        lines.insert(4, event_line(**{field: "x\udcff"}))
+        assert "\\udcff" in lines[4]
+        events = load_interactions(lines)
+        assert len(events) == 20
+        assert [r.getMessage() for r in caplog.records] == [
+            f"interactions line 5 rejected: {field}: not valid UTF-8 at character 2"
+        ]
+
+    def test_escapes_decoding_to_valid_text_accepted(self, caplog):
+        lines = [event_line("café", "a\\u", text="été \\u00e9")]
+        assert "\\u00e9" in lines[0]
+        events = load_interactions(lines)
+        assert events.users == ("café", "a\\u")
+        assert events.documents == {"café": "été \\u00e9"}
+        assert not caplog.records
+
     def test_retained_memory_is_bounded(self, tmp_path):
         """The table keeps typed columns and one document per source, not an
         object per event: 50k events with texts of about 37 characters stay under 4 MiB."""

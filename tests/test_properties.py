@@ -16,6 +16,7 @@ from affinity_miner import (
     UserProfile,
     build_affinity_graph,
     build_pair_sequences,
+    sample_chain_sequence,
     score_sequences,
     stationary_distribution,
     type_pair_percentages,
@@ -36,6 +37,7 @@ from affinity_miner.errors import (
     EmptyGraph,
     MalformedPattern,
     MalformedRecord,
+    NonErgodic,
 )
 from affinity_miner.graph import (
     EDGE_TSV_HEADER,
@@ -706,3 +708,41 @@ def test_influence_and_serialization_match_id_set_oracles(clustered):
     rows = sorted((u, ci) for ci, members in enumerate(groups) for u in members)
     text = serialize_clustering(c)
     assert text.endswith("node_id\tcluster_index\n" + "".join(f"{u}\t{ci}\n" for u, ci in rows))
+
+
+def searchsorted_chain_sequence(P, length, seed):
+    """Reference: the per-state searchsorted sampler generate_dataset's
+    inputs were first recorded with."""
+    rng = np.random.default_rng(seed)
+    cumulative = np.cumsum(np.concatenate([P, stationary_distribution(P)[None]]), axis=1)
+    state, states = len(P), []
+    for u in rng.random(length).tolist():
+        state = min(int(cumulative[state].searchsorted(u, side="right")), len(P) - 1)
+        states.append(Sentiment(state))
+    return tuple(states)
+
+
+# rows with zeros, ties and tiny masses; chains with two closed classes
+# have no stationary distribution and are skipped. Rows scaled to sum to 1/2
+# send every uniform above their last cumulative entry to the last state.
+chain_rows = st.lists(
+    st.sampled_from([0.0, 1e-300, 0.1, 0.2, 1 / 3, 0.7]) | st.floats(0.0, 1.0), min_size=3, max_size=3
+).filter(lambda row: sum(row) > 0)
+
+
+@PROPERTY
+@given(
+    st.lists(chain_rows, min_size=3, max_size=3),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.5]),
+)
+@example([[0.1, 0.2, 0.7], [0.05, 0.15, 0.8], [0.02, 0.08, 0.9]], 13, 0, 1.0)
+@example([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], 50, 2**32 - 1, 1.0)
+def test_chain_sampler_matches_searchsorted_oracle(rows, length, seed, scale):
+    P = scale * np.array(rows) / np.sum(rows, axis=1, keepdims=True)
+    try:
+        expected = searchsorted_chain_sequence(P, length, seed)
+    except NonErgodic:
+        return
+    assert sample_chain_sequence(P, length, seed) == expected

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from affinity_miner import (
     planted_partition,
     sample_chain_sequence,
 )
+from affinity_miner import synth
 from affinity_miner.errors import InvalidSpec
 from affinity_miner.ingest import Sentiment
 from affinity_miner.synth import PlantedSpec, generate_dataset
@@ -165,6 +167,33 @@ class TestGenerateDataset:
         with pytest.raises(InvalidSpec, match="blocks"):
             generate_dataset(tmp_path, blocks=0)
 
+    def test_lines_are_sorted_key_json(self, tmp_path):
+        paths = generate_dataset(tmp_path, seed=5, users_per_type=3, bots=6)
+        lines = paths["interactions"].read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 100
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        stamps = sorted(json.loads(line)["timestamp"] for line in lines)
+        assert stamps == list(range(1_600_000_000, 1_600_000_000 + len(lines)))
+
+    def test_chains_solved_once_and_no_json_encoder(self, tmp_path, monkeypatch):
+        calls = {"stationary_distribution": 0, "dumps": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            synth, "stationary_distribution",
+            counted("stationary_distribution", synth.stationary_distribution),
+        )
+        monkeypatch.setattr(json, "dumps", counted("dumps", json.dumps))
+        generate_dataset(tmp_path, seed=2, users_per_type=4)
+        assert calls == {"stationary_distribution": 2, "dumps": 0}
+
 
 _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b"
 
@@ -196,6 +225,15 @@ _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b
                 embeddings="36748da9e0b2397f5689f26c2a1536426a51384a46e46643c13a5993741c14f4",
             ),
         ),
+        # the kdest-lr-768 benchmark inputs at seed 1
+        (
+            dict(seed=1, users_per_type=48),
+            dict(
+                interactions="7f987c79d724cfe395c8d61545f013a49a3115f11a25c476ca4e3c47f7fe017c",
+                profiles="faec12a970b1e5fea048e93c5d4993dee7da78433b88fd9a1c88c93f0df6cebe",
+                embeddings="cad9f1651a005849f71454a0117e9451fdaf928dcb8010eab622ff42a6f07985",
+            ),
+        ),
         # one user per block plus a bot in four of them: zero or one mate
         (
             dict(seed=11, users_per_type=1, blocks=16),
@@ -206,7 +244,7 @@ _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b
             ),
         ),
     ],
-    ids=["seed7-12", "seed5-2", "seed3-1-bots20", "seed11-1-blocks16"],
+    ids=["seed7-12", "seed5-2", "seed3-1-bots20", "seed1-48", "seed11-1-blocks16"],
 )
 def test_generated_files_are_pinned(tmp_path, kwargs, digests):
     """Generated inputs are byte-for-byte those every golden was recorded on."""
