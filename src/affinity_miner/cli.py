@@ -18,12 +18,11 @@ import dataclasses
 import math
 import os
 import sys
-import tempfile
 import traceback
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from . import affinity, classify, cluster, graph, influence, lexfeat, semsim, sy
 from .errors import AffinityMinerError, ConfigError
 from .ingest import (
     ALL_TYPES,
-    EventTable,
     MbtiType,
     UserProfile,
     filter_bots,
@@ -42,10 +40,6 @@ from .ingest import (
 )
 
 ENV_PREFIX = "AFFINITY_MINER_"
-
-# the process umask can only be read by setting it
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 
 
 @dataclass(frozen=True)
@@ -75,22 +69,18 @@ class PipelineConfig:
     seed: int = 0
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
 
 
 def _convert(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind != "float":
-            return raw
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}", key=key) from None
     # inf passes the one-sided range checks (inf > 1, inf >= 0) and then
     # turns into NaN arithmetic inside a solver
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"config key {key} must be finite, got {raw!r}", key=key)
     return value
 
@@ -174,13 +164,13 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_atomic_bytes(path: Path, data: bytes):
-    """Write through a uniquely named temp file in the same directory, so
-    concurrent runs into one directory never share a temp file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write through a randomly named temp file in the same directory,
+    created exclusively, so concurrent runs into one directory never share
+    a temp file. The kernel applies the umask to its 0666 mode."""
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            # mkstemp creates 0600; give outputs the usual umask-derived mode
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
@@ -206,6 +196,15 @@ def render_lower_triangular(
     return "\n".join(lines) + "\n"
 
 
+class Interactions(NamedTuple):
+    """What the stages read of the interactions file."""
+
+    count: int
+    # each source's event texts, joined in event order (bots included)
+    documents: dict[str, str]
+    pairs: affinity.PairSequences
+
+
 class PipelineRunner:
     """Computes each stage's data once, on first use, and renders outputs."""
 
@@ -222,27 +221,22 @@ class PipelineRunner:
             raise ConfigError(f"config key {key}: file not found: {path}", key=key)
         return path
 
+    def _load(self, key: str, loader: Callable):
+        with open_input(self._require_file(key)) as fh:
+            return loader(fh)
+
     # -- data stages ---------------------------------------------------------
 
     @cached_property
-    def events(self) -> EventTable:
-        """The interactions table; building `pairs` releases it."""
-        with open_input(self._require_file("interactions")) as fh:
-            return load_interactions(fh)
-
-    @cached_property
-    def event_count(self) -> int:
-        return len(self.events)
-
-    @cached_property
-    def event_documents(self) -> dict[str, str]:
-        """Each source's event texts, joined in event order (bots included)."""
-        return self.events.documents
+    def interactions(self) -> Interactions:
+        """The event table is not kept, so its columns are freed here rather
+        than staying cached through clustering."""
+        events = self._load("interactions", load_interactions)
+        return Interactions(len(events), events.documents, affinity.build_pair_sequences(events))
 
     @cached_property
     def profiles_all(self) -> list[UserProfile]:
-        with open_input(self._require_file("profiles")) as fh:
-            return load_profiles(fh)
+        return self._load("profiles", load_profiles)
 
     @cached_property
     def profiles(self) -> list[UserProfile]:
@@ -250,24 +244,14 @@ class PipelineRunner:
         return filter_bots(self.profiles_all)
 
     @cached_property
-    def pairs(self) -> affinity.PairSequences:
-        """The pair sequences. Later stages read only the event count and the
-        documents, so those are cached here and the event columns released
-        instead of staying cached through clustering."""
-        events = self.events
-        self.__dict__.update(event_count=len(events), event_documents=events.documents)
-        del self.events
-        return affinity.build_pair_sequences(events)
-
-    @cached_property
     def scores(self) -> np.ndarray:
-        pairs, cfg = self.pairs, self.cfg
+        pairs, cfg = self.interactions.pairs, self.cfg
         return affinity.score_sequences(pairs.length, pairs.states, cfg.alpha, cfg.kappa)
 
     @cached_property
     def affinity_graph(self) -> graph.AffinityGraph:
-        cfg = self.cfg
-        return graph.build_affinity_graph(self.pairs, self.scores, self.profiles, cfg.threshold)
+        pairs, cfg = self.interactions.pairs, self.cfg
+        return graph.build_affinity_graph(pairs, self.scores, self.profiles, cfg.threshold)
 
     @cached_property
     def type_pairs(self) -> dict[tuple[MbtiType, MbtiType], float]:
@@ -285,31 +269,24 @@ class PipelineRunner:
         return influence.influential_types(self.affinity_graph, self.clustering)
 
     @cached_property
-    def documents(self) -> dict[str, str]:
-        """Each kept user's event texts, joined in event order."""
-        kept = {p.user_id for p in self.profiles}
-        return {u: text for u, text in self.event_documents.items() if u in kept}
-
-    @cached_property
     def documents_by_type(self) -> dict[MbtiType, list[str]]:
         """Each type's kept users' documents ("" for none), in profile order."""
+        documents = self.interactions.documents
         groups: dict[MbtiType, list[str]] = {t: [] for t in ALL_TYPES}
         for profile in self.profiles:
-            groups[profile.mbti].append(self.documents.get(profile.user_id, ""))
+            groups[profile.mbti].append(documents.get(profile.user_id, ""))
         return groups
 
     @cached_property
     def similarity(self) -> dict[tuple[MbtiType, MbtiType], float]:
-        with open_input(self._require_file("embeddings")) as fh:
-            table = semsim.load_embeddings(fh)
+        table = self._load("embeddings", semsim.load_embeddings)
         corpora = {t: " ".join(docs) for t, docs in self.documents_by_type.items()}
         return semsim.type_similarity_matrix(corpora, table)
 
     @cached_property
     def lexcorr(self) -> dict[str, dict[tuple[MbtiType, MbtiType], float]]:
         """Correlation tables for the "pos" and "neg" categories."""
-        with open_input(self._require_file("lexicon")) as fh:
-            lex = lexfeat.load_lexicon(fh)
+        lex = self._load("lexicon", lexfeat.load_lexicon)
         for key in ("pos_category", "neg_category"):
             category = getattr(self.cfg, key)
             if category not in lex.categories:
@@ -331,9 +308,10 @@ class PipelineRunner:
 
     @cached_property
     def cv_report(self) -> classify.CvReport:
+        documents = self.interactions.documents
         corpus = classify.LabeledCorpus(
             tuple(
-                (self.documents.get(p.user_id, ""), p.mbti)
+                (documents.get(p.user_id, ""), p.mbti)
                 for p in sorted(self.profiles, key=lambda p: p.user_id)
             )
         )
@@ -349,13 +327,14 @@ class PipelineRunner:
 
     def ingest_text(self) -> str:
         return (
-            f"events = {self.event_count}\n"
+            f"events = {self.interactions.count}\n"
             f"profiles_total = {len(self.profiles_all)}\n"
             f"profiles_kept = {len(self.profiles)}\n"
         )
 
     def scores_text(self) -> str:
-        pairs, users = self.pairs, self.pairs.users
+        pairs = self.interactions.pairs
+        users = pairs.users
         rows = zip(*(a.tolist() for a in (pairs.source, pairs.target, pairs.length, self.scores)))
         lines = [f"{users[u]}\t{users[v]}\t{n}\t{x:.17g}" for u, v, n, x in rows]
         return "\n".join(["source\ttarget\tn\tscore", *lines]) + "\n"

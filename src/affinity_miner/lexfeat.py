@@ -319,11 +319,14 @@ def emotion_correlation_table(
     of each fit (by descending value) are aligned on the union of selected
     keys, missing keys as 0, and the aligned vectors are Pearson-correlated.
     Groups must sort; keys are (later group, earlier group) in sorted order.
+    DegenerateCorpus and ConstantVector name the group or pair at fault.
     """
-    weights = {
-        name: _category_weights(docs, lex, target, lam, mix)
-        for name, docs in sorted(documents_by_group.items())
-    }
+    weights = {}
+    for name, docs in sorted(documents_by_group.items()):
+        try:
+            weights[name] = _category_weights(docs, lex, target, lam, mix)
+        except DegenerateCorpus as exc:
+            raise DegenerateCorpus(f"{name}: {exc}") from None
     names = sorted(weights)
     top = {name: set(_top_n_keys(weights[name], n)) for name in names}
     table: dict[tuple[str, str], float] = {}
@@ -332,5 +335,8 @@ def emotion_correlation_table(
             keys = sorted(top[a] | top[b])
             va = np.array([weights[a].get(k, 0.0) for k in keys])
             vb = np.array([weights[b].get(k, 0.0) for k in keys])
-            table[(a, b)] = pearson_r(va, vb)
+            try:
+                table[(a, b)] = pearson_r(va, vb)
+            except ConstantVector as exc:
+                raise ConstantVector(f"{a} vs {b}: {exc}") from None
     return table

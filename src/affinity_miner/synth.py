@@ -96,7 +96,17 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
 
 def _chain_cdf(P: np.ndarray) -> list[list[float]]:
     """Cumulative rows of a chain as Python floats: rows 0-2 step from a
-    state, row 3 draws the first state from the stationary distribution."""
+    state, row 3 draws the first state from the stationary distribution.
+
+    InvalidSpec unless P is 3 x 3 and row-stochastic: a row summing below
+    1 would otherwise hand its missing mass to the last state."""
+    P = np.asarray(P, dtype=float)
+    if P.shape != (3, 3):
+        raise InvalidSpec(f"chain matrix must be 3 x 3, got shape {P.shape}")
+    if not (np.isfinite(P).all() and (P >= 0).all()):
+        raise InvalidSpec("chain matrix entries must be finite and >= 0")
+    if np.abs(P.sum(axis=1) - 1).max() > 1e-12:
+        raise InvalidSpec(f"chain matrix rows must sum to 1, got {P.sum(axis=1).tolist()}")
     return np.cumsum(np.concatenate([P, stationary_distribution(P)[None]]), axis=1).tolist()
 
 

@@ -20,7 +20,12 @@ from affinity_miner.cli import (
     run_pipeline,
 )
 from affinity_miner.errors import ConfigError
+from affinity_miner.ingest import load_interactions
 from affinity_miner.synth import generate_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import harness  # noqa: E402
 
 STAGE_FILES = [
     "ingest.txt",
@@ -58,7 +63,13 @@ def config_for(dataset, out_dir, **extra):
     return resolve_config({}, overrides)
 
 
-FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"]
+def input_args(dataset):
+    """--set flags naming the four input files."""
+    keys = ("interactions", "profiles", "embeddings", "lexicon")
+    return [f"--set={key}={dataset[key]}" for key in keys]
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if type(f.default) is float]
 
 
 class TestConfigResolution:
@@ -161,10 +172,10 @@ def test_graph_stage_caches_no_dict_keyed_by_id_pairs(dataset, tmp_path):
         runner.write_stage(stage)
     assert not hasattr(cli_module.PipelineRunner, "sequences")
     cached = vars(runner)
-    assert {"event_count", "pairs", "scores", "affinity_graph", "type_pairs"} <= set(cached)
-    # the cached values and their attributes, one level down
-    values = [*cached.values()]
-    values += [v for value in cached.values() for v in getattr(value, "__dict__", {}).values()]
+    assert {"interactions", "scores", "affinity_graph", "type_pairs"} <= set(cached)
+    # the cached values, the fields of `interactions`, and their attributes
+    values = [*cached.values(), *cached["interactions"]]
+    values += [v for value in values for v in getattr(value, "__dict__", {}).values()]
     for value in values:
         if isinstance(value, dict):
             assert not any(
@@ -175,28 +186,50 @@ def test_graph_stage_caches_no_dict_keyed_by_id_pairs(dataset, tmp_path):
     assert set(vars(g)) == {"order", "node_types", "edge_arrays", "threshold"}
 
 
-def test_graph_stage_holds_no_event_column(dataset, tmp_path):
+def test_graph_stage_holds_no_event_column(dataset, tmp_path, monkeypatch):
+    tables = []
+
+    def load(fh):
+        tables.append(load_interactions(fh))
+        return tables[-1]
+
+    monkeypatch.setattr(cli_module, "load_interactions", load)
     cfg = config_for(dataset, tmp_path)
     runner = cli_module.PipelineRunner(cfg)
     runner.write_stage("ingest")
-    table = runner.events
+    (table,) = tables
     columns = [weakref.ref(c) for c in (table.source, table.target, table.timestamp, table.sentiment)]
     n_events = len(table)
-    del table
-    for stage in ("affinity", "graph"):
-        runner.write_stage(stage)
+    del table, tables[:]
     gc.collect()
-    assert "events" not in vars(runner)
-    assert [ref() for ref in columns] == [None] * 4
-    assert runner.event_count == n_events
-    for stage in cli_module.RUN_STAGES[3:]:
+    assert all(ref() is None for ref in columns)
+    for stage in cli_module.RUN_STAGES[1:]:
         runner.write_stage(stage)
-    assert "events" not in vars(runner)
     staged = (tmp_path / "report.txt").read_text()
     assert f"\n[ingest]\nevents = {n_events}\n" in staged
-    # the same report from a runner that reads the table in another order
+    # the same report from a runner that writes only the report
     cli_module.PipelineRunner(cfg).write_stage("report")
     assert (tmp_path / "report.txt").read_text() == staged
+
+
+@pytest.fixture(scope="module")
+def run_outputs(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["run", *input_args(dataset), "--seed", "11", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage", list(cli_module.STAGES))
+def test_stage_subcommand_alone_writes_the_run_bytes(dataset, run_outputs, tmp_path, stage):
+    assert main([stage, *input_args(dataset), "--seed", "11", "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(name for name, _ in cli_module.STAGES[stage])
+    for name in written:
+        got, want = (tmp_path / name).read_bytes(), (run_outputs / name).read_bytes()
+        if name == "report.txt":
+            # [config] names the output directory
+            got, want = (harness.report_without_config(x.decode()) for x in (got, want))
+        assert got == want, name
 
 
 class TestMainEntry:
@@ -395,8 +428,12 @@ class TestAtomicWrites:
 
     def test_mode_follows_umask(self, tmp_path):
         target = tmp_path / "report.txt"
-        _write_atomic(target, "x\n")
-        assert target.stat().st_mode & 0o777 == 0o666 & ~cli_module._UMASK
+        old = os.umask(0o027)
+        try:
+            _write_atomic(target, "x\n")
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == 0o640
 
 
 class TestBadInputsExitOne:
@@ -531,6 +568,17 @@ class TestBadInputsExitOne:
         assert "line 4: 'self-*' is not one token and can never match" in err
         assert "Traceback" not in err
 
+    def test_lexcorr_names_a_type_without_users(self, dataset, tmp_path, capsys):
+        lines = dataset["profiles"].read_text().splitlines(keepends=True)
+        profiles = tmp_path / "profiles.tsv"
+        profiles.write_text("".join(line for line in lines if "\tENFJ\t" not in line))
+        args = self.stage_args(dataset, tmp_path / "results",
+                               "interactions", "lexicon", profiles=profiles)
+        assert main(["lexcorr", *args]) == 1
+        err = capsys.readouterr().err
+        assert "error: ENFJ: need at least 2 documents, got 0" in err
+        assert "Traceback" not in err
+
     def test_deeply_nested_json_line_rejected(self, dataset, tmp_path, caplog):
         lines = dataset["interactions"].read_bytes().splitlines(keepends=True)
         bad = tmp_path / "interactions.jsonl"
@@ -540,6 +588,27 @@ class TestBadInputsExitOne:
         assert main(["ingest", *args]) == 0
         assert f"line {len(lines) + 1} rejected: invalid JSON: nested too deeply" in caplog.text
         assert (out / "ingest.txt").read_text().startswith(f"events = {len(lines)}\n")
+
+
+def test_import_does_not_touch_the_umask():
+    # umask is process-wide: changing it even briefly races other threads
+    code = (
+        "import os\n"
+        "calls = []\n"
+        "umask = os.umask\n"
+        "os.umask = lambda mask: calls.append(mask) or umask(mask)\n"
+        "import affinity_miner.cli\n"
+        "print(calls)\n"
+    )
+    src = Path(cli_module.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -271,8 +271,13 @@ class TestTypeEmotionCorrelation:
         assert caplog.records == []
 
     def test_degenerate_corpus(self):
-        with pytest.raises(DegenerateCorpus):
+        with pytest.raises(DegenerateCorpus, match="^a: need at least 2 documents, got 1$"):
             correlation(["one doc"], ["a", "b"], small_lexicon(), "posemo")
+
+    def test_constant_weights_name_the_pair(self):
+        # no category word anywhere: every proportion and so every weight is 0
+        with pytest.raises(ConstantVector, match="^b vs a: correlation undefined"):
+            correlation(["w1 w2", "w3"], ["w4", "w5 w6"], small_lexicon(), "posemo")
 
     def test_unknown_category(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ from affinity_miner.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyGraph,
+    InvalidSpec,
     MalformedPattern,
     MalformedRecord,
     NonErgodic,
@@ -724,7 +725,7 @@ def searchsorted_chain_sequence(P, length, seed):
 
 # rows with zeros, ties and tiny masses; chains with two closed classes
 # have no stationary distribution and are skipped. Rows scaled to sum to 1/2
-# send every uniform above their last cumulative entry to the last state.
+# are not a chain and are rejected.
 chain_rows = st.lists(
     st.sampled_from([0.0, 1e-300, 0.1, 0.2, 1 / 3, 0.7]) | st.floats(0.0, 1.0), min_size=3, max_size=3
 ).filter(lambda row: sum(row) > 0)
@@ -741,6 +742,10 @@ chain_rows = st.lists(
 @example([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], 50, 2**32 - 1, 1.0)
 def test_chain_sampler_matches_searchsorted_oracle(rows, length, seed, scale):
     P = scale * np.array(rows) / np.sum(rows, axis=1, keepdims=True)
+    if scale != 1.0:
+        with pytest.raises(InvalidSpec, match="rows must sum to 1"):
+            sample_chain_sequence(P, length, seed)
+        return
     try:
         expected = searchsorted_chain_sequence(P, length, seed)
     except NonErgodic:

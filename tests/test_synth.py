@@ -133,6 +133,22 @@ class TestSampleChainSequence:
         s2 = sample_chain_sequence(P, 500, seed=3)
         assert s1 == s2
 
+    @pytest.mark.parametrize(
+        "P, message",
+        [
+            (np.full((2, 2), 0.5), "must be 3 x 3"),
+            (np.full((3, 4), 0.25), "must be 3 x 3"),
+            ([[1.2, -0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite and >= 0"),
+            ([[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite and >= 0"),
+            ([[np.inf, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite and >= 0"),
+            ([[0.5, 0.5, 1e-11], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "rows must sum to 1"),
+            ([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], "rows must sum to 1"),
+        ],
+    )
+    def test_not_a_chain_rejected(self, P, message):
+        with pytest.raises(InvalidSpec, match=message):
+            sample_chain_sequence(P, 10, seed=0)
+
 
 class TestGenerateDataset:
     def test_files_written_and_deterministic(self, tmp_path):
