@@ -114,7 +114,8 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key = value lines; blank lines and #-comment lines are skipped."""
+    """key = value lines; blank lines and #-comment lines are skipped, and
+    a key given twice is rejected at its second line."""
     values: dict[str, str] = {}
     path = Path(path)
     if not path.is_file():
@@ -133,6 +134,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             if key not in _FIELD_TYPES:
                 raise ConfigError(
                     f"line {lineno}: unknown config key {key!r}", key=key, line=lineno
+                )
+            if key in values:
+                raise ConfigError(
+                    f"line {lineno}: repeated config key {key!r}", key=key, line=lineno
                 )
             values[key] = raw.strip()
     return values
@@ -386,7 +391,13 @@ class PipelineRunner:
 
     def write_stage(self, stage: str):
         """Write the stage's output files (see STAGES), each atomically."""
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"config key out: cannot create directory {str(self.out)!r}: {exc.strerror}",
+                key="out",
+            ) from None
         for name, render in STAGES[stage]:
             _write_atomic(self.out / name, render(self))
 

@@ -168,88 +168,64 @@ def _column_block(M: sp.csc_array, start: int, stop: int) -> sp.csc_array:
     )
 
 
-def _inflate_prune(M: sp.csc_array, r: float, prune: float) -> sp.csc_array:
-    M.data **= r
-    M.data[M.data < prune] = 0.0
-    M.eliminate_zeros()
-    return M
-
-
-def _expand_inflate_prune(
-    left: sp.csc_array, M: sp.csc_array, r: float, prune: float
-) -> sp.csc_array:
-    """left @ M with the entrywise r-th power applied and entries below
-    prune dropped, MCL_BLOCK_COLUMNS columns of the product at a time.
-
-    Column j of the product needs only column j of M, and a sparse product
-    sums each entry in the stored order of that column, so every block
-    holds the same entries, bit for bit, as the full product would. Only
-    one block is ever unpruned. Indices are left unsorted.
-    """
-    n = M.shape[1]
-    blocks = [
-        _inflate_prune(left @ _column_block(M, start, stop), r, prune)
-        for start, stop in _column_ranges(n)
-    ]
-    if len(blocks) == 1:
-        return blocks[0]
-    counts = np.concatenate([np.diff(block.indptr) for block in blocks])
-    return sp.csc_array(
-        (
-            np.concatenate([block.data for block in blocks]),
-            np.concatenate([block.indices for block in blocks]),
-            np.concatenate([[0], np.cumsum(counts)]),
-        ),
-        shape=(M.shape[0], n),
-    )
-
-
 def mcl_flow(
     M: sp.csc_array, e: int = 2, r: float = 2.0, prune: float = 1e-6
-) -> Iterator[sp.csc_array]:
-    """Yield successive matrices of the expansion/inflation iteration.
+) -> Iterator[tuple[sp.csc_array, float]]:
+    """Yield each flow of the expansion/inflation iteration with its max
+    change, max |flow - previous flow|; the caller decides when to stop.
 
-    Each step: raise the column-stochastic matrix to the e-th power by
-    e - 1 sparse products, apply the entrywise r-th power, drop entries
-    below prune, renormalize columns. The caller decides when to stop.
-
-    The last product is computed, inflated and pruned one column block at
-    a time, so a step holds the pruned flow, M^(e-1) and one block of the
-    product, never the whole unpruned M^e.
+    Each step is one pass over MCL_BLOCK_COLUMNS-wide column blocks of the
+    previous flow M. A block is multiplied by M^(e-1) (e - 2 products, once
+    a step), raised entrywise to the r-th power, pruned below prune, column
+    normalized, and compared with the same block of M. Column j of the
+    product needs only column j of M, a sparse product sums each entry in
+    the stored order of that column, and every later operation works one
+    column at a time, so the blocks hold the same bits the whole-matrix
+    step would. A step holds M, M^(e-1), the finished blocks and one
+    unpruned block of the product, never the whole unpruned M^e.
     """
     n = M.shape[0]
     while True:
         left = M
         for _ in range(e - 2):
             left = left @ M
-        M = _expand_inflate_prune(left, M, r, prune)
-        # a suspended generator keeps its locals: do not hold M^(e-1) too
-        del left
-        M.sort_indices()
-        sums = _column_sums(M)
-        # After expansion a column's largest entry is >= 1/n, so >= n^-r
-        # after inflation: a column can vanish once n > prune^(-1/r), which
-        # is n > 1000 at the defaults. A vanished column restarts uniform.
-        dead = np.flatnonzero(sums == 0.0)
-        if dead.size:
-            M = M + sp.csc_array(
-                (
-                    np.full(n * dead.size, 1.0 / n),
-                    (np.tile(np.arange(n), dead.size), np.repeat(dead, n)),
-                ),
-                shape=(n, n),
-            )
-            sums = _column_sums(M)
-        yield _normalize_columns(M, sums)
-
-
-def _max_abs_difference(A: sp.csc_array, B: sp.csc_array) -> float:
-    """max |A - B| over all entries, one column block at a time; the same
-    value the whole difference gives, without holding it."""
-    return max(
-        abs(_column_block(A, start, stop) - _column_block(B, start, stop)).max()
-        for start, stop in _column_ranges(A.shape[1])
-    )
+        blocks, change = [], 0.0
+        for start, stop in _column_ranges(n):
+            block = left @ _column_block(M, start, stop)
+            block.data **= r
+            block.data[block.data < prune] = 0.0
+            block.eliminate_zeros()
+            block.sort_indices()
+            sums = _column_sums(block)
+            # After expansion a column's largest entry is >= 1/n, so >= n^-r
+            # after inflation: a column can vanish once n > prune^(-1/r), which
+            # is n > 1000 at the defaults. A vanished column restarts uniform.
+            dead = np.flatnonzero(sums == 0.0)
+            if dead.size:
+                block = block + sp.csc_array(
+                    (
+                        np.full(n * dead.size, 1.0 / n),
+                        (np.tile(np.arange(n), dead.size), np.repeat(dead, n)),
+                    ),
+                    shape=block.shape,
+                )
+                sums = _column_sums(block)
+            block = _normalize_columns(block, sums)
+            change = max(change, abs(block - _column_block(M, start, stop)).max())
+            blocks.append(block)
+        # a suspended generator keeps its locals: hold only the new flow
+        del left, block
+        counts = np.concatenate([np.diff(block.indptr) for block in blocks])
+        M = sp.csc_array(
+            (
+                np.concatenate([block.data for block in blocks]),
+                np.concatenate([block.indices for block in blocks]),
+                np.concatenate([[0], np.cumsum(counts)]),
+            ),
+            shape=(n, n),
+        )
+        del blocks
+        yield M, change
 
 
 def _same_matrix(A: sp.csc_array, B: sp.csc_array) -> bool:
@@ -311,9 +287,10 @@ def mcl(
     period 2, which no further step leaves); a non-converged run still
     returns its partial clusters with converged=False. The flow matrix is
     sparse (CSC) throughout and the attraction it leaves is a sparse CSR
-    matrix. Each expansion is pruned one column block at a time (see
-    mcl_flow), so memory grows with the pruned flow plus one block of the
-    product, never with the unpruned square or with n^2.
+    matrix. Each step is one pass over MCL_BLOCK_COLUMNS-wide column blocks
+    that yields the flow with its max change (see mcl_flow), so memory
+    grows with the pruned flow plus one block of the product, never with
+    the unpruned square or with n^2.
     """
     if e < 2:
         raise ValueError(f"expansion power must be >= 2, got {e}")
@@ -325,9 +302,9 @@ def mcl(
     previous = None  # the iterate before M
     converged = False
     iterations = 0
-    for M_next in mcl_flow(M, e, r, prune):
+    for M_next, change in mcl_flow(M, e, r, prune):
         iterations += 1
-        if _max_abs_difference(M_next, M) < MCL_TOL:
+        if change < MCL_TOL:
             M = M_next
             converged = True
             break

@@ -189,7 +189,8 @@ def generate_dataset(
     graph carries recoverable block structure. A few extra high-bot-score
     profiles (with events) exercise the bot filter downstream. Raises
     InvalidSpec for a negative seed, fewer than one user per type or two
-    blocks (no usable dataset). The config and the returned paths are absolute.
+    blocks (no usable dataset), and for an out_dir that cannot be created.
+    The config and the returned paths are absolute.
     """
     if users_per_type < 1:
         raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
@@ -199,7 +200,10 @@ def generate_dataset(
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
     # absolute, so the written config.txt runs from any working directory
     out = Path(out_dir).resolve()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidSpec(f"out: cannot create directory {str(out)!r}: {exc.strerror}") from None
     rng = np.random.default_rng(seed)
 
     # the last field, emotional expressiveness, spreads the category

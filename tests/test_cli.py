@@ -90,6 +90,24 @@ class TestConfigResolution:
             parse_config_file(path)
         assert info.value.key == "bogus"
 
+    def test_repeated_key_rejected_at_its_second_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("alpha = 2.5\n# alpha = 9\n\nkappa = 3\nalpha = 4.0\n")
+        with pytest.raises(ConfigError, match=r"^line 5: repeated config key 'alpha'$") as info:
+            parse_config_file(path)
+        assert (info.value.key, info.value.line) == ("alpha", 5)
+
+    def test_repeated_key_exits_one_and_overrides_still_apply(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 1\nseed = 2\n")
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 2: repeated config key 'seed'\n"
+        path.write_text("seed = 1\n")
+        env = {"AFFINITY_MINER_SEED": "2"}
+        assert resolve_config(parse_config_file(path), {}, env=env).seed == 2
+        assert resolve_config(parse_config_file(path), {"seed": "3"}, env=env).seed == 3
+
     def test_env_override(self, tmp_path):
         cfg = resolve_config({}, {}, env={"AFFINITY_MINER_KAPPA": "9.5"})
         assert cfg.kappa == 9.5
@@ -269,6 +287,27 @@ class TestMainEntry:
         assert "config key seed must be >= 0" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest", "report"])
+    @pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")])
+    def test_unusable_out_exits_one(self, dataset, tmp_path, capsys, command, below, reason):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "sub" if below else taken
+        assert main([command, "--config", str(dataset["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key out: cannot create directory {str(out)!r}: {reason}\n"
+        assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")])
+    def test_synth_unusable_out_exits_one(self, tmp_path, capsys, below, reason):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "sub" if below else taken
+        assert main(["synth", "--out", str(out), "--users-per-type", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: out: cannot create directory {str(out)!r}: {reason}\n"
+        assert taken.read_text() == "keep\n"
 
     def test_single_stage_subcommand(self, dataset, tmp_path):
         out = tmp_path / "stage_out"

@@ -285,7 +285,7 @@ class TestMcl:
             [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
         )
         g = AffinityGraph.from_dicts(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
-        M = next(mcl_flow(_mcl_seed_matrix(g), prune=0.5))
+        M, _ = next(mcl_flow(_mcl_seed_matrix(g), prune=0.5))
         dense = M.toarray()
         assert np.array_equal(dense[:, :4], np.full((5, 4), 1 / 5))
         assert np.array_equal(dense[:, 4], [0.0, 0.0, 0.0, 0.0, 1.0])
@@ -294,7 +294,7 @@ class TestMcl:
     def test_column_sums_stay_one(self):
         g = two_block_graph(6, in_w=0.8, cross_w=0.05)
         M = _mcl_seed_matrix(g)
-        for step, M_next in zip(range(30), mcl_flow(M)):
+        for step, (M_next, _) in zip(range(30), mcl_flow(M)):
             assert np.max(np.abs(M_next.sum(axis=0) - 1.0)) < 1e-9
 
     def test_block_recovery(self):
@@ -368,7 +368,9 @@ def _assert_matches_dense(g, **params):
     M, D = _mcl_seed_matrix(g), dense_seed_matrix(g, g.order)
     assert np.max(np.abs(M.toarray() - D)) <= 1e-15
     flow = {k: v for k, v in params.items() if k in ("e", "r", "prune")}
-    for _, M_next, D_next in zip(range(3), mcl_flow(M, **flow), dense_mcl_flow(D, **flow)):
+    for _, (M_next, _), D_next in zip(
+        range(3), mcl_flow(M, **flow), dense_mcl_flow(D, **flow)
+    ):
         assert np.max(np.abs(M_next.toarray() - D_next)) <= 1e-12
     c = mcl(g, **params)
     clusters, iterations, converged, attraction = dense_mcl(g, **params)
@@ -488,17 +490,23 @@ def test_mcl_many_clusters_keeps_attraction_sparse():
 
 def _assert_flows_bitwise_equal(g, **flow):
     """Blocked and single-product flows agree in every array, dtype and bit
-    at every iteration until the oracle converges; returns the iterates."""
+    at every iteration until the oracle converges, and so does the change
+    the blocked flow yields with its whole-matrix max |B - previous|;
+    returns the iterates."""
     M = _mcl_seed_matrix(g)
     previous, iterates = M, []
     blocked, single = mcl_flow(M, **flow), single_product_mcl_flow(M.copy(), **flow)
-    for step, A, B in zip(range(1, MCL_MAX_ITER + 1), blocked, single):
+    for step, (A, change), B in zip(range(1, MCL_MAX_ITER + 1), blocked, single):
         for name in ("indptr", "indices", "data"):
             a, b = getattr(A, name), getattr(B, name)
             assert a.dtype == b.dtype, f"{name} dtype at iteration {step}"
             assert a.tobytes() == b.tobytes(), f"{name} at iteration {step}"
+        expected = abs(B - previous).max()
+        assert np.float64(change).tobytes() == np.float64(expected).tobytes(), (
+            f"change at iteration {step}"
+        )
         iterates.append(A)
-        if abs(B - previous).max() < MCL_TOL:
+        if expected < MCL_TOL:
             break
         previous = B
     return iterates
