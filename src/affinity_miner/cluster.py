@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    DimensionMismatch,
     EmptyGraph,
     KOutOfRange,
     LengthMismatch,
@@ -92,7 +93,10 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.nd
     dangling = out == 0.0
     W[dangling] = 1.0 / n
     out[dangling] = 1.0
-    return (1.0 - tau) * (W / out[:, None]) + tau / n
+    W /= out[:, None]
+    W *= 1.0 - tau
+    W += tau / n
+    return W
 
 
 def hitting_times(P: np.ndarray) -> np.ndarray:
@@ -101,20 +105,40 @@ def hitting_times(P: np.ndarray) -> np.ndarray:
 
     One inverse Z = inv(I - P + 1 1^T / n) gives pi as the column means of
     Z and (I - P) Z = I - 1 pi^T, so H[i, j] = (Z[j, j] - Z[i, j]) / pi[j]
-    (Kemeny and Snell, 1960). Raises NonErgodic when the inverse fails or
-    max|pi P - pi| >= STATIONARY_TOL, as for a chain with two closed classes.
+    (Kemeny and Snell, 1960). I - P + 1 1^T / n is built in one new array,
+    LAPACK's getrf and getri factor and invert it in place, and H is written
+    over Z, so the call holds P plus one n x n array. Raises
+    DimensionMismatch when P is not a non-empty square matrix, and
+    NonErgodic when the factor has a zero pivot or max|pi P - pi| >=
+    STATIONARY_TOL, as for a chain with two closed classes.
     """
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or not P.size:
+        raise DimensionMismatch(
+            f"walk matrix must be square and non-empty, got shape {P.shape}"
+        )
+    # imported here: an MCL run never needs scipy.linalg
+    from scipy.linalg.lapack import dgetrf, dgetri
+
     n = P.shape[0]
-    try:
-        Z = np.linalg.inv(np.eye(n) - P + 1.0 / n)
-    except np.linalg.LinAlgError as exc:
-        raise NonErgodic(f"fundamental matrix inverse failed: {exc}") from None
+    A = np.negative(P)
+    A.flat[:: n + 1] += 1.0
+    A += 1.0 / n
+    # A.T is the Fortran-ordered A^T: LAPACK overwrites it with inv(A^T),
+    # whose transpose, read through A's own memory, is Z = inv(A)
+    lu, piv, info = dgetrf(A.T, overwrite_a=True)
+    if info == 0:
+        lu, info = dgetri(lu, piv, overwrite_lu=True)
+    if info > 0:
+        raise NonErgodic(f"fundamental matrix is singular: zero pivot in column {info}")
+    Z = lu.T
     pi = Z.mean(axis=0)
     if not np.max(np.abs(pi @ P - pi)) < STATIONARY_TOL:
         raise NonErgodic("no stationary distribution within tolerance")
-    H = (np.diag(Z)[None, :] - Z) / pi[None, :]
-    np.fill_diagonal(H, 0.0)
-    return H
+    # the diagonal is copied first: Z is overwritten as it is read
+    np.subtract(np.diag(Z).copy(), Z, out=Z)
+    Z /= pi
+    np.fill_diagonal(Z, 0.0)
+    return Z
 
 
 def _column_sums(M: sp.csc_array) -> np.ndarray:
@@ -160,7 +184,10 @@ def _column_ranges(n: int) -> list[tuple[int, int]]:
 
 
 def _column_block(M: sp.csc_array, start: int, stop: int) -> sp.csc_array:
-    """Columns start:stop of M as a CSC array over views of M's arrays."""
+    """Columns start:stop of M as a CSC array built from slices of M's
+    arrays. It is a view only when it holds at least half of M's stored
+    entries: under scipy 1.17 the constructor copies a shorter slice.
+    """
     lo, hi = M.indptr[start], M.indptr[stop]
     return sp.csc_array(
         (M.data[lo:hi], M.indices[lo:hi], M.indptr[start:stop + 1] - lo),

@@ -650,9 +650,11 @@ def test_import_does_not_touch_the_umask():
     assert result.stdout.strip() == "[]"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # clustering_error imports it on first call; the pipeline never calls it
-    code = "import sys, affinity_miner.cli; print('scipy.optimize' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
+def test_import_leaves_scipy_module_unloaded(module):
+    # clustering_error imports scipy.optimize on first call, and the pipeline
+    # never calls it; hitting_times imports scipy.linalg, which MCL never needs
+    code = f"import sys, affinity_miner.cli; print({module!r} in sys.modules)"
     src = Path(cli_module.__file__).parents[1]
     result = subprocess.run(
         [sys.executable, "-c", code],

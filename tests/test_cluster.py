@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,13 @@ from affinity_miner.cluster import (
     _normalize_columns,
     mcl_flow,
 )
-from affinity_miner.errors import EmptyGraph, KOutOfRange, LengthMismatch, NonErgodic
+from affinity_miner.errors import (
+    DimensionMismatch,
+    EmptyGraph,
+    KOutOfRange,
+    LengthMismatch,
+    NonErgodic,
+)
 from affinity_miner.graph import AffinityGraph
 from affinity_miner.synth import PlantedSpec, planted_partition
 
@@ -226,17 +233,29 @@ class TestHittingTimes:
         assert (H[~np.eye(7, dtype=bool)] > 0).all()
 
     @pytest.mark.parametrize(
-        "P",
+        "P, message",
         [
-            np.eye(2),
-            [[0.3, 0.7, 0, 0], [0.6, 0.4, 0, 0], [0, 0, 0.9, 0.1], [0, 0, 0.2, 0.8]],
-            [[1, 0, 0], [0, 1, 0], [0.3, 0.3, 0.4]],
+            (np.eye(2), "zero pivot"),
+            (
+                [[0.3, 0.7, 0, 0], [0.6, 0.4, 0, 0], [0, 0, 0.9, 0.1], [0, 0, 0.2, 0.8]],
+                "no stationary distribution",
+            ),
+            ([[1, 0, 0], [0, 1, 0], [0.3, 0.3, 0.4]], "zero pivot"),
         ],
         ids=["identity", "two-closed-blocks", "two-absorbing-states"],
     )
-    def test_chain_with_two_closed_classes_refused(self, P):
-        with pytest.raises(NonErgodic):
+    def test_chain_with_two_closed_classes_refused(self, P, message):
+        # the factor of a singular matrix may or may not meet an exact zero
+        # pivot; the residual check catches the ones that do not
+        with pytest.raises(NonErgodic, match=message):
             hitting_times(np.array(P, dtype=float))
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3,), (1, 2, 2), (0, 0)], ids=["2x3", "1-d", "3-d", "empty"]
+    )
+    def test_not_square_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+            hitting_times(np.full(shape, 0.5))
 
 
 # -- MCL ------------------------------------------------------------------------
@@ -648,6 +667,32 @@ class TestKDestinations:
             {f"m{base + i}" for i in range(5)} for base in (0, 10)
         ]
         assert {frozenset(x) for x in id_sets(c)} == {frozenset(x) for x in components}
+
+
+def test_k_destinations_holds_two_dense_arrays():
+    """At 768 nodes, the benchmark's k-destinations size, the dense path
+    holds P plus one working array, 2 * 8n^2 bytes; an out-of-place
+    inverse beside P peaks near 4 * 8n^2.
+    """
+    n = 768
+    spec = PlantedSpec(
+        n=n, k=8, p_in=0.1, p_out=0.002, w_in=(0.8, 1.0), w_out=(0.1, 0.5), seed=0
+    )
+    g, truth = planted_partition(spec)
+    assert len(g.order) == n
+    # load the module hitting_times imports before tracing: a one-time cost,
+    # not an n x n array
+    import scipy.linalg.lapack  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        c = k_destinations(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.converged
+    assert nmi(labels_from_clustering(c), [truth[u] for u in g.order]) > 0.95
+    assert peak < 2.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} * 8n^2 bytes"
 
 
 # -- metrics ----------------------------------------------------------------------
