@@ -9,15 +9,15 @@ nearest destination node and re-centers destinations until stable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    DimensionMismatch,
     EmptyGraph,
     KOutOfRange,
     LengthMismatch,
@@ -99,46 +99,83 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.nd
     return W
 
 
-def hitting_times(P: np.ndarray) -> np.ndarray:
-    """Expected first-arrival steps between all node pairs: H[i, j] is the
-    expected number of walk steps from state i to state j.
+def _stationary_residual(g: AffinityGraph, tau: float, pi: np.ndarray) -> float:
+    """max|pi P - pi| for P = random_walk_matrix(g, tau), from the edge list:
+    each edge carries pi[src] w / out[src], each dangling row spreads its
+    mass uniformly, and teleportation spreads tau / n of every row.
+    """
+    n = len(g.order)
+    src, dst, w = g.edge_arrays
+    out = np.bincount(src, weights=w, minlength=n)
+    dangling = out == 0.0
+    flow = np.bincount(dst, weights=pi[src] * w / out[src], minlength=n)
+    flow += pi[dangling].sum() / n
+    flow *= 1.0 - tau
+    flow += tau / n * pi.sum()
+    return float(np.max(np.abs(flow - pi)))
+
+
+def _check_lapack(routine: str, info: int) -> None:
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+    if info > 0:
+        raise NonErgodic(f"fundamental matrix is singular: zero pivot in column {info}")
+
+
+def hitting_times(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray:
+    """Expected first-arrival steps between all node pairs of the walk
+    random_walk_matrix(g, tau): H[i, j] is the expected number of walk
+    steps from node i to node j, over g.order.
 
     One inverse Z = inv(I - P + 1 1^T / n) gives pi as the column means of
     Z and (I - P) Z = I - 1 pi^T, so H[i, j] = (Z[j, j] - Z[i, j]) / pi[j]
-    (Kemeny and Snell, 1960). I - P + 1 1^T / n is built in one new array,
-    LAPACK's getrf and getri factor and invert it in place, and H is written
-    over Z, so the call holds P plus one n x n array. Raises
-    DimensionMismatch when P is not a non-empty square matrix, and
-    NonErgodic when the factor has a zero pivot or max|pi P - pi| >=
-    STATIONARY_TOL, as for a chain with two closed classes.
+    (Kemeny and Snell, 1960). The walk matrix is the only n x n array: it
+    becomes I - P + 1 1^T / n in place, LAPACK's getrf and getri (at the
+    workspace getri asks for) overwrite it with Z, and H is written over
+    Z. Raises EmptyGraph and ValueError as random_walk_matrix does,
+    ValueError on an illegal LAPACK argument, and NonErgodic when the
+    factor has a zero pivot or max|pi P - pi|, taken from the edge list,
+    is not below STATIONARY_TOL, as for two closed classes at a tiny tau.
     """
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or not P.size:
-        raise DimensionMismatch(
-            f"walk matrix must be square and non-empty, got shape {P.shape}"
-        )
     # imported here: an MCL run never needs scipy.linalg
-    from scipy.linalg.lapack import dgetrf, dgetri
+    from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
-    n = P.shape[0]
-    A = np.negative(P)
+    A = random_walk_matrix(g, tau)
+    n = A.shape[0]
+    np.negative(A, out=A)
     A.flat[:: n + 1] += 1.0
     A += 1.0 / n
     # A.T is the Fortran-ordered A^T: LAPACK overwrites it with inv(A^T),
     # whose transpose, read through A's own memory, is Z = inv(A)
     lu, piv, info = dgetrf(A.T, overwrite_a=True)
-    if info == 0:
-        lu, info = dgetri(lu, piv, overwrite_lu=True)
-    if info > 0:
-        raise NonErgodic(f"fundamental matrix is singular: zero pivot in column {info}")
+    _check_lapack("getrf", info)
+    lwork, _ = dgetri_lwork(n)
+    lu, info = dgetri(lu, piv, lwork=int(lwork), overwrite_lu=True)
+    _check_lapack("getri", info)
     Z = lu.T
     pi = Z.mean(axis=0)
-    if not np.max(np.abs(pi @ P - pi)) < STATIONARY_TOL:
+    if not _stationary_residual(g, tau, pi) < STATIONARY_TOL:
         raise NonErgodic("no stationary distribution within tolerance")
     # the diagonal is copied first: Z is overwritten as it is read
     np.subtract(np.diag(Z).copy(), Z, out=Z)
     Z /= pi
     np.fill_diagonal(Z, 0.0)
     return Z
+
+
+def _sum_rows(rows: int, block: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Column sums of an array of `rows` rows made block(start, stop) at a
+    time, about sqrt(rows) rows per block.
+
+    ndarray.sum(axis=0) adds the rows of a C-ordered array one at a time,
+    first to last; each block is summed below the running totals, so the
+    sums carry the bits of the whole array's sum without making it.
+    """
+    step = max(math.isqrt(rows), 1)
+    totals = block(0, step).sum(axis=0)
+    for start in range(step, rows, step):
+        totals = np.concatenate([totals[None], block(start, start + step)]).sum(axis=0)
+    return totals
 
 
 def _column_sums(M: sp.csc_array) -> np.ndarray:
@@ -375,7 +412,7 @@ def _init_destinations(g: AffinityGraph, H: np.ndarray, k: int) -> list[int]:
     destinations = [int(np.argmax(in_weight))]
     while len(destinations) < k:
         current = H[:, destinations].min(axis=1)
-        totals = np.minimum(H, current[:, None]).sum(axis=0)
+        totals = _sum_rows(len(H), lambda a, b: np.minimum(H[a:b], current[a:b, None]))
         totals[destinations] = np.inf
         destinations.append(int(np.argmin(totals)))
     return sorted(destinations)
@@ -393,6 +430,11 @@ def k_destinations(
     hitting time (ties to the lexicographically smallest destination id)
     and (b) re-centering each cluster on the member minimizing the sum of
     hitting times from the cluster to it, until assignments stop changing.
+
+    H from hitting_times is the only n x n array. Costs to the destinations
+    take n x k, and the greedy start and the re-centering sums run over
+    blocks of about sqrt(n) rows (see _sum_rows), so nothing else
+    grows with n^2 or with the square of a cluster's size.
     """
     if not g.order:
         raise EmptyGraph("clustering needs at least one node")
@@ -400,7 +442,7 @@ def k_destinations(
     n = len(order)
     if not 1 <= k <= n:
         raise KOutOfRange(f"k must be in 1..{n}, got {k}")
-    H = hitting_times(random_walk_matrix(g, tau))
+    H = hitting_times(g, tau)
     destinations = _init_destinations(g, H, k)
     assignment = np.full(n, -1, dtype=int)
     trace: list[float] = []
@@ -419,7 +461,7 @@ def k_destinations(
         new_destinations = []
         for c in range(k):
             members = np.flatnonzero(assignment == c)
-            totals = H[np.ix_(members, members)].sum(axis=0)
+            totals = _sum_rows(len(members), lambda a, b: H[np.ix_(members[a:b], members)])
             # members ascend, so argmin's first minimum is the smallest id
             new_destinations.append(int(members[np.argmin(totals)]))
         destinations = sorted(new_destinations)

@@ -51,17 +51,24 @@ def cluster_link_counts(g: AffinityGraph, c: Clustering) -> tuple[np.ndarray, ..
     aligned with that cluster's node indices.
 
     Reciprocal edges collapse to one link; a node appearing in several
-    overlapping clusters gets an independent count per cluster.
+    overlapping clusters gets an independent count per cluster. One sparse
+    product counts every membership's neighbors in every cluster,
+    memberships x clusters with at most one entry per link end, and each
+    membership keeps the entry of its own cluster, so memory grows with
+    the links of the members, not with the square of a cluster's size.
     """
     if c.nodes != g.order:
         raise UnknownNode("clustering nodes are not the graph's nodes")
     nodes, owners = c.memberships
     inside = sp.csr_array(
-        (np.ones(len(nodes), dtype=np.int64), (owners, nodes)),
-        shape=(len(c.clusters), len(c.nodes)),
+        (np.ones(len(nodes), dtype=np.int64), (nodes, owners)),
+        shape=(len(c.nodes), len(c.clusters)),
     )
-    # per membership: the member's neighbor row times its cluster's indicator row
-    counts = _undirected_links(g)[nodes].multiply(inside[owners]).sum(axis=1)
+    # row m, column ci: the neighbors of membership m's node inside cluster ci
+    per_cluster = (_undirected_links(g)[nodes] @ inside).tocoo()
+    own = per_cluster.col == owners[per_cluster.row]
+    counts = np.zeros(len(nodes), dtype=np.int64)
+    counts[per_cluster.row[own]] = per_cluster.data[own]
     # split after every cluster's last member; the piece after the last is empty
     return tuple(np.split(counts, np.cumsum([len(m) for m in c.clusters]))[:-1])
 

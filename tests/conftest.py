@@ -100,6 +100,14 @@ def two_block_graph(block_size=10, in_w=1.0, cross_w=0.01):
     return make_graph(edge_list)
 
 
+def random_positive_graph(rng, n):
+    """Graph on n nodes holding every edge, self-loops included, at weights
+    in [0.05, 1.05): its walk is a strictly positive chain at any teleport."""
+    names = [f"s{i:02d}" for i in range(n)]
+    W = rng.random((n, n)) + 0.05
+    return make_graph([(names[i], names[j], float(W[i, j])) for i in range(n) for j in range(n)])
+
+
 def random_ergodic_chain(rng, k=3):
     """Strictly positive row-stochastic matrix."""
     P = rng.random((k, k)) + 0.05

@@ -1,5 +1,4 @@
 import itertools
-import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,6 @@ from affinity_miner.cluster import (
     mcl_flow,
 )
 from affinity_miner.errors import (
-    DimensionMismatch,
     EmptyGraph,
     KOutOfRange,
     LengthMismatch,
@@ -37,7 +35,7 @@ from affinity_miner.errors import (
 from affinity_miner.graph import AffinityGraph
 from affinity_miner.synth import PlantedSpec, planted_partition
 
-from conftest import id_sets, make_graph, random_ergodic_chain, two_block_graph
+from conftest import id_sets, make_graph, random_positive_graph, two_block_graph
 
 
 # -- independent oracles ------------------------------------------------------
@@ -204,58 +202,106 @@ class TestRandomWalkMatrix:
 
 class TestHittingTimes:
     def test_diagonal_zero(self, rng):
-        P = random_ergodic_chain(rng, 6)
-        H = hitting_times(P)
+        H = hitting_times(random_positive_graph(rng, 6))
         assert np.all(np.diag(H) == 0.0)
 
     def test_two_state_geometric(self):
-        P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        H = hitting_times(P)
+        # equal weights on every edge and loop: the walk is uniform at any tau
+        g = make_graph([(u, v, 1.0) for u in "ab" for v in "ab"])
+        H = hitting_times(g, 0.3)
         assert H[0, 1] == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_complete_graph_uniform_walk(self, n):
-        P = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-        H = hitting_times(P)
+        tau = 0.01
+        g = make_graph([(f"v{i}", f"v{j}", 1.0) for i in range(n) for j in range(n) if i != j])
+        H = hitting_times(g, tau)
+        # every step reaches a given other node with the same probability p
+        p = (1 - tau) / (n - 1) + tau / n
         off = H[~np.eye(n, dtype=bool)]
-        assert np.allclose(off, n - 1, atol=1e-8)
+        assert np.allclose(off, 1 / p, atol=1e-8)
 
     def test_matches_direct_solve(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 21))
-            P = random_ergodic_chain(rng, n)
-            H = hitting_times(P)
-            assert np.max(np.abs(H - direct_hitting_times(P))) < 1e-8
+            g = random_positive_graph(rng, n)
+            H = hitting_times(g)
+            assert np.max(np.abs(H - direct_hitting_times(random_walk_matrix(g)))) < 1e-8
+
+    def test_matches_direct_solve_with_dangling_nodes(self):
+        g = make_graph([("a", "b", 1.0), ("b", "b", 2.0), ("c", "a", 0.5), ("b", "d", 0.3)])
+        for tau in (0.5, 0.01, 1e-6):
+            H = hitting_times(g, tau)
+            assert np.max(np.abs(H - direct_hitting_times(random_walk_matrix(g, tau)))) < 1e-6
 
     def test_off_diagonal_positive(self, rng):
-        P = random_ergodic_chain(rng, 7)
-        H = hitting_times(P)
+        H = hitting_times(random_positive_graph(rng, 7))
         assert (H[~np.eye(7, dtype=bool)] > 0).all()
 
     @pytest.mark.parametrize(
-        "P, message",
+        "edges, taus, message",
         [
-            (np.eye(2), "zero pivot"),
+            ([("a", "a", 1.0), ("b", "b", 1.0)], [1e-300, 1e-18], "zero pivot"),
             (
-                [[0.3, 0.7, 0, 0], [0.6, 0.4, 0, 0], [0, 0, 0.9, 0.1], [0, 0, 0.2, 0.8]],
+                [
+                    ("a", "a", 0.3), ("a", "b", 0.7), ("b", "a", 0.6), ("b", "b", 0.4),
+                    ("c", "c", 0.9), ("c", "d", 0.1), ("d", "c", 0.2), ("d", "d", 0.8),
+                ],
+                [1e-300, 1e-18, 1e-12],
                 "no stationary distribution",
             ),
-            ([[1, 0, 0], [0, 1, 0], [0.3, 0.3, 0.4]], "zero pivot"),
+            (
+                [
+                    ("a", "a", 1.0), ("b", "b", 1.0),
+                    ("c", "a", 0.3), ("c", "b", 0.3), ("c", "c", 0.4),
+                ],
+                [1e-300, 1e-18],
+                "zero pivot",
+            ),
         ],
         ids=["identity", "two-closed-blocks", "two-absorbing-states"],
     )
-    def test_chain_with_two_closed_classes_refused(self, P, message):
-        # the factor of a singular matrix may or may not meet an exact zero
-        # pivot; the residual check catches the ones that do not
-        with pytest.raises(NonErgodic, match=message):
-            hitting_times(np.array(P, dtype=float))
+    def test_chain_with_two_closed_classes_refused(self, edges, taus, message):
+        # at a vanishing tau the walk keeps the graph's closed classes; the
+        # factor may or may not meet an exact zero pivot, and the residual
+        # check catches the ones that do not
+        g = make_graph(edges)
+        for tau in taus:
+            with pytest.raises(NonErgodic, match=message):
+                hitting_times(g, tau)
 
-    @pytest.mark.parametrize(
-        "shape", [(2, 3), (3,), (1, 2, 2), (0, 0)], ids=["2x3", "1-d", "3-d", "empty"]
-    )
-    def test_not_square_refused(self, shape):
-        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
-            hitting_times(np.full(shape, 0.5))
+    def test_empty_graph_and_bad_tau_refused(self):
+        with pytest.raises(EmptyGraph):
+            hitting_times(AffinityGraph.from_dicts(nodes={}, edges={}))
+        with pytest.raises(ValueError, match="teleport"):
+            hitting_times(make_graph([("a", "b", 1.0)]), 0.0)
+
+    @pytest.mark.parametrize("routine", ["dgetrf", "dgetri"])
+    def test_illegal_lapack_argument_raises(self, monkeypatch, routine):
+        import scipy.linalg.lapack as lapack
+
+        real = getattr(lapack, routine)
+
+        def illegal(*args, **kwargs):
+            *values, _ = real(*args, **kwargs)
+            return (*values, -2)
+
+        monkeypatch.setattr(lapack, routine, illegal)
+        with pytest.raises(ValueError, match="illegal value in argument 2"):
+            hitting_times(two_block_graph(3))
+
+    def test_sparse_residual_matches_dense(self, rng):
+        # "c" and "e" dangle, "b" and "d" carry self-loops
+        g = make_graph(
+            [("a", "b", 1.0), ("b", "b", 2.0), ("b", "c", 0.5), ("d", "d", 0.7),
+             ("d", "a", 0.2), ("a", "e", 0.4)]
+        )
+        for tau in (0.9, 0.01, 1e-12):
+            P = random_walk_matrix(g, tau)
+            for pi in (rng.random(5), rng.random(5) / 5, np.linalg.eig(P.T)[1][:, 0].real):
+                dense = np.max(np.abs(pi @ P - pi))
+                sparse = cluster_module._stationary_residual(g, tau, pi)
+                assert sparse == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
 
 # -- MCL ------------------------------------------------------------------------
@@ -669,10 +715,69 @@ class TestKDestinations:
         assert {frozenset(x) for x in id_sets(c)} == {frozenset(x) for x in components}
 
 
-def test_k_destinations_holds_two_dense_arrays():
-    """At 768 nodes, the benchmark's k-destinations size, the dense path
-    holds P plus one working array, 2 * 8n^2 bytes; an out-of-place
-    inverse beside P peaks near 4 * 8n^2.
+def unblocked_k_destinations(g, k, max_iter=100, tau=0.01):
+    """k-destinations with whole-matrix sums: the n x n minimum in the
+    greedy start and the |C| x |C| block of H in re-centering."""
+    n = len(g.order)
+    H = hitting_times(g, tau)
+    _, dst, w = g.edge_arrays
+    destinations = [int(np.argmax(np.bincount(dst, weights=w, minlength=n)))]
+    while len(destinations) < k:
+        current = H[:, destinations].min(axis=1)
+        totals = np.minimum(H, current[:, None]).sum(axis=0)
+        totals[destinations] = np.inf
+        destinations.append(int(np.argmin(totals)))
+    destinations = sorted(destinations)
+    assignment = np.full(n, -1, dtype=int)
+    trace, iterations, converged = [], 0, False
+    for _ in range(max_iter):
+        iterations += 1
+        cost = H[:, destinations]
+        new_assignment = np.argmin(cost, axis=1)
+        trace.append(float(cost[np.arange(n), new_assignment].sum()))
+        if np.array_equal(new_assignment, assignment):
+            converged = True
+            break
+        assignment = new_assignment
+        new_destinations = []
+        for c in range(k):
+            members = np.flatnonzero(assignment == c)
+            totals = H[np.ix_(members, members)].sum(axis=0)
+            new_destinations.append(int(members[np.argmin(totals)]))
+        destinations = sorted(new_destinations)
+    clusters = [np.flatnonzero(assignment == c).tolist() for c in range(k)]
+    return clusters, iterations, converged, tuple(trace)
+
+
+@pytest.mark.parametrize("rows, width", [(1, 3), (2, 2), (5, 2), (17, 4), (130, 9), (401, 30)])
+def test_row_block_sums_are_the_whole_sum(rng, rows, width):
+    A = rng.random((rows, width)) * 10.0 ** rng.integers(-8, 9, size=(rows, width))
+    assert np.array_equal(cluster_module._sum_rows(rows, lambda a, b: A[a:b]), A.sum(axis=0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, k", [(60, 3), (250, 5)])
+def test_k_destinations_matches_unblocked_oracle(seed, n, k):
+    spec = PlantedSpec(
+        n=n, k=k, p_in=0.2, p_out=0.02, w_in=(0.5, 1.0), w_out=(0.01, 0.3), seed=seed
+    )
+    g = planted_partition(spec)[0]
+    for clusters_asked in (1, 2, k, k + 4):
+        c = k_destinations(g, clusters_asked, max_iter=3 if seed == 3 else 100)
+        clusters, iterations, converged, trace = unblocked_k_destinations(
+            g, clusters_asked, max_iter=3 if seed == 3 else 100
+        )
+        assert [x.tolist() for x in c.clusters] == clusters
+        assert (c.iterations, c.converged) == (iterations, converged)
+        # bitwise: the blocked sums add the same rows in the same order
+        assert c.objective_trace == trace
+
+
+def test_k_destinations_holds_one_dense_array():
+    """At 768 nodes, the benchmark's k-destinations size, the path holds
+    the walk matrix, overwritten by H, and nothing else of size n^2:
+    a second n x n array (P beside a working copy, or the n x n minimum
+    of the greedy start) would peak near 2 * 8n^2.
     """
     n = 768
     spec = PlantedSpec(
@@ -692,7 +797,7 @@ def test_k_destinations_holds_two_dense_arrays():
         tracemalloc.stop()
     assert c.converged
     assert nmi(labels_from_clustering(c), [truth[u] for u in g.order]) > 0.95
-    assert peak < 2.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} * 8n^2 bytes"
+    assert peak < 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} * 8n^2 bytes"
 
 
 # -- metrics ----------------------------------------------------------------------

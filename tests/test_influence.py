@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from affinity_miner import (
@@ -72,6 +75,46 @@ class TestClusterLinkCounts:
                     if v in members and u < v
                 )
                 assert int(member_counts.sum()) == 2 * links
+
+
+    def test_matches_per_node_loop_on_overlapping_clusterings(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            spec = PlantedSpec(n=40, k=3, p_in=0.3, p_out=0.05, seed=seed)
+            g, _ = planted_partition(spec)
+            nodes = list(g.nodes)
+            # each node joins each of four clusters with probability 0.4
+            groups = [
+                {u for u in nodes if rng.random() < 0.4} or {nodes[0]} for _ in range(4)
+            ]
+            c = clustering_of(groups, nodes)
+            neigh = neighbor_sets(g)
+            expected = {}
+            for ci, members in enumerate(c.clusters):
+                ids = {c.nodes[i] for i in members.tolist()}
+                for u in ids:
+                    expected[(ci, u)] = sum(1 for v in neigh[u] if v in ids and v != u)
+            assert counts_by_id(g, c) == expected
+
+    def test_memory_does_not_grow_with_cluster_size_squared(self):
+        """One cluster of 2048 nodes with about 12 links each: a per-member
+        cluster indicator row would store 2048^2 entries, about 48 MiB."""
+        spec = PlantedSpec(
+            n=2048, k=16, p_in=0.03, p_out=0.001, w_in=(0.8, 1.0), w_out=(0.1, 0.5), seed=0
+        )
+        g, _ = planted_partition(spec)
+        c = clustering_of([set(g.nodes)], g.nodes)
+        c.memberships
+        tracemalloc.start()
+        try:
+            counts = cluster_link_counts(g, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        src, dst, _ = g.edge_arrays
+        links = {frozenset(e) for e in zip(src.tolist(), dst.tolist()) if e[0] != e[1]}
+        assert int(counts[0].sum()) == 2 * len(links)
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestInfluentialTypes:
