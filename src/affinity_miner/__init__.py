@@ -39,7 +39,6 @@ from .graph import (
     AffinityGraph,
     build_affinity_graph,
     export_graph,
-    parse_graph_tsv,
     type_pair_percentages,
 )
 from .influence import InfluenceReport, cluster_link_counts, influential_types

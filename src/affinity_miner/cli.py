@@ -113,33 +113,40 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
     return cfg
 
 
+def _read_input(path: Path, key: str, loader: Callable):
+    """loader(stream) over `path`; an OSError opening or reading it is a ConfigError."""
+    try:
+        with open_input(path) as fh:
+            return loader(fh)
+    except OSError as exc:
+        message = f"config key {key}: cannot read {path}: {exc.strerror}"
+        raise ConfigError(message, key=key) from None
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """key = value lines; blank lines and #-comment lines are skipped, and
     a key given twice is rejected at its second line."""
-    values: dict[str, str] = {}
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}", key="config")
-    with open_input(path) as fh:
-        for lineno, line in read_lines(fh, partial(ConfigError, key="config")):
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"line {lineno}: expected key = value", key="config", line=lineno
-                )
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(
-                    f"line {lineno}: unknown config key {key!r}", key=key, line=lineno
-                )
-            if key in values:
-                raise ConfigError(
-                    f"line {lineno}: repeated config key {key!r}", key=key, line=lineno
-                )
-            values[key] = raw.strip()
+    return _read_input(path, "config", _config_values)
+
+
+def _config_values(stream) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, line in read_lines(stream, partial(ConfigError, key="config")):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected key = value", key="config", line=lineno)
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}", key=key, line=lineno)
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated config key {key!r}", key=key, line=lineno)
+        values[key] = raw.strip()
     return values
 
 
@@ -227,8 +234,7 @@ class PipelineRunner:
         return path
 
     def _load(self, key: str, loader: Callable):
-        with open_input(self._require_file(key)) as fh:
-            return loader(fh)
+        return _read_input(self._require_file(key), key, loader)
 
     # -- data stages ---------------------------------------------------------
 

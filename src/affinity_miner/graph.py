@@ -6,9 +6,7 @@ endpoints lack a profile; nodes with no surviving incident edge are dropped.
 
 from __future__ import annotations
 
-import io
 import logging
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from types import MappingProxyType
@@ -17,12 +15,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .affinity import PairSequences
-from .errors import EmptyGraph, InvalidType, MalformedRecord
-from .ingest import ALL_TYPES, MbtiType, UserProfile, parse_mbti, read_lines
+from .errors import EmptyGraph
+from .ingest import ALL_TYPES, MbtiType, UserProfile
 
 log = logging.getLogger(__name__)
-
-DEFAULT_EDGE_THRESHOLD = 1e-5
 
 EDGE_TSV_HEADER = "source\ttarget\tweight\tsource_type\ttarget_type"
 
@@ -40,27 +36,10 @@ class AffinityGraph:
     order: tuple[str, ...]
     node_types: np.ndarray
     edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
-    threshold: float = DEFAULT_EDGE_THRESHOLD
 
     def __post_init__(self):
         for a in (self.node_types, *self.edge_arrays):
             a.setflags(write=False)
-
-    @classmethod
-    def from_dicts(
-        cls,
-        nodes: Mapping[str, MbtiType],
-        edges: Mapping[tuple[str, str], float],
-        threshold: float = DEFAULT_EDGE_THRESHOLD,
-    ) -> AffinityGraph:
-        """The graph of id -> type and (source, target) -> weight maps in any order."""
-        order = tuple(sorted(nodes))
-        index = {u: i for i, u in enumerate(order)}
-        pairs = sorted(edges)
-        src, dst = (np.array([index[p[k]] for p in pairs], dtype=np.intp) for k in (0, 1))
-        w = np.array([edges[p] for p in pairs], dtype=float)
-        types = np.array([ALL_TYPES.index(nodes[u]) for u in order], dtype=np.int8)
-        return cls(order, types, (src, dst, w), threshold)
 
     @property
     def nodes(self) -> Mapping[str, MbtiType]:
@@ -78,7 +57,7 @@ def build_affinity_graph(
     pairs: PairSequences,
     scores: np.ndarray,
     profiles: Iterable[UserProfile],
-    threshold: float = DEFAULT_EDGE_THRESHOLD,
+    threshold: float,
 ) -> AffinityGraph:
     """The pairs scoring >= threshold (`scores` aligns with `pairs`) whose
     endpoints both have profiles; pairs lacking one are counted in a log line."""
@@ -99,7 +78,7 @@ def build_affinity_graph(
     index[codes] = np.arange(len(codes))
     # the pairs come in id order, and so do the node indices
     order = tuple(pairs.users[c] for c in codes)
-    return AffinityGraph(order, user_type[codes], (index[src], index[dst], scores[keep]), threshold)
+    return AffinityGraph(order, user_type[codes], (index[src], index[dst], scores[keep]))
 
 
 def type_pair_percentages(g: AffinityGraph) -> dict[tuple[MbtiType, MbtiType], float]:
@@ -117,7 +96,8 @@ def type_pair_percentages(g: AffinityGraph) -> dict[tuple[MbtiType, MbtiType], f
 
 
 def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
-    """Serialize the graph; edge-tsv round-trips exactly (17 digit weights)."""
+    """Serialize the graph; edge-tsv weights carry 17 significant digits,
+    so float() of each gives back the stored weight."""
     src, dst, w = (a.tolist() for a in g.edge_arrays)
     types = [str(ALL_TYPES[t]) for t in g.node_types.tolist()]
     if format == "edge-tsv":
@@ -133,36 +113,3 @@ def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
         lines += [f"  {q[s]} -> {q[d]} [weight={x:.17g}];" for s, d, x in zip(src, dst, w)]
         return "\n".join(["digraph affinity {", *lines, "}"]) + "\n"
     raise ValueError(f"unknown export format: {format!r}")
-
-
-def parse_graph_tsv(text: str, threshold: float = DEFAULT_EDGE_THRESHOLD) -> AffinityGraph:
-    """Inverse of export_graph(.., "edge-tsv"); errors name the physical line.
-    Weights must be finite, > 0 and at least `threshold`, no (source, target)
-    pair may repeat, and each node keeps one type."""
-    lines = read_lines(io.StringIO(text))
-    lineno, header = next(lines, (None, None))
-    if header != EDGE_TSV_HEADER:
-        raise MalformedRecord("missing or bad edge-tsv header", line=lineno)
-    nodes: dict[str, MbtiType] = {}
-    edges: dict[tuple[str, str], float] = {}
-    for lineno, line in lines:
-        parts = line.split("\t")
-        try:
-            if len(parts) != 5:
-                raise ValueError(f"expected 5 fields, got {len(parts)}")
-            u, v, weight_text, u_type, v_type = parts
-            weight = float(weight_text)
-            if not 0 < weight < math.inf:
-                raise ValueError(f"weight must be finite and > 0, got {weight_text!r}")
-            if weight < threshold:
-                raise ValueError(f"weight below the threshold {threshold!r}, got {weight_text!r}")
-            if (u, v) in edges:
-                raise ValueError(f"repeated edge {u!r} -> {v!r}")
-            for node, code in ((u, u_type), (v, v_type)):
-                mbti = parse_mbti(code)
-                if nodes.setdefault(node, mbti) != mbti:
-                    raise ValueError(f"node {node!r} typed both {nodes[node]} and {mbti}")
-            edges[(u, v)] = weight
-        except (ValueError, InvalidType) as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}", line=lineno) from None
-    return AffinityGraph.from_dicts(nodes, edges, threshold)

@@ -69,13 +69,10 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
     width = len(str(spec.n - 1)) if spec.n > 1 else 1
     ids = [f"u{i:0{width}d}" for i in range(spec.n)]
     blocks = _block_of(spec)
-    block_start = np.searchsorted(blocks, blocks)
-    labels = {
-        ids[i]: ALL_TYPES[(i - block_start[i]) % len(ALL_TYPES)] for i in range(spec.n)
-    }
+    type_index = (np.arange(spec.n) - np.searchsorted(blocks, blocks)) % len(ALL_TYPES)
 
     streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
-    edges: dict[tuple[str, str], float] = {}
+    hits, weights = [], []
     for i in range(spec.n):
         rng = np.random.default_rng(streams[i])
         same = blocks == blocks[i]
@@ -85,11 +82,17 @@ def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]
         hit = rng.random(spec.n) < p
         weight = lo + (hi - lo) * rng.random(spec.n)
         hit[i] = False
-        for j in np.flatnonzero(hit):
-            edges[(ids[i], ids[j])] = float(weight[j])
+        hits.append(hit)
+        weights.append(weight[hit])
 
-    nodes = {u: labels[u] for e in edges for u in e}
-    graph = AffinityGraph.from_dicts(nodes, edges, min(spec.w_in[0], spec.w_out[0]))
+    # the ids are zero-padded, so index order is id order, and np.nonzero
+    # gives the edges in (source, target) order; only nodes with an edge are kept
+    src, dst = np.nonzero(np.array(hits))
+    kept = np.unique(np.r_[src, dst])
+    edge_arrays = (np.searchsorted(kept, src), np.searchsorted(kept, dst), np.concatenate(weights))
+    graph = AffinityGraph(
+        tuple(ids[i] for i in kept.tolist()), type_index[kept].astype(np.int8), edge_arrays
+    )
     truth = {ids[i]: int(blocks[i]) for i in range(spec.n)}
     return graph, truth
 

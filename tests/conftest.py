@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from affinity_miner import AffinityGraph, PairSequences, Sentiment, cluster_link_counts, parse_mbti
+from affinity_miner import (
+    ALL_TYPES,
+    AffinityGraph,
+    PairSequences,
+    Sentiment,
+    cluster_link_counts,
+    parse_mbti,
+)
 
 
 @pytest.fixture
@@ -9,13 +16,24 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def make_graph(edge_list, types=None, threshold=1e-5):
+def dict_graph(nodes, edges):
+    """The graph of id -> type and (source, target) -> weight maps in any
+    order, built one entry at a time; nodes need not have an edge."""
+    order = tuple(sorted(nodes))
+    index = {u: i for i, u in enumerate(order)}
+    pairs = sorted(edges)
+    src, dst = (np.array([index[p[k]] for p in pairs], dtype=np.intp) for k in (0, 1))
+    w = np.array([edges[p] for p in pairs], dtype=float)
+    types = np.array([ALL_TYPES.index(nodes[u]) for u in order], dtype=np.int8)
+    return AffinityGraph(order, types, (src, dst, w))
+
+
+def make_graph(edge_list, types=None):
     """Graph from (u, v, w) triples; default label INFJ for every node."""
     types = types or {}
-    return AffinityGraph.from_dicts(
+    return dict_graph(
         nodes={x: parse_mbti(types.get(x, "INFJ")) for u, v, _ in edge_list for x in (u, v)},
         edges={(u, v): w for u, v, w in edge_list},
-        threshold=threshold,
     )
 
 
@@ -37,10 +55,11 @@ def sequence_dict(pairs):
     }
 
 
-def scored_pairs(scores):
+def scored_pairs(scores, users=None):
     """(PairSequences, score array) for a (source, target) -> score dict:
-    pairs in id order, one NEU state each, user codes in reverse id order."""
-    users = tuple(sorted({u for pair in scores for u in pair}, reverse=True))
+    pairs in id order, one NEU state each, user codes in the order of
+    `users` (default: reverse id order)."""
+    users = tuple(users or sorted({u for pair in scores for u in pair}, reverse=True))
     code = {u: i for i, u in enumerate(users)}
     pairs = sorted(scores)
     m = len(pairs)

@@ -32,12 +32,12 @@ from affinity_miner import (
 from affinity_miner.classify import lr_loss_grad
 from affinity_miner.cli import resolve_config, run_pipeline
 from affinity_miner.cluster import Clustering
-from affinity_miner.graph import AffinityGraph
 from affinity_miner.lexfeat import load_lexicon
 from affinity_miner.semsim import load_embeddings
 from affinity_miner.synth import PlantedSpec, generate_dataset, sample_chain_sequence
 
 from conftest import (
+    dict_graph,
     flat,
     index_clusters,
     make_graph,
@@ -324,19 +324,17 @@ def test_10_influence_invariance():
         )
         base = influential_types(g, c)
         for scale in (0.001, 42.0):
-            scaled = AffinityGraph.from_dicts(
+            scaled = dict_graph(
                 nodes=g.nodes,
                 edges={e: w * scale for e, w in g.edges.items()},
-                threshold=g.threshold * scale,
             )
             if influential_types(scaled, c) != base:
                 ok = False
                 detail.append(f"seed {seed}: rescale x{scale} changed the report")
         rename = {u: f"zz_{u}" for u in g.nodes}  # order-preserving
-        g2 = AffinityGraph.from_dicts(
+        g2 = dict_graph(
             nodes={rename[u]: t for u, t in g.nodes.items()},
             edges={(rename[u], rename[v]): w for (u, v), w in g.edges.items()},
-            threshold=g.threshold,
         )
         c2 = Clustering(
             clusters=c.clusters, method="k-destinations", params={},

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import gc
+import io
 import json
 import os
 import subprocess
@@ -201,7 +203,7 @@ def test_graph_stage_caches_no_dict_keyed_by_id_pairs(dataset, tmp_path):
                 for k in value
             )
     g = runner.affinity_graph
-    assert set(vars(g)) == {"order", "node_types", "edge_arrays", "threshold"}
+    assert set(vars(g)) == {"order", "node_types", "edge_arrays"}
 
 
 def test_graph_stage_holds_no_event_column(dataset, tmp_path, monkeypatch):
@@ -473,6 +475,60 @@ class TestAtomicWrites:
         finally:
             os.umask(old)
         assert target.stat().st_mode & 0o777 == 0o640
+
+
+class UnreadableStream(io.StringIO):
+    """An open file whose every read fails as a disk error does."""
+
+    def _fail(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    __next__ = read = readline = readlines = _fail
+
+
+class TestUnreadableInputExitsOne:
+    """A file that exists but cannot be opened or read exits 1 with one
+    line naming its config key, not 2 with a traceback."""
+
+    FAILURES = {
+        "open": os.strerror(errno.EACCES),
+        "read": os.strerror(errno.EIO),
+    }
+
+    @staticmethod
+    def fail_on(monkeypatch, bad, failure):
+        real = cli_module.open_input
+
+        def open_input(path):
+            if str(path) != str(bad):
+                return real(path)
+            if failure == "open":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return UnreadableStream()
+
+        monkeypatch.setattr(cli_module, "open_input", open_input)
+
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    @pytest.mark.parametrize(
+        "key, stage",
+        [("interactions", "ingest"), ("profiles", "ingest"),
+         ("embeddings", "semsim"), ("lexicon", "lexcorr")],
+    )
+    def test_input_file(self, dataset, tmp_path, capsys, monkeypatch, key, stage, failure):
+        self.fail_on(monkeypatch, dataset[key], failure)
+        assert main([stage, *input_args(dataset), "--out", str(tmp_path)]) == 1
+        reason = self.FAILURES[failure]
+        want = f"error: config key {key}: cannot read {dataset[key]}: {reason}\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    def test_config_file(self, tmp_path, capsys, monkeypatch, failure):
+        path = tmp_path / "config.txt"
+        path.write_text("seed = 1\n", encoding="utf-8")
+        self.fail_on(monkeypatch, path, failure)
+        assert main(["ingest", "--config", str(path)]) == 1
+        want = f"error: config key config: cannot read {path}: {self.FAILURES[failure]}\n"
+        assert capsys.readouterr().err == want
 
 
 class TestBadInputsExitOne:

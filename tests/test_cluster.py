@@ -32,10 +32,9 @@ from affinity_miner.errors import (
     LengthMismatch,
     NonErgodic,
 )
-from affinity_miner.graph import AffinityGraph
 from affinity_miner.synth import PlantedSpec, planted_partition
 
-from conftest import id_sets, make_graph, random_positive_graph, two_block_graph
+from conftest import dict_graph, id_sets, make_graph, random_positive_graph, two_block_graph
 
 
 # -- independent oracles ------------------------------------------------------
@@ -187,10 +186,8 @@ class TestRandomWalkMatrix:
         assert P.min() >= 0.05 / len(g.nodes) - 1e-15
 
     def test_empty_graph(self):
-        from affinity_miner.graph import AffinityGraph
-
         with pytest.raises(EmptyGraph):
-            random_walk_matrix(AffinityGraph.from_dicts(nodes={}, edges={}))
+            random_walk_matrix(dict_graph(nodes={}, edges={}))
 
     def test_bad_tau(self):
         g = make_graph([("a", "b", 1.0)])
@@ -272,7 +269,7 @@ class TestHittingTimes:
 
     def test_empty_graph_and_bad_tau_refused(self):
         with pytest.raises(EmptyGraph):
-            hitting_times(AffinityGraph.from_dicts(nodes={}, edges={}))
+            hitting_times(dict_graph(nodes={}, edges={}))
         with pytest.raises(ValueError, match="teleport"):
             hitting_times(make_graph([("a", "b", 1.0)]), 0.0)
 
@@ -330,10 +327,9 @@ class TestMcl:
         assert c.clusters[0].tolist() == list(range(5))
 
     def test_single_node(self):
-        from affinity_miner.graph import AffinityGraph
         from affinity_miner import parse_mbti
 
-        g = AffinityGraph.from_dicts(nodes={"solo": parse_mbti("INFJ")}, edges={})
+        g = dict_graph(nodes={"solo": parse_mbti("INFJ")}, edges={})
         c = mcl(g)
         assert id_sets(c) == [{"solo"}]
 
@@ -349,7 +345,7 @@ class TestMcl:
         g = make_graph(
             [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
         )
-        g = AffinityGraph.from_dicts(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+        g = dict_graph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
         M, _ = next(mcl_flow(_mcl_seed_matrix(g), prune=0.5))
         dense = M.toarray()
         assert np.array_equal(dense[:, :4], np.full((5, 4), 1 / 5))
@@ -508,7 +504,7 @@ def test_mcl_10k_nodes_without_dense_matrix():
         if j // size != i // size:
             edges[(names[i], names[j])] = float(rng.uniform(0.01, 0.05))
     label = parse_mbti("INFJ")
-    g = AffinityGraph.from_dicts(nodes={u: label for u in names}, edges=dict(sorted(edges.items())))
+    g = dict_graph(nodes={u: label for u in names}, edges=dict(sorted(edges.items())))
     tracemalloc.start()
     try:
         c = mcl(g)
@@ -537,7 +533,7 @@ def test_mcl_many_clusters_keeps_attraction_sparse():
         a, b = names[2 * p], names[2 * p + 1]
         edges[(a, b)] = edges[(b, a)] = 1.0
     label = parse_mbti("INFJ")
-    g = AffinityGraph.from_dicts(nodes={u: label for u in names}, edges=edges)
+    g = dict_graph(nodes={u: label for u in names}, edges=edges)
     tracemalloc.start()
     try:
         c = mcl(g)
@@ -611,7 +607,7 @@ def test_blocked_flow_restarts_dead_columns_like_the_single_product(monkeypatch,
     g = make_graph(
         [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
     )
-    g = AffinityGraph.from_dicts(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+    g = dict_graph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
     iterates = _assert_flows_bitwise_equal(g, e=e, prune=0.5)
     restarted = iterates[0].toarray()[:, :4]
     assert np.array_equal(restarted, np.full((5, 4), 1 / 5))

@@ -11,34 +11,43 @@ from affinity_miner import (
     build_pair_sequences,
     export_graph,
     load_interactions,
-    parse_graph_tsv,
     parse_mbti,
     score_sequences,
     type_pair_percentages,
 )
-from affinity_miner.errors import EmptyGraph, MalformedRecord
+from affinity_miner.errors import EmptyGraph
 from affinity_miner.graph import EDGE_TSV_HEADER, TYPE_PAIRS
 
-from conftest import make_graph, scored_pairs
+from conftest import dict_graph, make_graph, scored_pairs
+
+
+THRESHOLD = 1e-5
 
 
 def profile(uid, code="INFJ"):
     return UserProfile(uid, parse_mbti(code), 0.1)
 
 
+def profiles_of(*uids):
+    return [profile(uid) for uid in uids]
+
+
 class TestBuildAffinityGraph:
     def test_below_threshold_excluded(self):
-        g = build_affinity_graph(*scored_pairs({("a", "b"): 9e-6}), [profile("a"), profile("b")])
+        pairs, scores = scored_pairs({("a", "b"): 9e-6})
+        g = build_affinity_graph(pairs, scores, profiles_of("a", "b"), THRESHOLD)
         assert g.edges == {}
 
     def test_exact_threshold_included(self):
-        g = build_affinity_graph(*scored_pairs({("a", "b"): 1e-5}), [profile("a"), profile("b")])
+        pairs, scores = scored_pairs({("a", "b"): 1e-5})
+        g = build_affinity_graph(pairs, scores, profiles_of("a", "b"), THRESHOLD)
         assert g.edges == {("a", "b"): 1e-5}
 
     def test_missing_profile_drops_edge(self):
         g = build_affinity_graph(
             *scored_pairs({("a", "b"): 0.5, ("a", "c"): 0.5}),
             [profile("a"), profile("b")],
+            THRESHOLD,
         )
         assert ("a", "c") not in g.edges
         assert "c" not in g.nodes
@@ -47,6 +56,7 @@ class TestBuildAffinityGraph:
         g = build_affinity_graph(
             *scored_pairs({("a", "b"): 0.5}),
             [profile("a"), profile("b"), profile("z")],
+            THRESHOLD,
         )
         assert set(g.nodes) == {"a", "b"}
 
@@ -54,7 +64,7 @@ class TestBuildAffinityGraph:
         line = {"source": "a", "target": "b", "timestamp": 1, "sentiment": "POS"}
         pairs = build_pair_sequences(load_interactions([json.dumps(line)] * 3))
         scores = score_sequences(pairs.length, pairs.states)
-        g = build_affinity_graph(pairs, scores, [profile("a"), profile("b")])
+        g = build_affinity_graph(pairs, scores, [profile("a"), profile("b")], THRESHOLD)
         assert g.edges == {("a", "b"): scores[0]}
 
     def test_min_weight_respects_threshold(self, rng):
@@ -66,14 +76,15 @@ class TestBuildAffinityGraph:
                 if i != j
             }
             profiles = [profile(f"u{i}") for i in range(8)]
-            g = build_affinity_graph(*scored_pairs(scores), profiles)
+            g = build_affinity_graph(*scored_pairs(scores), profiles, THRESHOLD)
             if g.edges:
-                assert min(g.edges.values()) >= g.threshold
+                assert min(g.edges.values()) >= THRESHOLD
 
     def test_arrays_in_id_order_and_read_only(self):
         g = build_affinity_graph(
             *scored_pairs({("c", "a"): 0.5, ("a", "c"): 0.25, ("b", "a"): 0.75}),
             [profile("a", "ESTJ"), profile("b"), profile("c", "ENFP")],
+            THRESHOLD,
         )
         assert g.order == ("a", "b", "c")
         assert [str(t) for t in g.nodes.values()] == ["ESTJ", "INFJ", "ENFP"]
@@ -84,7 +95,7 @@ class TestBuildAffinityGraph:
 
     def test_positive_threshold_required(self):
         with pytest.raises(ValueError):
-            build_affinity_graph(*scored_pairs({}), [], threshold=0.0)
+            build_affinity_graph(*scored_pairs({}), [], 0.0)
 
 
 class TestTypePairPercentages:
@@ -135,10 +146,19 @@ class TestTypePairPercentages:
         assert type_pair_percentages(g1) == type_pair_percentages(g2)
 
     def test_empty_graph_raises(self):
-        from affinity_miner.graph import AffinityGraph
-
         with pytest.raises(EmptyGraph):
-            type_pair_percentages(AffinityGraph.from_dicts(nodes={}, edges={}))
+            type_pair_percentages(dict_graph(nodes={}, edges={}))
+
+
+def graph_from_edge_tsv(text):
+    """The graph an edge-tsv export describes: ids and types from its rows,
+    each weight float() of its 17-digit text; a node keeps one type."""
+    header, *rows = (line.split("\t") for line in text.splitlines())
+    assert header == EDGE_TSV_HEADER.split("\t")
+    typed = {node for u, v, _, tu, tv in rows for node in ((u, tu), (v, tv))}
+    nodes = {u: parse_mbti(t) for u, t in typed}
+    assert len(nodes) == len(typed)
+    return dict_graph(nodes, {(u, v): float(w) for u, v, w, _, _ in rows})
 
 
 class TestExportImport:
@@ -150,9 +170,7 @@ class TestExportImport:
         assert lines[1] == "a\tb\t0.5\tESFJ\tISFP"
 
     def test_empty_graph_header_only(self):
-        from affinity_miner.graph import AffinityGraph
-
-        g = AffinityGraph.from_dicts(nodes={}, edges={})
+        g = dict_graph(nodes={}, edges={})
         lines = export_graph(g, "edge-tsv").splitlines()
         assert lines == ["source\ttarget\tweight\tsource_type\ttarget_type"]
 
@@ -171,11 +189,11 @@ class TestExportImport:
             if not edge_list:
                 continue
             g = make_graph(edge_list, types=types)
-            back = parse_graph_tsv(export_graph(g, "edge-tsv"), threshold=g.threshold)
-            assert (back.order, back.threshold) == (g.order, g.threshold)
+            back = graph_from_edge_tsv(export_graph(g, "edge-tsv"))
+            assert back.order == g.order
             arrays = zip((back.node_types, *back.edge_arrays), (g.node_types, *g.edge_arrays))
             for got, want in arrays:
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_dot_output(self):
         g = make_graph([("a", "b", 0.5)], types={"a": "ESFJ", "b": "ISFP"})
@@ -197,48 +215,6 @@ class TestExportImport:
         unescaped = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted}
         assert unescaped == set(ids) | {"INFJ"}
         assert '"al\\"ice\\\\" -> "b\\\\ob" [weight=0.5];' in text
-
-    @pytest.mark.parametrize(
-        "bad_row",
-        ["a\tb\t0.5\tESFJ", "a\tb\theavy\tESFJ\tISFP", "a\tb\t0.5\tESFJ\tXXXX"],
-    )
-    def test_bad_row_names_its_physical_line(self, bad_row):
-        text = f"{EDGE_TSV_HEADER}\n\na\tc\t0.5\tESFJ\tISFP\n\n{bad_row}\n"
-        with pytest.raises(MalformedRecord, match="^line 5: ") as info:
-            parse_graph_tsv(text)
-        assert info.value.line == 5
-
-    @pytest.mark.parametrize(
-        "bad_row, reason",
-        [
-            ("a\tc\t0.7\tESFJ\tISFP", "repeated edge 'a' -> 'c'"),
-            ("a\tb\t0.5\tINTJ\tISFP", "node 'a' typed both ESFJ and INTJ"),
-            ("b\tb\t0.5\tINTJ\tISFP", "node 'b' typed both INTJ and ISFP"),
-            ("a\tb\tnan\tESFJ\tISFP", "weight must be finite and > 0, got 'nan'"),
-            ("a\tb\tinf\tESFJ\tISFP", "weight must be finite and > 0, got 'inf'"),
-            ("a\tb\t-inf\tESFJ\tISFP", "weight must be finite and > 0, got '-inf'"),
-            ("a\tb\t0\tESFJ\tISFP", "weight must be finite and > 0, got '0'"),
-            ("a\tb\t-0.5\tESFJ\tISFP", "weight must be finite and > 0, got '-0.5'"),
-        ],
-        ids=["repeated-edge", "two-types", "self-edge-two-types", "nan", "inf", "-inf",
-             "zero", "negative"],
-    )
-    def test_inconsistent_row_rejected_naming_its_line(self, bad_row, reason):
-        text = f"{EDGE_TSV_HEADER}\n\na\tc\t0.5\tESFJ\tISFP\n\n{bad_row}\n"
-        with pytest.raises(MalformedRecord) as info:
-            parse_graph_tsv(text)
-        assert str(info.value) == f"line 5: {reason}"
-        assert info.value.line == 5
-
-    def test_weight_below_threshold_rejected_naming_its_line(self):
-        text = f"{EDGE_TSV_HEADER}\na\tb\t1e-9\tINFJ\tINFJ\n"
-        with pytest.raises(MalformedRecord) as info:
-            parse_graph_tsv(text, threshold=1e-5)
-        assert str(info.value) == "line 2: weight below the threshold 1e-05, got '1e-9'"
-        assert info.value.line == 2
-        # a weight exactly at the threshold is an edge, as in build_affinity_graph
-        g = parse_graph_tsv(text, threshold=1e-9)
-        assert g.edge_arrays[2].tolist() == [1e-9] and g.threshold == 1e-9
 
     def test_unknown_format(self):
         g = make_graph([("a", "b", 0.5)])

@@ -12,7 +12,7 @@ from affinity_miner import (
 from affinity_miner.errors import UnknownNode
 from affinity_miner.synth import PlantedSpec, planted_partition
 
-from conftest import counts_by_id, index_clusters, make_graph, neighbor_sets
+from conftest import counts_by_id, dict_graph, index_clusters, make_graph, neighbor_sets
 
 
 def clustering_of(groups, nodes):
@@ -164,27 +164,21 @@ def random_graph_and_clustering(seed):
 class TestInvariances:
     @pytest.mark.parametrize("scale", [0.001, 7.3])
     def test_weight_rescaling(self, scale):
-        from affinity_miner.graph import AffinityGraph
-
         for seed in range(20):
             g, c = random_graph_and_clustering(seed)
-            scaled = AffinityGraph.from_dicts(
+            scaled = dict_graph(
                 nodes=g.nodes,
                 edges={e: w * scale for e, w in g.edges.items()},
-                threshold=g.threshold * scale,
             )
             assert influential_types(g, c) == influential_types(scaled, c)
 
     def test_order_preserving_relabeling(self):
-        from affinity_miner.graph import AffinityGraph
-
         for seed in range(20):
             g, c = random_graph_and_clustering(seed)
             rename = {u: f"x_{u}" for u in g.nodes}  # preserves lexicographic order
-            g2 = AffinityGraph.from_dicts(
+            g2 = dict_graph(
                 nodes={rename[u]: t for u, t in g.nodes.items()},
                 edges={(rename[u], rename[v]): w for (u, v), w in g.edges.items()},
-                threshold=g.threshold,
             )
             c2 = Clustering(
                 clusters=c.clusters,

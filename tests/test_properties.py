@@ -40,13 +40,7 @@ from affinity_miner.errors import (
     MalformedRecord,
     NonErgodic,
 )
-from affinity_miner.graph import (
-    EDGE_TSV_HEADER,
-    TYPE_PAIRS,
-    AffinityGraph,
-    export_graph,
-    parse_graph_tsv,
-)
+from affinity_miner.graph import TYPE_PAIRS, export_graph
 from affinity_miner.influence import cluster_link_counts, influential_types
 from affinity_miner.ingest import (
     ALL_TYPES,
@@ -66,7 +60,7 @@ from affinity_miner.lexfeat import (
 )
 from affinity_miner.semsim import load_embeddings
 
-from conftest import counts_by_id, flat, id_sets, neighbor_sets
+from conftest import counts_by_id, flat, id_sets, neighbor_sets, scored_pairs
 
 PROPERTY = settings(
     derandomize=True,
@@ -184,7 +178,6 @@ LOADERS = {
     "load_lexicon": _through_file(load_lexicon),
     "load_embeddings": _through_file(load_embeddings),
     "parse_config_file": parse_config_file,
-    "parse_graph_tsv": _through_file(lambda fh: parse_graph_tsv(fh.read())),
 }
 
 
@@ -199,8 +192,6 @@ def input_path(tmp_path_factory):
 @example(data=b'{"source": "a", "target": "b", "timestamp": 1, "sentiment": []}')
 @example(data=b"[" * 100_000)
 @example(data=b"user_id\tmbti\tbot_score\ncaf\xe9\tINFJ\t1.0")
-@example(data=EDGE_TSV_HEADER.encode() + b"\n\na\tb\tx\tINFJ\tENTP\n")
-@example(data=b"\r\n\r" + EDGE_TSV_HEADER.encode() + b"\n\n\na\tb\n")
 @example(data=b" \t\n\x0c\n\xc2\xa0\n")
 def test_loaders_raise_only_domain_errors(input_path, loader, data):
     input_path.write_bytes(data)
@@ -560,16 +551,15 @@ def edge_lists(draw):
 
 
 def graph_of(edge_list, shuffle=None):
-    """The graph of `edge_list`; `shuffle` reorders both dicts' insertion."""
-    edge_list = list(edge_list)
-    ids = sorted({x for u, v, _ in edge_list for x in (u, v)})
+    """build_affinity_graph of `edge_list` as scored pairs, every node
+    profiled; `shuffle` reorders the user codes and the profiles."""
+    users = sorted({x for u, v, _ in edge_list for x in (u, v)})
+    profiles = [UserProfile(u, ALL_TYPES[ord(u[-1]) % 16], 0.0) for u in users]
     if shuffle is not None:
-        shuffle(edge_list)
-        shuffle(ids)
-    return AffinityGraph.from_dicts(
-        nodes={u: ALL_TYPES[ord(u[-1]) % 16] for u in ids},
-        edges={(u, v): w for u, v, w in edge_list},
-    )
+        shuffle(users)
+        shuffle(profiles)
+    pairs, scores = scored_pairs({(u, v): w for u, v, w in edge_list}, users)
+    return build_affinity_graph(pairs, scores, profiles, 1e-5)
 
 
 def dict_loop_edge_arrays(edge_list):
@@ -604,7 +594,7 @@ def test_graph_stores_sorted_order_whatever_the_insertion_order(edge_list, rnd):
     h = graph_of(edge_list, shuffle=rnd.shuffle)
     assert list(h.nodes) == sorted(h.nodes) and list(h.edges) == sorted(h.edges)
     assert h.order == g.order == tuple(sorted(g.nodes))
-    for got, want in zip(h.edge_arrays, g.edge_arrays):
+    for got, want in zip((h.node_types, *h.edge_arrays), (g.node_types, *g.edge_arrays)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for fmt in ("edge-tsv", "dot"):
         assert export_graph(h, fmt) == export_graph(g, fmt)

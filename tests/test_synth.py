@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from affinity_miner import (
+    ALL_TYPES,
     estimate_chains,
     k_destinations,
     labels_from_clustering,
@@ -17,7 +18,7 @@ from affinity_miner.errors import InvalidSpec
 from affinity_miner.ingest import Sentiment
 from affinity_miner.synth import PlantedSpec, generate_dataset
 
-from conftest import flat, random_ergodic_chain
+from conftest import dict_graph, flat, random_ergodic_chain
 
 
 class TestPlantedSpec:
@@ -104,11 +105,59 @@ class TestPlantedPartition:
         by_block = {}
         for u in sorted(truth):
             by_block.setdefault(truth[u], []).append(u)
-        from affinity_miner import ALL_TYPES
-
         for members in by_block.values():
             for i, u in enumerate(members):
                 assert g.nodes[u] is ALL_TYPES[i % 16]
+
+
+def dict_loop_planted_partition(spec):
+    """planted_partition's draws, kept one edge at a time in id -> type and
+    (source, target) -> weight dicts and built by conftest.dict_graph."""
+    width = len(str(spec.n - 1))
+    ids = [f"u{i:0{width}d}" for i in range(spec.n)]
+    blocks = synth._block_of(spec)
+    streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
+    edges = {}
+    for i in range(spec.n):
+        rng = np.random.default_rng(streams[i])
+        same = blocks == blocks[i]
+        p = np.where(same, spec.p_in, spec.p_out)
+        lo = np.where(same, spec.w_in[0], spec.w_out[0])
+        hi = np.where(same, spec.w_in[1], spec.w_out[1])
+        hit = rng.random(spec.n) < p
+        weight = lo + (hi - lo) * rng.random(spec.n)
+        for j in range(spec.n):
+            if hit[j] and j != i:
+                edges[(ids[i], ids[j])] = float(weight[j])
+    first = {}
+    for i in range(spec.n):
+        first.setdefault(int(blocks[i]), i)
+    label = {ids[i]: ALL_TYPES[(i - first[int(blocks[i])]) % 16] for i in range(spec.n)}
+    nodes = {u: label[u] for pair in edges for u in pair}
+    return dict_graph(nodes, edges), {ids[i]: int(blocks[i]) for i in range(spec.n)}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PlantedSpec(n=1, k=1, p_in=1.0, p_out=1.0),
+        PlantedSpec(n=9, k=3, p_in=0.0, p_out=0.0, seed=2),
+        PlantedSpec(n=12, k=3, p_in=1.0, p_out=0.0),
+        PlantedSpec(n=10, k=10, p_in=0.5, p_out=0.5, seed=5),
+        PlantedSpec(n=30, k=3, p_in=0.4, p_out=0.05, seed=9),
+        PlantedSpec(n=20, k=2, p_in=0.5, p_out=0.2, w_in=(0.8, 1.0), w_out=(0.1, 0.2), seed=4),
+        PlantedSpec(n=101, k=4, p_in=0.02, p_out=0.0, seed=1),
+        PlantedSpec(n=300, k=8, p_in=0.1, p_out=0.01, seed=11),
+    ],
+    ids=lambda spec: f"n{spec.n}-k{spec.k}-p{spec.p_in}-{spec.p_out}-s{spec.seed}",
+)
+def test_planted_partition_matches_the_dict_built_graph_bitwise(spec):
+    g, truth = planted_partition(spec)
+    want, want_truth = dict_loop_planted_partition(spec)
+    assert g.order == want.order and truth == want_truth
+    for got, expected in zip((g.node_types, *g.edge_arrays), (want.node_types, *want.edge_arrays)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSampleChainSequence:
