@@ -8,6 +8,7 @@ nearest destination node and re-centers destinations until stable.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -30,8 +31,9 @@ log = logging.getLogger(__name__)
 DEFAULT_TELEPORT = 0.01
 MCL_MAX_ITER = 200
 MCL_TOL = 1e-8
-# expansion product columns computed, inflated and pruned at a time
-MCL_BLOCK_COLUMNS = 512
+# expansion product columns computed, inflated and pruned at a time: one
+# unpruned block of a 2048-node flow's square holds about 2 MiB
+MCL_BLOCK_COLUMNS = 128
 # a stationary distribution's residual max|pi P - pi| must fall below this
 STATIONARY_TOL = 1e-12
 
@@ -189,10 +191,17 @@ def _normalize_columns(M: sp.csc_array, sums: np.ndarray) -> sp.csc_array:
     return M
 
 
+def _index_dtype(n: int, nnz: int) -> type:
+    """The index dtype of an n x n flow with nnz stored entries: int32
+    while both n and nnz fit in it, int64 above, as scipy.sparse picks."""
+    return sp.get_index_dtype(maxval=max(n, nnz))
+
+
 def _mcl_seed_matrix(g: AffinityGraph) -> sp.csc_array:
     """Column-stochastic flow matrix with self-loops of max(1, max incident).
 
     Column u holds u's out-weights, M[v, u] = w(u -> v), plus the loop.
+    Its indptr and indices have the flow's index dtype (_index_dtype).
     """
     n = len(g.order)
     src, dst, w = g.edge_arrays
@@ -201,11 +210,15 @@ def _mcl_seed_matrix(g: AffinityGraph) -> sp.csc_array:
     np.maximum.at(loops, dst, w)
     # a self-edge in the graph is replaced by the loop weight, not added to it
     off = src != dst
-    diag = np.arange(n)
+    index = _index_dtype(n, np.count_nonzero(off) + n)
+    diag = np.arange(n, dtype=index)
     M = sp.csc_array(
         (
             np.concatenate([w[off], loops]),
-            (np.concatenate([dst[off], diag]), np.concatenate([src[off], diag])),
+            (
+                np.concatenate([dst[off], diag], dtype=index),
+                np.concatenate([src[off], diag], dtype=index),
+            ),
         ),
         shape=(n, n),
     )
@@ -222,8 +235,9 @@ def _column_ranges(n: int) -> list[tuple[int, int]]:
 
 def _column_block(M: sp.csc_array, start: int, stop: int) -> sp.csc_array:
     """Columns start:stop of M as a CSC array built from slices of M's
-    arrays. It is a view only when it holds at least half of M's stored
-    entries: under scipy 1.17 the constructor copies a shorter slice.
+    arrays, in M's index dtype. It is a view only when it holds at least
+    half of M's stored entries: under scipy 1.17 the constructor copies a
+    shorter slice, so mcl_flow takes each block once per step.
     """
     lo, hi = M.indptr[start], M.indptr[stop]
     return sp.csc_array(
@@ -239,23 +253,27 @@ def mcl_flow(
     change, max |flow - previous flow|; the caller decides when to stop.
 
     Each step is one pass over MCL_BLOCK_COLUMNS-wide column blocks of the
-    previous flow M. A block is multiplied by M^(e-1) (e - 2 products, once
-    a step), raised entrywise to the r-th power, pruned below prune, column
-    normalized, and compared with the same block of M. Column j of the
-    product needs only column j of M, a sparse product sums each entry in
-    the stored order of that column, and every later operation works one
-    column at a time, so the blocks hold the same bits the whole-matrix
-    step would. A step holds M, M^(e-1), the finished blocks and one
-    unpruned block of the product, never the whole unpruned M^e.
+    previous flow M. A block of M, taken once, is multiplied by M^(e-1)
+    (e - 2 products, once a step), raised entrywise to the r-th power,
+    pruned below prune, column normalized, and compared with that block of
+    M. Column j of the product needs only column j of M, a sparse product
+    sums each entry in the stored order of that column, and every later
+    operation works one column at a time, so the blocks hold the same bits
+    the whole-matrix step would. A step holds M, M^(e-1), the finished
+    blocks and one unpruned block of the product, never the whole unpruned
+    M^e; M is dropped after the last block, before the blocks are joined
+    into the new flow. Every flow's indptr and indices have the index
+    dtype _index_dtype picks for its size, as the seed's do.
     """
     n = M.shape[0]
     while True:
         left = M
         for _ in range(e - 2):
             left = left @ M
-        blocks, change = [], 0.0
+        data, indices, counts, change = [], [], [], 0.0
         for start, stop in _column_ranges(n):
-            block = left @ _column_block(M, start, stop)
+            old = _column_block(M, start, stop)
+            block = left @ old
             block.data **= r
             block.data[block.data < prune] = 0.0
             block.eliminate_zeros()
@@ -266,39 +284,46 @@ def mcl_flow(
             # is n > 1000 at the defaults. A vanished column restarts uniform.
             dead = np.flatnonzero(sums == 0.0)
             if dead.size:
+                index = block.indices.dtype
                 block = block + sp.csc_array(
                     (
                         np.full(n * dead.size, 1.0 / n),
-                        (np.tile(np.arange(n), dead.size), np.repeat(dead, n)),
+                        (
+                            np.tile(np.arange(n, dtype=index), dead.size),
+                            np.repeat(dead.astype(index), n),
+                        ),
                     ),
                     shape=block.shape,
                 )
                 sums = _column_sums(block)
             block = _normalize_columns(block, sums)
-            change = max(change, abs(block - _column_block(M, start, stop)).max())
-            blocks.append(block)
-        # a suspended generator keeps its locals: hold only the new flow
-        del left, block
-        counts = np.concatenate([np.diff(block.indptr) for block in blocks])
-        M = sp.csc_array(
-            (
-                np.concatenate([block.data for block in blocks]),
-                np.concatenate([block.indices for block in blocks]),
-                np.concatenate([[0], np.cumsum(counts)]),
-            ),
-            shape=(n, n),
-        )
-        del blocks
+            # max |block - old|: an entry the difference leaves out is 0
+            change = max(change, np.abs((block - old).data).max(initial=0.0))
+            data.append(block.data)
+            indices.append(block.indices)
+            counts.append(np.diff(block.indptr))
+        # a suspended generator keeps its locals: drop the old flow before
+        # the new one is joined, free the blocks' values before their
+        # indices are joined, and hold only the new flow after
+        del M, left, old, block
+        index = _index_dtype(n, sum(map(len, data)))
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.concatenate(counts), dtype=index, out=indptr[1:])
+        data = np.concatenate(data)
+        indices = np.concatenate(indices, dtype=index)
+        M = sp.csc_array((data, indices, indptr), shape=(n, n))
+        del data, indices, indptr, counts
         yield M, change
 
 
-def _same_matrix(A: sp.csc_array, B: sp.csc_array) -> bool:
-    """Bitwise equality of two flow matrices with sorted indices."""
-    return (
-        np.array_equal(A.indptr, B.indptr)
-        and np.array_equal(A.indices, B.indices)
-        and np.array_equal(A.data, B.data)
-    )
+def _flow_digest(M: sp.csc_array) -> bytes:
+    """SHA-256 of a flow's indptr, indices and data bytes: equal for two
+    flows exactly when they are bitwise equal (the shape is fixed and the
+    byte count fixes nnz), without holding either flow."""
+    digest = hashlib.sha256()
+    for array in (M.indptr, M.indices, M.data):
+        digest.update(array)
+    return digest.digest()
 
 
 def _clusters_from_limit(
@@ -354,7 +379,9 @@ def mcl(
     matrix. Each step is one pass over MCL_BLOCK_COLUMNS-wide column blocks
     that yields the flow with its max change (see mcl_flow), so memory
     grows with the pruned flow plus one block of the product, never with
-    the unpruned square or with n^2.
+    the unpruned square or with n^2. The flows before the current one are
+    held only as SHA-256 digests (_flow_digest) for the period-2 check, and
+    while the next flow is computed only the generator holds a flow.
     """
     if e < 2:
         raise ValueError(f"expansion power must be >= 2, got {e}")
@@ -363,18 +390,21 @@ def mcl(
     if not g.order:
         raise EmptyGraph("clustering needs at least one node")
     M = _mcl_seed_matrix(g)
-    previous = None  # the iterate before M
+    # digests of the two iterates before the current flow, newest first
+    last, before_last = _flow_digest(M), None
+    flows = mcl_flow(M, e, r, prune)
+    del M
     converged = False
     iterations = 0
-    for M_next, change in mcl_flow(M, e, r, prune):
+    for M, change in flows:
         iterations += 1
         if change < MCL_TOL:
-            M = M_next
             converged = True
             break
         # a flow that equals the iterate two steps back cycles forever
-        periodic = previous is not None and _same_matrix(M_next, previous)
-        previous, M = M, M_next
+        digest = _flow_digest(M)
+        periodic = digest == before_last
+        last, before_last = digest, last
         if iterations >= max_iter:
             log.warning("mcl stopped unconverged at the %d-iteration cap", iterations)
             break
@@ -384,6 +414,8 @@ def mcl(
                 "stopping unconverged", iterations,
             )
             break
+        # only the generator holds a flow while it computes the next
+        del M
     clusters, attraction = _clusters_from_limit(M, iterations)
     return Clustering(
         clusters=tuple(clusters),

@@ -111,7 +111,9 @@ def dense_mcl_flow(M, e=2, r=2.0, prune=1e-6):
 
 def single_product_mcl_flow(M, e=2, r=2.0, prune=1e-6):
     """The sparse flow with each step's whole unpruned M^e formed at once,
-    then inflated and pruned: the bitwise oracle for the blocked flow."""
+    then inflated and pruned: the bitwise oracle for the blocked flow. The
+    dead-column restart is built in the flow's index dtype, as the blocked
+    flow builds it."""
     n = M.shape[0]
     while True:
         M_e = M @ M
@@ -125,10 +127,14 @@ def single_product_mcl_flow(M, e=2, r=2.0, prune=1e-6):
         sums = _column_sums(M)
         dead = np.flatnonzero(sums == 0.0)
         if dead.size:
+            index = M.indices.dtype
             M = M + sp.csc_array(
                 (
                     np.full(n * dead.size, 1.0 / n),
-                    (np.tile(np.arange(n), dead.size), np.repeat(dead, n)),
+                    (
+                        np.tile(np.arange(n, dtype=index), dead.size),
+                        np.repeat(dead.astype(index), n),
+                    ),
                 ),
                 shape=(n, n),
             )
@@ -342,11 +348,7 @@ class TestMcl:
     def test_dead_columns_restart_uniform(self):
         # every clique column falls below prune=0.5 after one step; the
         # isolated node's column keeps all its mass on its own loop
-        g = make_graph(
-            [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
-        )
-        g = dict_graph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
-        M, _ = next(mcl_flow(_mcl_seed_matrix(g), prune=0.5))
+        M, _ = next(mcl_flow(_mcl_seed_matrix(_clique_and_isolated_node()), prune=0.5))
         dense = M.toarray()
         assert np.array_equal(dense[:, :4], np.full((5, 4), 1 / 5))
         assert np.array_equal(dense[:, 4], [0.0, 0.0, 0.0, 0.0, 1.0])
@@ -582,12 +584,13 @@ def _planted_flow_graph(n):
 
 
 @pytest.mark.parametrize("e", [2, 3])
-@pytest.mark.parametrize("n, blocks", [(1100, 3), (300, 1)])
+@pytest.mark.parametrize("n, blocks", [(1100, 9), (120, 1)])
 def test_blocked_flow_is_the_single_product_flow(e, n, blocks):
     g = _planted_flow_graph(n)
+    columns = len(g.order)
     # the last block is partial
-    assert len(g.order) == n and n % MCL_BLOCK_COLUMNS
-    assert len(cluster_module._column_ranges(n)) == blocks
+    assert columns % MCL_BLOCK_COLUMNS
+    assert len(cluster_module._column_ranges(columns)) == blocks
     assert len(_assert_flows_bitwise_equal(g, e=e)) > 3
 
 
@@ -600,24 +603,69 @@ def test_blocked_flow_is_the_single_product_flow_narrow_blocks(monkeypatch, e, r
     assert len(_assert_flows_bitwise_equal(g, e=e, r=r)) > 3
 
 
+def _clique_and_isolated_node():
+    """A 4-clique and an isolated node: at prune=0.5 every clique column
+    dies at every step and restarts uniform."""
+    g = make_graph(
+        [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
+    )
+    return dict_graph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
+
+
 @pytest.mark.parametrize("e", [2, 3])
 def test_blocked_flow_restarts_dead_columns_like_the_single_product(monkeypatch, e):
     # 5 nodes in blocks of 2, 2 and 1; at prune=0.5 the clique columns die
     monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 2)
-    g = make_graph(
-        [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
-    )
-    g = dict_graph(nodes={**g.nodes, "z": g.nodes["n0"]}, edges=g.edges)
-    iterates = _assert_flows_bitwise_equal(g, e=e, prune=0.5)
+    iterates = _assert_flows_bitwise_equal(_clique_and_isolated_node(), e=e, prune=0.5)
     restarted = iterates[0].toarray()[:, :4]
     assert np.array_equal(restarted, np.full((5, 4), 1 / 5))
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("case", ["planted", "dead-columns"])
+def test_every_flow_has_int32_indices(monkeypatch, e, case):
+    if case == "planted":
+        g, flow = _planted(3), {}
+    else:
+        # blocks of 2, 2 and 1 columns, each clique column restarted
+        monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 2)
+        g, flow = _clique_and_isolated_node(), {"prune": 0.5}
+    M = _mcl_seed_matrix(g)
+    assert M.indptr.dtype == M.indices.dtype == np.int32
+    for step, (M, _) in zip(range(1, 11), mcl_flow(M, e=e, **flow)):
+        assert M.indptr.dtype == np.int32, f"indptr at iteration {step}"
+        assert M.indices.dtype == np.int32, f"indices at iteration {step}"
+        if case == "dead-columns":
+            assert np.array_equal(M.toarray()[:, :4], np.full((5, 4), 1 / 5))
+
+
+def test_index_dtype_widens_above_int32_range():
+    limit = np.iinfo(np.int32).max
+    assert cluster_module._index_dtype(2048, limit) == np.int32
+    assert cluster_module._index_dtype(2048, limit + 1) == np.int64
+    assert cluster_module._index_dtype(limit + 1, 0) == np.int64
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_int64_flow_has_the_int32_flow_bits(monkeypatch, e):
+    # the path a flow past 2^31 - 1 entries takes, forced on a small graph
+    g = _planted(3)
+    narrow = [M for _, (M, _) in zip(range(6), mcl_flow(_mcl_seed_matrix(g), e=e))]
+    monkeypatch.setattr(cluster_module, "_index_dtype", lambda n, nnz: np.int64)
+    wide = [M for _, (M, _) in zip(range(6), mcl_flow(_mcl_seed_matrix(g), e=e))]
+    for step, (A, B) in enumerate(zip(narrow, wide), 1):
+        assert B.indptr.dtype == B.indices.dtype == np.int64, f"iteration {step}"
+        assert np.array_equal(A.indptr, B.indptr), f"indptr at iteration {step}"
+        assert np.array_equal(A.indices, B.indices), f"indices at iteration {step}"
+        assert A.data.tobytes() == B.data.tobytes(), f"data at iteration {step}"
 
 
 def test_mcl_blocked_expansion_bounds_peak_memory():
     """A planted 2048-node graph with about 6 edges per node, as on the
     benchmark's MCL workload. Its unpruned square M @ M reaches 3.0M
     nonzeros (36 MB of values and indices) and set a 52 MiB peak when it
-    was formed whole.
+    was formed whole. With 128-column blocks, int32 indices and digests of
+    the older flows, mcl peaks at 6.6 MiB.
     """
     g = _planted_flow_graph(2048)
     tracemalloc.start()
@@ -627,7 +675,7 @@ def test_mcl_blocked_expansion_bounds_peak_memory():
     finally:
         tracemalloc.stop()
     assert c.converged
-    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- k-destinations --------------------------------------------------------------
