@@ -43,19 +43,19 @@ class TfIdfMatrix:
 
     vocabulary: tuple[str, ...]
     idf: np.ndarray
-    rows: sparse.csr_matrix
+    rows: sparse.csr_array
 
 
 def _tf_idf(
     texts: Sequence[str], vocabulary: tuple[str, ...], idf: np.ndarray
-) -> sparse.csr_matrix:
+) -> sparse.csr_array:
     """L2-normalized tf * idf rows; all-zero rows stay zero."""
     index = {t: j for j, t in enumerate(vocabulary)}
     counts = count_matrix((tokenize(text) for text in texts), index)
-    rows = counts @ sparse.diags(idf)
-    norms = np.sqrt(np.asarray(rows.multiply(rows).sum(axis=1)).ravel())
+    rows = counts @ sparse.diags_array(idf)
+    norms = np.sqrt(rows.multiply(rows).sum(axis=1))
     norms[norms == 0.0] = 1.0
-    return (sparse.diags(1.0 / norms) @ rows).tocsr()
+    return (sparse.diags_array(1.0 / norms) @ rows).tocsr()
 
 
 def vectorize_corpus(texts: Sequence[str]) -> TfIdfMatrix:
@@ -72,7 +72,7 @@ def vectorize_corpus(texts: Sequence[str]) -> TfIdfMatrix:
     return TfIdfMatrix(vocab, idf, _tf_idf(texts, vocab, idf))
 
 
-def transform_documents(texts: Sequence[str], m: TfIdfMatrix) -> sparse.csr_matrix:
+def transform_documents(texts: Sequence[str], m: TfIdfMatrix) -> sparse.csr_array:
     """Vectorize unseen texts with an existing vocabulary and idf."""
     return _tf_idf(texts, m.vocabulary, m.idf)
 
@@ -110,7 +110,7 @@ def train_nb(
     the weights are the feature log-probabilities, the intercepts the log
     priors. The indicator product adds each class's rows in row order."""
     classes, indicator = _class_order(labels)
-    mass = np.asarray(indicator @ m.rows)
+    mass = indicator @ m.rows
     # one 1-d sum per class, as a 2-d row reduction may add in another order
     totals = np.array([row.sum() + smoothing * mass.shape[1] for row in mass])
     with np.errstate(divide="ignore"):  # an empty vocabulary has totals 0
@@ -119,7 +119,7 @@ def train_nb(
     return LinearModel(classes, weights, np.log(indicator.sum(axis=1) / len(labels)))
 
 
-def predict_many(model: LinearModel, rows: sparse.csr_matrix) -> list[MbtiType]:
+def predict_many(model: LinearModel, rows: sparse.csr_array) -> list[MbtiType]:
     """Most probable class per vectorized row; ties break to the
     lexicographically smallest type code."""
     return [model.classes[i] for i in np.argmax(rows @ model.weights.T + model.intercepts, axis=1)]
@@ -135,9 +135,9 @@ def _lr_gradients(X, XT, targets: np.ndarray, W: np.ndarray, b: np.ndarray, ridg
     results are made contiguous so the intercept mean and the callers' dot
     products take the 1-d summation path.
     """
-    Z = np.ascontiguousarray(np.asarray(X @ W.T).T) + b[:, None]
+    Z = np.ascontiguousarray((X @ W.T).T) + b[:, None]
     diff = 1.0 / (1.0 + np.exp(-Z)) - targets
-    grad_W = np.ascontiguousarray(np.asarray(XT @ diff.T).T) / X.shape[0] + ridge * W
+    grad_W = np.ascontiguousarray((XT @ diff.T).T) / X.shape[0] + ridge * W
     return grad_W, diff.mean(axis=1)
 
 
@@ -150,7 +150,7 @@ def lr_loss_grad(
     is the one train_lr takes at a class's extrapolated point, and the loss
     is the objective its FISTA loop minimizes.
     """
-    z = np.asarray(X @ w).ravel() + b
+    z = X @ w + b
     # stable log(1 + exp(-s z)) with s = 2t - 1
     margins = (2.0 * targets - 1.0) * z
     loss = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * ridge * float(w @ w)

@@ -396,16 +396,20 @@ class PipelineRunner:
         return "".join(chunks)
 
     def write_stage(self, stage: str):
-        """Write the stage's output files (see STAGES), each atomically."""
+        """Write the stage's output files (see STAGES), each atomically; an
+        OSError creating the directory or writing a file is a ConfigError."""
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(
-                f"config key out: cannot create directory {str(self.out)!r}: {exc.strerror}",
-                key="out",
-            ) from None
+            message = f"config key out: cannot create directory {str(self.out)!r}: {exc.strerror}"
+            raise ConfigError(message, key="out") from None
         for name, render in STAGES[stage]:
-            _write_atomic(self.out / name, render(self))
+            path, text = self.out / name, render(self)
+            try:
+                _write_atomic(path, text)
+            except OSError as exc:
+                message = f"config key out: cannot write {str(path)!r}: {exc.strerror}"
+                raise ConfigError(message, key="out") from None
 
 
 # stage -> (output file, renderer) pairs, in run order. Renderers and writers

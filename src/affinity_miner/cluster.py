@@ -225,54 +225,33 @@ def _mcl_seed_matrix(g: AffinityGraph) -> sp.csc_array:
     return _normalize_columns(M, _column_sums(M))
 
 
-def _column_ranges(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each MCL_BLOCK_COLUMNS-wide block of n columns."""
-    return [
-        (start, min(start + MCL_BLOCK_COLUMNS, n))
-        for start in range(0, n, MCL_BLOCK_COLUMNS)
-    ]
-
-
-def _column_block(M: sp.csc_array, start: int, stop: int) -> sp.csc_array:
-    """Columns start:stop of M as a CSC array built from slices of M's
-    arrays, in M's index dtype. It is a view only when it holds at least
-    half of M's stored entries: under scipy 1.17 the constructor copies a
-    shorter slice, so mcl_flow takes each block once per step.
-    """
-    lo, hi = M.indptr[start], M.indptr[stop]
-    return sp.csc_array(
-        (M.data[lo:hi], M.indices[lo:hi], M.indptr[start:stop + 1] - lo),
-        shape=(M.shape[0], stop - start),
-    )
-
-
 def mcl_flow(
     M: sp.csc_array, e: int = 2, r: float = 2.0, prune: float = 1e-6
 ) -> Iterator[tuple[sp.csc_array, float]]:
     """Yield each flow of the expansion/inflation iteration with its max
     change, max |flow - previous flow|; the caller decides when to stop.
 
-    Each step is one pass over MCL_BLOCK_COLUMNS-wide column blocks of the
-    previous flow M. A block of M, taken once, is multiplied by M^(e-1)
+    Each step is one pass over MCL_BLOCK_COLUMNS-wide column slices of the
+    previous flow M. A slice of M, taken once, is multiplied by M^(e-1)
     (e - 2 products, once a step), raised entrywise to the r-th power,
-    pruned below prune, column normalized, and compared with that block of
+    pruned below prune, column normalized, and compared with that slice of
     M. Column j of the product needs only column j of M, a sparse product
     sums each entry in the stored order of that column, and every later
     operation works one column at a time, so the blocks hold the same bits
     the whole-matrix step would. A step holds M, M^(e-1), the finished
     blocks and one unpruned block of the product, never the whole unpruned
-    M^e; M is dropped after the last block, before the blocks are joined
-    into the new flow. Every flow's indptr and indices have the index
-    dtype _index_dtype picks for its size, as the seed's do.
+    M^e; M is dropped after the last block, before sp.hstack joins the
+    blocks into the new flow. The slices, products and join keep the
+    seed's index dtype (_index_dtype) while it holds the flow's size.
     """
     n = M.shape[0]
     while True:
         left = M
         for _ in range(e - 2):
             left = left @ M
-        data, indices, counts, change = [], [], [], 0.0
-        for start, stop in _column_ranges(n):
-            old = _column_block(M, start, stop)
+        blocks, change = [], 0.0
+        for start in range(0, n, MCL_BLOCK_COLUMNS):
+            old = M[:, start:start + MCL_BLOCK_COLUMNS]
             block = left @ old
             block.data **= r
             block.data[block.data < prune] = 0.0
@@ -285,34 +264,21 @@ def mcl_flow(
             dead = np.flatnonzero(sums == 0.0)
             if dead.size:
                 index = block.indices.dtype
+                rows = np.tile(np.arange(n, dtype=index), dead.size)
+                columns = np.repeat(dead.astype(index), n)
                 block = block + sp.csc_array(
-                    (
-                        np.full(n * dead.size, 1.0 / n),
-                        (
-                            np.tile(np.arange(n, dtype=index), dead.size),
-                            np.repeat(dead.astype(index), n),
-                        ),
-                    ),
-                    shape=block.shape,
+                    (np.full(rows.size, 1.0 / n), (rows, columns)), shape=block.shape
                 )
                 sums = _column_sums(block)
             block = _normalize_columns(block, sums)
             # max |block - old|: an entry the difference leaves out is 0
             change = max(change, np.abs((block - old).data).max(initial=0.0))
-            data.append(block.data)
-            indices.append(block.indices)
-            counts.append(np.diff(block.indptr))
+            blocks.append(block)
         # a suspended generator keeps its locals: drop the old flow before
-        # the new one is joined, free the blocks' values before their
-        # indices are joined, and hold only the new flow after
+        # the new one is joined, and hold only the new flow after
         del M, left, old, block
-        index = _index_dtype(n, sum(map(len, data)))
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.concatenate(counts), dtype=index, out=indptr[1:])
-        data = np.concatenate(data)
-        indices = np.concatenate(indices, dtype=index)
-        M = sp.csc_array((data, indices, indptr), shape=(n, n))
-        del data, indices, indptr, counts
+        M = sp.hstack(blocks, format="csc")
+        del blocks
         yield M, change
 
 

@@ -251,8 +251,8 @@ def pearson_r(x, y) -> float:
 
 def count_matrix(
     token_lists: Iterable[Sequence[str]], vocabulary: Mapping[str, int]
-) -> sparse.csr_matrix:
-    """Documents x vocabulary token counts (float64 CSR).
+) -> sparse.csr_array:
+    """Documents x vocabulary token counts (float64 CSR array).
 
     Row i counts the tokens of token_lists[i] found in `vocabulary` (token
     -> column); other tokens are skipped. Columns ascend within each row.
@@ -263,7 +263,7 @@ def count_matrix(
         indices.extend(j for j, _ in row)
         data.extend(n for _, n in row)
         indptr.append(len(indices))
-    return sparse.csr_matrix(
+    return sparse.csr_array(
         (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
         shape=(len(indptr) - 1, len(vocabulary)),
     )

@@ -301,6 +301,18 @@ class TestMainEntry:
         assert err == f"error: config key out: cannot create directory {str(out)!r}: {reason}\n"
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_directory_as_output_file_exits_one(self, dataset, tmp_path, capsys, command):
+        # a directory where ingest.txt goes: the write fails even for root
+        out = tmp_path / "o"
+        target = out / "ingest.txt"
+        target.mkdir(parents=True)
+        assert main([command, "--config", str(dataset["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key out: cannot write {str(target)!r}: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == ["ingest.txt"]
+        assert target.is_dir() and not any(target.iterdir())
+
     @pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")])
     def test_synth_unusable_out_exits_one(self, tmp_path, capsys, below, reason):
         taken = tmp_path / "taken"

@@ -70,6 +70,31 @@ def renamed_ids(interactions, profiles):
     return [json.dumps(event, sort_keys=True) for event in events], [header, *rows]
 
 
+BOT = "zbot0000"
+
+
+def appended_bot(interactions, profiles):
+    """One profile with bot score 4.5, over the filter's threshold, and 120
+    events that it sends to the other users. No event mentions the bot: a
+    mention would add text to its sender's document."""
+    header, *rows = profiles
+    users = [row.split("\t")[0] for row in rows]
+    events = [
+        json.dumps(
+            {
+                "sentiment": ("POS", "NEU", "NEG")[i % 3],
+                "source": BOT,
+                "target": users[i % len(users)],
+                "text": "love common1 my",
+                "timestamp": 1600000000 + i,
+            },
+            sort_keys=True,
+        )
+        for i in range(120)
+    ]
+    return [*interactions, *events], [*profiles, f"{BOT}\tINFJ\t4.5"]
+
+
 RELATIONS = {
     "shuffled-lines": shuffled_lines,
     "timestamps-3t+17": remapped_timestamps,
@@ -137,3 +162,20 @@ def test_swapped_categories_swap_the_lexcorr_files(demo, setting, tmp_path):
     assert got["lexcorr_pos.tsv"] != got["lexcorr_neg.tsv"]
     got["lexcorr_pos.tsv"], got["lexcorr_neg.tsv"] = got["lexcorr_neg.tsv"], got["lexcorr_pos.tsv"]
     assert differing(got, want) == []
+
+
+def test_appended_bot_changes_only_ingest_and_scores(demo, setting, tmp_path):
+    settings, want = setting
+    inputs = transformed_inputs(demo, tmp_path, appended_bot)
+    got = run(inputs, tmp_path / "results", **settings)
+    counts = [
+        {key: int(value) for key, value in (line.split(" = ") for line in text.decode().splitlines())}
+        for text in (got["ingest.txt"], want["ingest.txt"])
+    ]
+    assert counts[0] == {
+        "events": counts[1]["events"] + 120,
+        "profiles_total": counts[1]["profiles_total"] + 1,
+        "profiles_kept": counts[1]["profiles_kept"],
+    }
+    # the bot's pairs are scored before the filter; the graph keeps none of them
+    assert differing(got, want) == ["ingest.txt", "scores.tsv"]
