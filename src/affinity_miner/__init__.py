@@ -41,7 +41,7 @@ from .graph import (
     export_graph,
     type_pair_percentages,
 )
-from .influence import InfluenceReport, cluster_link_counts, influential_types
+from .influence import cluster_link_counts, influential_types
 from .ingest import (
     ALL_TYPES,
     EventTable,

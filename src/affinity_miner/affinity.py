@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonErgodic, NonPositiveSmoothing
+from .errors import DimensionMismatch, InvalidSpec, NonErgodic
 from .ingest import EventTable, Sentiment
 
 N_STATES = 3
@@ -71,7 +71,7 @@ def estimate_chains(length: np.ndarray, states: np.ndarray, alpha: float = 1.0) 
     With alpha > 0 every entry is strictly positive, so each chain is ergodic.
     """
     if alpha <= 0:
-        raise NonPositiveSmoothing(f"smoothing must be > 0, got {alpha}")
+        raise InvalidSpec(f"smoothing must be > 0, got {alpha}")
     m = len(length)
     owner = np.repeat(np.arange(m), length)
     if len(states) != len(owner):

@@ -16,18 +16,15 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    EmptyCorpus,
-    InsufficientData,
-    LengthMismatch,
-    SingleClass,
-)
+from .errors import DimensionMismatch, InsufficientData
 from .ingest import ALL_TYPES, MbtiType
 from .lexfeat import count_matrix, tokenize
 
 log = logging.getLogger(__name__)
 
 MIN_DOCUMENT_FREQUENCY = 2
+# the pseudo-mass train_nb adds to every class's mass of every feature
+NB_SMOOTHING = 1.0
 LR_GRAD_TOL = 1e-6
 LR_MAX_EPOCHS = 1000
 
@@ -64,7 +61,7 @@ def vectorize_corpus(texts: Sequence[str]) -> TfIdfMatrix:
     idf = ln((1 + N) / (1 + df)) + 1; rows are tf * idf, L2-normalized.
     """
     if not texts:
-        raise EmptyCorpus("no documents")
+        raise InsufficientData("no documents")
     df = Counter(t for text in texts for t in set(tokenize(text)))
     vocab = tuple(sorted(t for t, n in df.items() if n >= MIN_DOCUMENT_FREQUENCY))
     n_docs = len(texts)
@@ -97,25 +94,24 @@ def _class_order(labels: Sequence[MbtiType]) -> tuple[tuple[MbtiType, ...], np.n
     """Sorted classes and the 0/1 class x document indicator."""
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
-        raise SingleClass(f"need at least 2 classes, got {len(classes)}")
+        raise InsufficientData(f"need at least 2 classes, got {len(classes)}")
     label_arr = np.array([c.value for c in labels])
     codes = np.array([c.value for c in classes])
     return classes, (label_arr == codes[:, None]).astype(float)
 
 
-def train_nb(
-    m: TfIdfMatrix, labels: Sequence[MbtiType], smoothing: float = 1.0
-) -> LinearModel:
-    """Multinomial naive Bayes over tf-idf masses with additive smoothing:
-    the weights are the feature log-probabilities, the intercepts the log
-    priors. The indicator product adds each class's rows in row order."""
+def train_nb(m: TfIdfMatrix, labels: Sequence[MbtiType]) -> LinearModel:
+    """Multinomial naive Bayes over tf-idf masses with additive smoothing
+    NB_SMOOTHING: the weights are the feature log-probabilities, the
+    intercepts the log priors. The indicator product adds each class's
+    rows in row order."""
     classes, indicator = _class_order(labels)
     mass = indicator @ m.rows
     # one 1-d sum per class, as a 2-d row reduction may add in another order
-    totals = np.array([row.sum() + smoothing * mass.shape[1] for row in mass])
+    totals = np.array([row.sum() + NB_SMOOTHING * mass.shape[1] for row in mass])
     with np.errstate(divide="ignore"):  # an empty vocabulary has totals 0
         log_totals = np.log(totals)
-    weights = np.log(mass + smoothing) - log_totals[:, None]
+    weights = np.log(mass + NB_SMOOTHING) - log_totals[:, None]
     return LinearModel(classes, weights, np.log(indicator.sum(axis=1) / len(labels)))
 
 
@@ -237,7 +233,7 @@ def train_lr(
 def f1_score(pred: Sequence[MbtiType], truth: Sequence[MbtiType], positive_type: MbtiType) -> float:
     """One-vs-rest F-1; defined as 0 when precision + recall is 0."""
     if len(pred) != len(truth):
-        raise LengthMismatch(f"lengths {len(pred)} vs {len(truth)}")
+        raise DimensionMismatch(f"lengths {len(pred)} vs {len(truth)}")
     tp = sum(1 for p, t in zip(pred, truth) if p == positive_type and t == positive_type)
     fp = sum(1 for p, t in zip(pred, truth) if p == positive_type and t != positive_type)
     fn = sum(1 for p, t in zip(pred, truth) if p != positive_type and t == positive_type)

@@ -101,7 +101,7 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
         ("prune", 0 < cfg.prune < 1, "must be in (0, 1)"),
         ("lam", cfg.lam >= 0, "must be >= 0"),
         ("mix", 0 <= cfg.mix <= 1, "must be in [0, 1]"),
-        ("top_n", cfg.top_n >= 1, "must be >= 1"),
+        ("top_n", cfg.top_n >= 2, "must be >= 2"),
         ("classifier", cfg.classifier in ("nb", "lr"), "must be nb or lr"),
         ("ridge", cfg.ridge >= 0, "must be >= 0"),
         ("folds", cfg.folds >= 2, "must be >= 2"),
@@ -276,7 +276,7 @@ class PipelineRunner:
         return cluster.k_destinations(g, self.cfg.k, tau=self.cfg.tau)
 
     @cached_property
-    def influence_report(self) -> influence.InfluenceReport:
+    def influence_report(self) -> tuple[influence.ClusterInfluence, ...]:
         return influence.influential_types(self.affinity_graph, self.clustering)
 
     @cached_property

@@ -18,12 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    EmptyGraph,
-    KOutOfRange,
-    LengthMismatch,
-    NonErgodic,
-)
+from .errors import DimensionMismatch, InsufficientData, InvalidSpec, NonErgodic
 from .graph import AffinityGraph
 
 log = logging.getLogger(__name__)
@@ -84,7 +79,7 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.nd
     result is strictly positive and ergodic for any 0 < tau < 1.
     """
     if not g.order:
-        raise EmptyGraph("walk matrix needs at least one node")
+        raise InsufficientData("walk matrix needs at least one node")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"teleport must be in (0, 1), got {tau}")
     n = len(g.order)
@@ -134,7 +129,7 @@ def hitting_times(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray
     (Kemeny and Snell, 1960). The walk matrix is the only n x n array: it
     becomes I - P + 1 1^T / n in place, LAPACK's getrf and getri (at the
     workspace getri asks for) overwrite it with Z, and H is written over
-    Z. Raises EmptyGraph and ValueError as random_walk_matrix does,
+    Z. Raises InsufficientData and ValueError as random_walk_matrix does,
     ValueError on an illegal LAPACK argument, and NonErgodic when the
     factor has a zero pivot or max|pi P - pi|, taken from the edge list,
     is not below STATIONARY_TOL, as for two closed classes at a tiny tau.
@@ -354,7 +349,7 @@ def mcl(
     if r <= 1.0:
         raise ValueError(f"inflation power must be > 1, got {r}")
     if not g.order:
-        raise EmptyGraph("clustering needs at least one node")
+        raise InsufficientData("clustering needs at least one node")
     M = _mcl_seed_matrix(g)
     # digests of the two iterates before the current flow, newest first
     last, before_last = _flow_digest(M), None
@@ -435,11 +430,11 @@ def k_destinations(
     grows with n^2 or with the square of a cluster's size.
     """
     if not g.order:
-        raise EmptyGraph("clustering needs at least one node")
+        raise InsufficientData("clustering needs at least one node")
     order = g.order
     n = len(order)
     if not 1 <= k <= n:
-        raise KOutOfRange(f"k must be in 1..{n}, got {k}")
+        raise InvalidSpec(f"k must be in 1..{n}, got {k}")
     H = hitting_times(g, tau)
     destinations = _init_destinations(g, H, k)
     assignment = np.full(n, -1, dtype=int)
@@ -488,7 +483,7 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
 def _as_labels(x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
-        raise LengthMismatch(f"label vector must be 1-d, got shape {arr.shape}")
+        raise DimensionMismatch(f"label vector must be 1-d, got shape {arr.shape}")
     return arr
 
 
@@ -502,7 +497,7 @@ def nmi(x, y) -> float:
     """
     x, y = _as_labels(x), _as_labels(y)
     if len(x) != len(y) or len(x) == 0:
-        raise LengthMismatch(f"lengths {len(x)} vs {len(y)}")
+        raise DimensionMismatch(f"lengths {len(x)} vs {len(y)}")
     n = len(x)
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)
@@ -530,7 +525,7 @@ def clustering_error(pred, truth) -> float:
 
     pred, truth = _as_labels(pred), _as_labels(truth)
     if len(pred) != len(truth) or len(pred) == 0:
-        raise LengthMismatch(f"lengths {len(pred)} vs {len(truth)}")
+        raise DimensionMismatch(f"lengths {len(pred)} vs {len(truth)}")
     n = len(pred)
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)

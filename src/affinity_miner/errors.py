@@ -1,4 +1,4 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit: one class per failure meaning."""
 
 
 class AffinityMinerError(Exception):
@@ -17,7 +17,7 @@ class InvalidType(AffinityMinerError):
 
 
 class MalformedRecord(AffinityMinerError):
-    """Input line(s) failed validation.
+    """A fault in an input file: a bad line, or no usable line at all.
 
     `line` carries the 1-based line number for a single bad record;
     `line_errors` carries (line, message) pairs for aggregate failures.
@@ -28,68 +28,28 @@ class MalformedRecord(AffinityMinerError):
         self.line_errors = line_errors or []
 
 
-class NonPositiveSmoothing(AffinityMinerError):
-    """Chain estimation requires smoothing strictly greater than zero."""
-
-
 class NonErgodic(AffinityMinerError):
     """Stationary distribution does not exist or could not be computed."""
-
-
-class EmptyGraph(AffinityMinerError):
-    """Operation requires a graph with at least one node/edge."""
-
-
-class KOutOfRange(AffinityMinerError):
-    """Requested cluster count outside 1..n."""
-
-
-class LengthMismatch(AffinityMinerError):
-    """Paired vectors have different lengths."""
 
 
 class UnknownNode(AffinityMinerError):
     """Clustering references a node absent from the graph."""
 
 
-class MalformedPattern(AffinityMinerError):
-    """Lexicon pattern is empty, has an interior wildcard, or is not one token."""
-
-
 class DimensionMismatch(AffinityMinerError):
-    """Vector or matrix dimensions disagree."""
+    """Argument sizes or shapes disagree."""
 
 
 class ConstantVector(AffinityMinerError):
-    """Pearson correlation undefined for a constant vector."""
-
-
-class DegenerateCorpus(AffinityMinerError):
-    """Corpus has too few documents for regression."""
-
-
-class EmptyCorpus(AffinityMinerError):
-    """Corpus contains no documents."""
-
-
-class SingleClass(AffinityMinerError):
-    """Training requires at least two distinct labels."""
+    """A correlation or cosine is undefined for a constant or zero vector."""
 
 
 class InsufficientData(AffinityMinerError):
-    """Not enough documents per class for the requested fold count."""
-
-
-class EmptyFile(AffinityMinerError):
-    """Input file contained no usable records."""
-
-
-class ZeroVector(AffinityMinerError):
-    """Cosine similarity undefined for a zero vector."""
+    """Too few documents, classes, nodes, edges or points."""
 
 
 class InvalidSpec(AffinityMinerError):
-    """Synthetic-graph parameters are out of range."""
+    """A parameter is outside its range."""
 
 
 class ConfigError(AffinityMinerError):

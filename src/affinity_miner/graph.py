@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .affinity import PairSequences
-from .errors import EmptyGraph
+from .errors import InsufficientData
 from .ingest import ALL_TYPES, MbtiType, UserProfile
 
 log = logging.getLogger(__name__)
@@ -86,7 +86,7 @@ def type_pair_percentages(g: AffinityGraph) -> dict[tuple[MbtiType, MbtiType], f
     for every pair of TYPE_PAIRS, in that order."""
     src, dst, _ = g.edge_arrays
     if not len(src):
-        raise EmptyGraph("type-pair percentages need at least one edge")
+        raise InsufficientData("type-pair percentages need at least one edge")
     types, k = g.node_types.astype(np.intp), len(ALL_TYPES)
     ends = types[src], types[dst]
     counts = np.bincount(np.minimum(*ends) * k + np.maximum(*ends), minlength=k * k)

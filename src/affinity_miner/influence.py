@@ -28,11 +28,6 @@ class ClusterInfluence:
     per_type_link_totals: dict[MbtiType, int]
 
 
-@dataclass(frozen=True)
-class InfluenceReport:
-    per_cluster: tuple[ClusterInfluence, ...]
-
-
 def _undirected_links(g: AffinityGraph) -> sp.csr_array:
     """0/1 adjacency over g.order: both directions, reciprocal edges once,
     self-edges dropped."""
@@ -73,7 +68,7 @@ def cluster_link_counts(g: AffinityGraph, c: Clustering) -> tuple[np.ndarray, ..
     return tuple(np.split(counts, np.cumsum([len(m) for m in c.clusters]))[:-1])
 
 
-def influential_types(g: AffinityGraph, c: Clustering) -> InfluenceReport:
+def influential_types(g: AffinityGraph, c: Clustering) -> tuple[ClusterInfluence, ...]:
     """Top-linked node and per-type link totals for every cluster.
 
     Ties on link count go to the smallest node index, which is the
@@ -96,13 +91,13 @@ def influential_types(g: AffinityGraph, c: Clustering) -> InfluenceReport:
                 },
             )
         )
-    return InfluenceReport(tuple(records))
+    return tuple(records)
 
 
-def render_influence_report(report: InfluenceReport) -> str:
+def render_influence_report(report: tuple[ClusterInfluence, ...]) -> str:
     """One record per cluster, types in code order."""
     lines = []
-    for rec in report.per_cluster:
+    for rec in report:
         lines.append(
             f"cluster {rec.cluster_index}: top_node={rec.top_node} "
             f"top_type={rec.top_type} link_count={rec.link_count}"

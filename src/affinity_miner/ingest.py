@@ -25,6 +25,8 @@ from .errors import InvalidType, MalformedRecord
 log = logging.getLogger(__name__)
 
 MALFORMED_FRACTION_LIMIT = 0.10
+# bot_score (0-5 scale) at or above which filter_bots drops a profile
+BOT_THRESHOLD = 2.5
 
 
 class Sentiment(enum.IntEnum):
@@ -114,14 +116,10 @@ class EventTable:
         return len(self.timestamp)
 
 
-def filter_bots(profiles: list[UserProfile], threshold: float = 2.5) -> list[UserProfile]:
-    """Keep profiles with bot_score strictly below threshold, in input order.
-
-    A score exactly at the threshold counts as a bot and is removed.
-    """
-    if not 0.0 <= threshold <= 5.0:
-        raise ValueError(f"threshold outside [0, 5]: {threshold}")
-    return [p for p in profiles if p.bot_score < threshold]
+def filter_bots(profiles: list[UserProfile]) -> list[UserProfile]:
+    """Keep profiles with bot_score strictly below BOT_THRESHOLD, in input
+    order; a score exactly at the threshold counts as a bot and is removed."""
+    return [p for p in profiles if p.bot_score < BOT_THRESHOLD]
 
 
 _EVENT_KEYS = {"source", "target", "timestamp", "sentiment", "text"}

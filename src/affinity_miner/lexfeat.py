@@ -21,14 +21,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    ConstantVector,
-    DegenerateCorpus,
-    DimensionMismatch,
-    LengthMismatch,
-    MalformedPattern,
-    MalformedRecord,
-)
+from .errors import ConstantVector, DimensionMismatch, InsufficientData, MalformedRecord
 from .ingest import read_lines
 
 log = logging.getLogger(__name__)
@@ -90,15 +83,15 @@ def _check_pattern(pattern: str, lineno: int) -> str:
     """The lowercased pattern; its stem (without a trailing *) must be one
     token, since a stem tokenize splits or drops can never match."""
     if not pattern or pattern == "*":
-        raise MalformedPattern(f"line {lineno}: empty pattern", line=lineno)
+        raise MalformedRecord(f"line {lineno}: empty pattern", line=lineno)
     if "*" in pattern[:-1]:
-        raise MalformedPattern(
+        raise MalformedRecord(
             f"line {lineno}: interior wildcard in {pattern!r}", line=lineno
         )
     pattern = pattern.lower()
     # _TOKEN_RE, not tokenize: tokenize's call count measures document text
     if not _TOKEN_RE.fullmatch(pattern.removesuffix("*")):
-        raise MalformedPattern(
+        raise MalformedRecord(
             f"line {lineno}: {pattern!r} is not one token and can never match",
             line=lineno,
         )
@@ -186,7 +179,7 @@ def fit_elastic_net(
     if y.shape != (n,):
         raise DimensionMismatch(f"y length {y.shape} does not match {n} rows")
     if n < 2:
-        raise DimensionMismatch(f"need at least 2 rows, got {n}")
+        raise InsufficientData(f"need at least 2 rows, got {n}")
     if lam < 0 or not 0.0 <= mix <= 1.0:
         raise ValueError(f"bad penalty: lam={lam}, mix={mix}")
 
@@ -237,9 +230,9 @@ def pearson_r(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"shapes {x.shape} vs {y.shape}")
+        raise DimensionMismatch(f"shapes {x.shape} vs {y.shape}")
     if len(x) < 2:
-        raise LengthMismatch("need at least 2 points")
+        raise InsufficientData("need at least 2 points")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -284,7 +277,7 @@ def _category_weights(
 ) -> dict[str, float]:
     """Elastic-net coefficients of target-category proportion on token counts."""
     if len(documents) < 2:
-        raise DegenerateCorpus(f"need at least 2 documents, got {len(documents)}")
+        raise InsufficientData(f"need at least 2 documents, got {len(documents)}")
     if target not in lex.categories:
         raise ValueError(f"unknown lexicon category: {target!r}")
     y = np.array([extract_features(doc, lex)[target] for doc in documents])
@@ -319,14 +312,15 @@ def emotion_correlation_table(
     of each fit (by descending value) are aligned on the union of selected
     keys, missing keys as 0, and the aligned vectors are Pearson-correlated.
     Groups must sort; keys are (later group, earlier group) in sorted order.
-    DegenerateCorpus and ConstantVector name the group or pair at fault.
+    A group with too few documents raises InsufficientData naming the
+    group, and every pearson_r failure is re-raised naming the pair.
     """
     weights = {}
     for name, docs in sorted(documents_by_group.items()):
         try:
             weights[name] = _category_weights(docs, lex, target, lam, mix)
-        except DegenerateCorpus as exc:
-            raise DegenerateCorpus(f"{name}: {exc}") from None
+        except InsufficientData as exc:
+            raise InsufficientData(f"{name}: {exc}") from None
     names = sorted(weights)
     top = {name: set(_top_n_keys(weights[name], n)) for name in names}
     table: dict[tuple[str, str], float] = {}
@@ -337,6 +331,6 @@ def emotion_correlation_table(
             vb = np.array([weights[b].get(k, 0.0) for k in keys])
             try:
                 table[(a, b)] = pearson_r(va, vb)
-            except ConstantVector as exc:
-                raise ConstantVector(f"{a} vs {b}: {exc}") from None
+            except (DimensionMismatch, InsufficientData, ConstantVector) as exc:
+                raise type(exc)(f"{a} vs {b}: {exc}") from None
     return table

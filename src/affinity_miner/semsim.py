@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFile, MalformedRecord, ZeroVector
+from .errors import ConstantVector, MalformedRecord
 from .ingest import ALL_TYPES, MbtiType, read_lines
 from .lexfeat import tokenize
 
@@ -40,10 +40,10 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
         token, values = parts[0].lower(), parts[1:]
         if dimension is None:
             if not values:
-                raise DimensionMismatch(f"line {lineno}: no vector components", line=lineno)
+                raise MalformedRecord(f"line {lineno}: no vector components", line=lineno)
             dimension = len(values)
         elif len(values) != dimension:
-            raise DimensionMismatch(
+            raise MalformedRecord(
                 f"line {lineno}: expected {dimension} components, got {len(values)}",
                 line=lineno,
             )
@@ -56,7 +56,7 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
         vec.setflags(write=False)
         vectors[token] = vec
     if dimension is None:
-        raise EmptyFile("embedding file has no vector lines")
+        raise MalformedRecord("embedding file has no vector lines")
     return EmbeddingTable(dimension, vectors)
 
 
@@ -73,7 +73,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     da = float(a @ a)
     db = float(b @ b)
     if da == 0.0 or db == 0.0:
-        raise ZeroVector("cosine undefined for a zero vector")
+        raise ConstantVector("cosine undefined for a zero vector")
     return float(a @ b) / math.sqrt(da * db)
 
 
@@ -95,7 +95,7 @@ def type_similarity_matrix(
     for t in ALL_TYPES:
         v = doc_vector(tokenize(corpora[t]), table)
         if not v.any():
-            raise ZeroVector(f"corpus for {t} has no in-vocabulary tokens")
+            raise ConstantVector(f"corpus for {t} has no in-vocabulary tokens")
         vectors[t] = v
     table_out: dict[tuple[MbtiType, MbtiType], float] = {}
     for i, row in enumerate(ALL_TYPES):

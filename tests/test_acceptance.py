@@ -341,7 +341,7 @@ def test_10_influence_invariance():
             nodes=g2.order, iterations=1, converged=True,
         )
         base2 = influential_types(g2, c2)
-        for a, b in zip(base.per_cluster, base2.per_cluster):
+        for a, b in zip(base, base2):
             if (rename[a.top_node] != b.top_node or a.top_type != b.top_type
                     or a.link_count != b.link_count
                     or a.per_type_link_totals != b.per_type_link_totals):

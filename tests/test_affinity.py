@@ -10,7 +10,7 @@ from affinity_miner import (
     score_sequences,
     stationary_distribution,
 )
-from affinity_miner.errors import DimensionMismatch, NonErgodic, NonPositiveSmoothing
+from affinity_miner.errors import DimensionMismatch, InvalidSpec, NonErgodic
 from affinity_miner.ingest import Sentiment
 from affinity_miner.synth import sample_chain_sequence
 
@@ -122,7 +122,7 @@ class TestEstimateChain:
         assert (tm > 0).all()
 
     def test_non_positive_smoothing(self):
-        with pytest.raises(NonPositiveSmoothing):
+        with pytest.raises(InvalidSpec, match="^smoothing must be > 0, got 0.0$"):
             estimate_chain([POS], alpha=0.0)
 
     def test_consistency_on_sampled_sequences(self, rng):
@@ -245,7 +245,7 @@ class TestAffinityScore:
         assert scores[0] == scores[2]
 
     def test_smoothing_error_propagates(self):
-        with pytest.raises(NonPositiveSmoothing):
+        with pytest.raises(InvalidSpec, match="^smoothing must be > 0, got 0.0$"):
             affinity_score((POS,), alpha=0.0)
 
     def test_kappa_validated(self):

@@ -25,12 +25,7 @@ from affinity_miner.classify import (
     render_cv_report,
     transform_documents,
 )
-from affinity_miner.errors import (
-    EmptyCorpus,
-    InsufficientData,
-    LengthMismatch,
-    SingleClass,
-)
+from affinity_miner.errors import DimensionMismatch, InsufficientData
 
 INFJ, ENTP, ISTJ = parse_mbti("INFJ"), parse_mbti("ENTP"), parse_mbti("ISTJ")
 
@@ -83,7 +78,7 @@ class TestVectorizeCorpus:
         assert np.allclose(norms, 1.0)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(InsufficientData, match="^no documents$"):
             vectorize_corpus([])
 
 
@@ -118,7 +113,7 @@ class TestNaiveBayes:
     def test_single_class_rejected(self):
         c = corpus_of([("a b", INFJ), ("a c", INFJ)])
         m = vectorize_corpus(texts_of(c))
-        with pytest.raises(SingleClass):
+        with pytest.raises(InsufficientData, match="^need at least 2 classes, got 1$"):
             train_nb(m, [INFJ, INFJ])
 
     def test_argmax_invariant_to_likelihood_scaling(self):
@@ -130,18 +125,19 @@ class TestNaiveBayes:
         assert predict_many(model, m.rows) == predict_many(scaled, m.rows)
 
     @pytest.mark.parametrize("smoothing", [1.0, 0.25])
-    def test_matches_per_class_masked_sums_bitwise(self, rng, smoothing):
+    def test_matches_per_class_masked_sums_bitwise(self, rng, smoothing, monkeypatch):
+        monkeypatch.setattr(classify, "NB_SMOOTHING", smoothing)
         for sizes in [(30, 18, 11, 7, 4), (3, 2), (60, 45, 20, 9, 5)]:
             c = imbalanced_corpus(rng, sizes=sizes)
             m = vectorize_corpus(texts_of(c))
             labels = [lab for _, lab in c.documents]
             expected = masked_sum_nb(m, labels, smoothing)
-            assert_nb_bitwise_equal(train_nb(m, labels, smoothing), expected)
+            assert_nb_bitwise_equal(train_nb(m, labels), expected)
         c = sixteen_type_corpus(rng, docs_per_type=10, noise_tokens=4, own_tokens=8, own_words=2)
         m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         expected = masked_sum_nb(m, labels, smoothing)
-        assert_nb_bitwise_equal(train_nb(m, labels, smoothing), expected)
+        assert_nb_bitwise_equal(train_nb(m, labels), expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_class_masked_sums_on_random_rows(self, seed):
@@ -443,6 +439,9 @@ class TestF1Score:
     def test_no_true_positives(self):
         assert f1_score([ENTP, ENTP], [INFJ, INFJ], INFJ) == 0.0
 
+    def test_type_in_neither_list(self):
+        assert f1_score([ENTP, INFJ], [INFJ, ENTP], ISTJ) == 0.0
+
     def test_half(self):
         pred = [INFJ, INFJ, ENTP]
         truth = [INFJ, ENTP, INFJ]
@@ -461,7 +460,7 @@ class TestF1Score:
             assert (v == 1.0) == (matches_on_type and any(t is INFJ for t in truth))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="^lengths 1 vs 2$"):
             f1_score([INFJ], [INFJ, ENTP], INFJ)
 
 
@@ -523,10 +522,12 @@ class TestCrossValidate:
         report = cross_validate(corpus_of(docs), "nb", folds=10, seed=0)
         assert report.excluded == (ISTJ,)
         assert ISTJ not in report.per_type_f1
+        rows = render_cv_report(report).splitlines()
+        assert "ISTJ\t-" in rows and f"INFJ\t{report.per_type_f1[INFJ]:.6f}" in rows
 
     def test_insufficient_data(self):
         docs = [("a b", INFJ)] * 3 + [("c d", ENTP)] * 12
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InsufficientData, match="^fewer than 2 types have enough documents$"):
             cross_validate(corpus_of(docs), "nb", folds=10, seed=0)
 
     def test_unknown_classifier(self, rng):

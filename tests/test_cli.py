@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import inspect
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from affinity_miner import affinity, classify, cluster, lexfeat
 from affinity_miner import cli as cli_module
 from affinity_miner.cli import (
     PipelineConfig,
@@ -126,6 +128,33 @@ class TestConfigResolution:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError):
             resolve_config({}, {"folds": "many"})
+
+    def test_library_defaults_match_config_defaults(self):
+        # (function, parameter) pairs whose default a config key stands for
+        backing = {
+            "alpha": [(affinity.score_sequences, "alpha"), (affinity.estimate_chains, "alpha")],
+            "kappa": [(affinity.score_sequences, "kappa")],
+            "expansion": [(cluster.mcl, "e"), (cluster.mcl_flow, "e")],
+            "inflation": [(cluster.mcl, "r"), (cluster.mcl_flow, "r")],
+            "prune": [(cluster.mcl, "prune"), (cluster.mcl_flow, "prune")],
+            "tau": [(cluster.k_destinations, "tau"), (cluster.hitting_times, "tau"),
+                    (cluster.random_walk_matrix, "tau")],
+            "top_n": [(lexfeat.emotion_correlation_table, "n")],
+            "lam": [(lexfeat.emotion_correlation_table, "lam"), (lexfeat.fit_elastic_net, "lam")],
+            "mix": [(lexfeat.emotion_correlation_table, "mix"), (lexfeat.fit_elastic_net, "mix")],
+            "classifier": [(classify.cross_validate, "classifier")],
+            "folds": [(classify.cross_validate, "folds")],
+            "seed": [(classify.cross_validate, "seed")],
+            "ridge": [(classify.cross_validate, "ridge"), (classify.train_lr, "ridge")],
+        }
+        config = PipelineConfig()
+        drift = [
+            (key, f.__name__, name, inspect.signature(f).parameters[name].default)
+            for key, uses in backing.items()
+            for f, name in uses
+            if inspect.signature(f).parameters[name].default != getattr(config, key)
+        ]
+        assert drift == []
 
     def test_smoothing_range_is_closed(self):
         cfg = resolve_config({}, {"alpha": "1e-6", "kappa": "1e6"})
@@ -340,6 +369,40 @@ class TestMainEntry:
 
     def test_bad_set_syntax(self):
         assert main(["run", "--set", "novalue"]) == 1
+
+    def test_unknown_set_key_exits_one(self, capsys):
+        assert main(["run", "--set", "bogus=1"]) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'bogus'\n"
+
+    def test_top_n_below_two_exits_one_before_any_stage(self, dataset, tmp_path, capsys):
+        # with top_n = 1 two types that share their top token leave Pearson one point
+        out = tmp_path / "results"
+        args = ["--config", str(dataset["config"]), "--out", str(out), "--set", "top_n=1"]
+        assert main(["lexcorr", *args]) == 1
+        assert capsys.readouterr().err == "error: config key top_n must be >= 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, key",
+        [("ingest", "interactions"), ("ingest", "profiles"),
+         ("semsim", "embeddings"), ("lexcorr", "lexicon")],
+    )
+    def test_empty_input_key_exits_one(self, dataset, tmp_path, capsys, stage, key):
+        out = tmp_path / "results"
+        args = ["--config", str(dataset["config"]), "--out", str(out), "--set", f"{key}="]
+        assert main([stage, *args]) == 1
+        assert capsys.readouterr().err == f"error: config key {key} is required\n"
+
+    def test_internal_error_exits_two_with_traceback(self, dataset, tmp_path, capsys, monkeypatch):
+        def broken(stream):
+            raise RuntimeError("loader bug")
+
+        monkeypatch.setattr(cli_module, "load_interactions", broken)
+        args = ["--config", str(dataset["config"]), "--out", str(tmp_path / "results")]
+        assert main(["ingest", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: loader bug\n")
 
     def test_report_subcommand(self, dataset, tmp_path):
         out = tmp_path / "rep_out"

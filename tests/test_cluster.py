@@ -27,12 +27,7 @@ from affinity_miner.cluster import (
     _normalize_columns,
     mcl_flow,
 )
-from affinity_miner.errors import (
-    EmptyGraph,
-    KOutOfRange,
-    LengthMismatch,
-    NonErgodic,
-)
+from affinity_miner.errors import DimensionMismatch, InsufficientData, InvalidSpec, NonErgodic
 from affinity_miner.synth import PlantedSpec, planted_partition
 
 from conftest import dict_graph, id_sets, make_graph, random_positive_graph, two_block_graph
@@ -193,7 +188,7 @@ class TestRandomWalkMatrix:
         assert P.min() >= 0.05 / len(g.nodes) - 1e-15
 
     def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(InsufficientData, match="^walk matrix needs at least one node$"):
             random_walk_matrix(dict_graph(nodes={}, edges={}))
 
     def test_bad_tau(self):
@@ -275,7 +270,7 @@ class TestHittingTimes:
                 hitting_times(g, tau)
 
     def test_empty_graph_and_bad_tau_refused(self):
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(InsufficientData, match="^walk matrix needs at least one node$"):
             hitting_times(dict_graph(nodes={}, edges={}))
         with pytest.raises(ValueError, match="teleport"):
             hitting_times(make_graph([("a", "b", 1.0)]), 0.0)
@@ -725,10 +720,11 @@ class TestKDestinations:
 
     def test_k_out_of_range(self):
         g = two_block_graph(2)
-        with pytest.raises(KOutOfRange):
+        n = len(g.nodes)
+        with pytest.raises(InvalidSpec, match=f"^k must be in 1..{n}, got 0$"):
             k_destinations(g, 0)
-        with pytest.raises(KOutOfRange):
-            k_destinations(g, len(g.nodes) + 1)
+        with pytest.raises(InvalidSpec, match=f"^k must be in 1..{n}, got {n + 1}$"):
+            k_destinations(g, n + 1)
 
     def test_deterministic(self):
         g = two_block_graph(5, in_w=0.9, cross_w=0.1)
@@ -877,8 +873,12 @@ class TestNmi:
             assert nmi(x, y) == pytest.approx(naive_nmi(x, y), abs=1e-10)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="^lengths 2 vs 3$"):
             nmi([0, 1], [0, 1, 2])
+
+    def test_two_dimensional_labels(self):
+        with pytest.raises(DimensionMismatch, match=r"^label vector must be 1-d, got shape \(2, 2\)$"):
+            nmi([[0, 1], [1, 0]], [0, 1, 0, 1])
 
     def test_range(self, rng):
         for _ in range(50):
@@ -913,7 +913,7 @@ class TestClusteringError:
         assert clustering_error([0, 0, 0, 0], [0, 0, 1, 1]) == 0.5
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="^lengths 1 vs 2$"):
             clustering_error([0], [0, 1])
 
 
@@ -947,6 +947,12 @@ class TestLabelsFromClustering:
         c = mcl(two_block_graph(6, in_w=1.0, cross_w=0.1), max_iter=2)
         dense = c.attraction.toarray()
         assert np.array_equal(labels_from_clustering(c), np.argmax(dense, axis=0))
+
+
+@pytest.mark.parametrize("clusterer", [mcl, lambda g: k_destinations(g, 1)], ids=["mcl", "kdest"])
+def test_clusterers_refuse_an_empty_graph(clusterer):
+    with pytest.raises(InsufficientData, match="^clustering needs at least one node$"):
+        clusterer(dict_graph(nodes={}, edges={}))
 
 
 class TestClusteringValidation:

@@ -15,7 +15,7 @@ from affinity_miner import (
     score_sequences,
     type_pair_percentages,
 )
-from affinity_miner.errors import EmptyGraph
+from affinity_miner.errors import InsufficientData
 from affinity_miner.graph import EDGE_TSV_HEADER, TYPE_PAIRS
 
 from conftest import dict_graph, make_graph, scored_pairs
@@ -146,7 +146,7 @@ class TestTypePairPercentages:
         assert type_pair_percentages(g1) == type_pair_percentages(g2)
 
     def test_empty_graph_raises(self):
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(InsufficientData, match="^type-pair percentages need at least one edge$"):
             type_pair_percentages(dict_graph(nodes={}, edges={}))
 
 

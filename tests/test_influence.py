@@ -123,22 +123,22 @@ class TestInfluentialTypes:
         g = make_graph(edge_list, types={"hub": "ESTJ"})
         c = clustering_of([set(g.nodes)], g.nodes)
         report = influential_types(g, c)
-        assert report.per_cluster[0].top_node == "hub"
-        assert report.per_cluster[0].top_type is parse_mbti("ESTJ")
-        assert report.per_cluster[0].link_count == 3
+        assert report[0].top_node == "hub"
+        assert report[0].top_type is parse_mbti("ESTJ")
+        assert report[0].link_count == 3
 
     def test_tie_breaks_to_smaller_id(self):
         g = make_graph([("a", "b", 0.5)])
         c = clustering_of([{"a", "b"}], g.nodes)
         report = influential_types(g, c)
-        assert report.per_cluster[0].top_node == "a"
+        assert report[0].top_node == "a"
 
     def test_singleton_cluster(self):
         g = make_graph([("a", "b", 0.5)], types={"a": "ENTP"})
         c = clustering_of([{"a"}, {"b"}], g.nodes)
         report = influential_types(g, c)
-        assert report.per_cluster[0].link_count == 0
-        assert report.per_cluster[0].top_type is parse_mbti("ENTP")
+        assert report[0].link_count == 0
+        assert report[0].top_type is parse_mbti("ENTP")
 
     def test_per_type_totals(self):
         g = make_graph(
@@ -146,7 +146,7 @@ class TestInfluentialTypes:
             types={"a": "ENTP", "b": "INFJ", "c": "INFJ"},
         )
         c = clustering_of([set(g.nodes)], g.nodes)
-        totals = influential_types(g, c).per_cluster[0].per_type_link_totals
+        totals = influential_types(g, c)[0].per_type_link_totals
         assert totals[parse_mbti("ENTP")] == 2
         assert totals[parse_mbti("INFJ")] == 2
 
@@ -191,7 +191,7 @@ class TestInvariances:
             assert c2.nodes == g2.order
             r1 = influential_types(g, c)
             r2 = influential_types(g2, c2)
-            for a, b in zip(r1.per_cluster, r2.per_cluster):
+            for a, b in zip(r1, r2):
                 assert rename[a.top_node] == b.top_node
                 assert a.top_type == b.top_type
                 assert a.link_count == b.link_count

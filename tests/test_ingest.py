@@ -65,10 +65,6 @@ class TestFilterBots:
         once = filter_bots(profiles)
         assert filter_bots(once) == once
 
-    def test_threshold_range_checked(self):
-        with pytest.raises(ValueError):
-            filter_bots(self.build([1.0]), threshold=5.5)
-
 
 class TestLoadInteractions:
     def test_basic_mapping(self):
@@ -185,6 +181,13 @@ class TestLoadInteractions:
         assert all(brk not in user for user in events.users)
         assert f"interactions line 4 rejected: {field} contains a tab or line break" in caplog.text
 
+    def test_non_string_text_rejected(self, caplog):
+        lines = [event_line(timestamp=i) for i in range(20)]
+        lines.insert(5, event_line(source="x", text=["hi"]))
+        events = load_interactions(lines)
+        assert len(events) == 20 and "x" not in events.users
+        assert "interactions line 6 rejected: text must be a string when present" in caplog.text
+
     def test_non_integer_timestamp_rejected(self):
         lines = [event_line(timestamp="noon")] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
@@ -273,6 +276,17 @@ class TestLoadProfiles:
         rows = [self.HEADER] + [f"u{i}\tINFJ\t0.1" for i in range(20)] + ["bad\tINFJ\t6.0"]
         profiles = load_profiles(rows)
         assert all(p.user_id != "bad" for p in profiles)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("\tINFJ\t0.1", "user_id must be non-empty"), ("bad\tINFJ", "expected 3 fields, got 2")],
+    )
+    def test_bad_row_rejected(self, caplog, row, reason):
+        rows = [self.HEADER] + [f"u{i}\tINFJ\t0.1" for i in range(20)]
+        rows.insert(4, row)
+        profiles = load_profiles(rows)
+        assert [p.user_id for p in profiles] == [f"u{i}" for i in range(20)]
+        assert f"profiles line 5 rejected: {reason}" in caplog.text
 
     def test_aggregate_error(self):
         rows = [self.HEADER, "a\tINFJ\t0.1", "b\tWXYZ\t0.1"]

@@ -15,10 +15,8 @@ from affinity_miner import (
 )
 from affinity_miner.errors import (
     ConstantVector,
-    DegenerateCorpus,
     DimensionMismatch,
-    LengthMismatch,
-    MalformedPattern,
+    InsufficientData,
     MalformedRecord,
 )
 from affinity_miner.lexfeat import FIRST_PERSON_KEY
@@ -40,15 +38,15 @@ class TestLoadLexicon:
         assert extract_features("joy", lex)["posemo"] == 1.0
 
     def test_interior_wildcard_rejected(self):
-        with pytest.raises(MalformedPattern):
+        with pytest.raises(MalformedRecord, match=r"^line 1: interior wildcard in 'ha\*p'$"):
             load_lexicon(["x\tha*p"])
         # the blank line counts: errors name the physical line
-        with pytest.raises(MalformedPattern, match="^line 3: interior") as info:
+        with pytest.raises(MalformedRecord, match="^line 3: interior") as info:
             load_lexicon(["a\tjoy", "", "x\tha*p"])
         assert info.value.line == 3
 
     def test_bare_star_rejected(self):
-        with pytest.raises(MalformedPattern) as info:
+        with pytest.raises(MalformedRecord, match="^line 1: empty pattern$") as info:
             load_lexicon(["x\t*"])
         assert info.value.line == 1
 
@@ -57,7 +55,7 @@ class TestLoadLexicon:
     )
     def test_pattern_that_is_not_one_token_rejected(self, pattern):
         # tokenize splits or drops these characters, so no token can match
-        with pytest.raises(MalformedPattern, match=r"line 2: .* not one token") as info:
+        with pytest.raises(MalformedRecord, match=r"^line 2: .* is not one token and can never match$") as info:
             load_lexicon(["a\tjoy", f"b\t{pattern}"])
         assert info.value.line == 2
 
@@ -186,6 +184,26 @@ class TestFitElasticNet:
         with pytest.raises(DimensionMismatch):
             fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=9))
 
+    def test_one_dimensional_x(self):
+        with pytest.raises(DimensionMismatch, match=r"^X must be 2-d, got shape \(3,\)$"):
+            fit_elastic_net([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+    def test_one_row(self):
+        with pytest.raises(InsufficientData, match="^need at least 2 rows, got 1$"):
+            fit_elastic_net([[1.0, 2.0]], [1.0])
+
+    @pytest.mark.parametrize("lam, mix", [(-0.1, 0.5), (0.01, 1.5)])
+    def test_bad_penalty(self, rng, lam, mix):
+        with pytest.raises(ValueError, match=f"^bad penalty: lam={lam}, mix={mix}$"):
+            fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=10), lam, mix)
+
+    def test_constant_column_coefficient_exactly_zero(self, rng):
+        X = rng.normal(size=(20, 3))
+        X[:, 1] = 4.0
+        fit = fit_elastic_net(X, X[:, 0] - X[:, 2], lam=0.01)
+        assert fit.coef[1] == 0.0
+        assert fit.converged and fit.coef[0] > 0 > fit.coef[2]
+
 
 class TestPearson:
     def test_perfect_linear(self):
@@ -216,8 +234,12 @@ class TestPearson:
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InsufficientData, match="^need at least 2 points$"):
             pearson_r([1.0], [1.0])
+
+    def test_shapes_differ(self):
+        with pytest.raises(DimensionMismatch, match=r"^shapes \(2,\) vs \(3,\)$"):
+            pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def synthetic_corpus(rng, emotion_rate, vocab, emotion_word="happy", n_docs=12):
@@ -271,13 +293,20 @@ class TestTypeEmotionCorrelation:
         assert caplog.records == []
 
     def test_degenerate_corpus(self):
-        with pytest.raises(DegenerateCorpus, match="^a: need at least 2 documents, got 1$"):
+        with pytest.raises(InsufficientData, match="^a: need at least 2 documents, got 1$"):
             correlation(["one doc"], ["a", "b"], small_lexicon(), "posemo")
 
     def test_constant_weights_name_the_pair(self):
         # no category word anywhere: every proportion and so every weight is 0
         with pytest.raises(ConstantVector, match="^b vs a: correlation undefined"):
             correlation(["w1 w2", "w3"], ["w4", "w5 w6"], small_lexicon(), "posemo")
+
+    def test_one_shared_top_key_names_the_pair(self, rng):
+        # top_n = 1 and the same top token in both groups: one point to correlate
+        docs = synthetic_corpus(rng, 0.9, [f"w{i}" for i in range(10)])
+        lex = small_lexicon()
+        with pytest.raises(InsufficientData, match="^b vs a: need at least 2 points$"):
+            emotion_correlation_table({"a": docs, "b": list(docs)}, lex, "posemo", n=1)
 
     def test_unknown_category(self):
         with pytest.raises(ValueError):
