@@ -6,9 +6,10 @@ write the aggregated report (report) or everything at once (run).
 
 Configuration is a flat key = value text file; every key can be overridden
 by an AFFINITY_MINER_<KEY> environment variable, by --set key=value, and by
-the dedicated --seed / --out flags. Unknown keys are rejected. Stage
-outputs are written atomically, so a failing stage never corrupts the
-outputs of stages that already completed.
+the dedicated --seed / --out flags. Unknown keys are rejected. A stage
+renders all of its outputs before it creates the output directory and
+writes each file atomically, so a failing stage writes nothing and never
+corrupts the outputs of stages that already completed.
 """
 
 from __future__ import annotations
@@ -126,10 +127,7 @@ def _read_input(path: Path, key: str, loader: Callable):
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """key = value lines; blank lines and #-comment lines are skipped, and
     a key given twice is rejected at its second line."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}", key="config")
-    return _read_input(path, "config", _config_values)
+    return _read_input(Path(path), "config", _config_values)
 
 
 def _config_values(stream) -> dict[str, str]:
@@ -224,17 +222,11 @@ class PipelineRunner:
         self.cfg = cfg
         self.out = Path(cfg.out)
 
-    def _require_file(self, key: str) -> Path:
+    def _load(self, key: str, loader: Callable):
         raw = getattr(self.cfg, key)
         if not raw:
             raise ConfigError(f"config key {key} is required", key=key)
-        path = Path(raw)
-        if not path.is_file():
-            raise ConfigError(f"config key {key}: file not found: {path}", key=key)
-        return path
-
-    def _load(self, key: str, loader: Callable):
-        return _read_input(self._require_file(key), key, loader)
+        return _read_input(Path(raw), key, loader)
 
     # -- data stages ---------------------------------------------------------
 
@@ -396,15 +388,17 @@ class PipelineRunner:
         return "".join(chunks)
 
     def write_stage(self, stage: str):
-        """Write the stage's output files (see STAGES), each atomically; an
-        OSError creating the directory or writing a file is a ConfigError."""
+        """Render every output file of the stage (see STAGES), then create
+        the directory and write each file atomically, so a stage that fails
+        to render writes nothing. An OSError creating the directory or
+        writing a file is a ConfigError."""
+        texts = [(self.out / name, render(self)) for name, render in STAGES[stage]]
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             message = f"config key out: cannot create directory {str(self.out)!r}: {exc.strerror}"
             raise ConfigError(message, key="out") from None
-        for name, render in STAGES[stage]:
-            path, text = self.out / name, render(self)
+        for path, text in texts:
             try:
                 _write_atomic(path, text)
             except OSError as exc:

@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 DEFAULT_TELEPORT = 0.01
 MCL_MAX_ITER = 200
 MCL_TOL = 1e-8
+KDEST_MAX_ITER = 100
 # expansion product columns computed, inflated and pruned at a time: one
 # unpruned block of a 2048-node flow's square holds about 2 MiB
 MCL_BLOCK_COLUMNS = 128
@@ -328,21 +329,21 @@ def mcl(
     e: int = 2,
     r: float = 2.0,
     prune: float = 1e-6,
-    max_iter: int = MCL_MAX_ITER,
 ) -> Clustering:
     """Flow-simulation clustering by expansion and inflation.
 
-    Runs until the matrix moves less than 1e-8 in max norm, max_iter
-    passes, or the flow equals the iterate of two steps before (a cycle of
-    period 2, which no further step leaves); a non-converged run still
-    returns its partial clusters with converged=False. The flow matrix is
-    sparse (CSC) throughout and the attraction it leaves is a sparse CSR
-    matrix. Each step is one pass over MCL_BLOCK_COLUMNS-wide column blocks
-    that yields the flow with its max change (see mcl_flow), so memory
-    grows with the pruned flow plus one block of the product, never with
-    the unpruned square or with n^2. The flows before the current one are
-    held only as SHA-256 digests (_flow_digest) for the period-2 check, and
-    while the next flow is computed only the generator holds a flow.
+    Runs until the matrix moves less than MCL_TOL in max norm, MCL_MAX_ITER
+    passes (both read at call time), or the flow equals the iterate of two
+    steps before (a cycle of period 2, which no further step leaves); a
+    non-converged run still returns its partial clusters with
+    converged=False. The flow matrix is sparse (CSC) throughout and the
+    attraction it leaves is a sparse CSR matrix. Each step is one pass
+    over MCL_BLOCK_COLUMNS-wide column blocks that yields the flow with its
+    max change (see mcl_flow), so memory grows with the pruned flow plus
+    one block of the product, never with the unpruned square or with n^2.
+    The flows before the current one are held only as SHA-256 digests
+    (_flow_digest) for the period-2 check, and while the next flow is
+    computed only the generator holds a flow.
     """
     if e < 2:
         raise ValueError(f"expansion power must be >= 2, got {e}")
@@ -366,7 +367,7 @@ def mcl(
         digest = _flow_digest(M)
         periodic = digest == before_last
         last, before_last = digest, last
-        if iterations >= max_iter:
+        if iterations >= MCL_MAX_ITER:
             log.warning("mcl stopped unconverged at the %d-iteration cap", iterations)
             break
         if periodic:
@@ -414,7 +415,6 @@ def _init_destinations(g: AffinityGraph, H: np.ndarray, k: int) -> list[int]:
 def k_destinations(
     g: AffinityGraph,
     k: int,
-    max_iter: int = 100,
     tau: float = DEFAULT_TELEPORT,
 ) -> Clustering:
     """Disjoint clustering by minimal hitting time to destination nodes.
@@ -422,7 +422,8 @@ def k_destinations(
     Alternates (a) assigning each node to the destination with the smallest
     hitting time (ties to the lexicographically smallest destination id)
     and (b) re-centering each cluster on the member minimizing the sum of
-    hitting times from the cluster to it, until assignments stop changing.
+    hitting times from the cluster to it, until assignments stop changing
+    or KDEST_MAX_ITER passes (read at call time) have run.
 
     H from hitting_times is the only n x n array. Costs to the destinations
     take n x k, and the greedy start and the re-centering sums run over
@@ -441,7 +442,7 @@ def k_destinations(
     trace: list[float] = []
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(KDEST_MAX_ITER):
         iterations += 1
         # destinations sorted by id, so argmin's first hit is the tie rule
         cost = H[:, destinations]
@@ -480,11 +481,17 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _as_labels(x) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"label vector must be 1-d, got shape {arr.shape}")
-    return arr
+def _label_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two 1-d label arrays of one length, at least 1."""
+    x, y = np.asarray(x), np.asarray(y)
+    for arr in (x, y):
+        if arr.ndim != 1:
+            raise DimensionMismatch(f"label vector must be 1-d, got shape {arr.shape}")
+    if len(x) != len(y):
+        raise DimensionMismatch(f"lengths {len(x)} vs {len(y)}")
+    if len(x) == 0:
+        raise InsufficientData("need at least one label")
+    return x, y
 
 
 def nmi(x, y) -> float:
@@ -495,9 +502,7 @@ def nmi(x, y) -> float:
     labelings are constant the score is 1; if exactly one is constant the
     score is 0.
     """
-    x, y = _as_labels(x), _as_labels(y)
-    if len(x) != len(y) or len(x) == 0:
-        raise DimensionMismatch(f"lengths {len(x)} vs {len(y)}")
+    x, y = _label_pair(x, y)
     n = len(x)
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)
@@ -523,9 +528,7 @@ def clustering_error(pred, truth) -> float:
     # is the slowest import of the package
     from scipy.optimize import linear_sum_assignment
 
-    pred, truth = _as_labels(pred), _as_labels(truth)
-    if len(pred) != len(truth) or len(pred) == 0:
-        raise DimensionMismatch(f"lengths {len(pred)} vs {len(truth)}")
+    pred, truth = _label_pair(pred, truth)
     n = len(pred)
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)

@@ -45,7 +45,7 @@ class ConstantVector(AffinityMinerError):
 
 
 class InsufficientData(AffinityMinerError):
-    """Too few documents, classes, nodes, edges or points."""
+    """Too few documents, classes, nodes, edges, points or labels."""
 
 
 class InvalidSpec(AffinityMinerError):

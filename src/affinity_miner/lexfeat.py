@@ -161,15 +161,14 @@ def fit_elastic_net(
     y: np.ndarray,
     lam: float = 0.01,
     mix: float = 0.5,
-    tol: float = ENET_TOL,
-    max_sweeps: int = ENET_MAX_SWEEPS,
 ) -> EnetFit:
     """Cyclic coordinate descent on standardized columns.
 
     Minimizes (1/2n)||y - Xb - b0||^2 + lam (mix ||b||_1 + (1-mix)/2 ||b||^2)
     with the penalty applied to standardized coefficients; the returned
     coefficients are mapped back to the original column scale. Stops when
-    the largest coefficient change in a sweep falls below tol.
+    the largest coefficient change in a sweep falls below ENET_TOL, or
+    after ENET_MAX_SWEEPS sweeps (both read at call time).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -198,7 +197,7 @@ def fit_elastic_net(
     trace: list[float] = []
     converged = False
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(ENET_MAX_SWEEPS):
         sweeps += 1
         max_delta = 0.0
         for j in range(p):
@@ -217,7 +216,7 @@ def fit_elastic_net(
                 + lam * (mix * np.abs(beta).sum() + (1 - mix) / 2 * (beta @ beta))
             )
         )
-        if max_delta < tol:
+        if max_delta < ENET_TOL:
             converged = True
             break
     coef = beta / sd_safe

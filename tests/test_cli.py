@@ -199,13 +199,15 @@ class TestRunPipeline:
     def test_stage_isolation_on_late_failure(self, dataset, tmp_path):
         bad_lexicon = tmp_path / "bad_lexicon.tsv"
         bad_lexicon.write_text("posemo\tha*p\n")
-        out = tmp_path / "results"
-        cfg = config_for(dataset, out, lexicon=str(bad_lexicon))
-        assert run_pipeline(cfg) == 1
-        for name in STAGE_FILES[: STAGE_FILES.index("lexcorr_pos.tsv")]:
-            assert (out / name).is_file(), name
-        assert not (out / "lexcorr_pos.tsv").exists()
-        assert not (out / "report.txt").exists()
+        # the lexicon fails as lexcorr loads it; at threshold 0.99 the graph
+        # has no edge, so type_pairs.tsv fails after graph.tsv and graph.dot
+        cases = [("lexcorr", {"lexicon": bad_lexicon}), ("graph", {"threshold": 0.99})]
+        for failing, extra in cases:
+            out = tmp_path / failing
+            assert run_pipeline(config_for(dataset, out, **extra)) == 1
+            stages = cli_module.RUN_STAGES[: cli_module.RUN_STAGES.index(failing)]
+            done = [name for stage in stages for name, _ in cli_module.STAGES[stage]]
+            assert sorted(p.name for p in out.iterdir()) == sorted(done), failing
 
     def test_k_destinations_method(self, dataset, tmp_path):
         out = tmp_path / "results"
@@ -363,6 +365,18 @@ class TestMainEntry:
         assert code == 0
         assert (out / "graph.tsv").is_file()
         assert not (out / "clustering.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "stage, setting",
+        [("graph", "threshold=0.99"), ("lexcorr", "pos_category=nope"), ("classify", "folds=100")],
+    )
+    def test_failing_stage_writes_nothing(self, dataset, tmp_path, capsys, stage, setting):
+        # graph fails on type_pairs.tsv after rendering graph.tsv and graph.dot
+        out = tmp_path / "failed"
+        args = ["--config", str(dataset["config"]), "--out", str(out), "--set", setting]
+        assert main([stage, *args]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nope/missing.txt"]) == 1
@@ -568,20 +582,30 @@ class TestUnreadableInputExitsOne:
     FAILURES = {
         "open": os.strerror(errno.EACCES),
         "read": os.strerror(errno.EIO),
+        "missing": os.strerror(errno.ENOENT),
+        "directory": os.strerror(errno.EISDIR),
     }
 
     @staticmethod
-    def fail_on(monkeypatch, bad, failure):
+    def fail_on(monkeypatch, tmp_path, path, failure):
+        """The path to name for `failure`: a real missing file or
+        directory, or `path` with opening or reading it made to fail."""
+        if failure == "missing":
+            return tmp_path / "missing"
+        if failure == "directory":
+            (tmp_path / "directory").mkdir()
+            return tmp_path / "directory"
         real = cli_module.open_input
 
-        def open_input(path):
-            if str(path) != str(bad):
-                return real(path)
+        def open_input(opened):
+            if str(opened) != str(path):
+                return real(opened)
             if failure == "open":
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(opened))
             return UnreadableStream()
 
         monkeypatch.setattr(cli_module, "open_input", open_input)
+        return path
 
     @pytest.mark.parametrize("failure", sorted(FAILURES))
     @pytest.mark.parametrize(
@@ -590,19 +614,20 @@ class TestUnreadableInputExitsOne:
          ("embeddings", "semsim"), ("lexicon", "lexcorr")],
     )
     def test_input_file(self, dataset, tmp_path, capsys, monkeypatch, key, stage, failure):
-        self.fail_on(monkeypatch, dataset[key], failure)
-        assert main([stage, *input_args(dataset), "--out", str(tmp_path)]) == 1
+        bad = self.fail_on(monkeypatch, tmp_path, dataset[key], failure)
+        out = tmp_path / "out"
+        assert main([stage, *input_args(dataset), f"--set={key}={bad}", "--out", str(out)]) == 1
         reason = self.FAILURES[failure]
-        want = f"error: config key {key}: cannot read {dataset[key]}: {reason}\n"
-        assert capsys.readouterr().err == want
+        assert capsys.readouterr().err == f"error: config key {key}: cannot read {bad}: {reason}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("failure", sorted(FAILURES))
     def test_config_file(self, tmp_path, capsys, monkeypatch, failure):
         path = tmp_path / "config.txt"
         path.write_text("seed = 1\n", encoding="utf-8")
-        self.fail_on(monkeypatch, path, failure)
-        assert main(["ingest", "--config", str(path)]) == 1
-        want = f"error: config key config: cannot read {path}: {self.FAILURES[failure]}\n"
+        bad = self.fail_on(monkeypatch, tmp_path, path, failure)
+        assert main(["ingest", "--config", str(bad)]) == 1
+        want = f"error: config key config: cannot read {bad}: {self.FAILURES[failure]}\n"
         assert capsys.readouterr().err == want
 
 

@@ -370,19 +370,21 @@ class TestMcl:
         with pytest.raises(ValueError):
             mcl(g, r=1.0)
 
-    def test_iteration_cap_returns_partial_result(self, caplog):
+    def test_iteration_cap_returns_partial_result(self, caplog, monkeypatch):
         g = two_block_graph(6, in_w=1.0, cross_w=0.1)
-        c = mcl(g, max_iter=1)
+        monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", 1)
+        c = mcl(g)
         assert not c.converged
         assert c.iterations == 1
         assert c.clusters
         assert "mcl stopped unconverged at the 1-iteration cap" in caplog.text
 
-    def test_flow_without_attractor_falls_back_to_one_cluster(self, caplog):
+    def test_flow_without_attractor_falls_back_to_one_cluster(self, caplog, monkeypatch):
         # at prune=0.1 each column of a directed 3-cycle keeps only its
         # successor: the flow permutes, never converges, and has no diagonal
         g = make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
-        c = mcl(g, prune=0.1, max_iter=3)
+        monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", 3)
+        c = mcl(g, prune=0.1)
         assert not c.converged
         assert [x.tolist() for x in c.clusters] == [[0, 1, 2]]
         assert "mcl stopped unconverged at the 3-iteration cap" in caplog.text
@@ -431,7 +433,7 @@ def _assert_matches_dense(g, **params):
         range(3), mcl_flow(M, **flow), dense_mcl_flow(D, **flow)
     ):
         assert np.max(np.abs(M_next.toarray() - D_next)) <= 1e-12
-    c = mcl(g, **params)
+    c = mcl(g, **flow)
     clusters, iterations, converged, attraction = dense_mcl(g, **params)
     assert [tuple(x.tolist()) for x in c.clusters] == list(clusters)
     assert c.iterations == iterations
@@ -458,7 +460,9 @@ def test_mcl_matches_dense_oracle_planted(seed):
         (4, 1.0, 0.01, {"prune": 0.5}),  # every column dies each step
     ],
 )
-def test_mcl_matches_dense_oracle_two_blocks(block_size, in_w, cross_w, params):
+def test_mcl_matches_dense_oracle_two_blocks(monkeypatch, block_size, in_w, cross_w, params):
+    if "max_iter" in params:
+        monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", params["max_iter"])
     _assert_matches_dense(two_block_graph(block_size, in_w, cross_w), **params)
 
 
@@ -709,9 +713,11 @@ class TestKDestinations:
         trace = c.objective_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
-    def test_iteration_cap_warns(self, caplog):
+    def test_iteration_cap_warns(self, caplog, monkeypatch):
         # the first pass only assigns; convergence needs a second pass
-        c = k_destinations(two_block_graph(6), 2, max_iter=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster_module, "KDEST_MAX_ITER", 1)
+            c = k_destinations(two_block_graph(6), 2)
         assert not c.converged
         assert "k-destinations stopped unconverged at the 1-iteration cap" in caplog.text
         caplog.clear()
@@ -798,15 +804,17 @@ def test_row_block_sums_are_the_whole_sum(rng, rows, width):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("n, k", [(60, 3), (250, 5)])
-def test_k_destinations_matches_unblocked_oracle(seed, n, k):
+def test_k_destinations_matches_unblocked_oracle(monkeypatch, seed, n, k):
     spec = PlantedSpec(
         n=n, k=k, p_in=0.2, p_out=0.02, w_in=(0.5, 1.0), w_out=(0.01, 0.3), seed=seed
     )
     g = planted_partition(spec)[0]
+    max_iter = 3 if seed == 3 else 100
+    monkeypatch.setattr(cluster_module, "KDEST_MAX_ITER", max_iter)
     for clusters_asked in (1, 2, k, k + 4):
-        c = k_destinations(g, clusters_asked, max_iter=3 if seed == 3 else 100)
+        c = k_destinations(g, clusters_asked)
         clusters, iterations, converged, trace = unblocked_k_destinations(
-            g, clusters_asked, max_iter=3 if seed == 3 else 100
+            g, clusters_asked, max_iter=max_iter
         )
         assert [x.tolist() for x in c.clusters] == clusters
         assert (c.iterations, c.converged) == (iterations, converged)
@@ -876,6 +884,11 @@ class TestNmi:
         with pytest.raises(DimensionMismatch, match="^lengths 2 vs 3$"):
             nmi([0, 1], [0, 1, 2])
 
+    def test_empty_labelings_are_too_little_data(self):
+        # the lengths agree, so this is not a dimension mismatch
+        with pytest.raises(InsufficientData, match="^need at least one label$"):
+            nmi([], [])
+
     def test_two_dimensional_labels(self):
         with pytest.raises(DimensionMismatch, match=r"^label vector must be 1-d, got shape \(2, 2\)$"):
             nmi([[0, 1], [1, 0]], [0, 1, 0, 1])
@@ -916,6 +929,10 @@ class TestClusteringError:
         with pytest.raises(DimensionMismatch, match="^lengths 1 vs 2$"):
             clustering_error([0], [0, 1])
 
+    def test_empty_labelings_are_too_little_data(self):
+        with pytest.raises(InsufficientData, match="^need at least one label$"):
+            clustering_error([], [])
+
 
 class TestLabelsFromClustering:
     def base(self, clusters, attraction=None, nodes=("a", "b", "c")):
@@ -943,8 +960,9 @@ class TestLabelsFromClustering:
         c = self.base([[0, 1, 2], [0, 1, 2]], attraction=attraction)
         assert list(labels_from_clustering(c)) == [0, 0, 0]
 
-    def test_matches_dense_argmax_on_mcl(self):
-        c = mcl(two_block_graph(6, in_w=1.0, cross_w=0.1), max_iter=2)
+    def test_matches_dense_argmax_on_mcl(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", 2)
+        c = mcl(two_block_graph(6, in_w=1.0, cross_w=0.1))
         dense = c.attraction.toarray()
         assert np.array_equal(labels_from_clustering(c), np.argmax(dense, axis=0))
 

@@ -137,10 +137,12 @@ class TestLoadInteractions:
         lines = [event_line(sentiment=[])] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
 
-    def test_unknown_field_rejected(self):
-        lines = [event_line()] * 20 + [event_line(sentimnet="POS")]
+    def test_unknown_field_rejected(self, caplog):
+        lines = [event_line()] * 40 + [event_line(sentimnet="POS"), "[1]", "1", "null"]
         events = load_interactions(lines)
-        assert len(events) == 20
+        assert len(events) == 40
+        for lineno in (42, 43, 44):
+            assert f"line {lineno} rejected: record is not a key-value object" in caplog.text
 
     def test_blank_lines_skipped(self):
         events = load_interactions(["", event_line(), "   ", " \t \r\n"])

@@ -1,5 +1,4 @@
 import logging
-from functools import partial
 
 import numpy as np
 import pytest
@@ -279,7 +278,7 @@ class TestTypeEmotionCorrelation:
         assert abs(np.mean(rs)) < 0.1
 
     def test_unconverged_fit_is_logged(self, rng, monkeypatch, caplog):
-        monkeypatch.setattr(lexfeat, "fit_elastic_net", partial(fit_elastic_net, max_sweeps=1))
+        monkeypatch.setattr(lexfeat, "ENET_MAX_SWEEPS", 1)
         docs = synthetic_corpus(rng, 0.9, [f"w{i}" for i in range(10)])
         with caplog.at_level(logging.WARNING, logger="affinity_miner.lexfeat"):
             correlation(docs, list(docs), small_lexicon(), "posemo")
