@@ -350,41 +350,14 @@ class PipelineRunner:
         g = self.affinity_graph
         return f"nodes = {len(g.order)}\nedges = {len(g.edge_arrays[2])}\n"
 
-    def clustering_text(self) -> str:
-        return cluster.serialize_clustering(self.clustering)
-
-    def influence_text(self) -> str:
-        return influence.render_influence_report(self.influence_report)
-
-    def semsim_text(self) -> str:
-        return render_lower_triangular(self.similarity, ALL_TYPES)
-
-    def lexcorr_text(self, which: str) -> str:
-        return render_lower_triangular(self.lexcorr[which], ALL_TYPES)
-
-    def classify_text(self) -> str:
-        return classify.render_cv_report(self.cv_report)
-
     def config_text(self) -> str:
         items = sorted(dataclasses.asdict(self.cfg).items())
         return "".join(f"{k} = {v}\n" for k, v in items)
 
     def report_text(self) -> str:
-        sections = [
-            ("config", self.config_text()),
-            ("ingest", self.ingest_text()),
-            ("graph", self.graph_summary_text()),
-            ("type_pairs", self.type_pairs_text()),
-            ("cluster", self.clustering_text()),
-            ("influence", self.influence_text()),
-            ("semsim", self.semsim_text()),
-            ("lexcorr_pos", self.lexcorr_text("pos")),
-            ("lexcorr_neg", self.lexcorr_text("neg")),
-            ("classify", self.classify_text()),
-        ]
         chunks = ["# affinity-miner pipeline report\n"]
-        for name, body in sections:
-            chunks.append(f"\n[{name}]\n{body}")
+        for name, render in SECTIONS.items():
+            chunks.append(f"\n[{name}]\n{render(self)}")
         return "".join(chunks)
 
     def write_stage(self, stage: str):
@@ -406,24 +379,38 @@ class PipelineRunner:
                 raise ConfigError(message, key="out") from None
 
 
-# stage -> (output file, renderer) pairs, in run order. Renderers and writers
-# are looked up when called, so wrapping a module-level name reaches them.
+# report section -> renderer, in report order. Renderers and writers are
+# looked up when called, so wrapping a module-level name reaches them.
+SECTIONS: dict[str, Callable[[PipelineRunner], str]] = {
+    "config": PipelineRunner.config_text,
+    "ingest": PipelineRunner.ingest_text,
+    "graph": PipelineRunner.graph_summary_text,
+    "type_pairs": PipelineRunner.type_pairs_text,
+    "cluster": lambda r: cluster.serialize_clustering(r.clustering),
+    "influence": lambda r: influence.render_influence_report(r.influence_report),
+    "semsim": lambda r: render_lower_triangular(r.similarity, ALL_TYPES),
+    "lexcorr_pos": lambda r: render_lower_triangular(r.lexcorr["pos"], ALL_TYPES),
+    "lexcorr_neg": lambda r: render_lower_triangular(r.lexcorr["neg"], ALL_TYPES),
+    "classify": lambda r: classify.render_cv_report(r.cv_report),
+}
+
+# stage -> (output file, renderer) pairs, in run order
 STAGES: dict[str, tuple[tuple[str, Callable[[PipelineRunner], str]], ...]] = {
-    "ingest": (("ingest.txt", PipelineRunner.ingest_text),),
+    "ingest": (("ingest.txt", SECTIONS["ingest"]),),
     "affinity": (("scores.tsv", PipelineRunner.scores_text),),
     "graph": (
         ("graph.tsv", lambda r: graph.export_graph(r.affinity_graph, "edge-tsv")),
         ("graph.dot", lambda r: graph.export_graph(r.affinity_graph, "dot")),
-        ("type_pairs.tsv", PipelineRunner.type_pairs_text),
+        ("type_pairs.tsv", SECTIONS["type_pairs"]),
     ),
-    "cluster": (("clustering.tsv", PipelineRunner.clustering_text),),
-    "influence": (("influence.txt", PipelineRunner.influence_text),),
-    "semsim": (("semsim.tsv", PipelineRunner.semsim_text),),
+    "cluster": (("clustering.tsv", SECTIONS["cluster"]),),
+    "influence": (("influence.txt", SECTIONS["influence"]),),
+    "semsim": (("semsim.tsv", SECTIONS["semsim"]),),
     "lexcorr": (
-        ("lexcorr_pos.tsv", lambda r: r.lexcorr_text("pos")),
-        ("lexcorr_neg.tsv", lambda r: r.lexcorr_text("neg")),
+        ("lexcorr_pos.tsv", SECTIONS["lexcorr_pos"]),
+        ("lexcorr_neg.tsv", SECTIONS["lexcorr_neg"]),
     ),
-    "classify": (("cv_report.tsv", PipelineRunner.classify_text),),
+    "classify": (("cv_report.tsv", SECTIONS["classify"]),),
     "report": (("report.txt", PipelineRunner.report_text),),
 }
 

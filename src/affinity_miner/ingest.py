@@ -247,35 +247,32 @@ def load_interactions(stream: Iterable[str]) -> EventTable:
     """Parse interaction records under the parse_lines policy into columns.
 
     Rows are sorted by timestamp; the sort is stable, so ties keep input
-    order. Each accepted line goes straight into typed columns, and a
-    non-empty text into its source's list, so no per-event object outlives
-    its line.
+    order. Each accepted line goes straight into typed columns and its text
+    into a list, so no per-event object outlives its line; each source's
+    non-empty texts are joined in the row order of that one sort.
     """
     codes: dict[str, int] = {}
     source, target = array("i"), array("i")
     timestamp, sentiment = array("q"), bytearray()
-    # per source code: its non-empty texts and their timestamps, in input order
-    texts: defaultdict[int, tuple[list[str], array]] = defaultdict(lambda: ([], array("q")))
+    texts: list[str | None] = []  # per accepted line, in input order
 
     def keep(line: str) -> None:
         src, dst, ts, state, text = _parse_event_line(line)
-        code = codes.setdefault(src, len(codes))
-        source.append(code)
+        source.append(codes.setdefault(src, len(codes)))
         target.append(codes.setdefault(dst, len(codes)))
         timestamp.append(ts)
         sentiment.append(state)
-        if text:
-            parts, stamps = texts[code]
-            parts.append(text)
-            stamps.append(ts)
+        texts.append(text)
 
     parse_lines(_numbered_lines(stream), "interactions", keep)
     users = tuple(codes)
-    documents = {}
-    for code, (parts, stamps) in texts.items():
-        rows = np.argsort(np.frombuffer(stamps, np.int64), kind="stable").tolist()
-        documents[users[code]] = " ".join([parts[i] for i in rows])
     order = np.argsort(np.frombuffer(timestamp, np.int64), kind="stable")
+    parts: defaultdict[int, list[str]] = defaultdict(list)
+    # a memoryview yields each row as an int without a list of them all
+    for row in memoryview(order):
+        if texts[row]:
+            parts[source[row]].append(texts[row])
+    documents = {users[code]: " ".join(p) for code, p in parts.items()}
     columns = [
         np.frombuffer(column, dtype)[order]
         for column, dtype in (

@@ -15,7 +15,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -64,19 +63,10 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """categories: category name -> set of lowercase patterns."""
+    """categories: category name -> (literal tokens, sorted prefix stems),
+    all lowercase."""
 
-    categories: Mapping[str, frozenset[str]]
-
-    @cached_property
-    def compiled(self) -> dict[str, tuple[frozenset[str], tuple[str, ...]]]:
-        """Per category: (literal tokens, prefix stems), built once."""
-        out = {}
-        for name, patterns in self.categories.items():
-            literals = frozenset(p for p in patterns if not p.endswith("*"))
-            prefixes = tuple(sorted(p[:-1] for p in patterns if p.endswith("*")))
-            out[name] = (literals, prefixes)
-        return out
+    categories: Mapping[str, tuple[frozenset[str], tuple[str, ...]]]
 
 
 def _check_pattern(pattern: str, lineno: int) -> str:
@@ -99,7 +89,8 @@ def _check_pattern(pattern: str, lineno: int) -> str:
 
 
 def load_lexicon(stream) -> Lexicon:
-    """Parse category<TAB>pattern lines; duplicates collapse."""
+    """Parse category<TAB>pattern lines; duplicates collapse. A category may
+    not be named FIRST_PERSON_KEY, the key of the pronoun share."""
     categories: dict[str, set[str]] = {}
     for lineno, line in read_lines(stream):
         parts = line.split("\t")
@@ -109,9 +100,23 @@ def load_lexicon(stream) -> Lexicon:
                 line=lineno,
             )
         category = parts[0].strip().lower()
+        if category == FIRST_PERSON_KEY:
+            raise MalformedRecord(
+                f"line {lineno}: category name {category!r} is reserved "
+                "for the first-person pronoun share",
+                line=lineno,
+            )
         pattern = _check_pattern(parts[1].strip(), lineno)
         categories.setdefault(category, set()).add(pattern)
-    return Lexicon({name: frozenset(p) for name, p in sorted(categories.items())})
+    return Lexicon(
+        {
+            name: (
+                frozenset(p for p in patterns if not p.endswith("*")),
+                tuple(sorted(p[:-1] for p in patterns if p.endswith("*"))),
+            )
+            for name, patterns in sorted(categories.items())
+        }
+    )
 
 
 def extract_features(text: str, lex: Lexicon) -> FeatureVector:
@@ -122,13 +127,13 @@ def extract_features(text: str, lex: Lexicon) -> FeatureVector:
     adds its count; integer counts are exact in float64.
     """
     tokens = tokenize(text)
-    compiled = lex.compiled
-    values = {name: 0.0 for name in compiled}
+    categories = lex.categories
+    values = {name: 0.0 for name in categories}
     values[FIRST_PERSON_KEY] = 0.0
     if not tokens:
         return values
     for token, count in Counter(tokens).items():
-        for name, (literals, prefixes) in compiled.items():
+        for name, (literals, prefixes) in categories.items():
             if token in literals or token.startswith(prefixes):
                 values[name] += count
         if token in FIRST_PERSON_PRONOUNS:

@@ -164,6 +164,11 @@ TYPE_WORDS: dict[MbtiType, tuple[str, ...]] = {
 }
 
 
+# generate_dataset's type groups (block b holds every BLOCKS-th type from
+# the b-th) and its bot profiles
+BLOCKS = 4
+BOTS = 4
+
 # P(positive word), P(negative word), indexed by Sentiment value (NEG, NEU, POS)
 _EMOTION_RATES = ((0.10, 0.85), (0.30, 0.20), (0.85, 0.10))
 
@@ -179,26 +184,20 @@ class _User(NamedTuple):
 
 
 def generate_dataset(
-    out_dir: str | Path,
-    seed: int = 0,
-    users_per_type: int = 12,
-    blocks: int = 4,
-    bots: int = 4,
+    out_dir: str | Path, seed: int = 0, users_per_type: int = 12
 ) -> dict[str, Path]:
     """Write a synthetic but fully pipeline-compatible input set.
 
-    The 16 types are split into `blocks` groups; users mention others in
+    The 16 types are split into BLOCKS groups; users mention others in
     their own group often and with friendlier sentiment, so the affinity
-    graph carries recoverable block structure. A few extra high-bot-score
+    graph carries recoverable block structure. BOTS extra high-bot-score
     profiles (with events) exercise the bot filter downstream. Raises
-    InvalidSpec for a negative seed, fewer than one user per type or two
-    blocks (no usable dataset), and for an out_dir that cannot be created.
-    The config and the returned paths are absolute.
+    InvalidSpec for a negative seed or fewer than one user per type (no
+    usable dataset), and for an out_dir that cannot be created. The config
+    and the returned paths are absolute.
     """
     if users_per_type < 1:
         raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
-    if blocks < 2:
-        raise InvalidSpec(f"blocks must be >= 2, got {blocks}")
     if seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
     # absolute, so the written config.txt runs from any working directory
@@ -217,7 +216,7 @@ def generate_dataset(
     m = users_per_type
     table = [
         _User(
-            f"user{ti * m + j:04d}", t, round(float(rng.uniform(0.0, 2.2)), 3), ti % blocks,
+            f"user{ti * m + j:04d}", t, round(float(rng.uniform(0.0, 2.2)), 3), ti % BLOCKS,
             (0.1 + 2.6 * j / max(m - 1, 1), 0.1 + 2.6 * ((j * 3 + 1) % m) / max(m - 1, 1)),
         )
         for ti, t in enumerate(ALL_TYPES)
@@ -226,13 +225,13 @@ def generate_dataset(
     table += [
         _User(
             f"bot{b:02d}", ALL_TYPES[b % len(ALL_TYPES)],
-            round(float(rng.uniform(2.5, 5.0)), 3), b % blocks, (1.0, 1.0),
+            round(float(rng.uniform(2.5, 5.0)), 3), b % BLOCKS, (1.0, 1.0),
         )
-        for b in range(bots)
+        for b in range(BOTS)
     ]
     # table indices per block, ascending, and everyone outside each block
-    members = [[i for i, u in enumerate(table) if u.block == b] for b in range(blocks)]
-    outsiders = [[u for u in table if u.block != b] for b in range(blocks)]
+    members = [[i for i, u in enumerate(table) if u.block == b] for b in range(BLOCKS)]
+    outsiders = [[u for u in table if u.block != b] for b in range(BLOCKS)]
 
     # The generator calls below, their arguments and their order are part of
     # the pinned output: every golden was recorded on these bytes. Per event:

@@ -763,6 +763,20 @@ class TestBadInputsExitOne:
         assert "line 4: 'self-*' is not one token and can never match" in err
         assert "Traceback" not in err
 
+    def test_lexicon_category_named_like_the_pronoun_share(self, dataset, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(dataset["lexicon"].read_text() + "first_person_pronoun\tme\n")
+        out = tmp_path / "results"
+        args = self.stage_args(dataset, out, "interactions", "profiles", lexicon=lexicon,
+                               pos_category="first_person_pronoun")
+        assert main(["lexcorr", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: line 12: category name 'first_person_pronoun' is reserved "
+            "for the first-person pronoun share"
+        ]
+        assert not out.exists()
+
     def test_lexcorr_names_a_type_without_users(self, dataset, tmp_path, capsys):
         lines = dataset["profiles"].read_text().splitlines(keepends=True)
         profiles = tmp_path / "profiles.tsv"

@@ -167,6 +167,33 @@ class TestLoadInteractions:
         events = load_interactions(lines)
         assert events.documents == {"a": "first second third", "b": "other"}
 
+    @pytest.mark.parametrize(
+        "rejected",
+        [
+            "not json",
+            event_line("a", "b", 2, sentiment="HAPPY", text="rejected"),
+            # rejected after every field has been read
+            event_line("a", "a", 2, text="rejected"),
+        ],
+        ids=["invalid-json", "bad-sentiment", "self-mention"],
+    )
+    @pytest.mark.parametrize("at", [1, 3, 4])
+    def test_rejected_line_leaves_the_documents_as_if_absent(self, rejected, at):
+        # the texted lines out of timestamp order, so a text moved onto a
+        # neighbouring row lands at a different place in the document
+        lines = [
+            event_line("a", "b", 5, text="fifth"),
+            event_line("a", "c", 1, text="first"),
+            event_line("b", "a", 4, text="other"),
+            event_line("a", "c", 3),
+            event_line("a", "b", 4, text="fourth"),
+            *(event_line("c", "a", 10 + i) for i in range(5)),
+        ]
+        with_rejected = lines[:at] + [rejected] + lines[at:]
+        documents = load_interactions(with_rejected).documents
+        assert documents == load_interactions(lines).documents
+        assert documents == {"a": "first fourth fifth", "b": "other"}
+
     def test_text_optional(self):
         events = load_interactions([event_line(text="hi there")])
         assert events.documents == {"a": "hi there"}

@@ -59,21 +59,33 @@ class TestLoadLexicon:
         assert info.value.line == 2
 
     def test_duplicates_collapse(self):
-        lex = load_lexicon(["a\tword", "a\tword"])
-        assert lex.categories["a"] == frozenset({"word"})
+        lex = load_lexicon(["a\tword", "a\tword", "a\tpre*", "a\tpre*"])
+        assert lex.categories["a"] == (frozenset({"word"}), ("pre",))
 
     def test_structure_errors(self):
         with pytest.raises(MalformedRecord):
             load_lexicon(["no-tab-here"])
 
     def test_patterns_lowercased(self):
-        lex = load_lexicon(["a\tWord"])
-        assert lex.categories["a"] == frozenset({"word"})
+        lex = load_lexicon(["a\tWord", "a\tPre*"])
+        assert lex.categories["a"] == (frozenset({"word"}), ("pre",))
 
     def test_patterns_compiled_once(self):
-        lex = load_lexicon(["a\tword", "a\tpre*"])
-        assert lex.compiled == {"a": (frozenset({"word"}), ("pre",))}
-        assert lex.compiled is lex.compiled
+        lex = load_lexicon(["b\tx", "a\tword", "a\tpre*", "a\tab*", "a\tp*"])
+        assert lex.categories == {
+            "a": (frozenset({"word"}), ("ab", "p", "pre")),
+            "b": (frozenset({"x"}), ()),
+        }
+        assert list(lex.categories) == ["a", "b"]
+
+    @pytest.mark.parametrize("name", [FIRST_PERSON_KEY, "First_Person_Pronoun"])
+    def test_pronoun_share_key_is_a_reserved_category(self, name):
+        # a category of that name would be summed into the pronoun share
+        lines = ["posemo\thapp*", f"{name}\tme"]
+        with pytest.raises(MalformedRecord, match="^line 2: category name") as info:
+            load_lexicon(lines)
+        assert info.value.line == 2
+        assert "'first_person_pronoun' is reserved" in str(info.value)
 
 
 class TestExtractFeatures:

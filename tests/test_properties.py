@@ -472,24 +472,25 @@ def test_tokenize_matches_regex_oracle(text):
     assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
-def per_occurrence_features(text, lex):
+def per_occurrence_features(text, lines):
     """Category proportions matching every token occurrence against every
-    category, with the patterns compiled from lex.categories."""
+    pattern of every category, with the patterns read from the lexicon's
+    category<TAB>pattern lines."""
     tokens = tokenize(text)
-    compiled = {
-        name: (
-            frozenset(p for p in patterns if not p.endswith("*")),
-            tuple(sorted(p[:-1] for p in patterns if p.endswith("*"))),
-        )
-        for name, patterns in lex.categories.items()
-    }
-    values = {name: 0.0 for name in compiled}
+    patterns = {}
+    for line in lines:
+        name, pattern = line.split("\t")
+        patterns.setdefault(name, []).append(pattern)
+    values = {name: 0.0 for name in sorted(patterns)}
     values[FIRST_PERSON_KEY] = 0.0
     if not tokens:
         return values
     for token in tokens:
-        for name, (literals, prefixes) in compiled.items():
-            if token in literals or any(token.startswith(p) for p in prefixes):
+        for name in sorted(patterns):
+            if any(
+                token.startswith(p[:-1]) if p.endswith("*") else token == p
+                for p in patterns[name]
+            ):
                 values[name] += 1.0
         if token in FIRST_PERSON_PRONOUNS:
             values[FIRST_PERSON_KEY] += 1.0
@@ -518,7 +519,7 @@ documents = st.lists(
 def test_extract_features_matches_per_occurrence_loop(lines, text):
     lex = load_lexicon(lines)
     got = extract_features(text, lex)
-    assert list(got.items()) == list(per_occurrence_features(text, lex).items())
+    assert list(got.items()) == list(per_occurrence_features(text, lines).items())
 
 
 @PROPERTY

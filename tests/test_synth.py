@@ -224,16 +224,8 @@ class TestGenerateDataset:
         with pytest.raises(InvalidSpec, match="users_per_type"):
             generate_dataset(tmp_path, users_per_type=0)
 
-    def test_one_block_rejected(self, tmp_path):
-        with pytest.raises(InvalidSpec, match="blocks"):
-            generate_dataset(tmp_path, blocks=1)
-
-    def test_no_blocks_rejected(self, tmp_path):
-        with pytest.raises(InvalidSpec, match="blocks"):
-            generate_dataset(tmp_path, blocks=0)
-
     def test_lines_are_sorted_key_json(self, tmp_path):
-        paths = generate_dataset(tmp_path, seed=5, users_per_type=3, bots=6)
+        paths = generate_dataset(tmp_path, seed=5, users_per_type=3)
         lines = paths["interactions"].read_text(encoding="utf-8").splitlines()
         assert len(lines) > 100
         for line in lines:
@@ -282,12 +274,13 @@ _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b
                 embeddings="83ac2794d903f1b63f788adf0ec73941de5f81be471d6a84884789656e2f3b86",
             ),
         ),
+        # the smallest blocks: four users each, plus a bot in every block
         (
-            dict(seed=3, users_per_type=1, bots=20),
+            dict(seed=3, users_per_type=1),
             dict(
-                interactions="3fde65c0a3434f4e24a790d45cd994fc18195016e2fa8891550f592bb4fc2997",
-                profiles="8e62526aa9283f878fd97063ce3b3dea74362d9ad980dfbd792cc286674a7231",
-                embeddings="36748da9e0b2397f5689f26c2a1536426a51384a46e46643c13a5993741c14f4",
+                interactions="072b01767fe8708f5f33c11ce5569241429039d425a7b592abc06912567de9bc",
+                profiles="cb7b682604a87ea0e96c40addf731c381179e8f224f2b888bb727c1a8fc83c29",
+                embeddings="4235c75ecfe3a29606ef21b339e555ad54e1109ba80631356189ea3f78945b09",
             ),
         ),
         # the kdest-lr-768 benchmark inputs at seed 1
@@ -299,17 +292,8 @@ _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b
                 embeddings="cad9f1651a005849f71454a0117e9451fdaf928dcb8010eab622ff42a6f07985",
             ),
         ),
-        # one user per block plus a bot in four of them: zero or one mate
-        (
-            dict(seed=11, users_per_type=1, blocks=16),
-            dict(
-                interactions="cdd43371d7dc601b28993472304e1d7f65bb284f91a4a30dd02cdc846f0a1d13",
-                profiles="4f5277fa1b6422d850ad69b5df832b3daa2225d8b2b38640e64750ab16c3f34d",
-                embeddings="95a980f40042c1830e6eea628adbbf7c7b1852f366e56bec98b462c7e1cce073",
-            ),
-        ),
     ],
-    ids=["seed7-12", "seed5-2", "seed3-1-bots20", "seed1-48", "seed11-1-blocks16"],
+    ids=["seed7-12", "seed5-2", "seed3-1", "seed1-48"],
 )
 def test_generated_files_are_pinned(tmp_path, kwargs, digests):
     """Generated inputs are byte-for-byte those every golden was recorded on."""
