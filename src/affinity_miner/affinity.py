@@ -17,6 +17,12 @@ from .ingest import EventTable, Sentiment
 
 N_STATES = 3
 
+# alpha and kappa outside this closed range push scores out of [0, 1): near
+# the smallest floats a score rounds to exactly 1.0 or dips below 0, and
+# alpha near 1e308 overflows the chain estimate
+SMOOTHING_RANGE = (1e-6, 1e6)
+SMOOTHING_RANGE_TEXT = "[1e-6, 1e6]"
+
 # pi_j of a 3-state chain is proportional to the weight of the spanning trees
 # directed into j. With a, b the other two states they are a->j<-b, a->b->j
 # and b->a->j, so the rows hold the flat indices (3 row + column) of P[a, j],
@@ -107,10 +113,13 @@ def score_sequences(
 ) -> np.ndarray:
     """One float64 score per sequence (as laid out for estimate_chains): its
     chain's stationary POS mass times the evidence factor n / (n + kappa),
-    for n states. Empty sequences score exactly 0.
+    for n states. Empty sequences score exactly 0. Raises InvalidSpec for
+    alpha or kappa outside SMOOTHING_RANGE.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    lo, hi = SMOOTHING_RANGE
+    for name, value in (("alpha", alpha), ("kappa", kappa)):
+        if not lo <= value <= hi:
+            raise InvalidSpec(f"{name} must be in {SMOOTHING_RANGE_TEXT}, got {value}")
     n = np.asarray(length, dtype=float)
     pos = stationary_distribution(estimate_chains(length, states, alpha))[:, int(Sentiment.POS)]
     return pos * (n / (n + kappa))

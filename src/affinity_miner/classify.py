@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionMismatch, InsufficientData
+from .errors import DimensionMismatch, InsufficientData, InvalidSpec
 from .ingest import ALL_TYPES, MbtiType
 from .lexfeat import count_matrix, tokenize
 
@@ -177,7 +177,7 @@ def train_lr(
     is bitwise the one the same loop over that class alone gives.
     """
     if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+        raise InvalidSpec(f"ridge must be >= 0, got {ridge}")
     X = m.rows
     XT = X.T
     classes, targets = _class_order(labels)
@@ -286,7 +286,7 @@ def cross_validate(
     (corpus, seed).
     """
     if classifier not in ("nb", "lr"):
-        raise ValueError(f"unknown classifier: {classifier!r}")
+        raise InvalidSpec(f"unknown classifier: {classifier!r}")
     counts = Counter(lab for _, lab in c.documents)
     excluded = tuple(sorted(t for t, n in counts.items() if n < folds))
     for t in excluded:

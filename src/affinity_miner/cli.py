@@ -36,6 +36,7 @@ from .ingest import (
     filter_bots,
     load_interactions,
     load_profiles,
+    make_output_dir,
     open_input,
     read_lines,
 )
@@ -87,12 +88,11 @@ def _convert(key: str, raw: str):
 
 
 def _validate(cfg: PipelineConfig) -> PipelineConfig:
-    # alpha and kappa outside [1e-6, 1e6] push affinity scores out of [0, 1):
-    # near the smallest floats a score rounds to exactly 1.0 or dips below 0,
-    # and alpha near 1e308 overflows the chain estimate
+    lo, hi = affinity.SMOOTHING_RANGE
+    smoothing = f"must be in {affinity.SMOOTHING_RANGE_TEXT}"
     checks = [
-        ("alpha", 1e-6 <= cfg.alpha <= 1e6, "must be in [1e-6, 1e6]"),
-        ("kappa", 1e-6 <= cfg.kappa <= 1e6, "must be in [1e-6, 1e6]"),
+        ("alpha", lo <= cfg.alpha <= hi, smoothing),
+        ("kappa", lo <= cfg.kappa <= hi, smoothing),
         ("threshold", cfg.threshold > 0, "must be > 0"),
         ("method", cfg.method in ("mcl", "k-destinations"), "must be mcl or k-destinations"),
         ("k", cfg.k >= 1, "must be >= 1"),
@@ -366,11 +366,7 @@ class PipelineRunner:
         to render writes nothing. An OSError creating the directory or
         writing a file is a ConfigError."""
         texts = [(self.out / name, render(self)) for name, render in STAGES[stage]]
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            message = f"config key out: cannot create directory {str(self.out)!r}: {exc.strerror}"
-            raise ConfigError(message, key="out") from None
+        make_output_dir(self.out)
         for path, text in texts:
             try:
                 _write_atomic(path, text)

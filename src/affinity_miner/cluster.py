@@ -82,7 +82,7 @@ def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.nd
     if not g.order:
         raise InsufficientData("walk matrix needs at least one node")
     if not 0.0 < tau < 1.0:
-        raise ValueError(f"teleport must be in (0, 1), got {tau}")
+        raise InvalidSpec(f"teleport must be in (0, 1), got {tau}")
     n = len(g.order)
     src, dst, w = g.edge_arrays
     W = np.zeros((n, n))
@@ -130,7 +130,7 @@ def hitting_times(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray
     (Kemeny and Snell, 1960). The walk matrix is the only n x n array: it
     becomes I - P + 1 1^T / n in place, LAPACK's getrf and getri (at the
     workspace getri asks for) overwrite it with Z, and H is written over
-    Z. Raises InsufficientData and ValueError as random_walk_matrix does,
+    Z. Raises InsufficientData and InvalidSpec as random_walk_matrix does,
     ValueError on an illegal LAPACK argument, and NonErgodic when the
     factor has a zero pivot or max|pi P - pi|, taken from the edge list,
     is not below STATIONARY_TOL, as for two closed classes at a tiny tau.
@@ -346,9 +346,9 @@ def mcl(
     computed only the generator holds a flow.
     """
     if e < 2:
-        raise ValueError(f"expansion power must be >= 2, got {e}")
+        raise InvalidSpec(f"expansion power must be >= 2, got {e}")
     if r <= 1.0:
-        raise ValueError(f"inflation power must be > 1, got {r}")
+        raise InvalidSpec(f"inflation power must be > 1, got {r}")
     if not g.order:
         raise InsufficientData("clustering needs at least one node")
     M = _mcl_seed_matrix(g)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .affinity import PairSequences
-from .errors import InsufficientData
+from .errors import InsufficientData, InvalidSpec
 from .ingest import ALL_TYPES, MbtiType, UserProfile
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ def build_affinity_graph(
     """The pairs scoring >= threshold (`scores` aligns with `pairs`) whose
     endpoints both have profiles; pairs lacking one are counted in a log line."""
     if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+        raise InvalidSpec(f"threshold must be > 0, got {threshold}")
     labels = {p.user_id: ALL_TYPES.index(p.mbti) for p in profiles}
     # per user code: its type's index, or -1 without a profile
     user_type = np.array([labels.get(u, -1) for u in pairs.users], dtype=np.int8)
@@ -112,4 +112,4 @@ def export_graph(g: AffinityGraph, format: str = "edge-tsv") -> str:
         lines = [f'  {q[i]} [label="{t}"];' for i, t in enumerate(types)]
         lines += [f"  {q[s]} -> {q[d]} [weight={x:.17g}];" for s, d, x in zip(src, dst, w)]
         return "\n".join(["digraph affinity {", *lines, "}"]) + "\n"
-    raise ValueError(f"unknown export format: {format!r}")
+    raise InvalidSpec(f"unknown export format: {format!r}")

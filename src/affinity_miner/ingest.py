@@ -16,11 +16,12 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import InvalidType, MalformedRecord
+from .errors import ConfigError, InvalidType, MalformedRecord
 
 log = logging.getLogger(__name__)
 
@@ -133,6 +134,16 @@ def open_input(path: str | os.PathLike) -> TextIO:
     and name those lines.
     """
     return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def make_output_dir(path: Path) -> None:
+    """Create the output directory `path` and its parents if missing. An
+    OSError is the ConfigError for the out key, naming `path` as given."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"config key out: cannot create directory {str(path)!r}: {exc.strerror}"
+        raise ConfigError(message, key="out") from None
 
 
 def _require_utf8(text: str, what: str = "") -> None:

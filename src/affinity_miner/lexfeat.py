@@ -20,7 +20,13 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 from scipy import sparse
 
-from .errors import ConstantVector, DimensionMismatch, InsufficientData, MalformedRecord
+from .errors import (
+    ConstantVector,
+    DimensionMismatch,
+    InsufficientData,
+    InvalidSpec,
+    MalformedRecord,
+)
 from .ingest import read_lines
 
 log = logging.getLogger(__name__)
@@ -185,7 +191,7 @@ def fit_elastic_net(
     if n < 2:
         raise InsufficientData(f"need at least 2 rows, got {n}")
     if lam < 0 or not 0.0 <= mix <= 1.0:
-        raise ValueError(f"bad penalty: lam={lam}, mix={mix}")
+        raise InvalidSpec(f"bad penalty: lam={lam}, mix={mix}")
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -283,7 +289,7 @@ def _category_weights(
     if len(documents) < 2:
         raise InsufficientData(f"need at least 2 documents, got {len(documents)}")
     if target not in lex.categories:
-        raise ValueError(f"unknown lexicon category: {target!r}")
+        raise InvalidSpec(f"unknown lexicon category: {target!r}")
     y = np.array([extract_features(doc, lex)[target] for doc in documents])
     vocab, X = _token_count_rows(documents)
     fit = fit_elastic_net(X, y, lam, mix)

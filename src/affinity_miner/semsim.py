@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConstantVector, MalformedRecord
+from .errors import ConstantVector, InsufficientData, MalformedRecord
 from .ingest import ALL_TYPES, MbtiType, read_lines
 from .lexfeat import tokenize
 
@@ -87,7 +87,7 @@ def type_similarity_matrix(
     """
     missing = [t for t in ALL_TYPES if t not in corpora]
     if missing:
-        raise ValueError(
+        raise InsufficientData(
             "all 16 type corpora required; missing: "
             + ", ".join(t.value for t in missing)
         )

@@ -23,7 +23,7 @@ import numpy as np
 from .affinity import stationary_distribution
 from .errors import InvalidSpec
 from .graph import AffinityGraph
-from .ingest import ALL_TYPES, MbtiType, Sentiment
+from .ingest import ALL_TYPES, MbtiType, Sentiment, make_output_dir
 
 
 @dataclass(frozen=True)
@@ -193,19 +193,16 @@ def generate_dataset(
     graph carries recoverable block structure. BOTS extra high-bot-score
     profiles (with events) exercise the bot filter downstream. Raises
     InvalidSpec for a negative seed or fewer than one user per type (no
-    usable dataset), and for an out_dir that cannot be created. The config
-    and the returned paths are absolute.
+    usable dataset), and the ConfigError of make_output_dir for an out_dir
+    that cannot be created. The config and the returned paths are absolute.
     """
     if users_per_type < 1:
         raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
     if seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
+    make_output_dir(Path(out_dir))
     # absolute, so the written config.txt runs from any working directory
     out = Path(out_dir).resolve()
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidSpec(f"out: cannot create directory {str(out)!r}: {exc.strerror}") from None
     rng = np.random.default_rng(seed)
 
     # the last field, emotional expressiveness, spreads the category

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from affinity_miner import (
-    ALL_TYPES,
-    AffinityGraph,
-    PairSequences,
-    Sentiment,
-    cluster_link_counts,
-    parse_mbti,
-)
+from affinity_miner.affinity import PairSequences
+from affinity_miner.graph import AffinityGraph
+from affinity_miner.influence import cluster_link_counts
+from affinity_miner.ingest import ALL_TYPES, Sentiment, parse_mbti
 
 
 @pytest.fixture

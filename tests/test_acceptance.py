@@ -9,32 +9,34 @@ import time
 import mpmath
 import numpy as np
 
-from affinity_miner import (
-    ALL_TYPES,
-    LabeledCorpus,
+from affinity_miner.classify import LabeledCorpus, cross_validate, lr_loss_grad
+from affinity_miner.cli import resolve_config, run_pipeline
+from affinity_miner.cluster import (
+    Clustering,
     clustering_error,
-    cosine,
-    cross_validate,
-    emotion_correlation_table,
-    fit_elastic_net,
     hitting_times,
-    influential_types,
     k_destinations,
     labels_from_clustering,
     mcl,
     nmi,
-    pearson_r,
-    planted_partition,
     random_walk_matrix,
-    type_pair_percentages,
-    type_similarity_matrix,
 )
-from affinity_miner.classify import lr_loss_grad
-from affinity_miner.cli import resolve_config, run_pipeline
-from affinity_miner.cluster import Clustering
-from affinity_miner.lexfeat import load_lexicon
-from affinity_miner.semsim import load_embeddings
-from affinity_miner.synth import PlantedSpec, generate_dataset, sample_chain_sequence
+from affinity_miner.graph import type_pair_percentages
+from affinity_miner.influence import influential_types
+from affinity_miner.ingest import ALL_TYPES
+from affinity_miner.lexfeat import (
+    emotion_correlation_table,
+    fit_elastic_net,
+    load_lexicon,
+    pearson_r,
+)
+from affinity_miner.semsim import cosine, load_embeddings, type_similarity_matrix
+from affinity_miner.synth import (
+    PlantedSpec,
+    generate_dataset,
+    planted_partition,
+    sample_chain_sequence,
+)
 
 from conftest import (
     dict_graph,
@@ -135,7 +137,7 @@ def test_04_metric_oracle(rng):
 
 
 def test_05_chain_estimation_consistency(rng):
-    from affinity_miner import estimate_chains
+    from affinity_miner.affinity import estimate_chains
 
     start = time.perf_counter()
     worst = 0.0

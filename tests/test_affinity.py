@@ -1,17 +1,19 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from affinity_miner import (
+from affinity_miner.affinity import (
+    SMOOTHING_RANGE,
     build_pair_sequences,
     estimate_chains,
-    load_interactions,
     score_sequences,
     stationary_distribution,
 )
 from affinity_miner.errors import DimensionMismatch, InvalidSpec, NonErgodic
-from affinity_miner.ingest import Sentiment
+from affinity_miner.ingest import Sentiment, load_interactions
 from affinity_miner.synth import sample_chain_sequence
 
 from conftest import flat, random_ergodic_chain, sequence_dict, well_separated_chain
@@ -245,12 +247,26 @@ class TestAffinityScore:
         assert scores[0] == scores[2]
 
     def test_smoothing_error_propagates(self):
-        with pytest.raises(InvalidSpec, match="^smoothing must be > 0, got 0.0$"):
+        with pytest.raises(InvalidSpec, match=r"^alpha must be in \[1e-6, 1e6\], got 0.0$"):
             affinity_score((POS,), alpha=0.0)
 
     def test_kappa_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match=r"^kappa must be in \[1e-6, 1e6\], got 0.0$"):
             affinity_score((POS,), kappa=0.0)
+
+    @pytest.mark.parametrize(
+        "alpha, kappa",
+        [(1e-20, 1e-20), (1e-7, 5.0), (1.0, 1e-7), (2e6, 5.0), (1.0, 2e6), (math.nan, 5.0)],
+    )
+    def test_smoothing_outside_range_refused(self, alpha, kappa):
+        # unchecked, alpha = kappa = 1e-20 scores three POS states exactly 1.0
+        with pytest.raises(InvalidSpec, match=r" must be in \[1e-6, 1e6\], got "):
+            score_sequences(np.array([3]), np.array([2, 2, 2], dtype=np.int8), alpha, kappa)
+
+    @pytest.mark.parametrize("alpha, kappa", list(itertools.product(SMOOTHING_RANGE, repeat=2)))
+    def test_smoothing_range_is_closed(self, alpha, kappa):
+        scores = score_sequences(*flat([(POS,) * 3, (NEG, POS), ()]), alpha, kappa)
+        assert ((scores >= 0) & (scores < 1)).all()
 
     def test_score_sequences_deterministic(self):
         seqs = [(POS, NEG), (POS,), (), (NEU, POS, POS)]

@@ -5,27 +5,24 @@ import pytest
 from scipy import sparse
 
 from affinity_miner import classify
-from affinity_miner import (
-    ALL_TYPES,
-    LabeledCorpus,
-    cross_validate,
-    f1_score,
-    parse_mbti,
-    train_lr,
-    train_nb,
-    vectorize_corpus,
-)
 from affinity_miner.classify import (
+    LabeledCorpus,
     LinearModel,
     LrModel,
     TfIdfMatrix,
     _stratified_folds,
+    cross_validate,
+    f1_score,
     lr_loss_grad,
     predict_many,
     render_cv_report,
+    train_lr,
+    train_nb,
     transform_documents,
+    vectorize_corpus,
 )
-from affinity_miner.errors import DimensionMismatch, InsufficientData
+from affinity_miner.errors import DimensionMismatch, InsufficientData, InvalidSpec
+from affinity_miner.ingest import ALL_TYPES, parse_mbti
 
 INFJ, ENTP, ISTJ = parse_mbti("INFJ"), parse_mbti("ENTP"), parse_mbti("ISTJ")
 
@@ -428,7 +425,7 @@ class TestLogisticRegression:
     def test_negative_ridge_rejected(self):
         c = separable_corpus()
         m = vectorize_corpus(texts_of(c))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^ridge must be >= 0, got -1.0$"):
             train_lr(m, [lab for _, lab in c.documents], ridge=-1.0)
 
 
@@ -531,7 +528,7 @@ class TestCrossValidate:
             cross_validate(corpus_of(docs), "nb", folds=10, seed=0)
 
     def test_unknown_classifier(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^unknown classifier: 'svm'$"):
             cross_validate(sixteen_type_corpus(rng), "svm")
 
     def test_lr_report_matches_per_class_descent(self, rng, monkeypatch):

@@ -351,8 +351,21 @@ class TestMainEntry:
         out = taken / "sub" if below else taken
         assert main(["synth", "--out", str(out), "--users-per-type", "1"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: out: cannot create directory {str(out)!r}: {reason}\n"
+        assert err == f"error: config key out: cannot create directory {str(out)!r}: {reason}\n"
         assert taken.read_text() == "keep\n"
+
+    def test_unusable_out_is_one_error_for_synth_and_stages(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        # named as given: relative here, not resolved
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("keep\n")
+        config = ["--config", str(dataset["config"])]
+        errors = []
+        for args in (["synth"], ["ingest", *config], ["run", *config]):
+            assert main([*args, "--out", "taken"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: config key out: cannot create directory 'taken': File exists\n"] * 3
 
     def test_single_stage_subcommand(self, dataset, tmp_path):
         out = tmp_path / "stage_out"
@@ -799,6 +812,19 @@ class TestBadInputsExitOne:
         assert (out / "ingest.txt").read_text().startswith(f"events = {len(lines)}\n")
 
 
+def fresh_python(code: str) -> str:
+    """Stripped stdout of `code` run in a new interpreter on this source tree."""
+    src = Path(cli_module.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.strip()
+
+
 def test_import_does_not_touch_the_umask():
     # umask is process-wide: changing it even briefly races other threads
     code = (
@@ -809,15 +835,7 @@ def test_import_does_not_touch_the_umask():
         "import affinity_miner.cli\n"
         "print(calls)\n"
     )
-    src = Path(cli_module.__file__).parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
 
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
@@ -825,12 +843,18 @@ def test_import_leaves_scipy_module_unloaded(module):
     # clustering_error imports scipy.optimize on first call, and the pipeline
     # never calls it; hitting_times imports scipy.linalg, which MCL never needs
     code = f"import sys, affinity_miner.cli; print({module!r} in sys.modules)"
-    src = Path(cli_module.__file__).parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "False"
+    assert fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize(
+    "statement, prefix",
+    [
+        # the package itself loads none of its modules
+        ("import affinity_miner", "affinity_miner."),
+        # what a benchmark process imports to generate its inputs
+        ("import affinity_miner.synth", "scipy"),
+    ],
+)
+def test_import_loads_only_what_it_names(statement, prefix):
+    code = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    assert fresh_python(code) == "[]"

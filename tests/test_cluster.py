@@ -6,28 +6,26 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from affinity_miner import (
-    Clustering,
-    clustering_error,
-    hitting_times,
-    k_destinations,
-    labels_from_clustering,
-    mcl,
-    nmi,
-    parse_mbti,
-    random_walk_matrix,
-)
 from affinity_miner import cluster as cluster_module
 from affinity_miner.cluster import (
     MCL_BLOCK_COLUMNS,
     MCL_MAX_ITER,
     MCL_TOL,
+    Clustering,
     _column_sums,
     _mcl_seed_matrix,
     _normalize_columns,
+    clustering_error,
+    hitting_times,
+    k_destinations,
+    labels_from_clustering,
+    mcl,
     mcl_flow,
+    nmi,
+    random_walk_matrix,
 )
 from affinity_miner.errors import DimensionMismatch, InsufficientData, InvalidSpec, NonErgodic
+from affinity_miner.ingest import parse_mbti
 from affinity_miner.synth import PlantedSpec, planted_partition
 
 from conftest import dict_graph, id_sets, make_graph, random_positive_graph, two_block_graph
@@ -193,7 +191,7 @@ class TestRandomWalkMatrix:
 
     def test_bad_tau(self):
         g = make_graph([("a", "b", 1.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match=r"^teleport must be in \(0, 1\), got 1.0$"):
             random_walk_matrix(g, tau=1.0)
 
 
@@ -272,7 +270,7 @@ class TestHittingTimes:
     def test_empty_graph_and_bad_tau_refused(self):
         with pytest.raises(InsufficientData, match="^walk matrix needs at least one node$"):
             hitting_times(dict_graph(nodes={}, edges={}))
-        with pytest.raises(ValueError, match="teleport"):
+        with pytest.raises(InvalidSpec, match="teleport"):
             hitting_times(make_graph([("a", "b", 1.0)]), 0.0)
 
     @pytest.mark.parametrize("routine", ["dgetrf", "dgetri"])
@@ -329,7 +327,7 @@ class TestMcl:
         assert c.clusters[0].tolist() == list(range(5))
 
     def test_single_node(self):
-        from affinity_miner import parse_mbti
+        from affinity_miner.ingest import parse_mbti
 
         g = dict_graph(nodes={"solo": parse_mbti("INFJ")}, edges={})
         c = mcl(g)
@@ -365,9 +363,9 @@ class TestMcl:
 
     def test_parameter_validation(self):
         g = two_block_graph(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^expansion power must be >= 2, got 1$"):
             mcl(g, e=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^inflation power must be > 1, got 1.0$"):
             mcl(g, r=1.0)
 
     def test_iteration_cap_returns_partial_result(self, caplog, monkeypatch):

@@ -4,19 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from affinity_miner import (
-    MbtiType,
-    UserProfile,
+from affinity_miner.affinity import build_pair_sequences, score_sequences
+from affinity_miner.errors import InsufficientData, InvalidSpec
+from affinity_miner.graph import (
+    EDGE_TSV_HEADER,
+    TYPE_PAIRS,
     build_affinity_graph,
-    build_pair_sequences,
     export_graph,
-    load_interactions,
-    parse_mbti,
-    score_sequences,
     type_pair_percentages,
 )
-from affinity_miner.errors import InsufficientData
-from affinity_miner.graph import EDGE_TSV_HEADER, TYPE_PAIRS
+from affinity_miner.ingest import MbtiType, UserProfile, load_interactions, parse_mbti
 
 from conftest import dict_graph, make_graph, scored_pairs
 
@@ -94,7 +91,7 @@ class TestBuildAffinityGraph:
                 a[0] = 0
 
     def test_positive_threshold_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^threshold must be > 0, got 0.0$"):
             build_affinity_graph(*scored_pairs({}), [], 0.0)
 
 
@@ -218,5 +215,5 @@ class TestExportImport:
 
     def test_unknown_format(self):
         g = make_graph([("a", "b", 0.5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^unknown export format: 'xml'$"):
             export_graph(g, "xml")

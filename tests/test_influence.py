@@ -3,13 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinity_miner import (
-    Clustering,
-    cluster_link_counts,
-    influential_types,
-    parse_mbti,
-)
+from affinity_miner.cluster import Clustering
 from affinity_miner.errors import UnknownNode
+from affinity_miner.influence import cluster_link_counts, influential_types
+from affinity_miner.ingest import parse_mbti
 from affinity_miner.synth import PlantedSpec, planted_partition
 
 from conftest import counts_by_id, dict_graph, index_clusters, make_graph, neighbor_sets

@@ -5,17 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinity_miner import (
+from affinity_miner.errors import InvalidType, MalformedRecord
+from affinity_miner.ingest import (
     ALL_TYPES,
     MbtiType,
+    Sentiment,
     UserProfile,
     filter_bots,
     load_interactions,
     load_profiles,
+    open_input,
     parse_mbti,
 )
-from affinity_miner.errors import InvalidType, MalformedRecord
-from affinity_miner.ingest import Sentiment, open_input
 
 
 def event_line(source="a", target="b", timestamp=1, sentiment="POS", **extra):

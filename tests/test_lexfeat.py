@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from affinity_miner import lexfeat
-from affinity_miner import (
+from affinity_miner.errors import (
+    ConstantVector,
+    DimensionMismatch,
+    InsufficientData,
+    InvalidSpec,
+    MalformedRecord,
+)
+from affinity_miner.lexfeat import (
+    FIRST_PERSON_KEY,
     emotion_correlation_table,
     extract_features,
     fit_elastic_net,
@@ -12,13 +20,6 @@ from affinity_miner import (
     pearson_r,
     tokenize,
 )
-from affinity_miner.errors import (
-    ConstantVector,
-    DimensionMismatch,
-    InsufficientData,
-    MalformedRecord,
-)
-from affinity_miner.lexfeat import FIRST_PERSON_KEY
 
 
 def small_lexicon():
@@ -205,7 +206,7 @@ class TestFitElasticNet:
 
     @pytest.mark.parametrize("lam, mix", [(-0.1, 0.5), (0.01, 1.5)])
     def test_bad_penalty(self, rng, lam, mix):
-        with pytest.raises(ValueError, match=f"^bad penalty: lam={lam}, mix={mix}$"):
+        with pytest.raises(InvalidSpec, match=f"^bad penalty: lam={lam}, mix={mix}$"):
             fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=10), lam, mix)
 
     def test_constant_column_coefficient_exactly_zero(self, rng):
@@ -320,5 +321,5 @@ class TestTypeEmotionCorrelation:
             emotion_correlation_table({"a": docs, "b": list(docs)}, lex, "posemo", n=1)
 
     def test_unknown_category(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^unknown lexicon category: 'nope'$"):
             correlation(["a b", "c d"], ["a b", "c d"], small_lexicon(), "nope")

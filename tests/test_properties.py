@@ -11,15 +11,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affinity_miner import (
-    Sentiment,
-    UserProfile,
-    build_affinity_graph,
+from affinity_miner.affinity import (
+    SMOOTHING_RANGE,
     build_pair_sequences,
-    sample_chain_sequence,
     score_sequences,
     stationary_distribution,
-    type_pair_percentages,
 )
 from affinity_miner.cli import parse_config_file
 from affinity_miner.cluster import (
@@ -38,11 +34,18 @@ from affinity_miner.errors import (
     MalformedRecord,
     NonErgodic,
 )
-from affinity_miner.graph import TYPE_PAIRS, export_graph
+from affinity_miner.graph import (
+    TYPE_PAIRS,
+    build_affinity_graph,
+    export_graph,
+    type_pair_percentages,
+)
 from affinity_miner.influence import cluster_link_counts, influential_types
 from affinity_miner.ingest import (
     ALL_TYPES,
     MbtiType,
+    Sentiment,
+    UserProfile,
     load_interactions,
     load_profiles,
     open_input,
@@ -57,6 +60,7 @@ from affinity_miner.lexfeat import (
     tokenize,
 )
 from affinity_miner.semsim import load_embeddings
+from affinity_miner.synth import sample_chain_sequence
 
 from conftest import counts_by_id, flat, id_sets, neighbor_sets, scored_pairs
 
@@ -69,11 +73,9 @@ PROPERTY = settings(
 )
 
 state_tuples = st.lists(st.sampled_from(list(Sentiment)), max_size=200).map(tuple)
-# The half-open bound holds for moderate smoothing only: with alpha and kappa
-# near the smallest floats the score rounds to exactly 1.0 or dips just below
-# 0, and alpha near 1e308 overflows the chain estimate. Config validation
-# rejects alpha and kappa outside this range.
-smoothing = st.floats(min_value=1e-6, max_value=1e6)
+# The half-open bound holds for moderate smoothing only (see SMOOTHING_RANGE),
+# which score_sequences and config validation both enforce.
+smoothing = st.floats(*SMOOTHING_RANGE)
 
 
 @PROPERTY

@@ -5,8 +5,8 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from affinity_miner import generate_dataset
 from affinity_miner.cli import PipelineConfig
+from affinity_miner.synth import generate_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

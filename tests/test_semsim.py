@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from affinity_miner import (
-    ALL_TYPES,
-    cosine,
-    doc_vector,
-    load_embeddings,
-    type_similarity_matrix,
-)
-from affinity_miner.errors import ConstantVector, MalformedRecord
+from affinity_miner.errors import ConstantVector, InsufficientData, MalformedRecord
+from affinity_miner.ingest import ALL_TYPES
+from affinity_miner.semsim import cosine, doc_vector, load_embeddings, type_similarity_matrix
 
 
 def table_of(lines):
@@ -133,7 +128,7 @@ class TestTypeSimilarityMatrix:
         table = self.full_table()
         corpora = self.corpora({})
         del corpora[ALL_TYPES[3]]
-        with pytest.raises(ValueError, match=ALL_TYPES[3].value):
+        with pytest.raises(InsufficientData, match=f"; missing: {ALL_TYPES[3].value}$"):
             type_similarity_matrix(corpora, table)
 
     def test_oov_corpus_names_type(self):

@@ -4,19 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from affinity_miner import (
-    ALL_TYPES,
-    estimate_chains,
-    k_destinations,
-    labels_from_clustering,
-    nmi,
+from affinity_miner import synth
+from affinity_miner.affinity import estimate_chains
+from affinity_miner.cluster import k_destinations, labels_from_clustering, nmi
+from affinity_miner.errors import InvalidSpec
+from affinity_miner.ingest import ALL_TYPES, Sentiment
+from affinity_miner.synth import (
+    PlantedSpec,
+    generate_dataset,
     planted_partition,
     sample_chain_sequence,
 )
-from affinity_miner import synth
-from affinity_miner.errors import InvalidSpec
-from affinity_miner.ingest import Sentiment
-from affinity_miner.synth import PlantedSpec, generate_dataset
 
 from conftest import dict_graph, flat, random_ergodic_chain
 
@@ -207,7 +205,7 @@ class TestGenerateDataset:
             assert paths1[key].read_bytes() == paths2[key].read_bytes()
 
     def test_loads_through_ingest(self, tmp_path):
-        from affinity_miner import load_interactions, load_profiles
+        from affinity_miner.ingest import load_interactions, load_profiles
 
         paths = generate_dataset(tmp_path, seed=1, users_per_type=2)
         with paths["interactions"].open() as fh:
@@ -218,7 +216,7 @@ class TestGenerateDataset:
         assert set(events.users) <= {p.user_id for p in profiles}
         assert set(events.documents) <= set(events.users)
         assert any(p.bot_score >= 2.5 for p in profiles)
-        assert {p.mbti for p in profiles} == set(__import__("affinity_miner").ALL_TYPES)
+        assert {p.mbti for p in profiles} == set(ALL_TYPES)
 
     def test_no_users_rejected(self, tmp_path):
         with pytest.raises(InvalidSpec, match="users_per_type"):
