@@ -33,6 +33,7 @@ from .ingest import (
     ALL_TYPES,
     MbtiType,
     UserProfile,
+    cannot_write,
     filter_bots,
     load_interactions,
     load_profiles,
@@ -371,8 +372,7 @@ class PipelineRunner:
             try:
                 _write_atomic(path, text)
             except OSError as exc:
-                message = f"config key out: cannot write {str(path)!r}: {exc.strerror}"
-                raise ConfigError(message, key="out") from None
+                raise cannot_write(path, exc) from None
 
 
 # report section -> renderer, in report order. Renderers and writers are

@@ -146,6 +146,12 @@ def make_output_dir(path: Path) -> None:
         raise ConfigError(message, key="out") from None
 
 
+def cannot_write(path: Path, exc: OSError) -> ConfigError:
+    """The ConfigError for the out key when the file `path`, named as
+    given, cannot be written."""
+    return ConfigError(f"config key out: cannot write {str(path)!r}: {exc.strerror}", key="out")
+
+
 def _require_utf8(text: str, what: str = "") -> None:
     """ValueError, its message prefixed by `what`, if text holds a lone
     surrogate: a byte that is not UTF-8 (see open_input) or a JSON escape

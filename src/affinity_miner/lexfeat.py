@@ -1,8 +1,8 @@
 """Lexicon-based psycholinguistic features and elastic-net correlation.
 
 A lexicon maps category names to word patterns (literal tokens or prefixes
-written with a trailing *). Feature extraction reports each category's
-matched-token proportion plus the first-person pronoun proportion. To
+written with a trailing *). The features of a document are the lexicon's
+categories, each one's matched-token proportion and nothing else. To
 compare two groups' emotional language, each group's per-document category
 proportion is regressed on token counts with an elastic net and the top
 coefficient vectors are correlated.
@@ -30,11 +30,6 @@ from .errors import (
 from .ingest import read_lines
 
 log = logging.getLogger(__name__)
-
-FIRST_PERSON_PRONOUNS = frozenset(
-    ["i", "me", "my", "mine", "myself", "we", "us", "our", "ours", "ourselves"]
-)
-FIRST_PERSON_KEY = "first_person_pronoun"
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # every ASCII non-alphanumeric mapped to a space: on ASCII text the runs
@@ -95,8 +90,8 @@ def _check_pattern(pattern: str, lineno: int) -> str:
 
 
 def load_lexicon(stream) -> Lexicon:
-    """Parse category<TAB>pattern lines; duplicates collapse. A category may
-    not be named FIRST_PERSON_KEY, the key of the pronoun share."""
+    """Parse category<TAB>pattern lines; duplicates collapse. Any category
+    name loads: the features are exactly these categories."""
     categories: dict[str, set[str]] = {}
     for lineno, line in read_lines(stream):
         parts = line.split("\t")
@@ -106,12 +101,6 @@ def load_lexicon(stream) -> Lexicon:
                 line=lineno,
             )
         category = parts[0].strip().lower()
-        if category == FIRST_PERSON_KEY:
-            raise MalformedRecord(
-                f"line {lineno}: category name {category!r} is reserved "
-                "for the first-person pronoun share",
-                line=lineno,
-            )
         pattern = _check_pattern(parts[1].strip(), lineno)
         categories.setdefault(category, set()).add(pattern)
     return Lexicon(
@@ -126,7 +115,7 @@ def load_lexicon(stream) -> Lexicon:
 
 
 def extract_features(text: str, lex: Lexicon) -> FeatureVector:
-    """Per-category matched-token proportions plus first-person proportion.
+    """Each lexicon category's matched-token proportion, and no other key.
 
     Empty text yields an all-zero vector. Categories may overlap, so the
     proportions need not sum to 1. Each distinct token is matched once and
@@ -135,15 +124,12 @@ def extract_features(text: str, lex: Lexicon) -> FeatureVector:
     tokens = tokenize(text)
     categories = lex.categories
     values = {name: 0.0 for name in categories}
-    values[FIRST_PERSON_KEY] = 0.0
     if not tokens:
         return values
     for token, count in Counter(tokens).items():
         for name, (literals, prefixes) in categories.items():
             if token in literals or token.startswith(prefixes):
                 values[name] += count
-        if token in FIRST_PERSON_PRONOUNS:
-            values[FIRST_PERSON_KEY] += count
     n = float(len(tokens))
     return {name: count / n for name, count in values.items()}
 

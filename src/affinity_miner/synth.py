@@ -23,7 +23,7 @@ import numpy as np
 from .affinity import stationary_distribution
 from .errors import InvalidSpec
 from .graph import AffinityGraph
-from .ingest import ALL_TYPES, MbtiType, Sentiment, make_output_dir
+from .ingest import ALL_TYPES, MbtiType, Sentiment, cannot_write, make_output_dir
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,10 @@ def generate_dataset(
     graph carries recoverable block structure. BOTS extra high-bot-score
     profiles (with events) exercise the bot filter downstream. Raises
     InvalidSpec for a negative seed or fewer than one user per type (no
-    usable dataset), and the ConfigError of make_output_dir for an out_dir
-    that cannot be created. The config and the returned paths are absolute.
+    usable dataset), the ConfigError of make_output_dir for an out_dir
+    that cannot be created, and the out key's cannot-write ConfigError,
+    naming the file under out_dir as given, for a file that cannot be
+    written. The config and the returned paths are absolute.
     """
     if users_per_type < 1:
         raise InvalidSpec(f"users_per_type must be >= 1, got {users_per_type}")
@@ -282,49 +284,29 @@ def generate_dataset(
                 timestamp += 1
 
     shuffle = rng.permutation(len(lines))
-    interactions_path = out / "interactions.jsonl"
-    with interactions_path.open("w", encoding="utf-8") as fh:
-        # line by line: a joined string plus its encoded copy would more
-        # than double the memory the lines hold
-        fh.writelines(lines[i] for i in shuffle.tolist())
-
-    profiles_path = out / "profiles.tsv"
-    with profiles_path.open("w", encoding="utf-8") as fh:
-        fh.write("user_id\tmbti\tbot_score\n")
-        for u in table:
-            fh.write(f"{u.name}\t{u.mbti}\t{u.bot_score}\n")
-
     vocabulary = sorted(
         set(POSITIVE_WORDS + NEGATIVE_WORDS + PRONOUNS + SHARED_WORDS).union(*TYPE_WORDS.values())
     )
-    embeddings_path = out / "embeddings.txt"
-    with embeddings_path.open("w", encoding="utf-8") as fh:
-        for token in vocabulary:
-            vec = rng.normal(size=8)
-            fh.write(token + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
-
-    lexicon_path = out / "lexicon.tsv"
-    lexicon_path.write_text("\n".join(LEXICON_LINES) + "\n", encoding="utf-8")
-
-    config_path = out / "config.txt"
-    config_path.write_text(
-        "\n".join(
-            [
-                f"interactions = {interactions_path}",
-                f"profiles = {profiles_path}",
-                f"embeddings = {embeddings_path}",
-                f"lexicon = {lexicon_path}",
-                f"out = {out / 'results'}",
-                f"seed = {seed}",
-            ]
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    return {
-        "interactions": interactions_path,
-        "profiles": profiles_path,
-        "embeddings": embeddings_path,
-        "lexicon": lexicon_path,
-        "config": config_path,
+    names = ("interactions.jsonl", "profiles.tsv", "embeddings.txt", "lexicon.tsv", "config.txt")
+    paths = {name.partition(".")[0]: out / name for name in names}
+    contents = {
+        # line by line: a joined string plus its encoded copy would more
+        # than double the memory the lines hold
+        "interactions": (lines[i] for i in shuffle.tolist()),
+        "profiles": ["user_id\tmbti\tbot_score\n"]
+        + [f"{u.name}\t{u.mbti}\t{u.bot_score}\n" for u in table],
+        "embeddings": [
+            token + " " + " ".join(f"{v:.6f}" for v in rng.normal(size=8)) + "\n"
+            for token in vocabulary
+        ],
+        "lexicon": [line + "\n" for line in LEXICON_LINES],
+        "config": [f"{key} = {path}\n" for key, path in paths.items() if key != "config"]
+        + [f"out = {out / 'results'}\n", f"seed = {seed}\n"],
     }
+    for key, chunks in contents.items():
+        try:
+            with paths[key].open("w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise cannot_write(Path(out_dir) / paths[key].name, exc) from None
+    return paths

@@ -354,6 +354,15 @@ class TestMainEntry:
         assert err == f"error: config key out: cannot create directory {str(out)!r}: {reason}\n"
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("name", ["interactions.jsonl", "config.txt"])
+    def test_synth_unwritable_file_exits_one(self, tmp_path, monkeypatch, capsys, name):
+        # named as given: relative here, not resolved
+        monkeypatch.chdir(tmp_path)
+        Path("d", name).mkdir(parents=True)
+        assert main(["synth", "--out", "d", "--users-per-type", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key out: cannot write 'd/{name}': Is a directory\n"
+
     def test_unusable_out_is_one_error_for_synth_and_stages(
         self, dataset, tmp_path, monkeypatch, capsys
     ):
@@ -776,20 +785,6 @@ class TestBadInputsExitOne:
         assert "line 4: 'self-*' is not one token and can never match" in err
         assert "Traceback" not in err
 
-    def test_lexicon_category_named_like_the_pronoun_share(self, dataset, tmp_path, capsys):
-        lexicon = tmp_path / "lexicon.tsv"
-        lexicon.write_text(dataset["lexicon"].read_text() + "first_person_pronoun\tme\n")
-        out = tmp_path / "results"
-        args = self.stage_args(dataset, out, "interactions", "profiles", lexicon=lexicon,
-                               pos_category="first_person_pronoun")
-        assert main(["lexcorr", *args]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "error: line 12: category name 'first_person_pronoun' is reserved "
-            "for the first-person pronoun share"
-        ]
-        assert not out.exists()
-
     def test_lexcorr_names_a_type_without_users(self, dataset, tmp_path, capsys):
         lines = dataset["profiles"].read_text().splitlines(keepends=True)
         profiles = tmp_path / "profiles.tsv"
@@ -810,6 +805,18 @@ class TestBadInputsExitOne:
         assert main(["ingest", *args]) == 0
         assert f"line {len(lines) + 1} rejected: invalid JSON: nested too deeply" in caplog.text
         assert (out / "ingest.txt").read_text().startswith(f"events = {len(lines)}\n")
+
+
+def test_lexicon_category_named_first_person_pronoun_loads(dataset, tmp_path, capsys):
+    # the features are the lexicon's categories, so no category name is reserved
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(dataset["lexicon"].read_text() + "first_person_pronoun\ti\n")
+    out = tmp_path / "results"
+    inputs = [f"--set={key}={dataset[key]}" for key in ("interactions", "profiles")]
+    assert main(["lexcorr", *inputs, f"--set=lexicon={lexicon}",
+                 "--set=neg_category=first_person_pronoun", "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == ["lexcorr_neg.tsv", "lexcorr_pos.tsv"]
 
 
 def fresh_python(code: str) -> str:

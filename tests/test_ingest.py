@@ -43,6 +43,10 @@ class TestParseMbti:
         with pytest.raises(InvalidType):
             parse_mbti("ABCD")
 
+    def test_type_does_not_order_against_its_code(self):
+        with pytest.raises(TypeError):
+            MbtiType.ENFJ < "ENFJ"
+
 
 class TestFilterBots:
     def build(self, scores):

@@ -12,7 +12,6 @@ from affinity_miner.errors import (
     MalformedRecord,
 )
 from affinity_miner.lexfeat import (
-    FIRST_PERSON_KEY,
     emotion_correlation_table,
     extract_features,
     fit_elastic_net,
@@ -79,22 +78,12 @@ class TestLoadLexicon:
         }
         assert list(lex.categories) == ["a", "b"]
 
-    @pytest.mark.parametrize("name", [FIRST_PERSON_KEY, "First_Person_Pronoun"])
-    def test_pronoun_share_key_is_a_reserved_category(self, name):
-        # a category of that name would be summed into the pronoun share
-        lines = ["posemo\thapp*", f"{name}\tme"]
-        with pytest.raises(MalformedRecord, match="^line 2: category name") as info:
-            load_lexicon(lines)
-        assert info.value.line == 2
-        assert "'first_person_pronoun' is reserved" in str(info.value)
-
 
 class TestExtractFeatures:
     def test_hand_counted_proportions(self):
         lex = load_lexicon(["posemo\thapp*"])
         features = extract_features("I am happy", lex)
-        assert features["posemo"] == pytest.approx(1 / 3)
-        assert features[FIRST_PERSON_KEY] == pytest.approx(1 / 3)
+        assert features == {"posemo": pytest.approx(1 / 3)}
 
     def test_empty_text_zero_vector(self):
         features = extract_features("", small_lexicon())
