@@ -5,9 +5,8 @@ influence, semsim, lexcorr, classify), generate synthetic inputs (synth),
 write the aggregated report (report) or everything at once (run).
 
 Configuration is a flat key = value text file; every key can be overridden
-by an AFFINITY_MINER_<KEY> environment variable, by --set key=value, and by
-the dedicated --seed / --out flags. Unknown keys are rejected. A stage
-renders all of its outputs before it creates the output directory and
+by --set key=value, and out also by --out. Unknown keys are rejected. A
+stage renders all of its outputs before it creates the output directory and
 writes each file atomically, so a failing stage writes nothing and never
 corrupts the outputs of stages that already completed.
 """
@@ -41,8 +40,6 @@ from .ingest import (
     open_input,
     read_lines,
 )
-
-ENV_PREFIX = "AFFINITY_MINER_"
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,7 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
     lo, hi = affinity.SMOOTHING_RANGE
     smoothing = f"must be in {affinity.SMOOTHING_RANGE_TEXT}"
     checks = [
+        ("out", cfg.out != "", "is required"),
         ("alpha", lo <= cfg.alpha <= hi, smoothing),
         ("kappa", lo <= cfg.kappa <= hi, smoothing),
         ("threshold", cfg.threshold > 0, "must be > 0"),
@@ -152,17 +150,11 @@ def _config_values(stream) -> dict[str, str]:
 def resolve_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
-    env: dict[str, str] | None = None,
 ) -> PipelineConfig:
-    """Defaults, then config file, then environment, then CLI overrides."""
-    env = os.environ if env is None else env
+    """Defaults, then config file, then command-line overrides."""
     merged: dict[str, object] = {}
     for key, raw in (file_values or {}).items():
         merged[key] = _convert(key, raw)
-    for key in _FIELD_TYPES:
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in env:
-            merged[key] = _convert(key, env[env_key])
     for key, raw in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}", key=key)
@@ -293,7 +285,8 @@ class PipelineRunner:
         lex = self._load("lexicon", lexfeat.load_lexicon)
         for key in ("pos_category", "neg_category"):
             category = getattr(self.cfg, key)
-            if category not in lex.categories:
+            # load_lexicon lowercases the category names, so any case matches
+            if category.lower() not in lex.categories:
                 raise ConfigError(
                     f"config key {key}: {category!r} is not a lexicon category; "
                     f"the lexicon has: {', '.join(lex.categories)}",
@@ -301,7 +294,7 @@ class PipelineRunner:
                 )
         return {
             name: lexfeat.emotion_correlation_table(
-                self.documents_by_type, lex, category,
+                self.documents_by_type, lex, category.lower(),
                 self.cfg.top_n, self.cfg.lam, self.cfg.mix,
             )
             for name, category in (
@@ -447,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="path to key = value config file")
-        p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="override output directory")
         p.add_argument(
             "--set",
@@ -477,14 +469,14 @@ def _config_from_args(args) -> PipelineConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}", key="set")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     if args.out is not None:
         overrides["out"] = args.out
     return resolve_config(file_values, overrides)
 
 
 def _synth(args) -> None:
+    if not args.out:
+        raise ConfigError("config key out is required", key="out")
     paths = synth.generate_dataset(
         args.out, seed=args.seed, users_per_type=args.users_per_type
     )

@@ -108,17 +108,19 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err == "error: line 2: repeated config key 'seed'\n"
         path.write_text("seed = 1\n")
-        env = {"AFFINITY_MINER_SEED": "2"}
-        assert resolve_config(parse_config_file(path), {}, env=env).seed == 2
-        assert resolve_config(parse_config_file(path), {"seed": "3"}, env=env).seed == 3
+        assert resolve_config(parse_config_file(path), {"seed": "3"}).seed == 3
 
-    def test_env_override(self, tmp_path):
-        cfg = resolve_config({}, {}, env={"AFFINITY_MINER_KAPPA": "9.5"})
-        assert cfg.kappa == 9.5
+    def test_environment_is_not_a_source(self, monkeypatch):
+        monkeypatch.setenv("AFFINITY_MINER_KAPPA", "9")
+        assert resolve_config({}, {}).kappa == 5.0
 
-    def test_cli_override_beats_env(self):
-        cfg = resolve_config({}, {"kappa": "2.0"}, env={"AFFINITY_MINER_KAPPA": "9.5"})
-        assert cfg.kappa == 2.0
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_seed_flag_is_a_usage_error(self, command, capsys):
+        # --set seed=N is the one spelling; synth's --seed is its own argument
+        with pytest.raises(SystemExit) as info:
+            main([command, "--seed", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_range_validation(self):
         with pytest.raises(ConfigError) as info:
@@ -164,14 +166,9 @@ class TestConfigResolution:
     def test_non_finite_float_rejected(self, tmp_path, key):
         path = tmp_path / "c.txt"
         path.write_text(f"{key} = inf\n")
-        sources = [
-            (parse_config_file(path), {}, {}),
-            ({}, {}, {f"AFFINITY_MINER_{key.upper()}": "-inf"}),
-            ({}, {key: "nan"}, {}),
-        ]
-        for file_values, overrides, env in sources:
+        for file_values, overrides in [(parse_config_file(path), {}), ({}, {key: "nan"})]:
             with pytest.raises(ConfigError, match=f"config key {key} must be finite") as info:
-                resolve_config(file_values, overrides, env=env)
+                resolve_config(file_values, overrides)
             assert info.value.key == key
 
 
@@ -266,13 +263,13 @@ def test_graph_stage_holds_no_event_column(dataset, tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def run_outputs(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    assert main(["run", *input_args(dataset), "--seed", "11", "--out", str(out)]) == 0
+    assert main(["run", *input_args(dataset), "--set", "seed=11", "--out", str(out)]) == 0
     return out
 
 
 @pytest.mark.parametrize("stage", list(cli_module.STAGES))
 def test_stage_subcommand_alone_writes_the_run_bytes(dataset, run_outputs, tmp_path, stage):
-    assert main([stage, *input_args(dataset), "--seed", "11", "--out", str(tmp_path)]) == 0
+    assert main([stage, *input_args(dataset), "--set", "seed=11", "--out", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(name for name, _ in cli_module.STAGES[stage])
     for name in written:
@@ -314,7 +311,7 @@ class TestMainEntry:
 
     def test_run_negative_seed_exits_one_before_any_stage(self, dataset, tmp_path, capsys):
         out = tmp_path / "results"
-        args = ["--config", str(dataset["config"]), "--seed", "-1", "--out", str(out)]
+        args = ["--config", str(dataset["config"]), "--set", "seed=-1", "--out", str(out)]
         assert main(["run", *args]) == 1
         err = capsys.readouterr().err
         assert "config key seed must be >= 0" in err
@@ -375,6 +372,27 @@ class TestMainEntry:
             assert main([*args, "--out", "taken"]) == 1
             errors.append(capsys.readouterr().err)
         assert errors == ["error: config key out: cannot create directory 'taken': File exists\n"] * 3
+
+    def test_empty_out_is_required_and_writes_nothing(self, dataset, tmp_path, monkeypatch, capsys):
+        # --out "$OUT" with OUT unset must not write into the working directory
+        blank = tmp_path / "config.txt"
+        lines = dataset["config"].read_text().splitlines(keepends=True)
+        blank.write_text("".join("out =\n" if line.startswith("out =") else line for line in lines))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        config = ["--config", str(dataset["config"])]
+        cases = [["synth", "--out", ""]]
+        for command in ("ingest", "run"):
+            cases += [
+                [command, *config, "--out", ""],
+                [command, *config, "--set", "out="],
+                [command, "--config", str(blank)],
+            ]
+        for args in cases:
+            assert main(args) == 1, args
+            assert capsys.readouterr().err == "error: config key out is required\n", args
+        assert list(cwd.iterdir()) == []
 
     def test_single_stage_subcommand(self, dataset, tmp_path):
         out = tmp_path / "stage_out"
@@ -448,7 +466,7 @@ class TestMainEntry:
             "--set", f"profiles={dataset['profiles']}",
             "--set", f"embeddings={dataset['embeddings']}",
             "--set", f"lexicon={dataset['lexicon']}",
-            "--seed", "11",
+            "--set", "seed=11",
             "--out", str(out),
         ])
         assert code == 0
@@ -817,6 +835,20 @@ def test_lexicon_category_named_first_person_pronoun_loads(dataset, tmp_path, ca
                  "--set=neg_category=first_person_pronoun", "--out", str(out)]) == 0
     assert "error" not in capsys.readouterr().err
     assert sorted(path.name for path in out.iterdir()) == ["lexcorr_neg.tsv", "lexcorr_pos.tsv"]
+
+
+def test_lexicon_category_matches_in_any_case(dataset, tmp_path):
+    # load_lexicon lowercases the names, so the file's PosEmo loads as posemo
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(dataset["lexicon"].read_text().replace("posemo\t", "PosEmo\t"))
+    inputs = [f"--set={key}={dataset[key]}" for key in ("interactions", "profiles")]
+    tables = []
+    for name in ("PosEmo", "posemo"):
+        out = tmp_path / name
+        assert main(["lexcorr", *inputs, f"--set=lexicon={lexicon}",
+                     f"--set=pos_category={name}", "--out", str(out)]) == 0
+        tables.append((out / "lexcorr_pos.tsv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def fresh_python(code: str) -> str:

@@ -181,6 +181,19 @@ class TestFitElasticNet:
         trace = fit.objective_trace
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_recorded_objective_is_the_fit_objective(self, rng):
+        # recomputed from the returned fit, on the columns standardized as the solver does
+        X = rng.normal(size=(30, 6)) * rng.uniform(0.5, 3.0, size=6)
+        y = X @ rng.normal(size=6) + rng.normal(size=30) * 0.1
+        lam, mix = 0.05, 0.3
+        fit = fit_elastic_net(X, y, lam=lam, mix=mix)
+        beta = fit.coef * X.std(axis=0)
+        assert np.count_nonzero(beta) >= 3
+        resid = y - X @ fit.coef - fit.intercept
+        l1, l2 = np.abs(beta).sum(), beta @ beta
+        objective = resid @ resid / (2 * len(y)) + lam * (mix * l1 + (1 - mix) / 2 * l2)
+        assert fit.objective_trace[-1] == pytest.approx(objective, rel=1e-12, abs=0)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=9))

@@ -6,6 +6,9 @@ re-recording.
 
 Each test runs the pipeline in process on the seed-7 demo input, once with
 mcl and naive Bayes and once with k-destinations and logistic regression.
+The shuffle and rename relations also run the graph stages, through both
+clusterers, on a seed-7 input of 768 nodes, where ties and small clusters
+cannot hide an order dependence as they can on the demo.
 """
 
 import json
@@ -13,7 +16,7 @@ import random
 
 import pytest
 
-from affinity_miner.cli import resolve_config, run_pipeline
+from affinity_miner.cli import STAGES, PipelineRunner, resolve_config, run_pipeline
 from affinity_miner.synth import generate_dataset
 
 INPUT_KEYS = ("interactions", "profiles", "embeddings", "lexicon")
@@ -102,21 +105,48 @@ RELATIONS = {
 }
 
 
-def run(inputs, out, **settings):
-    """The stage files of one full run, by file name."""
+# the stages the 768-node relations run
+GRAPH_STAGES = ("ingest", "affinity", "graph", "cluster", "influence")
+
+
+def config(inputs, out, settings):
     overrides = {key: str(inputs[key]) for key in INPUT_KEYS}
     overrides.update(out=str(out), seed="7", **settings)
-    assert run_pipeline(resolve_config({}, overrides, env={})) == 0
+    return resolve_config({}, overrides)
+
+
+def run(inputs, out, **settings):
+    """The stage files of one full run, by file name."""
+    assert run_pipeline(config(inputs, out, settings)) == 0
     return {name: (out / name).read_bytes() for name in STAGE_FILES}
 
 
+def run_graph_stages(inputs, out, **settings):
+    """The files of GRAPH_STAGES, written in process, by file name."""
+    runner = PipelineRunner(config(inputs, out, settings))
+    for stage in GRAPH_STAGES:
+        runner.write_stage(stage)
+    return {name: (out / name).read_bytes() for stage in GRAPH_STAGES for name, _ in STAGES[stage]}
+
+
 def differing(got, want):
-    return [name for name in STAGE_FILES if got[name] != want[name]]
+    return [name for name in want if got[name] != want[name]]
+
+
+def without_rename(got, want):
+    """`got` with the rename undone; `want`'s files hold no prefix to confuse it with."""
+    assert not any(RENAME_PREFIX.encode() in data for data in want.values())
+    return {name: data.replace(RENAME_PREFIX.encode(), b"") for name, data in got.items()}
 
 
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):
     return generate_dataset(tmp_path_factory.mktemp("demo"), seed=7)
+
+
+@pytest.fixture(scope="module")
+def large(tmp_path_factory):
+    return generate_dataset(tmp_path_factory.mktemp("large"), seed=7, users_per_type=48)
 
 
 @pytest.fixture(scope="module", params=sorted(SETTINGS))
@@ -137,11 +167,19 @@ def transformed_inputs(demo, directory, relation):
     return inputs
 
 
-def test_demo_has_no_tied_timestamps_within_a_source(demo):
+def has_no_tied_timestamps_within_a_source(inputs):
     # ties keep input order, so the shuffle relation holds only without them
-    events = [json.loads(line) for line in demo["interactions"].read_text().splitlines()]
+    events = [json.loads(line) for line in inputs["interactions"].read_text().splitlines()]
     stamps = {(event["source"], event["timestamp"]) for event in events}
-    assert len(stamps) == len(events)
+    return len(stamps) == len(events)
+
+
+def test_demo_has_no_tied_timestamps_within_a_source(demo):
+    assert has_no_tied_timestamps_within_a_source(demo)
+
+
+def test_large_input_has_no_tied_timestamps_within_a_source(large):
+    assert has_no_tied_timestamps_within_a_source(large)
 
 
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
@@ -150,10 +188,23 @@ def test_stage_files_unchanged(demo, setting, tmp_path, relation):
     inputs = transformed_inputs(demo, tmp_path, RELATIONS[relation])
     got = run(inputs, tmp_path / "results", **settings)
     if relation == "ids-renamed":
-        # undo the rename; the unchanged run's files hold no prefix to confuse it with
-        assert not any(RENAME_PREFIX.encode() in data for data in want.values())
-        got = {name: data.replace(RENAME_PREFIX.encode(), b"") for name, data in got.items()}
+        got = without_rename(got, want)
     assert differing(got, want) == []
+
+
+@pytest.mark.parametrize("method", ["mcl", "k-destinations"])
+def test_graph_stage_files_unchanged_at_768_nodes(large, tmp_path, method):
+    want = run_graph_stages(large, tmp_path / "base", method=method)
+    found = {}
+    for relation in ("shuffled-lines", "ids-renamed"):
+        directory = tmp_path / relation
+        directory.mkdir()
+        inputs = transformed_inputs(large, directory, RELATIONS[relation])
+        got = run_graph_stages(inputs, directory / "results", method=method)
+        if relation == "ids-renamed":
+            got = without_rename(got, want)
+        found[relation] = differing(got, want)
+    assert found == {"shuffled-lines": [], "ids-renamed": []}
 
 
 def test_swapped_categories_swap_the_lexcorr_files(demo, setting, tmp_path):
