@@ -122,7 +122,9 @@ def predict_many(model: LinearModel, rows: sparse.csr_array) -> list[MbtiType]:
 
 
 def _lr_gradients(X, XT, targets: np.ndarray, W: np.ndarray, b: np.ndarray, ridge: float):
-    """(grad_W, grad_b) of the loss lr_loss_grad returns, for k classes at once.
+    """(grad_W, grad_b) of k binary objectives at once: each class's mean
+    log-loss of sigmoid(X w + b) against its 0/1 targets, plus
+    (ridge/2)||w||^2, with the intercept unpenalized.
 
     targets is k x n, W is k x p and b has length k; XT is X.T. Each class's
     gradient is computed bitwise as it would be alone: the sparse
@@ -137,23 +139,6 @@ def _lr_gradients(X, XT, targets: np.ndarray, W: np.ndarray, b: np.ndarray, ridg
     return grad_W, diff.mean(axis=1)
 
 
-def lr_loss_grad(
-    X, targets: np.ndarray, w: np.ndarray, b: float, ridge: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean log-loss with L2 penalty (ridge/2)||w||^2; intercept unpenalized.
-
-    Returns (loss, grad_w, grad_b) for binary targets in {0, 1}; the gradient
-    is the one train_lr takes at a class's extrapolated point, and the loss
-    is the objective its FISTA loop minimizes.
-    """
-    z = X @ w + b
-    # stable log(1 + exp(-s z)) with s = 2t - 1
-    margins = (2.0 * targets - 1.0) * z
-    loss = float(np.logaddexp(0.0, -margins).mean()) + 0.5 * ridge * float(w @ w)
-    grad_W, grad_b = _lr_gradients(X, X.T, targets[None, :], w[None, :], np.array([b]), ridge)
-    return loss, grad_W[0], float(grad_b[0])
-
-
 def train_lr(
     m: TfIdfMatrix,
     labels: Sequence[MbtiType],
@@ -161,12 +146,13 @@ def train_lr(
 ) -> LrModel:
     """One-vs-rest logistic regression by FISTA with gradient restart.
 
-    Each class minimizes lr_loss_grad's objective: mean log-loss plus
-    (ridge/2)||w||^2, intercept unpenalized. Weights start at zero and the
-    step is 1/L for a Frobenius-norm Lipschitz bound. Every epoch takes
-    the gradient at each class's extrapolated point y (Beck and Teboulle,
-    2009): a class whose gradient norm there is below 1e-6 stops and
-    returns y; otherwise it steps x+ = y - g/L and extrapolates
+    Each class minimizes its mean log-loss against its 0/1 targets plus
+    (ridge/2)||w||^2, intercept unpenalized, with the gradient from
+    _lr_gradients. Weights start at zero and the step is 1/L for a
+    Frobenius-norm Lipschitz bound. Every epoch takes the gradient at each
+    class's extrapolated point y (Beck and Teboulle, 2009): a class whose
+    gradient norm there is below 1e-6 stops and returns y; otherwise it
+    steps x+ = y - g/L and extrapolates
     y+ = x+ + ((t - 1)/t+)(x+ - x) with t+ = (1 + sqrt(1 + 4t^2))/2,
     first resetting t to 1 when g . (x+ - x) > 0 (O'Donoghue and Candes,
     2015), which keeps the momentum from carrying x uphill. A class that
@@ -293,7 +279,7 @@ def cross_validate(
         log.warning("type %s has %d < %d documents; excluded from CV", t, counts[t], folds)
     kept = [(text, lab) for text, lab in c.documents if lab not in excluded]
     if len({lab for _, lab in kept}) < 2:
-        raise InsufficientData("fewer than 2 types have enough documents")
+        raise InsufficientData(f"fewer than 2 types have at least {folds} documents")
     texts = [text for text, _ in kept]
     labels = [lab for _, lab in kept]
     predicted = [None] * len(kept)

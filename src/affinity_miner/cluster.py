@@ -1,4 +1,4 @@
-"""Random-walk graph clustering and clustering-quality metrics.
+"""Random-walk graph clustering.
 
 Two clusterers over the affinity graph: flow simulation by alternating
 matrix expansion and entrywise inflation (may yield overlapping clusters),
@@ -11,14 +11,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InsufficientData, InvalidSpec, NonErgodic
+from .errors import InsufficientData, InvalidSpec, NonErgodic
 from .graph import AffinityGraph
 
 log = logging.getLogger(__name__)
@@ -39,10 +39,8 @@ class Clustering:
     """Clusters as ascending node-index arrays over `nodes` (the graph's
     g.order), plus the metadata needed to serialize them.
 
-    For the flow clusterer, `attraction` is a sparse CSR c x n matrix whose
-    entry (c, i) is the limit-matrix mass of node i on cluster c's attractor
-    rows; clusters may overlap only then. The hitting-time clusterer fills
-    `objective_trace` instead.
+    Only the flow clusterer's clusters may overlap. The hitting-time
+    clusterer's are disjoint, and it fills `objective_trace`.
     """
 
     clusters: tuple[np.ndarray, ...]
@@ -51,8 +49,7 @@ class Clustering:
     nodes: tuple[str, ...]
     iterations: int
     converged: bool
-    attraction: sp.csr_array | None = field(default=None)
-    objective_trace: tuple[float, ...] | None = field(default=None)
+    objective_trace: tuple[float, ...] | None = None
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -288,17 +285,14 @@ def _flow_digest(M: sp.csc_array) -> bytes:
     return digest.digest()
 
 
-def _clusters_from_limit(
-    M: sp.csc_array, iterations: int
-) -> tuple[list[np.ndarray], sp.csr_array]:
+def _clusters_from_limit(M: sp.csc_array, iterations: int) -> list[np.ndarray]:
     """Read clusters off the limit matrix's attractor rows.
 
     Attractors are nodes with positive diagonal mass; each attractor row
     defines the member set of nodes flowing to it (the flow stores no
     zeros, so these are the row's stored columns). Identical member sets
-    (one attractor system) collapse to a single cluster; a node's
-    attraction to a cluster is its total mass on that cluster's rows,
-    summed for every cluster at once by one cluster x attractor product.
+    (one attractor system) collapse to a single cluster, and the clusters
+    are ordered by their smallest member.
     """
     n = M.shape[0]
     attractors = np.flatnonzero(M.diagonal() > 0.0)
@@ -308,20 +302,16 @@ def _clusters_from_limit(
             "mcl flow has no attractor after %d iterations; "
             "returning one cluster of all %d nodes", iterations, n,
         )
-        return [np.arange(n)], sp.csr_array(np.ones((1, n)))
+        return [np.arange(n)]
     rows_of = M.tocsr()
     rows_of.sort_indices()
-    by_members: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    by_members: dict[bytes, np.ndarray] = {}
     for a in attractors.tolist():
         members = rows_of.indices[rows_of.indptr[a]:rows_of.indptr[a + 1]]
-        by_members.setdefault(members.tobytes(), (members, []))[1].append(a)
+        by_members.setdefault(members.tobytes(), members)
     # ordered by smallest member; sorted is stable, so ties keep attractor order
-    ordered = sorted(by_members.values(), key=lambda group: group[0][0])
-    clusters = [members.astype(np.intp) for members, _ in ordered]
-    rows = [a for _, attractor_rows in ordered for a in attractor_rows]
-    owner = np.repeat(np.arange(len(ordered)), [len(r) for _, r in ordered])
-    S = sp.csr_array((np.ones(len(rows)), (owner, rows)), shape=(len(ordered), n))
-    return clusters, S @ rows_of
+    ordered = sorted(by_members.values(), key=lambda members: members[0])
+    return [members.astype(np.intp) for members in ordered]
 
 
 def mcl(
@@ -336,11 +326,12 @@ def mcl(
     passes (both read at call time), or the flow equals the iterate of two
     steps before (a cycle of period 2, which no further step leaves); a
     non-converged run still returns its partial clusters with
-    converged=False. The flow matrix is sparse (CSC) throughout and the
-    attraction it leaves is a sparse CSR matrix. Each step is one pass
-    over MCL_BLOCK_COLUMNS-wide column blocks that yields the flow with its
-    max change (see mcl_flow), so memory grows with the pruned flow plus
-    one block of the product, never with the unpruned square or with n^2.
+    converged=False. The flow matrix is sparse (CSC) throughout, and the
+    clusters are read off its attractor rows (_clusters_from_limit), which
+    may share members. Each step is one pass over MCL_BLOCK_COLUMNS-wide
+    column blocks that yields the flow with its max change (see mcl_flow),
+    so memory grows with the pruned flow plus one block of the product,
+    never with the unpruned square or with n^2.
     The flows before the current one are held only as SHA-256 digests
     (_flow_digest) for the period-2 check, and while the next flow is
     computed only the generator holds a flow.
@@ -378,15 +369,13 @@ def mcl(
             break
         # only the generator holds a flow while it computes the next
         del M
-    clusters, attraction = _clusters_from_limit(M, iterations)
     return Clustering(
-        clusters=tuple(clusters),
+        clusters=tuple(_clusters_from_limit(M, iterations)),
         method="mcl",
         params={"e": e, "r": r, "prune": prune},
         nodes=g.order,
         iterations=iterations,
         converged=converged,
-        attraction=attraction,
     )
 
 
@@ -472,87 +461,6 @@ def k_destinations(
         converged=converged,
         objective_trace=tuple(trace),
     )
-
-
-def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
-    """Entropy in nats; counts are summed in sorted order so identical
-    count multisets produce bitwise-identical values."""
-    p = np.sort(counts[counts > 0]) / n
-    return float(-(p * np.log(p)).sum())
-
-
-def _label_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Two 1-d label arrays of one length, at least 1."""
-    x, y = np.asarray(x), np.asarray(y)
-    for arr in (x, y):
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"label vector must be 1-d, got shape {arr.shape}")
-    if len(x) != len(y):
-        raise DimensionMismatch(f"lengths {len(x)} vs {len(y)}")
-    if len(x) == 0:
-        raise InsufficientData("need at least one label")
-    return x, y
-
-
-def nmi(x, y) -> float:
-    """Normalized mutual information I(x, y) / sqrt(H(x) H(y)).
-
-    Computed as (H(x) + H(y) - H(x, y)) / sqrt(H(x) H(y)) with natural-log
-    entropies from empirical counts, clipped into [0, 1]. If both
-    labelings are constant the score is 1; if exactly one is constant the
-    score is 0.
-    """
-    x, y = _label_pair(x, y)
-    n = len(x)
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    hx = _entropy_from_counts(np.bincount(xi), n)
-    hy = _entropy_from_counts(np.bincount(yi), n)
-    if hx == 0.0 and hy == 0.0:
-        return 1.0
-    if hx == 0.0 or hy == 0.0:
-        return 0.0
-    joint = np.bincount(xi * (yi.max() + 1) + yi)
-    hxy = _entropy_from_counts(joint, n)
-    mi = max(hx + hy - hxy, 0.0)
-    return float(min(mi / np.sqrt(hx * hy), 1.0))
-
-
-def clustering_error(pred, truth) -> float:
-    """Minimal misassignment rate over all cluster-label permutations.
-
-    Solved as an optimal assignment on the confusion matrix; label sets of
-    different sizes are padded with empty clusters.
-    """
-    # imported here: the pipeline never calls this metric, and scipy.optimize
-    # is the slowest import of the package
-    from scipy.optimize import linear_sum_assignment
-
-    pred, truth = _label_pair(pred, truth)
-    n = len(pred)
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    size = max(pi.max(), ti.max()) + 1
-    confusion = np.zeros((size, size), dtype=np.int64)
-    np.add.at(confusion, (pi, ti), 1)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    matched = int(confusion[rows, cols].sum())
-    return 1.0 - matched / n
-
-
-def labels_from_clustering(c: Clustering) -> np.ndarray:
-    """Cluster index per node, aligned with c.nodes.
-
-    With attraction set (overlapping MCL clusters), each node goes to the
-    cluster it is most attracted to, ties to the smallest cluster index;
-    otherwise the clusters are disjoint and each node takes its own.
-    """
-    if c.attraction is not None:
-        return c.attraction.argmax(axis=0)
-    labels = np.zeros(len(c.nodes), dtype=int)
-    nodes, owners = c.memberships
-    labels[nodes] = owners
-    return labels
 
 
 def serialize_clustering(c: Clustering) -> str:

@@ -1,20 +1,15 @@
-"""Synthetic data generators used as independent oracles and demo input.
-
-Planted-partition graphs provide ground-truth labels for clustering
-recovery tests; sentiment sequences sampled from known chains provide a
-recovery oracle for chain estimation. planted_partition gives each node
-its own spawned generator stream; sample_chain_sequence and
-generate_dataset each draw from one generator seeded by their argument.
+"""Synthetic input sets for demos, tests and the benchmark.
 
 generate_dataset writes a complete, self-consistent input set
 (interactions, profiles, embeddings, lexicon and a ready-to-run config)
-in the exact formats the ingestion layer consumes.
+in the exact formats the ingestion layer consumes, drawn from one
+generator seeded by its argument. Each pair's sentiment sequence comes
+from a known chain: friendly inside a user's block, distant across.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,79 +17,7 @@ import numpy as np
 
 from .affinity import stationary_distribution
 from .errors import InvalidSpec
-from .graph import AffinityGraph
 from .ingest import ALL_TYPES, MbtiType, Sentiment, cannot_write, make_output_dir
-
-
-@dataclass(frozen=True)
-class PlantedSpec:
-    """Block-structured random digraph parameters."""
-
-    n: int
-    k: int
-    p_in: float
-    p_out: float
-    w_in: tuple[float, float] = (0.5, 1.0)
-    w_out: tuple[float, float] = (0.5, 1.0)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1 or not 1 <= self.k <= self.n:
-            raise InvalidSpec(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
-        for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
-            if not 0.0 <= p <= 1.0:
-                raise InvalidSpec(f"{name} outside [0, 1]: {p}")
-        if self.p_in < self.p_out:
-            raise InvalidSpec("p_in must be >= p_out")
-        for name, (lo, hi) in (("w_in", self.w_in), ("w_out", self.w_out)):
-            if not 0.0 < lo <= hi:
-                raise InvalidSpec(f"{name} must satisfy 0 < lo <= hi, got {lo}, {hi}")
-
-
-def _block_of(spec: PlantedSpec) -> np.ndarray:
-    """Contiguous blocks whose sizes differ by at most one."""
-    base, extra = divmod(spec.n, spec.k)
-    sizes = [base + (1 if b < extra else 0) for b in range(spec.k)]
-    return np.repeat(np.arange(spec.k), sizes)
-
-
-def planted_partition(spec: PlantedSpec) -> tuple[AffinityGraph, dict[str, int]]:
-    """Directed planted-partition graph plus ground-truth block labels.
-
-    Edge (i, j) appears with probability p_in inside a block and p_out
-    across blocks, with weights uniform in the matching range. Node types
-    cycle through the 16 codes within each block. The truth mapping covers
-    all n nodes even if some end up isolated and outside the graph.
-    """
-    width = len(str(spec.n - 1)) if spec.n > 1 else 1
-    ids = [f"u{i:0{width}d}" for i in range(spec.n)]
-    blocks = _block_of(spec)
-    type_index = (np.arange(spec.n) - np.searchsorted(blocks, blocks)) % len(ALL_TYPES)
-
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
-    hits, weights = [], []
-    for i in range(spec.n):
-        rng = np.random.default_rng(streams[i])
-        same = blocks == blocks[i]
-        p = np.where(same, spec.p_in, spec.p_out)
-        lo = np.where(same, spec.w_in[0], spec.w_out[0])
-        hi = np.where(same, spec.w_in[1], spec.w_out[1])
-        hit = rng.random(spec.n) < p
-        weight = lo + (hi - lo) * rng.random(spec.n)
-        hit[i] = False
-        hits.append(hit)
-        weights.append(weight[hit])
-
-    # the ids are zero-padded, so index order is id order, and np.nonzero
-    # gives the edges in (source, target) order; only nodes with an edge are kept
-    src, dst = np.nonzero(np.array(hits))
-    kept = np.unique(np.r_[src, dst])
-    edge_arrays = (np.searchsorted(kept, src), np.searchsorted(kept, dst), np.concatenate(weights))
-    graph = AffinityGraph(
-        tuple(ids[i] for i in kept.tolist()), type_index[kept].astype(np.int8), edge_arrays
-    )
-    truth = {ids[i]: int(blocks[i]) for i in range(spec.n)}
-    return graph, truth
 
 
 def _chain_cdf(P: np.ndarray) -> list[list[float]]:
@@ -122,11 +45,6 @@ def _sample_states(cdf: list[list[float]], length: int, seed: int) -> list[int]:
         state = min(bisect_right(cdf[state], u), last)
         states.append(state)
     return states
-
-
-def sample_chain_sequence(P: np.ndarray, length: int, seed: int) -> tuple[Sentiment, ...]:
-    """Sample states from a chain, starting from its stationary distribution."""
-    return tuple(map(Sentiment, _sample_states(_chain_cdf(P), length, seed)))
 
 
 # dataset generation ---------------------------------------------------------

@@ -9,16 +9,13 @@ import time
 import mpmath
 import numpy as np
 
-from affinity_miner.classify import LabeledCorpus, cross_validate, lr_loss_grad
+from affinity_miner.classify import LabeledCorpus, cross_validate
 from affinity_miner.cli import resolve_config, run_pipeline
 from affinity_miner.cluster import (
     Clustering,
-    clustering_error,
     hitting_times,
     k_destinations,
-    labels_from_clustering,
     mcl,
-    nmi,
     random_walk_matrix,
 )
 from affinity_miner.graph import type_pair_percentages
@@ -31,12 +28,7 @@ from affinity_miner.lexfeat import (
     pearson_r,
 )
 from affinity_miner.semsim import cosine, load_embeddings, type_similarity_matrix
-from affinity_miner.synth import (
-    PlantedSpec,
-    generate_dataset,
-    planted_partition,
-    sample_chain_sequence,
-)
+from affinity_miner.synth import generate_dataset
 
 from conftest import (
     dict_graph,
@@ -46,7 +38,18 @@ from conftest import (
     random_positive_graph,
     well_separated_chain,
 )
-from test_cluster import brute_force_error, direct_hitting_times, naive_nmi
+from oracles import (
+    PlantedSpec,
+    brute_force_error,
+    clustering_error,
+    labels_from_clustering,
+    lr_loss_grad,
+    naive_nmi,
+    nmi,
+    planted_partition,
+    sample_chain_sequence,
+)
+from test_cluster import direct_hitting_times
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):

@@ -14,9 +14,9 @@ from affinity_miner.affinity import (
 )
 from affinity_miner.errors import DimensionMismatch, InvalidSpec, NonErgodic
 from affinity_miner.ingest import Sentiment, load_interactions
-from affinity_miner.synth import sample_chain_sequence
 
 from conftest import flat, random_ergodic_chain, sequence_dict, well_separated_chain
+from oracles import sample_chain_sequence
 
 NEG, NEU, POS = Sentiment.NEG, Sentiment.NEU, Sentiment.POS
 

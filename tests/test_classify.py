@@ -13,7 +13,6 @@ from affinity_miner.classify import (
     _stratified_folds,
     cross_validate,
     f1_score,
-    lr_loss_grad,
     predict_many,
     render_cv_report,
     train_lr,
@@ -23,6 +22,8 @@ from affinity_miner.classify import (
 )
 from affinity_miner.errors import DimensionMismatch, InsufficientData, InvalidSpec
 from affinity_miner.ingest import ALL_TYPES, parse_mbti
+
+from oracles import lr_loss_grad
 
 INFJ, ENTP, ISTJ = parse_mbti("INFJ"), parse_mbti("ENTP"), parse_mbti("ISTJ")
 
@@ -524,7 +525,7 @@ class TestCrossValidate:
 
     def test_insufficient_data(self):
         docs = [("a b", INFJ)] * 3 + [("c d", ENTP)] * 12
-        with pytest.raises(InsufficientData, match="^fewer than 2 types have enough documents$"):
+        with pytest.raises(InsufficientData, match="^fewer than 2 types have at least 10 documents$"):
             cross_validate(corpus_of(docs), "nb", folds=10, seed=0)
 
     def test_unknown_classifier(self, rng):

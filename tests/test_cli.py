@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import errno
 import gc
@@ -879,8 +880,9 @@ def test_import_does_not_touch_the_umask():
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
 def test_import_leaves_scipy_module_unloaded(module):
-    # clustering_error imports scipy.optimize on first call, and the pipeline
-    # never calls it; hitting_times imports scipy.linalg, which MCL never needs
+    # nothing in the package uses scipy.optimize, the slowest scipy import:
+    # this keeps one from coming back; hitting_times imports scipy.linalg,
+    # which MCL never needs
     code = f"import sys, affinity_miner.cli; print({module!r} in sys.modules)"
     assert fresh_python(code) == "False"
 
@@ -892,8 +894,48 @@ def test_import_leaves_scipy_module_unloaded(module):
         ("import affinity_miner", "affinity_miner."),
         # what a benchmark process imports to generate its inputs
         ("import affinity_miner.synth", "scipy"),
+        ("import affinity_miner.synth", "affinity_miner.graph"),
     ],
 )
 def test_import_loads_only_what_it_names(statement, prefix):
     code = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     assert fresh_python(code) == "[]"
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name, attribute and import alias in a Python file, plus, in
+    trace_run.py, the strings of its PROBES table."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name.rpartition(".")[2], node.asname)))
+        elif isinstance(node, ast.Assign) and path.name == "trace_run.py" and any(
+            isinstance(target, ast.Name) and target.id == "PROBES" for target in node.targets
+        ):
+            names.update(
+                leaf.value for leaf in ast.walk(node.value)
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+            )
+    return names
+
+
+def test_every_package_definition_is_named_by_the_program():
+    # a definition only tests call belongs in tests/oracles.py, not the package
+    package = Path(cli_module.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    modules = sorted(package.glob("*.py"))
+    used = set().union(*map(names_used, modules), *map(names_used, perfbench.rglob("*.py")))
+    unnamed = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    # the one exception: cli.run_pipeline is the in-process form of `run`,
+    # which only tests call by name
+    assert unnamed == ["cli.run_pipeline"]

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -15,20 +14,25 @@ from affinity_miner.cluster import (
     _column_sums,
     _mcl_seed_matrix,
     _normalize_columns,
-    clustering_error,
     hitting_times,
     k_destinations,
-    labels_from_clustering,
     mcl,
     mcl_flow,
-    nmi,
     random_walk_matrix,
 )
 from affinity_miner.errors import DimensionMismatch, InsufficientData, InvalidSpec, NonErgodic
 from affinity_miner.ingest import parse_mbti
-from affinity_miner.synth import PlantedSpec, planted_partition
 
 from conftest import dict_graph, id_sets, make_graph, random_positive_graph, two_block_graph
+from oracles import (
+    PlantedSpec,
+    brute_force_error,
+    clustering_error,
+    labels_from_clustering,
+    naive_nmi,
+    nmi,
+    planted_partition,
+)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -45,35 +49,6 @@ def direct_hitting_times(P: np.ndarray) -> np.ndarray:
         b[j] = 0.0
         H[:, j] = np.linalg.solve(A, b)
     return H
-
-
-def naive_nmi(x, y) -> float:
-    """Definition-level mutual information over joint counts."""
-    n = len(x)
-    from collections import Counter
-
-    cx, cy, cxy = Counter(x), Counter(y), Counter(zip(x, y))
-    hx = -sum(c / n * np.log(c / n) for c in cx.values())
-    hy = -sum(c / n * np.log(c / n) for c in cy.values())
-    if hx == 0.0 and hy == 0.0:
-        return 1.0
-    if hx == 0.0 or hy == 0.0:
-        return 0.0
-    mi = sum(
-        c / n * np.log(n * c / (cx[a] * cy[b])) for (a, b), c in cxy.items()
-    )
-    return mi / np.sqrt(hx * hy)
-
-
-def brute_force_error(pred, truth) -> float:
-    """Enumerate label permutations, keep the best match count."""
-    n = len(pred)
-    labels = sorted(set(pred) | set(truth))
-    best = 0
-    for perm in itertools.permutations(labels):
-        mapping = dict(zip(labels, perm))
-        best = max(best, sum(1 for p, t in zip(pred, truth) if mapping[p] == t))
-    return 1.0 - best / n
 
 
 def dense_seed_matrix(g, order) -> np.ndarray:
@@ -138,7 +113,7 @@ def single_product_mcl_flow(M, e=2, r=2.0, prune=1e-6):
 
 def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
     """Dense n x n MCL: (clusters as ascending index tuples, iterations,
-    converged, dense attraction); stops at the cap or on a period-2 flow."""
+    converged); stops at the cap or on a period-2 flow."""
     order = g.order
     M = dense_seed_matrix(g, order)
     previous = None
@@ -154,15 +129,13 @@ def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
             break
     attractors = [i for i in range(len(order)) if M[i, i] > 0.0]
     if not attractors:
-        return (tuple(range(len(order))),), iterations, converged, np.ones((1, len(order)))
-    by_members: dict[frozenset, list[int]] = {}
-    for a in attractors:
-        members = frozenset(np.flatnonzero(M[a] > 0.0).tolist())
-        by_members.setdefault(members, []).append(a)
-    ordered = sorted(by_members.items(), key=lambda kv: min(kv[0]))
-    clusters = tuple(tuple(sorted(members)) for members, _ in ordered)
-    attraction = np.vstack([M[rows].sum(axis=0) for _, rows in ordered])
-    return clusters, iterations, converged, attraction
+        return (tuple(range(len(order))),), iterations, converged
+    # one cluster per distinct member set, first seen first among equal minima
+    member_sets = dict.fromkeys(
+        frozenset(np.flatnonzero(M[a] > 0.0).tolist()) for a in attractors
+    )
+    clusters = tuple(tuple(sorted(members)) for members in sorted(member_sets, key=min))
+    return clusters, iterations, converged
 
 
 # -- random walk matrix -------------------------------------------------------
@@ -432,13 +405,10 @@ def _assert_matches_dense(g, **params):
     ):
         assert np.max(np.abs(M_next.toarray() - D_next)) <= 1e-12
     c = mcl(g, **flow)
-    clusters, iterations, converged, attraction = dense_mcl(g, **params)
+    clusters, iterations, converged = dense_mcl(g, **params)
     assert [tuple(x.tolist()) for x in c.clusters] == list(clusters)
     assert c.iterations == iterations
     assert c.converged == converged
-    assert isinstance(c.attraction, sp.csr_array)
-    assert c.attraction.shape == attraction.shape
-    assert np.max(np.abs(c.attraction.toarray() - attraction)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -520,11 +490,12 @@ def test_mcl_10k_nodes_without_dense_matrix():
     assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_mcl_many_clusters_keeps_attraction_sparse():
+def test_mcl_many_clusters_stays_small():
     """2000 reciprocal pairs: 4000 nodes and 2000 clusters.
 
-    A dense 2000 x 4000 attraction matrix alone is 64 MB; the sparse one
-    holds two entries per cluster, so the whole run stays small.
+    Any dense cluster x node or node x node array alone is 64 MB or more;
+    the flow and the clusters hold a few entries per node, so the whole
+    run stays small.
     """
     pairs = 2000
     names = [f"p{i:05d}" for i in range(2 * pairs)]
@@ -543,8 +514,6 @@ def test_mcl_many_clusters_keeps_attraction_sparse():
     assert peak <= 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert c.converged
     assert [x.tolist() for x in c.clusters] == [[2 * p, 2 * p + 1] for p in range(pairs)]
-    assert c.attraction.shape == (pairs, 2 * pairs)
-    assert c.attraction.nnz == 2 * pairs
 
 
 # -- column-blocked expansion against the single product -----------------------
@@ -930,39 +899,6 @@ class TestClusteringError:
     def test_empty_labelings_are_too_little_data(self):
         with pytest.raises(InsufficientData, match="^need at least one label$"):
             clustering_error([], [])
-
-
-class TestLabelsFromClustering:
-    def base(self, clusters, attraction=None, nodes=("a", "b", "c")):
-        return Clustering(
-            clusters=tuple(np.array(c, dtype=np.intp) for c in clusters),
-            method="k-destinations" if attraction is None else "mcl",
-            params={},
-            nodes=tuple(nodes),
-            iterations=1,
-            converged=True,
-            attraction=None if attraction is None else sp.csr_array(attraction),
-        )
-
-    def test_disjoint_direct_mapping(self):
-        c = self.base([[0], [1, 2]])
-        assert list(labels_from_clustering(c)) == [0, 1, 1]
-
-    def test_overlap_argmax_attraction(self):
-        attraction = np.array([[0.3, 1.0, 0.7], [0.7, 0.0, 0.3]])
-        c = self.base([[0, 1, 2], [0, 2]], attraction=attraction)
-        assert list(labels_from_clustering(c)) == [1, 0, 0]
-
-    def test_equal_attraction_smaller_index(self):
-        attraction = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
-        c = self.base([[0, 1, 2], [0, 1, 2]], attraction=attraction)
-        assert list(labels_from_clustering(c)) == [0, 0, 0]
-
-    def test_matches_dense_argmax_on_mcl(self, monkeypatch):
-        monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", 2)
-        c = mcl(two_block_graph(6, in_w=1.0, cross_w=0.1))
-        dense = c.attraction.toarray()
-        assert np.array_equal(labels_from_clustering(c), np.argmax(dense, axis=0))
 
 
 @pytest.mark.parametrize("clusterer", [mcl, lambda g: k_destinations(g, 1)], ids=["mcl", "kdest"])

@@ -7,9 +7,9 @@ from affinity_miner.cluster import Clustering
 from affinity_miner.errors import UnknownNode
 from affinity_miner.influence import cluster_link_counts, influential_types
 from affinity_miner.ingest import parse_mbti
-from affinity_miner.synth import PlantedSpec, planted_partition
 
 from conftest import counts_by_id, dict_graph, index_clusters, make_graph, neighbor_sets
+from oracles import PlantedSpec, planted_partition
 
 
 def clustering_of(groups, nodes):

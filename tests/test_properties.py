@@ -21,8 +21,6 @@ from affinity_miner.cli import parse_config_file
 from affinity_miner.cluster import (
     DEFAULT_TELEPORT,
     Clustering,
-    k_destinations,
-    mcl,
     random_walk_matrix,
     serialize_clustering,
 )
@@ -58,9 +56,9 @@ from affinity_miner.lexfeat import (
     tokenize,
 )
 from affinity_miner.semsim import load_embeddings
-from affinity_miner.synth import sample_chain_sequence
 
 from conftest import counts_by_id, flat, id_sets, neighbor_sets, scored_pairs
+from oracles import sample_chain_sequence
 
 PROPERTY = settings(
     derandomize=True,
@@ -605,27 +603,6 @@ def test_edge_arrays_and_walk_matrix_match_dict_loops(edge_list, rnd):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for tau in (DEFAULT_TELEPORT, 0.3):
         assert np.array_equal(random_walk_matrix(g, tau), dict_loop_walk_matrix(edge_list, tau))
-
-
-@settings(PROPERTY, max_examples=60)
-@given(edge_lists(), st.randoms(use_true_random=False))
-def test_clusterings_ignore_insertion_order(edge_list, rnd):
-    g = graph_of(edge_list)
-    h = graph_of(edge_list, shuffle=rnd.shuffle)
-    a, b = mcl(g), mcl(h)
-    assert (index_lists(a), a.nodes, a.iterations, a.converged) == (
-        index_lists(b), b.nodes, b.iterations, b.converged
-    )
-    assert np.array_equal(a.attraction.toarray(), b.attraction.toarray())
-    for k in range(1, min(3, len(g.nodes)) + 1):
-        a, b = k_destinations(g, k), k_destinations(h, k)
-        assert (index_lists(a), a.objective_trace, a.iterations) == (
-            index_lists(b), b.objective_trace, b.iterations
-        )
-
-
-def index_lists(c):
-    return [members.tolist() for members in c.clusters]
 
 
 @st.composite

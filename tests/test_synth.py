@@ -6,17 +6,20 @@ import pytest
 
 from affinity_miner import synth
 from affinity_miner.affinity import estimate_chains
-from affinity_miner.cluster import k_destinations, labels_from_clustering, nmi
+from affinity_miner.cluster import k_destinations
 from affinity_miner.errors import InvalidSpec
 from affinity_miner.ingest import ALL_TYPES, Sentiment
-from affinity_miner.synth import (
+from affinity_miner.synth import generate_dataset
+
+from conftest import dict_graph, flat, random_ergodic_chain
+from oracles import (
     PlantedSpec,
-    generate_dataset,
+    _block_of,
+    labels_from_clustering,
+    nmi,
     planted_partition,
     sample_chain_sequence,
 )
-
-from conftest import dict_graph, flat, random_ergodic_chain
 
 
 class TestPlantedSpec:
@@ -113,7 +116,7 @@ def dict_loop_planted_partition(spec):
     (source, target) -> weight dicts and built by conftest.dict_graph."""
     width = len(str(spec.n - 1))
     ids = [f"u{i:0{width}d}" for i in range(spec.n)]
-    blocks = synth._block_of(spec)
+    blocks = _block_of(spec)
     streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
     edges = {}
     for i in range(spec.n):
