@@ -22,6 +22,8 @@ class TestLabelsFromClustering:
     def test_overlap_takes_smallest_cluster_index(self):
         assert list(labels_from_clustering(self.base([[0, 1, 2], [0, 2]]))) == [0, 0, 0]
         assert list(labels_from_clustering(self.base([[1], [0, 1, 2]]))) == [1, 0, 1]
+
+    def test_identical_clusters_take_smaller_index(self):
         assert list(labels_from_clustering(self.base([[0, 1, 2], [0, 1, 2]]))) == [0, 0, 0]
 
     def test_node_in_no_cluster_takes_zero(self):
