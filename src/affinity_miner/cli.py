@@ -20,7 +20,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
@@ -77,11 +77,11 @@ def _convert(key: str, raw: str):
     try:
         value = kind(raw)
     except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r}", key=key) from None
+        raise ConfigError(f"bad value for {key}: {raw!r}") from None
     # inf passes the one-sided range checks (inf > 1, inf >= 0) and then
     # turns into NaN arithmetic inside a solver
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"config key {key} must be finite, got {raw!r}", key=key)
+        raise ConfigError(f"config key {key} must be finite, got {raw!r}")
     return value
 
 
@@ -109,7 +109,7 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
     ]
     for key, ok, message in checks:
         if not ok:
-            raise ConfigError(f"config key {key} {message}", key=key)
+            raise ConfigError(f"config key {key} {message}")
     return cfg
 
 
@@ -120,44 +120,44 @@ def _read_input(path: Path, key: str, loader: Callable):
             return loader(fh)
     except OSError as exc:
         message = f"config key {key}: cannot read {path}: {exc.strerror}"
-        raise ConfigError(message, key=key) from None
+        raise ConfigError(message) from None
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key = value lines; blank lines and #-comment lines are skipped, and
-    a key given twice is rejected at its second line."""
+def parse_config_file(path: str | Path) -> dict[str, object]:
+    """key = value lines, each value converted to its key's type; blank
+    lines and #-comment lines are skipped, and a key given twice is
+    rejected at its second line."""
     return _read_input(Path(path), "config", _config_values)
 
 
-def _config_values(stream) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in read_lines(stream, partial(ConfigError, key="config")):
+def _config_values(stream) -> dict[str, object]:
+    values: dict[str, object] = {}
+    for lineno, line in read_lines(stream, ConfigError):
         stripped = line.strip()
         if stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value", key="config", line=lineno)
+            raise ConfigError(f"line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}", key=key, line=lineno)
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: repeated config key {key!r}", key=key, line=lineno)
-        values[key] = raw.strip()
+            raise ConfigError(f"line {lineno}: repeated config key {key!r}")
+        try:
+            values[key] = _convert(key, raw.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return values
 
 
-def resolve_config(
-    file_values: dict[str, str] | None = None,
-    overrides: dict[str, str] | None = None,
-) -> PipelineConfig:
-    """Defaults, then config file, then command-line overrides."""
-    merged: dict[str, object] = {}
-    for key, raw in (file_values or {}).items():
-        merged[key] = _convert(key, raw)
-    for key, raw in (overrides or {}).items():
+def resolve_config(file_values: dict[str, object], overrides: dict[str, str]) -> PipelineConfig:
+    """Defaults, then the config file's typed values, then command-line
+    overrides."""
+    merged = dict(file_values)
+    for key, raw in overrides.items():
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
+            raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _convert(key, str(raw))
     return _validate(PipelineConfig(**merged))
 
@@ -218,7 +218,7 @@ class PipelineRunner:
     def _load(self, key: str, loader: Callable):
         raw = getattr(self.cfg, key)
         if not raw:
-            raise ConfigError(f"config key {key} is required", key=key)
+            raise ConfigError(f"config key {key} is required")
         return _read_input(Path(raw), key, loader)
 
     # -- data stages ---------------------------------------------------------
@@ -289,8 +289,7 @@ class PipelineRunner:
             if category.lower() not in lex.categories:
                 raise ConfigError(
                     f"config key {key}: {category!r} is not a lexicon category; "
-                    f"the lexicon has: {', '.join(lex.categories)}",
-                    key=key,
+                    f"the lexicon has: {', '.join(lex.categories)}"
                 )
         return {
             name: lexfeat.emotion_correlation_table(
@@ -466,7 +465,7 @@ def _config_from_args(args) -> PipelineConfig:
     overrides: dict[str, str] = {}
     for item in args.set:
         if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}", key="set")
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     if args.out is not None:
@@ -476,7 +475,7 @@ def _config_from_args(args) -> PipelineConfig:
 
 def _synth(args) -> None:
     if not args.out:
-        raise ConfigError("config key out is required", key="out")
+        raise ConfigError("config key out is required")
     paths = synth.generate_dataset(
         args.out, seed=args.seed, users_per_type=args.users_per_type
     )

@@ -1,15 +1,11 @@
-"""Exception types raised across the toolkit: one class per failure meaning."""
+"""Exception types raised across the toolkit: one class per failure meaning.
+
+Each carries only its message, which names the input line or config key at fault.
+"""
 
 
 class AffinityMinerError(Exception):
-    """Base class for all domain errors; CLI maps these to exit code 1.
-
-    `line` carries the 1-based input line number when one line is at fault.
-    """
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """Base class for all domain errors; CLI maps these to exit code 1."""
 
 
 class InvalidType(AffinityMinerError):
@@ -17,15 +13,7 @@ class InvalidType(AffinityMinerError):
 
 
 class MalformedRecord(AffinityMinerError):
-    """A fault in an input file: a bad line, or no usable line at all.
-
-    `line` carries the 1-based line number for a single bad record;
-    `line_errors` carries (line, message) pairs for aggregate failures.
-    """
-
-    def __init__(self, message, line=None, line_errors=None):
-        super().__init__(message, line)
-        self.line_errors = line_errors or []
+    """A fault in an input file: a bad line, or no usable line at all."""
 
 
 class NonErgodic(AffinityMinerError):
@@ -53,8 +41,4 @@ class InvalidSpec(AffinityMinerError):
 
 
 class ConfigError(AffinityMinerError):
-    """Invalid pipeline configuration; `key` names the offender, `line` its config-file line."""
-
-    def __init__(self, message, key=None, line=None):
-        super().__init__(message, line)
-        self.key = key
+    """Invalid pipeline configuration or command-line settings."""

@@ -143,13 +143,13 @@ def make_output_dir(path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         message = f"config key out: cannot create directory {str(path)!r}: {exc.strerror}"
-        raise ConfigError(message, key="out") from None
+        raise ConfigError(message) from None
 
 
 def cannot_write(path: Path, exc: OSError) -> ConfigError:
     """The ConfigError for the out key when the file `path`, named as
     given, cannot be written."""
-    return ConfigError(f"config key out: cannot write {str(path)!r}: {exc.strerror}", key="out")
+    return ConfigError(f"config key out: cannot write {str(path)!r}: {exc.strerror}")
 
 
 def _require_utf8(text: str, what: str = "") -> None:
@@ -176,13 +176,13 @@ def read_lines(stream: Iterable[str], error=MalformedRecord) -> Iterator[tuple[i
     """Strict reader: yield (line number, line) for each non-blank line.
 
     A line that is not valid UTF-8 fails the whole load by raising the
-    AffinityMinerError `error("line N: ...", line=N)`.
+    AffinityMinerError `error("line N: ...")`.
     """
     for lineno, line in _numbered_lines(stream):
         try:
             _require_utf8(line)
         except ValueError as exc:
-            raise error(f"line {lineno}: {exc}", line=lineno) from None
+            raise error(f"line {lineno}: {exc}") from None
         yield lineno, line
 
 
@@ -198,23 +198,19 @@ def parse_lines(
     rejected the load fails with an aggregate MalformedRecord naming the
     first one.
     """
-    bad: list[tuple[int, str]] = []
-    total = 0
+    rejected = total = 0
+    first = ""  # "line N: <reason>" of the first rejected line
     for lineno, line in lines:
         total += 1
         try:
             _require_utf8(line)
             parse(line)
         except (ValueError, InvalidType) as exc:
-            bad.append((lineno, str(exc)))
+            rejected += 1
+            first = first or f"line {lineno}: {exc}"
             log.warning("%s line %d rejected: %s", what, lineno, exc)
-    if total and len(bad) / total > MALFORMED_FRACTION_LIMIT:
-        raise MalformedRecord(
-            f"{what}: {len(bad)} of {total} lines malformed "
-            f"(first: line {bad[0][0]}: {bad[0][1]})",
-            line=bad[0][0],
-            line_errors=bad,
-        )
+    if total and rejected / total > MALFORMED_FRACTION_LIMIT:
+        raise MalformedRecord(f"{what}: {rejected} of {total} lines malformed (first: {first})")
 
 
 def _parse_event_line(line: str) -> tuple[str, str, int, Sentiment, str | None]:
@@ -222,7 +218,7 @@ def _parse_event_line(line: str) -> tuple[str, str, int, Sentiment, str | None]:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
+        raise ValueError(f"invalid JSON at column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
@@ -313,7 +309,7 @@ def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
         raise MalformedRecord("profiles file has no header row")
     names = [c.strip() for c in header.split("\t")]
     if names != ["user_id", "mbti", "bot_score"]:
-        raise MalformedRecord(f"line {lineno}: bad profiles header: {names}", line=lineno)
+        raise MalformedRecord(f"line {lineno}: bad profiles header: {names}")
     profiles: list[UserProfile] = []
     seen: set[str] = set()
 

@@ -74,18 +74,13 @@ def _check_pattern(pattern: str, lineno: int) -> str:
     """The lowercased pattern; its stem (without a trailing *) must be one
     token, since a stem tokenize splits or drops can never match."""
     if not pattern or pattern == "*":
-        raise MalformedRecord(f"line {lineno}: empty pattern", line=lineno)
+        raise MalformedRecord(f"line {lineno}: empty pattern")
     if "*" in pattern[:-1]:
-        raise MalformedRecord(
-            f"line {lineno}: interior wildcard in {pattern!r}", line=lineno
-        )
+        raise MalformedRecord(f"line {lineno}: interior wildcard in {pattern!r}")
     pattern = pattern.lower()
     # _TOKEN_RE, not tokenize: tokenize's call count measures document text
     if not _TOKEN_RE.fullmatch(pattern.removesuffix("*")):
-        raise MalformedRecord(
-            f"line {lineno}: {pattern!r} is not one token and can never match",
-            line=lineno,
-        )
+        raise MalformedRecord(f"line {lineno}: {pattern!r} is not one token and can never match")
     return pattern
 
 
@@ -96,10 +91,7 @@ def load_lexicon(stream) -> Lexicon:
     for lineno, line in read_lines(stream):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip():
-            raise MalformedRecord(
-                f"line {lineno}: expected category<TAB>pattern, got {line!r}",
-                line=lineno,
-            )
+            raise MalformedRecord(f"line {lineno}: expected category<TAB>pattern, got {line!r}")
         category = parts[0].strip().lower()
         pattern = _check_pattern(parts[1].strip(), lineno)
         categories.setdefault(category, set()).add(pattern)

@@ -36,23 +36,22 @@ def load_embeddings(stream: Iterable[str]) -> EmbeddingTable:
     for lineno, line in read_lines(stream):
         parts = line.split()
         if not parts:
-            raise MalformedRecord(f"line {lineno}: only whitespace, no token", line=lineno)
+            raise MalformedRecord(f"line {lineno}: only whitespace, no token")
         token, values = parts[0].lower(), parts[1:]
         if dimension is None:
             if not values:
-                raise MalformedRecord(f"line {lineno}: no vector components", line=lineno)
+                raise MalformedRecord(f"line {lineno}: no vector components")
             dimension = len(values)
         elif len(values) != dimension:
             raise MalformedRecord(
-                f"line {lineno}: expected {dimension} components, got {len(values)}",
-                line=lineno,
+                f"line {lineno}: expected {dimension} components, got {len(values)}"
             )
         try:
             vec = np.array([float(v) for v in values])
         except ValueError as exc:
-            raise MalformedRecord(f"line {lineno}: bad number: {exc}", line=lineno) from None
+            raise MalformedRecord(f"line {lineno}: bad number: {exc}") from None
         if not np.isfinite(vec).all():
-            raise MalformedRecord(f"line {lineno}: components must be finite", line=lineno)
+            raise MalformedRecord(f"line {lineno}: components must be finite")
         vec.setflags(write=False)
         vectors[token] = vec
     if dimension is None:

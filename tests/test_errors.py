@@ -4,9 +4,10 @@ README's error table names, never a bare ValueError, so the CLI exits 1."""
 import numpy as np
 import pytest
 
+from affinity_miner import errors
 from affinity_miner.classify import LabeledCorpus, cross_validate, train_lr, vectorize_corpus
 from affinity_miner.cluster import mcl, random_walk_matrix
-from affinity_miner.errors import InsufficientData, InvalidSpec
+from affinity_miner.errors import AffinityMinerError, InsufficientData, InvalidSpec
 from affinity_miner.graph import build_affinity_graph, export_graph
 from affinity_miner.ingest import ALL_TYPES
 from affinity_miner.lexfeat import emotion_correlation_table, fit_elastic_net, load_lexicon
@@ -72,3 +73,13 @@ BAD_CALLS = {
 def test_out_of_range_argument_raises_its_domain_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_errors_carry_only_their_message():
+    # the message names the input line or config key at fault; no field repeats it
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, AffinityMinerError)
+    ]
+    assert len(classes) == 10
+    assert [cls.__name__ for cls in classes if "__init__" in vars(cls)] == []

@@ -122,16 +122,22 @@ class TestLoadInteractions:
         lines = [event_line(sentiment="MEH")] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
 
-    def test_aggregate_error_above_ten_percent(self):
+    def test_aggregate_error_above_ten_percent(self, caplog):
         lines = [event_line()] * 8 + ["{broken", event_line(sentiment="?")]
-        with pytest.raises(MalformedRecord) as info:
+        with pytest.raises(MalformedRecord, match="^interactions: 2 of 10 lines malformed"):
             load_interactions(lines)
-        assert len(info.value.line_errors) == 2
+        assert sum("rejected" in r.getMessage() for r in caplog.records) == 2
 
     def test_deeply_nested_line_rejected(self, caplog):
         lines = [event_line(timestamp=i) for i in range(20)] + ["[" * 100_000]
         assert len(load_interactions(lines)) == 20
         assert "line 21 rejected: invalid JSON: nested too deeply" in caplog.text
+
+    def test_invalid_json_names_its_column_only(self, caplog):
+        lines = [event_line(timestamp=i) for i in range(20)] + ['{"source": "a" "target"}']
+        assert len(load_interactions(lines)) == 20
+        expected = "line 21 rejected: invalid JSON at column 16: Expecting ',' delimiter"
+        assert caplog.records[-1].getMessage().endswith(expected)
 
     def test_deeply_nested_lines_over_limit(self):
         lines = [event_line(timestamp=i) for i in range(5)] + ["[" * 100_000] * 2
@@ -345,7 +351,6 @@ class TestLoadProfiles:
 
     def test_line_numbers_count_blank_lines(self, caplog):
         rows = [self.HEADER, "", "a\tINFJ\t0.1", "   ", "b\tWXYZ\t0.1"]
-        with pytest.raises(MalformedRecord, match="first: line 5: ") as info:
+        with pytest.raises(MalformedRecord, match="first: line 5: "):
             load_profiles(rows)
-        assert info.value.line == 5
         assert "profiles line 5 rejected" in caplog.text

@@ -40,23 +40,20 @@ class TestLoadLexicon:
         with pytest.raises(MalformedRecord, match=r"^line 1: interior wildcard in 'ha\*p'$"):
             load_lexicon(["x\tha*p"])
         # the blank line counts: errors name the physical line
-        with pytest.raises(MalformedRecord, match="^line 3: interior") as info:
+        with pytest.raises(MalformedRecord, match="^line 3: interior"):
             load_lexicon(["a\tjoy", "", "x\tha*p"])
-        assert info.value.line == 3
 
     def test_bare_star_rejected(self):
-        with pytest.raises(MalformedRecord, match="^line 1: empty pattern$") as info:
+        with pytest.raises(MalformedRecord, match="^line 1: empty pattern$"):
             load_lexicon(["x\t*"])
-        assert info.value.line == 1
 
     @pytest.mark.parametrize(
         "pattern", ["don't", "self-*", "two words", "snake_case", "\u0130*"]
     )
     def test_pattern_that_is_not_one_token_rejected(self, pattern):
         # tokenize splits or drops these characters, so no token can match
-        with pytest.raises(MalformedRecord, match=r"^line 2: .* is not one token and can never match$") as info:
+        with pytest.raises(MalformedRecord, match=r"^line 2: .* is not one token and can never match$"):
             load_lexicon(["a\tjoy", f"b\t{pattern}"])
-        assert info.value.line == 2
 
     def test_duplicates_collapse(self):
         lex = load_lexicon(["a\tword", "a\tword", "a\tpre*", "a\tpre*"])

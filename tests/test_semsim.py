@@ -17,9 +17,8 @@ class TestLoadEmbeddings:
         assert np.allclose(table.vectors["the"], [0.1, 0.2])
 
     def test_dimension_mismatch_reports_line(self):
-        with pytest.raises(MalformedRecord, match="^line 2: expected 2 components, got 3$") as info:
+        with pytest.raises(MalformedRecord, match="^line 2: expected 2 components, got 3$"):
             table_of(["the 0.1 0.2", "cat 0.1 0.2 0.3"])
-        assert info.value.line == 2
 
     def test_duplicate_token_last_wins(self):
         table = table_of(["the 0.1 0.2", "the 0.9 0.8"])
