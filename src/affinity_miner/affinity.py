@@ -89,14 +89,14 @@ def estimate_chains(length: np.ndarray, states: np.ndarray, alpha: float = 1.0) 
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distributions of 3-state chains P[..., 3, 3], in closed form
-    by the Markov chain tree theorem (Leighton and Rivest, 1986).
+    """Stationary distributions of the 3-state chains in the float array
+    P[..., 3, 3], in closed form by the Markov chain tree theorem (Leighton
+    and Rivest, 1986).
 
     Only elementwise + x / are used, so the bits do not depend on the BLAS
     kernel or SIMD width. Raises DimensionMismatch for any other shape, and
     NonErgodic for a chain with two closed classes (no tree has weight).
     """
-    P = np.asarray(P, dtype=float)
     if P.shape[-2:] != (N_STATES, N_STATES):
         raise DimensionMismatch(f"need 3 x 3 chains, got shape {P.shape}")
     edges = P.reshape(*P.shape[:-2], N_STATES * N_STATES)[..., _TREE_EDGES]

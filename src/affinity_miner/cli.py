@@ -73,7 +73,10 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConf
 
 
 def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    """`raw` as config key `key`'s type; ConfigError for an unknown key or a bad value."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
         value = kind(raw)
     except ValueError:
@@ -140,8 +143,6 @@ def _config_values(stream) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: repeated config key {key!r}")
         try:
@@ -156,8 +157,6 @@ def resolve_config(file_values: dict[str, object], overrides: dict[str, str]) ->
     overrides."""
     merged = dict(file_values)
     for key, raw in overrides.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _convert(key, str(raw))
     return _validate(PipelineConfig(**merged))
 
@@ -286,10 +285,10 @@ class PipelineRunner:
         for key in ("pos_category", "neg_category"):
             category = getattr(self.cfg, key)
             # load_lexicon lowercases the category names, so any case matches
-            if category.lower() not in lex.categories:
+            if category.lower() not in lex:
                 raise ConfigError(
                     f"config key {key}: {category!r} is not a lexicon category; "
-                    f"the lexicon has: {', '.join(lex.categories)}"
+                    f"the lexicon has: {', '.join(lex)}"
                 )
         return {
             name: lexfeat.emotion_correlation_table(

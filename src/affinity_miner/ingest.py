@@ -5,6 +5,8 @@ Input formats:
     source, target, timestamp (int), sentiment ("NEG"|"NEU"|"POS"),
     and optional text.
   profiles: tab-separated with header row: user_id, mbti, bot_score.
+An id (source, target, user_id) must not start or end with whitespace, so
+that it names the same user in both files.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ class Sentiment(enum.IntEnum):
     NEG = 0
     NEU = 1
     POS = 2
-
-
-_SENTIMENT_BY_NAME = {s.name: s for s in Sentiment}
 
 
 class MbtiType(enum.Enum):
@@ -129,11 +128,11 @@ _EVENT_KEYS = {"source", "target", "timestamp", "sentiment", "text"}
 def open_input(path: str | os.PathLike) -> TextIO:
     """Open an input file for reading.
 
-    Bytes that are not UTF-8 decode to lone surrogates instead of failing
-    the whole file, so the loaders can reject just the lines holding them
-    and name those lines.
+    A leading byte-order mark is dropped. Bytes that are not UTF-8 decode
+    to lone surrogates instead of failing the whole file, so the loaders
+    can reject just the lines holding them and name those lines.
     """
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def make_output_dir(path: Path) -> None:
@@ -235,14 +234,18 @@ def _parse_event_line(line: str) -> tuple[str, str, int, Sentiment, str | None]:
             raise ValueError(f"{name} must be a non-empty string")
         if "\t" in value or "\r" in value or "\n" in value:
             raise ValueError(f"{name} contains a tab or line break")
+        if value != value.strip():
+            raise ValueError(f"{name} {value!r} has leading or trailing whitespace")
     ts = record["timestamp"]
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError(f"timestamp must be an integer, got {ts!r}")
     if not -(2**63) <= ts < 2**63:
         raise ValueError("timestamp out of range (not a 64-bit signed integer)")
     token = record["sentiment"]
-    if not isinstance(token, str) or token not in _SENTIMENT_BY_NAME:
-        raise ValueError(f"unknown sentiment token: {token!r}")
+    try:
+        state = Sentiment[token]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON array or object
+        raise ValueError(f"unknown sentiment token: {token!r}") from None
     text = record.get("text")
     if text is not None and not isinstance(text, str):
         raise ValueError("text must be a string when present")
@@ -253,7 +256,7 @@ def _parse_event_line(line: str) -> tuple[str, str, int, Sentiment, str | None]:
             _require_utf8(value, f"{name}: ")
     if source == target:
         raise ValueError("source equals target (self-mention)")
-    return source, target, ts, _SENTIMENT_BY_NAME[token], text
+    return source, target, ts, state, text
 
 
 def load_interactions(stream: Iterable[str]) -> EventTable:
@@ -300,8 +303,10 @@ def load_interactions(stream: Iterable[str]) -> EventTable:
 def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
     """Parse the tab-separated profiles table (header: user_id, mbti, bot_score).
 
-    Fields are split on tabs only; a quote is an ordinary character. Bad
-    rows and duplicate user ids are rejected under the parse_lines policy.
+    Fields are split on tabs only; a quote is an ordinary character. The
+    mbti and bot_score fields may be padded with whitespace, the user_id
+    may not. Bad rows and duplicate user ids are rejected under the
+    parse_lines policy.
     """
     lines = _numbered_lines(stream)
     lineno, header = next(lines, (None, None))
@@ -317,8 +322,10 @@ def load_profiles(stream: Iterable[str]) -> list[UserProfile]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(f"expected 3 fields, got {len(fields)}")
-        user_id, code, score_text = (c.strip() for c in fields)
-        profile = UserProfile(user_id, parse_mbti(code), float(score_text))
+        user_id, code, score_text = fields
+        if user_id != user_id.strip():
+            raise ValueError(f"user_id {user_id!r} has leading or trailing whitespace")
+        profile = UserProfile(user_id, parse_mbti(code.strip()), float(score_text.strip()))
         if user_id in seen:
             raise ValueError(f"duplicate user_id: {user_id!r}")
         seen.add(user_id)

@@ -62,12 +62,8 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """categories: category name -> (literal tokens, sorted prefix stems),
-    all lowercase."""
-
-    categories: Mapping[str, tuple[frozenset[str], tuple[str, ...]]]
+# category name -> (literal tokens, sorted prefix stems), all lowercase
+Lexicon = Mapping[str, tuple[frozenset[str], tuple[str, ...]]]
 
 
 def _check_pattern(pattern: str, lineno: int) -> str:
@@ -85,8 +81,9 @@ def _check_pattern(pattern: str, lineno: int) -> str:
 
 
 def load_lexicon(stream) -> Lexicon:
-    """Parse category<TAB>pattern lines; duplicates collapse. Any category
-    name loads: the features are exactly these categories."""
+    """Parse category<TAB>pattern lines into the category map, in category
+    name order; duplicates collapse. Any category name loads: the features
+    are exactly these categories."""
     categories: dict[str, set[str]] = {}
     for lineno, line in read_lines(stream):
         parts = line.split("\t")
@@ -95,15 +92,13 @@ def load_lexicon(stream) -> Lexicon:
         category = parts[0].strip().lower()
         pattern = _check_pattern(parts[1].strip(), lineno)
         categories.setdefault(category, set()).add(pattern)
-    return Lexicon(
-        {
-            name: (
-                frozenset(p for p in patterns if not p.endswith("*")),
-                tuple(sorted(p[:-1] for p in patterns if p.endswith("*"))),
-            )
-            for name, patterns in sorted(categories.items())
-        }
-    )
+    return {
+        name: (
+            frozenset(p for p in patterns if not p.endswith("*")),
+            tuple(sorted(p[:-1] for p in patterns if p.endswith("*"))),
+        )
+        for name, patterns in sorted(categories.items())
+    }
 
 
 def extract_features(text: str, lex: Lexicon) -> FeatureVector:
@@ -114,12 +109,11 @@ def extract_features(text: str, lex: Lexicon) -> FeatureVector:
     adds its count; integer counts are exact in float64.
     """
     tokens = tokenize(text)
-    categories = lex.categories
-    values = {name: 0.0 for name in categories}
+    values = {name: 0.0 for name in lex}
     if not tokens:
         return values
     for token, count in Counter(tokens).items():
-        for name, (literals, prefixes) in categories.items():
+        for name, (literals, prefixes) in lex.items():
             if token in literals or token.startswith(prefixes):
                 values[name] += count
     n = float(len(tokens))
@@ -134,7 +128,6 @@ class EnetFit:
     intercept: float
     sweeps: int
     converged: bool
-    objective_trace: tuple[float, ...]
 
 
 def _soft_threshold(z: float, gamma: float) -> float:
@@ -151,7 +144,8 @@ def fit_elastic_net(
     lam: float = 0.01,
     mix: float = 0.5,
 ) -> EnetFit:
-    """Cyclic coordinate descent on standardized columns.
+    """Cyclic coordinate descent on the standardized columns of the float
+    arrays X (n x p) and y (n).
 
     Minimizes (1/2n)||y - Xb - b0||^2 + lam (mix ||b||_1 + (1-mix)/2 ||b||^2)
     with the penalty applied to standardized coefficients; the returned
@@ -159,8 +153,6 @@ def fit_elastic_net(
     the largest coefficient change in a sweep falls below ENET_TOL, or
     after ENET_MAX_SWEEPS sweeps (both read at call time).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch(f"X must be 2-d, got shape {X.shape}")
     n, p = X.shape
@@ -183,7 +175,6 @@ def fit_elastic_net(
     denom = col_sq + lam * (1.0 - mix)
     beta = np.zeros(p)
     resid = yc.copy()
-    trace: list[float] = []
     converged = False
     sweeps = 0
     for _ in range(ENET_MAX_SWEEPS):
@@ -199,24 +190,17 @@ def fit_elastic_net(
                 resid += Xs[:, j] * (old - new)
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        trace.append(
-            float(
-                (resid @ resid) / (2 * n)
-                + lam * (mix * np.abs(beta).sum() + (1 - mix) / 2 * (beta @ beta))
-            )
-        )
         if max_delta < ENET_TOL:
             converged = True
             break
     coef = beta / sd_safe
     intercept = float(y_mean - mu @ coef)
-    return EnetFit(coef, intercept, sweeps, converged, tuple(trace))
+    return EnetFit(coef, intercept, sweeps, converged)
 
 
-def pearson_r(x, y) -> float:
-    """Pearson correlation; identical inputs give exactly 1.0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of two 1-d float arrays; identical inputs give
+    exactly 1.0."""
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"shapes {x.shape} vs {y.shape}")
     if len(x) < 2:
@@ -266,7 +250,7 @@ def _category_weights(
     """Elastic-net coefficients of target-category proportion on token counts."""
     if len(documents) < 2:
         raise InsufficientData(f"need at least 2 documents, got {len(documents)}")
-    if target not in lex.categories:
+    if target not in lex:
         raise InvalidSpec(f"unknown lexicon category: {target!r}")
     y = np.array([extract_features(doc, lex)[target] for doc in documents])
     vocab, X = _token_count_rows(documents)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from affinity_miner import affinity, classify, cluster, lexfeat
+from affinity_miner import affinity, classify, cluster, lexfeat, semsim
 from affinity_miner import cli as cli_module
 from affinity_miner.cli import (
     PipelineConfig,
@@ -25,7 +25,7 @@ from affinity_miner.cli import (
     run_pipeline,
 )
 from affinity_miner.errors import ConfigError
-from affinity_miner.ingest import load_interactions
+from affinity_miner.ingest import load_interactions, load_profiles, open_input
 from affinity_miner.synth import generate_dataset
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -529,6 +529,34 @@ class TestNonUtf8Input:
         assert f"(first: line {lineno}: not valid UTF-8" in err
         assert "Traceback" not in err
         assert not (out / "ingest.txt").exists()
+
+
+def loaded(key, path):
+    """What the pipeline reads from the `key` file at `path`, in a form
+    that compares with ==."""
+    if key == "config":
+        return parse_config_file(path)
+    loader = {
+        "interactions": load_interactions,
+        "profiles": load_profiles,
+        "embeddings": semsim.load_embeddings,
+        "lexicon": lexfeat.load_lexicon,
+    }[key]
+    with open_input(path) as fh:
+        value = loader(fh)
+    if key == "interactions":
+        columns = (value.source, value.target, value.timestamp, value.sentiment)
+        return value.users, value.documents, [c.tolist() for c in columns]
+    if key == "embeddings":
+        return value.dimension, {t: v.tolist() for t, v in value.vectors.items()}
+    return value
+
+
+@pytest.mark.parametrize("key", ["config", "interactions", "profiles", "embeddings", "lexicon"])
+def test_leading_byte_order_mark_is_ignored(dataset, tmp_path, key):
+    bom = tmp_path / dataset[key].name
+    bom.write_bytes(b"\xef\xbb\xbf" + dataset[key].read_bytes())
+    assert loaded(key, bom) == loaded(key, dataset[key])
 
 
 class TestEscapedSurrogate:

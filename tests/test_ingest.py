@@ -122,6 +122,12 @@ class TestLoadInteractions:
         lines = [event_line(sentiment="MEH")] + [event_line(timestamp=i) for i in range(20)]
         assert len(load_interactions(lines)) == 20
 
+    @pytest.mark.parametrize("token", ["pos", 2, None, ["POS"], {"POS": 1}])
+    def test_sentiment_must_be_a_token_name(self, caplog, token):
+        lines = [event_line(sentiment=token)] + [event_line(timestamp=i) for i in range(20)]
+        assert len(load_interactions(lines)) == 20
+        assert f"line 1 rejected: unknown sentiment token: {token!r}" in caplog.text
+
     def test_aggregate_error_above_ten_percent(self, caplog):
         lines = [event_line()] * 8 + ["{broken", event_line(sentiment="?")]
         with pytest.raises(MalformedRecord, match="^interactions: 2 of 10 lines malformed"):
@@ -221,6 +227,17 @@ class TestLoadInteractions:
         assert all(brk not in user for user in events.users)
         assert f"interactions line 4 rejected: {field} contains a tab or line break" in caplog.text
 
+    @pytest.mark.parametrize("field", ["source", "target"])
+    @pytest.mark.parametrize("user_id", [" x", "x ", " x ", "x\u00a0"])
+    def test_padded_id_rejected(self, caplog, field, user_id):
+        # an id must equal its profile's user_id, which may not be padded either
+        lines = [event_line(timestamp=i) for i in range(20)]
+        lines.insert(3, event_line(**{field: user_id}))
+        events = load_interactions(lines)
+        assert len(events) == 20 and events.users == ("a", "b")
+        reason = f"{field} {user_id!r} has leading or trailing whitespace"
+        assert f"interactions line 4 rejected: {reason}" in caplog.text
+
     def test_non_string_text_rejected(self, caplog):
         lines = [event_line(timestamp=i) for i in range(20)]
         lines.insert(5, event_line(source="x", text=["hi"]))
@@ -296,6 +313,21 @@ class TestLoadInteractions:
 
 class TestLoadProfiles:
     HEADER = "user_id\tmbti\tbot_score"
+
+    @pytest.mark.parametrize("user_id", [" u5", "u5 ", " u5 ", "u5\u00a0"])
+    def test_padded_user_id_rejected(self, caplog, user_id):
+        # load_interactions keeps ids as written, so a stripped " u5 " would
+        # name a user no event has
+        rows = [self.HEADER] + [f"u{i}\tINFJ\t0.1" for i in range(20)]
+        rows.insert(4, f"{user_id}\tINFJ\t0.1")
+        profiles = load_profiles(rows)
+        assert [p.user_id for p in profiles] == [f"u{i}" for i in range(20)]
+        reason = f"user_id {user_id!r} has leading or trailing whitespace"
+        assert f"profiles line 5 rejected: {reason}" in caplog.text
+
+    def test_padded_type_and_score_load(self):
+        profiles = load_profiles([self.HEADER, "u0\t INFJ \t 0.1 "])
+        assert profiles == [UserProfile("u0", MbtiType.INFJ, 0.1)]
 
     def test_basic(self):
         rows = [self.HEADER, "alice\tINFJ\t0.4", "bob\tentp\t2.0"]

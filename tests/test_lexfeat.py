@@ -57,7 +57,7 @@ class TestLoadLexicon:
 
     def test_duplicates_collapse(self):
         lex = load_lexicon(["a\tword", "a\tword", "a\tpre*", "a\tpre*"])
-        assert lex.categories["a"] == (frozenset({"word"}), ("pre",))
+        assert lex["a"] == (frozenset({"word"}), ("pre",))
 
     def test_structure_errors(self):
         with pytest.raises(MalformedRecord):
@@ -65,15 +65,15 @@ class TestLoadLexicon:
 
     def test_patterns_lowercased(self):
         lex = load_lexicon(["a\tWord", "a\tPre*"])
-        assert lex.categories["a"] == (frozenset({"word"}), ("pre",))
+        assert lex["a"] == (frozenset({"word"}), ("pre",))
 
     def test_patterns_compiled_once(self):
         lex = load_lexicon(["b\tx", "a\tword", "a\tpre*", "a\tab*", "a\tp*"])
-        assert lex.categories == {
+        assert lex == {
             "a": (frozenset({"word"}), ("ab", "p", "pre")),
             "b": (frozenset({"x"}), ()),
         }
-        assert list(lex.categories) == ["a", "b"]
+        assert list(lex) == ["a", "b"]
 
 
 class TestExtractFeatures:
@@ -171,25 +171,26 @@ class TestFitElasticNet:
             fit = fit_elastic_net(x[:, None], y, lam=lam, mix=mix)
             assert abs(fit.coef[0] - expected) < 1e-8
 
-    def test_objective_non_increasing(self, rng):
-        X = rng.normal(size=(30, 8))
-        y = X @ rng.normal(size=8) + rng.normal(size=30) * 0.1
-        fit = fit_elastic_net(X, y, lam=0.05, mix=0.5)
-        trace = fit.objective_trace
-        assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
-
-    def test_recorded_objective_is_the_fit_objective(self, rng):
-        # recomputed from the returned fit, on the columns standardized as the solver does
+    def test_objective_non_increasing(self, rng, monkeypatch):
+        # a fit capped at k sweeps is the solver's k-th iterate; each one's
+        # objective is recomputed from its coef and intercept, on the
+        # columns standardized as the solver does
         X = rng.normal(size=(30, 6)) * rng.uniform(0.5, 3.0, size=6)
         y = X @ rng.normal(size=6) + rng.normal(size=30) * 0.1
         lam, mix = 0.05, 0.3
-        fit = fit_elastic_net(X, y, lam=lam, mix=mix)
-        beta = fit.coef * X.std(axis=0)
-        assert np.count_nonzero(beta) >= 3
-        resid = y - X @ fit.coef - fit.intercept
-        l1, l2 = np.abs(beta).sum(), beta @ beta
-        objective = resid @ resid / (2 * len(y)) + lam * (mix * l1 + (1 - mix) / 2 * l2)
-        assert fit.objective_trace[-1] == pytest.approx(objective, rel=1e-12, abs=0)
+        full = fit_elastic_net(X, y, lam=lam, mix=mix)
+        assert full.converged and full.sweeps >= 3
+        assert np.count_nonzero(full.coef) >= 3
+        objectives = []
+        for cap in range(1, full.sweeps + 1):
+            monkeypatch.setattr(lexfeat, "ENET_MAX_SWEEPS", cap)
+            fit = fit_elastic_net(X, y, lam=lam, mix=mix)
+            beta = fit.coef * X.std(axis=0)
+            resid = y - X @ fit.coef - fit.intercept
+            l1, l2 = np.abs(beta).sum(), beta @ beta
+            objectives.append(resid @ resid / (2 * len(y)) + lam * (mix * l1 + (1 - mix) / 2 * l2))
+        assert np.array_equal(fit.coef, full.coef)
+        assert all(a >= b - 1e-12 for a, b in zip(objectives, objectives[1:]))
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -197,11 +198,11 @@ class TestFitElasticNet:
 
     def test_one_dimensional_x(self):
         with pytest.raises(DimensionMismatch, match=r"^X must be 2-d, got shape \(3,\)$"):
-            fit_elastic_net([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+            fit_elastic_net(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_one_row(self):
         with pytest.raises(InsufficientData, match="^need at least 2 rows, got 1$"):
-            fit_elastic_net([[1.0, 2.0]], [1.0])
+            fit_elastic_net(np.array([[1.0, 2.0]]), np.array([1.0]))
 
     @pytest.mark.parametrize("lam, mix", [(-0.1, 0.5), (0.01, 1.5)])
     def test_bad_penalty(self, rng, lam, mix):
@@ -226,7 +227,8 @@ class TestPearson:
         assert pearson_r(x, -x) == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_computed_half(self):
-        assert pearson_r([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, rel=1e-12)
+        r = pearson_r(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]))
+        assert r == pytest.approx(0.5, rel=1e-12)
 
     def test_identical_exactly_one(self, rng):
         for _ in range(20):
@@ -242,15 +244,15 @@ class TestPearson:
 
     def test_constant_vector(self):
         with pytest.raises(ConstantVector):
-            pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            pearson_r(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(InsufficientData, match="^need at least 2 points$"):
-            pearson_r([1.0], [1.0])
+            pearson_r(np.array([1.0]), np.array([1.0]))
 
     def test_shapes_differ(self):
         with pytest.raises(DimensionMismatch, match=r"^shapes \(2,\) vs \(3,\)$"):
-            pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+            pearson_r(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def synthetic_corpus(rng, emotion_rate, vocab, emotion_word="happy", n_docs=12):
