@@ -30,6 +30,9 @@ KDEST_MAX_ITER = 100
 # expansion product columns computed, inflated and pruned at a time: one
 # unpruned block of a 2048-node flow's square holds about 2 MiB
 MCL_BLOCK_COLUMNS = 128
+# diagonal blocks of the fundamental matrix inverted at a time: the
+# inverse's temporaries hold INVERSE_BLOCK x n, 768 KiB at 768 nodes
+INVERSE_BLOCK = 128
 # a stationary distribution's residual max|pi P - pi| must fall below this
 STATIONARY_TOL = 1e-12
 
@@ -110,11 +113,36 @@ def _stationary_residual(g: AffinityGraph, tau: float, pi: np.ndarray) -> float:
     return float(np.max(np.abs(flow - pi)))
 
 
-def _check_lapack(routine: str, info: int) -> None:
-    if info < 0:
-        raise ValueError(f"{routine}: illegal value in argument {-info}")
-    if info > 0:
-        raise NonErgodic(f"fundamental matrix is singular: zero pivot in column {info}")
+def _invert_in_place(A: np.ndarray) -> None:
+    """Overwrite A with its inverse by block Gauss-Jordan sweeps over
+    INVERSE_BLOCK-wide diagonal blocks, without pivoting across blocks.
+
+    Sweeping pivot block K replaces A_KK by inv(A_KK), each other row block
+    I by A_IJ - A_IK inv(A_KK) A_KJ and A_IK by -A_IK inv(A_KK), and row K
+    by inv(A_KK) A_KJ; after every block is swept A holds inv(A). Each
+    product is taken one row block at a time, so no temporary exceeds
+    INVERSE_BLOCK x n. Raises NonErgodic when np.linalg.inv refuses a pivot
+    block as singular.
+    """
+    n = A.shape[0]
+    for start in range(0, n, INVERSE_BLOCK):
+        K = slice(start, min(start + INVERSE_BLOCK, n))
+        try:
+            pivot = np.linalg.inv(A[K, K])
+        except np.linalg.LinAlgError:
+            raise NonErgodic(
+                "fundamental matrix is singular: "
+                f"zero pivot in columns {K.start + 1}-{K.stop}"
+            ) from None
+        for first in range(0, n, INVERSE_BLOCK):
+            if first == start:
+                continue
+            rows = slice(first, min(first + INVERSE_BLOCK, n))
+            factor = A[rows, K] @ pivot
+            A[rows] -= factor @ A[K]
+            np.negative(factor, out=A[rows, K])
+        A[K] = pivot @ A[K]
+        A[K, K] = pivot
 
 
 def hitting_times(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray:
@@ -125,29 +153,27 @@ def hitting_times(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray
     One inverse Z = inv(I - P + 1 1^T / n) gives pi as the column means of
     Z and (I - P) Z = I - 1 pi^T, so H[i, j] = (Z[j, j] - Z[i, j]) / pi[j]
     (Kemeny and Snell, 1960). The walk matrix is the only n x n array: it
-    becomes I - P + 1 1^T / n in place, LAPACK's getrf and getri (at the
-    workspace getri asks for) overwrite it with Z, and H is written over
-    Z. Raises InsufficientData and InvalidSpec as random_walk_matrix does,
-    ValueError on an illegal LAPACK argument, and NonErgodic when the
-    factor has a zero pivot or max|pi P - pi|, taken from the edge list,
-    is not below STATIONARY_TOL, as for two closed classes at a tiny tau.
+    becomes I - P + 1 1^T / n in place, _invert_in_place overwrites it
+    with Z, and H is written over Z. The sweeps need no pivoting across
+    blocks: for 0 < tau < 1 the walk is irreducible, so on each proper
+    leading node set L, I - P_LL is a nonsingular M-matrix (positive
+    determinant, inv(I - P_LL) >= 0), and the matrix determinant lemma
+    gives det(I - P_LL + 1 1^T / n) = det(I - P_LL)
+    (1 + 1^T inv(I - P_LL) 1 / n) > 0; each pivot block is the Schur
+    complement of one such leading block in the next (or in the whole
+    matrix, nonsingular for an ergodic walk), so it is nonsingular. Raises
+    InsufficientData and InvalidSpec as random_walk_matrix does, and
+    NonErgodic when a pivot block is singular in floating point or
+    max|pi P - pi|, taken from the edge list, is not below STATIONARY_TOL,
+    as for two closed classes at a tiny tau.
     """
-    # imported here: an MCL run never needs scipy.linalg
-    from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
-
     A = random_walk_matrix(g, tau)
     n = A.shape[0]
     np.negative(A, out=A)
     A.flat[:: n + 1] += 1.0
     A += 1.0 / n
-    # A.T is the Fortran-ordered A^T: LAPACK overwrites it with inv(A^T),
-    # whose transpose, read through A's own memory, is Z = inv(A)
-    lu, piv, info = dgetrf(A.T, overwrite_a=True)
-    _check_lapack("getrf", info)
-    lwork, _ = dgetri_lwork(n)
-    lu, info = dgetri(lu, piv, lwork=int(lwork), overwrite_lu=True)
-    _check_lapack("getri", info)
-    Z = lu.T
+    _invert_in_place(A)
+    Z = A
     pi = Z.mean(axis=0)
     if not _stationary_residual(g, tau, pi) < STATIONARY_TOL:
         raise NonErgodic("no stationary distribution within tolerance")

@@ -909,13 +909,25 @@ def test_import_does_not_touch_the_umask():
     assert fresh_python(code) == "[]"
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
-def test_import_leaves_scipy_module_unloaded(module):
-    # nothing in the package uses scipy.optimize, the slowest scipy import:
-    # this keeps one from coming back; hitting_times imports scipy.linalg,
-    # which MCL never needs
-    code = f"import sys, affinity_miner.cli; print({module!r} in sys.modules)"
-    assert fresh_python(code) == "False"
+@pytest.mark.parametrize(
+    "module, method",
+    [
+        pytest.param("scipy.optimize", None, id="scipy.optimize"),
+        pytest.param("scipy.linalg", None, id="scipy.linalg"),
+        pytest.param("scipy.linalg", "k-destinations", id="scipy.linalg-k-destinations-run"),
+    ],
+)
+def test_import_leaves_scipy_module_unloaded(module, method, dataset, tmp_path):
+    # nothing in the package uses scipy.optimize, the slowest scipy import,
+    # or scipy.linalg, whose import loads scipy's own BLAS (about 8 MB of
+    # RSS): hitting_times inverts with numpy alone, so not even a
+    # k-destinations run loads it; this keeps either from coming back
+    code = "import sys, affinity_miner.cli\n"
+    if method:
+        argv = ["run", *input_args(dataset), f"--set=method={method}", "--out", str(tmp_path)]
+        code += f"print(affinity_miner.cli.main({argv!r}))\n"
+    code += f"print({module!r} in sys.modules)"
+    assert fresh_python(code).split() == (["0"] if method else []) + ["False"]
 
 
 @pytest.mark.parametrize(

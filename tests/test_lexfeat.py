@@ -192,6 +192,34 @@ class TestFitElasticNet:
         assert np.array_equal(fit.coef, full.coef)
         assert all(a >= b - 1e-12 for a, b in zip(objectives, objectives[1:]))
 
+    def test_fit_meets_optimality_conditions(self, rng):
+        # on standardized column j the gradient of the smooth part,
+        # (1/n) x_j^T r - lam (1 - mix) beta_j, equals lam mix sign(beta_j)
+        # where beta_j != 0 and lies within +-lam mix where beta_j == 0
+        lam, mix = 0.05, 0.3
+        worst, zeros, nonzeros = 0.0, 0, 0
+        for _ in range(20):
+            X = rng.normal(size=(40, 8)) * rng.uniform(0.5, 3.0, size=8)
+            y = X[:, :4] @ rng.normal(size=4) + rng.normal(size=40)
+            fit = fit_elastic_net(X, y, lam=lam, mix=mix)
+            assert fit.converged
+            Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+            beta = fit.coef * X.std(axis=0)
+            resid = y - X @ fit.coef - fit.intercept
+            grad = Xs.T @ resid / len(y) - lam * (1 - mix) * beta
+            active = beta != 0.0
+            gaps = np.where(
+                active,
+                np.abs(grad - lam * mix * np.sign(beta)),
+                np.maximum(np.abs(grad) - lam * mix, 0.0),
+            )
+            worst = max(worst, float(gaps.max()))
+            nonzeros += int(active.sum())
+            zeros += int((~active).sum())
+        # both conditions are exercised
+        assert zeros and nonzeros
+        assert worst < 1e-6, f"largest optimality gap {worst:.2e}"
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=9))
