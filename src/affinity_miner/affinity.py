@@ -67,7 +67,7 @@ def build_pair_sequences(events: EventTable) -> PairSequences:
     )
 
 
-def estimate_chains(length: np.ndarray, states: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+def estimate_chains(length: np.ndarray, states: np.ndarray, alpha: float) -> np.ndarray:
     """Laplace-smoothed m x 3 x 3 row-stochastic transition matrices over
     (NEG, NEU, POS), one per sequence, from the consecutive states inside
     each sequence; `length` holds the m lengths and `states` the sequences
@@ -109,7 +109,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 def score_sequences(
-    length: np.ndarray, states: np.ndarray, alpha: float = 1.0, kappa: float = 5.0
+    length: np.ndarray, states: np.ndarray, alpha: float, kappa: float
 ) -> np.ndarray:
     """One float64 score per sequence (as laid out for estimate_chains): its
     chain's stationary POS mass times the evidence factor n / (n + kappa),

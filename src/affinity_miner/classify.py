@@ -142,7 +142,7 @@ def _lr_gradients(X, XT, targets: np.ndarray, W: np.ndarray, b: np.ndarray, ridg
 def train_lr(
     m: TfIdfMatrix,
     labels: Sequence[MbtiType],
-    ridge: float = 1.0,
+    ridge: float,
 ) -> LrModel:
     """One-vs-rest logistic regression by FISTA with gradient restart.
 
@@ -260,10 +260,10 @@ def _stratified_folds(
 
 def cross_validate(
     c: LabeledCorpus,
-    classifier: str = "nb",
-    folds: int = 10,
-    seed: int = 0,
-    ridge: float = 1.0,
+    classifier: str,
+    folds: int,
+    seed: int,
+    ridge: float,
 ) -> CvReport:
     """Per-type F-1 over concatenated out-of-fold predictions.
 

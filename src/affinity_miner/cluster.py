@@ -23,7 +23,6 @@ from .graph import AffinityGraph
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TELEPORT = 0.01
 MCL_MAX_ITER = 200
 MCL_TOL = 1e-8
 KDEST_MAX_ITER = 100
@@ -72,7 +71,7 @@ class Clustering:
         )
 
 
-def random_walk_matrix(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray:
+def random_walk_matrix(g: AffinityGraph, tau: float) -> np.ndarray:
     """Row-stochastic walk matrix over g.order: row-normalized out-weights
     mixed with uniform teleportation.
 
@@ -145,7 +144,7 @@ def _invert_in_place(A: np.ndarray) -> None:
         A[K, K] = pivot
 
 
-def hitting_times(g: AffinityGraph, tau: float = DEFAULT_TELEPORT) -> np.ndarray:
+def hitting_times(g: AffinityGraph, tau: float) -> np.ndarray:
     """Expected first-arrival steps between all node pairs of the walk
     random_walk_matrix(g, tau): H[i, j] is the expected number of walk
     steps from node i to node j, over g.order.
@@ -245,7 +244,7 @@ def _mcl_seed_matrix(g: AffinityGraph) -> sp.csc_array:
 
 
 def mcl_flow(
-    M: sp.csc_array, e: int = 2, r: float = 2.0, prune: float = 1e-6
+    M: sp.csc_array, e: int, r: float, prune: float
 ) -> Iterator[tuple[sp.csc_array, float]]:
     """Yield each flow of the expansion/inflation iteration with its max
     change, max |flow - previous flow|; the caller decides when to stop.
@@ -342,9 +341,9 @@ def _clusters_from_limit(M: sp.csc_array, iterations: int) -> list[np.ndarray]:
 
 def mcl(
     g: AffinityGraph,
-    e: int = 2,
-    r: float = 2.0,
-    prune: float = 1e-6,
+    e: int,
+    r: float,
+    prune: float,
 ) -> Clustering:
     """Flow-simulation clustering by expansion and inflation.
 
@@ -430,7 +429,7 @@ def _init_destinations(g: AffinityGraph, H: np.ndarray, k: int) -> list[int]:
 def k_destinations(
     g: AffinityGraph,
     k: int,
-    tau: float = DEFAULT_TELEPORT,
+    tau: float,
 ) -> Clustering:
     """Disjoint clustering by minimal hitting time to destination nodes.
 

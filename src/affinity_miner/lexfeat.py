@@ -141,8 +141,8 @@ def _soft_threshold(z: float, gamma: float) -> float:
 def fit_elastic_net(
     X: np.ndarray,
     y: np.ndarray,
-    lam: float = 0.01,
-    mix: float = 0.5,
+    lam: float,
+    mix: float,
 ) -> EnetFit:
     """Cyclic coordinate descent on the standardized columns of the float
     arrays X (n x p) and y (n).
@@ -273,9 +273,9 @@ def emotion_correlation_table(
     documents_by_group: Mapping[G, Sequence[str]],
     lex: Lexicon,
     target: str,
-    n: int = 1000,
-    lam: float = 0.01,
-    mix: float = 0.5,
+    n: int,
+    lam: float,
+    mix: float,
 ) -> dict[tuple[G, G], float]:
     """Correlations of every two groups' elastic-net emotion weights.
 

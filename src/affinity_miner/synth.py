@@ -21,12 +21,12 @@ from .ingest import ALL_TYPES, MbtiType, Sentiment, cannot_write, make_output_di
 
 
 def _chain_cdf(P: np.ndarray) -> list[list[float]]:
-    """Cumulative rows of a chain as Python floats: rows 0-2 step from a
-    state, row 3 draws the first state from the stationary distribution.
+    """Cumulative rows of the float64 chain array P as Python floats: rows
+    0-2 step from a state, row 3 draws the first state from the stationary
+    distribution.
 
     InvalidSpec unless P is 3 x 3 and row-stochastic: a row summing below
     1 would otherwise hand its missing mass to the last state."""
-    P = np.asarray(P, dtype=float)
     if P.shape != (3, 3):
         raise InvalidSpec(f"chain matrix must be 3 x 3, got shape {P.shape}")
     if not (np.isfinite(P).all() and (P >= 0).all()):
@@ -101,9 +101,7 @@ class _User(NamedTuple):
     emotionality: tuple[float, float]
 
 
-def generate_dataset(
-    out_dir: str | Path, seed: int = 0, users_per_type: int = 12
-) -> dict[str, Path]:
+def generate_dataset(out_dir: str | Path, seed: int, users_per_type: int) -> dict[str, Path]:
     """Write a synthetic but fully pipeline-compatible input set.
 
     The 16 types are split into BLOCKS groups; users mention others in

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from affinity_miner.affinity import PairSequences
+from affinity_miner.cli import PipelineConfig
 from affinity_miner.graph import AffinityGraph
 from affinity_miner.influence import cluster_link_counts
 from affinity_miner.ingest import ALL_TYPES, Sentiment, parse_mbti
@@ -10,6 +11,13 @@ from affinity_miner.ingest import ALL_TYPES, Sentiment, parse_mbti
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def defaults():
+    """The default config: the tuning values a library call takes, which
+    no library function gives a default of its own."""
+    return PipelineConfig()
 
 
 def dict_graph(nodes, edges):

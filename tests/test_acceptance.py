@@ -86,7 +86,7 @@ def test_01_type_pair_enumeration(rng):
            f"entries=136 always={sizes_ok}, max sum deviation={worst_dev:.2e}, {elapsed:.2f}s")
 
 
-def test_02_clustering_recovery():
+def test_02_clustering_recovery(defaults):
     worst_nmi, worst_err, worst_time = 1.0, 0.0, 0.0
     for seed in range(10):
         spec = PlantedSpec(
@@ -97,7 +97,10 @@ def test_02_clustering_recovery():
         order = g.order
         tvec = np.array([truth[u] for u in order])
         start = time.perf_counter()
-        for clustering in (mcl(g), k_destinations(g, 4)):
+        for clustering in (
+            mcl(g, defaults.expansion, defaults.inflation, defaults.prune),
+            k_destinations(g, 4, defaults.tau),
+        ):
             labels = labels_from_clustering(clustering)
             worst_nmi = min(worst_nmi, nmi(labels, tvec))
             worst_err = max(worst_err, clustering_error(labels, tvec))
@@ -108,14 +111,15 @@ def test_02_clustering_recovery():
            f"max per-graph time={worst_time:.2f}s (<10)")
 
 
-def test_03_hitting_time_oracle(rng):
+def test_03_hitting_time_oracle(rng, defaults):
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 21))
         g = random_positive_graph(rng, n)
-        H = hitting_times(g)
-        worst = max(worst, float(np.max(np.abs(H - direct_hitting_times(random_walk_matrix(g))))))
+        H = hitting_times(g, defaults.tau)
+        P = random_walk_matrix(g, defaults.tau)
+        worst = max(worst, float(np.max(np.abs(H - direct_hitting_times(P)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 5.0
     report(3, "hitting-time oracle equivalence", ok,
@@ -155,13 +159,13 @@ def test_05_chain_estimation_consistency(rng):
            f"max L-inf dev={worst:.4f} (<0.02), {elapsed:.2f}s (<5)")
 
 
-def test_06_elastic_net_correctness(rng):
+def test_06_elastic_net_correctness(rng, defaults):
     start = time.perf_counter()
     worst_ols = 0.0
     for _ in range(20):
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        fit = fit_elastic_net(X, y, lam=0.0)
+        fit = fit_elastic_net(X, y, lam=0.0, mix=defaults.mix)
         coef, *_ = np.linalg.lstsq(np.hstack([X, np.ones((10, 1))]), y, rcond=None)
         worst_ols = max(
             worst_ols,
@@ -186,7 +190,7 @@ def test_06_elastic_net_correctness(rng):
            f"max |cd - soft threshold|={worst_soft:.2e} (<1e-8), {elapsed:.2f}s (<2)")
 
 
-def test_07_classification_sanity(rng):
+def test_07_classification_sanity(rng, defaults):
     start = time.perf_counter()
     shared = [f"noise{i}" for i in range(10)]
     docs = []
@@ -198,7 +202,7 @@ def test_07_classification_sanity(rng):
     corpus = LabeledCorpus(tuple(docs))
     macro = {}
     for classifier in ("nb", "lr"):
-        rep = cross_validate(corpus, classifier, folds=10, seed=0)
+        rep = cross_validate(corpus, classifier, folds=10, seed=0, ridge=defaults.ridge)
         macro[classifier] = rep.macro_f1()
     grad_ok = True
     for _ in range(10):
@@ -246,7 +250,7 @@ def _mp_pearson(x, y):
     return float(sxy / mpmath.sqrt(sxx * syy))
 
 
-def test_08_similarity_correlation_numerics(rng):
+def test_08_similarity_correlation_numerics(rng, defaults):
     worst_cos, worst_pearson = 0.0, 0.0
     for _ in range(100):
         n = int(rng.integers(2, 40))
@@ -270,7 +274,7 @@ def test_08_similarity_correlation_numerics(rng):
         words += ["happy"] * int(rng.integers(0, 4))
         docs.append(" ".join(words))
     self_corr = emotion_correlation_table(
-        {"a": docs, "b": list(docs)}, lex, "posemo"
+        {"a": docs, "b": list(docs)}, lex, "posemo", defaults.top_n, defaults.lam, defaults.mix
     )[("b", "a")]
 
     ok = (

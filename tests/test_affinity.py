@@ -155,9 +155,9 @@ class TestEstimateChain:
         assert np.array_equal(tm[1][int(NEG)], [2 / 4, 1 / 4, 1 / 4])
         assert np.array_equal(tm[2], np.full((3, 3), 1 / 3))
 
-    def test_lengths_must_cover_the_states(self):
+    def test_lengths_must_cover_the_states(self, defaults):
         with pytest.raises(DimensionMismatch):
-            estimate_chains(np.array([2, 1]), np.zeros(4, dtype=np.int8))
+            estimate_chains(np.array([2, 1]), np.zeros(4, dtype=np.int8), defaults.alpha)
 
 
 class TestStationaryDistribution:
@@ -211,9 +211,9 @@ class TestStationaryDistribution:
 
 
 class TestAffinityScore:
-    def test_empty_is_zero(self):
+    def test_empty_is_zero(self, defaults):
         assert affinity_score(()) == 0.0
-        scores = score_sequences(*flat([]))
+        scores = score_sequences(*flat([]), defaults.alpha, defaults.kappa)
         assert scores.dtype == np.float64 and scores.shape == (0,)
 
     def test_all_pos_hand_value(self):
@@ -228,12 +228,12 @@ class TestAffinityScore:
         assert all(a < b for a, b in zip(fixed, fixed[1:]))
         assert all(0.0 <= v < 1.0 for v in values)
 
-    def test_bounds_random(self, rng):
+    def test_bounds_random(self, rng, defaults):
         sequences = [
             tuple(Sentiment(int(s)) for s in rng.integers(0, 3, size=rng.integers(0, 40)))
             for k in range(100)
         ]
-        scores = score_sequences(*flat(sequences))
+        scores = score_sequences(*flat(sequences), defaults.alpha, defaults.kappa)
         assert ((0.0 <= scores) & (scores < 1.0)).all()
 
     def test_order_sensitivity(self):
@@ -241,9 +241,9 @@ class TestAffinityScore:
         b = affinity_score((POS, NEG, POS, NEG))
         assert a != b
 
-    def test_relabeling_invariance(self):
+    def test_relabeling_invariance(self, defaults):
         states = (POS, NEG, NEU, POS)
-        scores = score_sequences(*flat([states, (NEG,), states]))
+        scores = score_sequences(*flat([states, (NEG,), states]), defaults.alpha, defaults.kappa)
         assert scores[0] == scores[2]
 
     def test_smoothing_error_propagates(self):
@@ -268,9 +268,9 @@ class TestAffinityScore:
         scores = score_sequences(*flat([(POS,) * 3, (NEG, POS), ()]), alpha, kappa)
         assert ((scores >= 0) & (scores < 1)).all()
 
-    def test_score_sequences_deterministic(self):
+    def test_score_sequences_deterministic(self, defaults):
         seqs = [(POS, NEG), (POS,), (), (NEU, POS, POS)]
-        s1 = score_sequences(*flat(seqs))
-        s2 = score_sequences(*flat(seqs[::-1]))
+        s1 = score_sequences(*flat(seqs), defaults.alpha, defaults.kappa)
+        s2 = score_sequences(*flat(seqs[::-1]), defaults.alpha, defaults.kappa)
         assert np.array_equal(s1, s2[::-1])
         assert s1.tolist() == [affinity_score(states) for states in seqs]

@@ -360,22 +360,22 @@ class TestLogisticRegression:
         expected = per_class_train_lr(m, labels, ridge)
         assert_bitwise_equal(train_lr(m, labels, ridge), expected)
 
-    def test_matches_per_class_descent_at_epoch_cap(self, rng, monkeypatch):
+    def test_matches_per_class_descent_at_epoch_cap(self, rng, monkeypatch, defaults):
         monkeypatch.setattr(classify, "LR_MAX_EPOCHS", 3)
         c = imbalanced_corpus(rng)
         m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         expected = per_class_train_lr(m, labels)
         assert expected.epochs == (3,) * 5 and not any(expected.converged)
-        assert_bitwise_equal(train_lr(m, labels), expected)
+        assert_bitwise_equal(train_lr(m, labels, defaults.ridge), expected)
 
-    def test_matches_per_class_descent_on_empty_vocabulary(self):
+    def test_matches_per_class_descent_on_empty_vocabulary(self, defaults):
         docs = [("alpha", INFJ), ("beta", ENTP), ("gamma", INFJ), ("delta", ISTJ)]
         m = vectorize_corpus(texts_of(corpus_of(docs)))
         assert m.vocabulary == ()
         labels = [lab for _, lab in docs]
         expected = per_class_train_lr(m, labels)
-        model = train_lr(m, labels)
+        model = train_lr(m, labels, defaults.ridge)
         assert model.weights.shape == (3, 0)
         assert_bitwise_equal(model, expected)
 
@@ -395,13 +395,13 @@ class TestLogisticRegression:
         got = lr_objectives(model, m, labels, ridge)
         assert np.all(np.abs(got - expected) <= rtol * np.abs(expected))
 
-    def test_fewer_epochs_than_descent(self, rng):
+    def test_fewer_epochs_than_descent(self, rng, defaults):
         c = imbalanced_corpus(rng)
         m = vectorize_corpus(texts_of(c))
         labels = [lab for _, lab in c.documents]
         descent = per_class_gd(m, labels)
         assert all(descent.converged)
-        model = train_lr(m, labels)
+        model = train_lr(m, labels, defaults.ridge)
         assert all(f < g for f, g in zip(model.epochs, descent.epochs))
 
     def test_cap_reached_is_logged(self, caplog):
@@ -415,11 +415,11 @@ class TestLogisticRegression:
         assert "2 of 2 classes reached 1000 epochs" in record.getMessage()
         assert record.getMessage().endswith("ENTP INFJ")
 
-    def test_converged_fit_logs_nothing(self, caplog):
+    def test_converged_fit_logs_nothing(self, caplog, defaults):
         c = separable_corpus()
         m = vectorize_corpus(texts_of(c))
         with caplog.at_level(logging.WARNING, logger="affinity_miner.classify"):
-            model = train_lr(m, [lab for _, lab in c.documents])
+            model = train_lr(m, [lab for _, lab in c.documents], defaults.ridge)
         assert all(model.converged)
         assert caplog.records == []
 
@@ -486,10 +486,10 @@ class TestCrossValidate:
         seen = [int(i) for fold in folds for i in fold]
         assert sorted(seen) == list(range(len(labels)))
 
-    def test_deterministic_for_seed(self, rng):
+    def test_deterministic_for_seed(self, rng, defaults):
         c = sixteen_type_corpus(rng)
-        r1 = cross_validate(c, "nb", folds=10, seed=42)
-        r2 = cross_validate(c, "nb", folds=10, seed=42)
+        r1 = cross_validate(c, "nb", folds=10, seed=42, ridge=defaults.ridge)
+        r2 = cross_validate(c, "nb", folds=10, seed=42, ridge=defaults.ridge)
         assert render_cv_report(r1) == render_cv_report(r2)
         assert r1 == r2
 
@@ -500,10 +500,10 @@ class TestCrossValidate:
         folds2 = _stratified_folds(labels, 10, seed=2)
         assert any(list(a) != list(b) for a, b in zip(folds1, folds2))
 
-    def test_separable_sixteen_types_high_f1(self, rng):
+    def test_separable_sixteen_types_high_f1(self, rng, defaults):
         c = sixteen_type_corpus(rng)
         for classifier in ("nb", "lr"):
-            report = cross_validate(c, classifier, folds=10, seed=0)
+            report = cross_validate(c, classifier, folds=10, seed=0, ridge=defaults.ridge)
             assert report.macro_f1() >= 0.95
 
     def test_stratification_within_one_document(self):
@@ -513,36 +513,38 @@ class TestCrossValidate:
         for t, count in [(INFJ, 20), (ENTP, 30), (ISTJ, 10)]:
             assert all(sum(labels[i] is t for i in fold) == count // 10 for fold in folds)
 
-    def test_small_types_excluded_with_warning(self, rng, caplog):
+    def test_small_types_excluded_with_warning(self, rng, caplog, defaults):
         docs = [(f"a{j % 3} x", INFJ) for j in range(12)]
         docs += [(f"b{j % 3} y", ENTP) for j in range(12)]
         docs += [("z tiny", ISTJ)] * 3
-        report = cross_validate(corpus_of(docs), "nb", folds=10, seed=0)
+        report = cross_validate(corpus_of(docs), "nb", folds=10, seed=0, ridge=defaults.ridge)
         assert report.excluded == (ISTJ,)
         assert ISTJ not in report.per_type_f1
         rows = render_cv_report(report).splitlines()
         assert "ISTJ\t-" in rows and f"INFJ\t{report.per_type_f1[INFJ]:.6f}" in rows
 
-    def test_insufficient_data(self):
+    def test_insufficient_data(self, defaults):
         docs = [("a b", INFJ)] * 3 + [("c d", ENTP)] * 12
         with pytest.raises(InsufficientData, match="^fewer than 2 types have at least 10 documents$"):
-            cross_validate(corpus_of(docs), "nb", folds=10, seed=0)
+            cross_validate(corpus_of(docs), "nb", folds=10, seed=0, ridge=defaults.ridge)
 
-    def test_unknown_classifier(self, rng):
+    def test_unknown_classifier(self, rng, defaults):
         with pytest.raises(InvalidSpec, match="^unknown classifier: 'svm'$"):
-            cross_validate(sixteen_type_corpus(rng), "svm")
+            cross_validate(
+                sixteen_type_corpus(rng), "svm", defaults.folds, defaults.seed, defaults.ridge
+            )
 
-    def test_lr_report_matches_per_class_descent(self, rng, monkeypatch):
+    def test_lr_report_matches_per_class_descent(self, rng, monkeypatch, defaults):
         # rare own tokens, some below the document-frequency cut: F-1 < 1
         c = sixteen_type_corpus(rng, docs_per_type=10, noise_tokens=4, own_tokens=8, own_words=2)
-        report = render_cv_report(cross_validate(c, "lr", folds=10, seed=0))
+        report = render_cv_report(cross_validate(c, "lr", folds=10, seed=0, ridge=defaults.ridge))
         monkeypatch.setattr(classify, "train_lr", per_class_gd)
-        expected = cross_validate(c, "lr", folds=10, seed=0)
+        expected = cross_validate(c, "lr", folds=10, seed=0, ridge=defaults.ridge)
         assert expected.macro_f1() < 1.0
         assert report == render_cv_report(expected)
 
-    def test_report_renders_16_rows(self, rng):
+    def test_report_renders_16_rows(self, rng, defaults):
         c = sixteen_type_corpus(rng)
-        text = render_cv_report(cross_validate(c, "nb", folds=10, seed=0))
+        text = render_cv_report(cross_validate(c, "nb", folds=10, seed=0, ridge=defaults.ridge))
         lines = text.strip().splitlines()
         assert len(lines) == 2 + 16 + 1

@@ -135,8 +135,9 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config({}, {"folds": "many"})
 
-    def test_library_defaults_match_config_defaults(self):
-        # (function, parameter) pairs whose default a config key stands for
+    def test_library_gives_no_tuning_parameter_a_default(self):
+        # (function, parameter) pairs whose value a config key, or an option
+        # of the synth subcommand, sets: that key or option holds the one default
         backing = {
             "alpha": [(affinity.score_sequences, "alpha"), (affinity.estimate_chains, "alpha")],
             "kappa": [(affinity.score_sequences, "kappa")],
@@ -152,15 +153,18 @@ class TestConfigResolution:
             "folds": [(classify.cross_validate, "folds")],
             "seed": [(classify.cross_validate, "seed")],
             "ridge": [(classify.cross_validate, "ridge"), (classify.train_lr, "ridge")],
+            "synth --seed": [(generate_dataset, "seed")],
+            "synth --users-per-type": [(generate_dataset, "users_per_type")],
         }
-        config = PipelineConfig()
-        drift = [
-            (key, f.__name__, name, inspect.signature(f).parameters[name].default)
+        keys = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert {key for key in backing if not key.startswith("synth ")} <= keys
+        defaulted = [
+            (key, f.__name__, name)
             for key, uses in backing.items()
             for f, name in uses
-            if inspect.signature(f).parameters[name].default != getattr(config, key)
+            if inspect.signature(f).parameters[name].default is not inspect.Parameter.empty
         ]
-        assert drift == []
+        assert defaulted == []
 
     def test_smoothing_range_is_closed(self):
         cfg = resolve_config({}, {"alpha": "1e-6", "kappa": "1e6"})

@@ -63,7 +63,7 @@ def dense_seed_matrix(g, order) -> np.ndarray:
     return M / M.sum(axis=0)
 
 
-def dense_mcl_flow(M, e=2, r=2.0, prune=1e-6):
+def dense_mcl_flow(M, e, r, prune):
     """Expansion by dense matrix power, inflation, prune, renormalize."""
     while True:
         M = np.linalg.matrix_power(M, e)
@@ -78,7 +78,7 @@ def dense_mcl_flow(M, e=2, r=2.0, prune=1e-6):
         yield M
 
 
-def single_product_mcl_flow(M, e=2, r=2.0, prune=1e-6):
+def single_product_mcl_flow(M, e, r, prune):
     """The sparse flow with each step's whole unpruned M^e formed at once,
     then inflated and pruned: the bitwise oracle for the blocked flow. The
     dead-column restart is built in the flow's index dtype, as the blocked
@@ -111,7 +111,7 @@ def single_product_mcl_flow(M, e=2, r=2.0, prune=1e-6):
         yield _normalize_columns(M, sums)
 
 
-def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
+def dense_mcl(g, e, r, prune, max_iter):
     """Dense n x n MCL: (clusters as ascending index tuples, iterations,
     converged); stops at the cap or on a period-2 flow."""
     order = g.order
@@ -141,9 +141,9 @@ def dense_mcl(g, e=2, r=2.0, prune=1e-6, max_iter=MCL_MAX_ITER):
 # -- random walk matrix -------------------------------------------------------
 
 class TestRandomWalkMatrix:
-    def test_rows_sum_to_one(self, rng):
+    def test_rows_sum_to_one(self, rng, defaults):
         g = two_block_graph(5)
-        P = random_walk_matrix(g)
+        P = random_walk_matrix(g, defaults.tau)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
     def test_two_node_single_edge(self):
@@ -158,9 +158,9 @@ class TestRandomWalkMatrix:
         P = random_walk_matrix(g, tau=0.05)
         assert P.min() >= 0.05 / len(g.nodes) - 1e-15
 
-    def test_empty_graph(self):
+    def test_empty_graph(self, defaults):
         with pytest.raises(InsufficientData, match="^walk matrix needs at least one node$"):
-            random_walk_matrix(dict_graph(nodes={}, edges={}))
+            random_walk_matrix(dict_graph(nodes={}, edges={}), defaults.tau)
 
     def test_bad_tau(self):
         g = make_graph([("a", "b", 1.0)])
@@ -171,8 +171,8 @@ class TestRandomWalkMatrix:
 # -- hitting times -------------------------------------------------------------
 
 class TestHittingTimes:
-    def test_diagonal_zero(self, rng):
-        H = hitting_times(random_positive_graph(rng, 6))
+    def test_diagonal_zero(self, rng, defaults):
+        H = hitting_times(random_positive_graph(rng, 6), defaults.tau)
         assert np.all(np.diag(H) == 0.0)
 
     def test_two_state_geometric(self):
@@ -191,12 +191,13 @@ class TestHittingTimes:
         off = H[~np.eye(n, dtype=bool)]
         assert np.allclose(off, 1 / p, atol=1e-8)
 
-    def test_matches_direct_solve(self, rng):
+    def test_matches_direct_solve(self, rng, defaults):
         for _ in range(30):
             n = int(rng.integers(2, 21))
             g = random_positive_graph(rng, n)
-            H = hitting_times(g)
-            assert np.max(np.abs(H - direct_hitting_times(random_walk_matrix(g)))) < 1e-8
+            H = hitting_times(g, defaults.tau)
+            P = random_walk_matrix(g, defaults.tau)
+            assert np.max(np.abs(H - direct_hitting_times(P))) < 1e-8
 
     def test_matches_direct_solve_with_dangling_nodes(self):
         g = make_graph([("a", "b", 1.0), ("b", "b", 2.0), ("c", "a", 0.5), ("b", "d", 0.3)])
@@ -205,23 +206,23 @@ class TestHittingTimes:
             assert np.max(np.abs(H - direct_hitting_times(random_walk_matrix(g, tau)))) < 1e-6
 
     @pytest.mark.parametrize("block", [2, 3])
-    def test_matches_direct_solve_across_block_edges(self, monkeypatch, rng, block):
+    def test_matches_direct_solve_across_block_edges(self, monkeypatch, rng, defaults, block):
         # at the default block every graph above fits in one pivot block
         monkeypatch.setattr(cluster_module, "INVERSE_BLOCK", block)
-        self.test_matches_direct_solve(rng)
+        self.test_matches_direct_solve(rng, defaults)
         self.test_matches_direct_solve_with_dangling_nodes()
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
-    def test_block_inverse_matches_numpy_inverse(self, rng, n):
+    def test_block_inverse_matches_numpy_inverse(self, rng, n, defaults):
         # one, one full, and one full plus a partial pivot block at the default
         g = random_positive_graph(rng, n)
-        A = np.eye(n) - random_walk_matrix(g) + 1.0 / n
+        A = np.eye(n) - random_walk_matrix(g, defaults.tau) + 1.0 / n
         expected = np.linalg.inv(A)
         cluster_module._invert_in_place(A)
         assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_off_diagonal_positive(self, rng):
-        H = hitting_times(random_positive_graph(rng, 7))
+    def test_off_diagonal_positive(self, rng, defaults):
+        H = hitting_times(random_positive_graph(rng, 7), defaults.tau)
         assert (H[~np.eye(7, dtype=bool)] > 0).all()
 
     @pytest.mark.parametrize(
@@ -256,9 +257,9 @@ class TestHittingTimes:
             with pytest.raises(NonErgodic, match=message):
                 hitting_times(g, tau)
 
-    def test_empty_graph_and_bad_tau_refused(self):
+    def test_empty_graph_and_bad_tau_refused(self, defaults):
         with pytest.raises(InsufficientData, match="^walk matrix needs at least one node$"):
-            hitting_times(dict_graph(nodes={}, edges={}))
+            hitting_times(dict_graph(nodes={}, edges={}), defaults.tau)
         with pytest.raises(InvalidSpec, match="teleport"):
             hitting_times(make_graph([("a", "b", 1.0)]), 0.0)
 
@@ -279,85 +280,87 @@ class TestHittingTimes:
 # -- MCL ------------------------------------------------------------------------
 
 class TestMcl:
-    def test_two_disjoint_triangles(self):
+    def test_two_disjoint_triangles(self, defaults):
         edge_list = []
         for base in (0, 3):
             for i, j in [(0, 1), (1, 2), (2, 0)]:
                 edge_list.append((f"n{base+i}", f"n{base+j}", 1.0))
                 edge_list.append((f"n{base+j}", f"n{base+i}", 1.0))
         g = make_graph(edge_list)
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         got = sorted(tuple(sorted(cl)) for cl in id_sets(c))
         assert got == [("n0", "n1", "n2"), ("n3", "n4", "n5")]
         # oracle: connected components
         assert len(got) == 2
 
-    def test_complete_graph_single_cluster(self):
+    def test_complete_graph_single_cluster(self, defaults):
         edge_list = [
             (f"n{i}", f"n{j}", 1.0) for i in range(5) for j in range(5) if i != j
         ]
         g = make_graph(edge_list)
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         assert len(c.clusters) == 1
         assert c.clusters[0].tolist() == list(range(5))
 
-    def test_single_node(self):
+    def test_single_node(self, defaults):
         from affinity_miner.ingest import parse_mbti
 
         g = dict_graph(nodes={"solo": parse_mbti("INFJ")}, edges={})
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         assert id_sets(c) == [{"solo"}]
 
-    def test_deterministic(self):
+    def test_deterministic(self, defaults):
         g = two_block_graph(6)
-        c1, c2 = mcl(g), mcl(g)
+        c1, c2 = (mcl(g, defaults.expansion, defaults.inflation, defaults.prune) for _ in range(2))
         assert [x.tolist() for x in c1.clusters] == [x.tolist() for x in c2.clusters]
         assert c1.iterations == c2.iterations
 
-    def test_dead_columns_restart_uniform(self):
+    def test_dead_columns_restart_uniform(self, defaults):
         # every clique column falls below prune=0.5 after one step; the
         # isolated node's column keeps all its mass on its own loop
-        M, _ = next(mcl_flow(_mcl_seed_matrix(_clique_and_isolated_node()), prune=0.5))
+        M = _mcl_seed_matrix(_clique_and_isolated_node())
+        M, _ = next(mcl_flow(M, e=defaults.expansion, r=defaults.inflation, prune=0.5))
         dense = M.toarray()
         assert np.array_equal(dense[:, :4], np.full((5, 4), 1 / 5))
         assert np.array_equal(dense[:, 4], [0.0, 0.0, 0.0, 0.0, 1.0])
         assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-15)
 
-    def test_column_sums_stay_one(self):
+    def test_column_sums_stay_one(self, defaults):
         g = two_block_graph(6, in_w=0.8, cross_w=0.05)
         M = _mcl_seed_matrix(g)
-        for step, (M_next, _) in zip(range(30), mcl_flow(M)):
+        flows = mcl_flow(M, defaults.expansion, defaults.inflation, defaults.prune)
+        for step, (M_next, _) in zip(range(30), flows):
             assert np.max(np.abs(M_next.sum(axis=0) - 1.0)) < 1e-9
 
-    def test_block_recovery(self):
+    def test_block_recovery(self, defaults):
         g = two_block_graph(8, in_w=1.0, cross_w=0.01)
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         assert len(c.clusters) == 2
         sizes = sorted(len(x) for x in c.clusters)
         assert sizes == [8, 8]
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, defaults):
         g = two_block_graph(3)
         with pytest.raises(InvalidSpec, match="^expansion power must be >= 2, got 1$"):
-            mcl(g, e=1)
+            mcl(g, e=1, r=defaults.inflation, prune=defaults.prune)
         with pytest.raises(InvalidSpec, match="^inflation power must be > 1, got 1.0$"):
-            mcl(g, r=1.0)
+            mcl(g, e=defaults.expansion, r=1.0, prune=defaults.prune)
 
-    def test_iteration_cap_returns_partial_result(self, caplog, monkeypatch):
+    def test_iteration_cap_returns_partial_result(self, caplog, monkeypatch, defaults):
         g = two_block_graph(6, in_w=1.0, cross_w=0.1)
         monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", 1)
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         assert not c.converged
         assert c.iterations == 1
         assert c.clusters
         assert "mcl stopped unconverged at the 1-iteration cap" in caplog.text
 
-    def test_flow_without_attractor_falls_back_to_one_cluster(self, caplog, monkeypatch):
+    def test_flow_without_attractor_falls_back_to_one_cluster(self, caplog, monkeypatch, defaults):
         # at prune=0.1 each column of a directed 3-cycle keeps only its
         # successor: the flow permutes, never converges, and has no diagonal
         g = make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
         monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", 3)
-        c = mcl(g, prune=0.1)
+        c = mcl(g, e=defaults.expansion, r=defaults.inflation, prune=0.1)
         assert not c.converged
         assert [x.tolist() for x in c.clusters] == [[0, 1, 2]]
         assert "mcl stopped unconverged at the 3-iteration cap" in caplog.text
@@ -366,10 +369,10 @@ class TestMcl:
             "returning one cluster of all 3 nodes" in caplog.text
         )
 
-    def test_period_two_flow_stops_without_running_to_the_cap(self, caplog):
+    def test_period_two_flow_stops_without_running_to_the_cap(self, caplog, defaults):
         # the same 3-cycle: iterate 3 equals iterate 1, so the flow stops there
         g = make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
-        c = mcl(g, prune=0.1)
+        c = mcl(g, e=defaults.expansion, r=defaults.inflation, prune=0.1)
         assert not c.converged
         assert c.iterations == 3
         assert [x.tolist() for x in c.clusters] == [[0, 1, 2]]
@@ -380,11 +383,11 @@ class TestMcl:
         assert "cap" not in caplog.text
         assert "mcl flow has no attractor after 3 iterations" in caplog.text
 
-    def test_prune_above_all_entries_survives(self):
+    def test_prune_above_all_entries_survives(self, defaults):
         g = make_graph(
             [(f"n{i}", f"n{j}", 1.0) for i in range(4) for j in range(4) if i != j]
         )
-        c = mcl(g, prune=0.5)
+        c = mcl(g, e=defaults.expansion, r=defaults.inflation, prune=0.5)
         assert c.clusters
 
 
@@ -398,24 +401,30 @@ def _planted(seed):
     return planted_partition(spec)[0]
 
 
-def _assert_matches_dense(g, **params):
+def flow_params(defaults, **overrides):
+    """The (e, r, prune) keywords of mcl and mcl_flow at the config's
+    values, any of them overridden."""
+    return {"e": defaults.expansion, "r": defaults.inflation, "prune": defaults.prune, **overrides}
+
+
+def _assert_matches_dense(g, defaults, max_iter=MCL_MAX_ITER, **overrides):
     M, D = _mcl_seed_matrix(g), dense_seed_matrix(g, g.order)
     assert np.max(np.abs(M.toarray() - D)) <= 1e-15
-    flow = {k: v for k, v in params.items() if k in ("e", "r", "prune")}
+    flow = flow_params(defaults, **overrides)
     for _, (M_next, _), D_next in zip(
         range(3), mcl_flow(M, **flow), dense_mcl_flow(D, **flow)
     ):
         assert np.max(np.abs(M_next.toarray() - D_next)) <= 1e-12
     c = mcl(g, **flow)
-    clusters, iterations, converged = dense_mcl(g, **params)
+    clusters, iterations, converged = dense_mcl(g, **flow, max_iter=max_iter)
     assert [tuple(x.tolist()) for x in c.clusters] == list(clusters)
     assert c.iterations == iterations
     assert c.converged == converged
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_mcl_matches_dense_oracle_planted(seed):
-    _assert_matches_dense(_planted(seed))
+def test_mcl_matches_dense_oracle_planted(seed, defaults):
+    _assert_matches_dense(_planted(seed), defaults)
 
 
 @pytest.mark.parametrize(
@@ -430,14 +439,16 @@ def test_mcl_matches_dense_oracle_planted(seed):
         (4, 1.0, 0.01, {"prune": 0.5}),  # every column dies each step
     ],
 )
-def test_mcl_matches_dense_oracle_two_blocks(monkeypatch, block_size, in_w, cross_w, params):
+def test_mcl_matches_dense_oracle_two_blocks(
+    monkeypatch, defaults, block_size, in_w, cross_w, params
+):
     if "max_iter" in params:
         monkeypatch.setattr(cluster_module, "MCL_MAX_ITER", params["max_iter"])
-    _assert_matches_dense(two_block_graph(block_size, in_w, cross_w), **params)
+    _assert_matches_dense(two_block_graph(block_size, in_w, cross_w), defaults, **params)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_mcl_matches_dense_oracle_directed_heavy_weights(seed):
+def test_mcl_matches_dense_oracle_directed_heavy_weights(seed, defaults):
     # weights above 1 make the loop weight max(1, max incident) bite, in
     # and out edges differ, and a self-edge is replaced by the loop
     rng = np.random.default_rng(seed)
@@ -447,16 +458,16 @@ def test_mcl_matches_dense_oracle_directed_heavy_weights(seed):
         if i != j and rng.random() < 0.15
     ]
     edge_list.append(("n00", "n00", 5.0))
-    _assert_matches_dense(make_graph(edge_list))
+    _assert_matches_dense(make_graph(edge_list), defaults)
 
 
-def test_mcl_matches_dense_oracle_period_two():
+def test_mcl_matches_dense_oracle_period_two(defaults):
     _assert_matches_dense(
-        make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]), prune=0.1
+        make_graph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]), defaults, prune=0.1
     )
 
 
-def test_mcl_10k_nodes_without_dense_matrix():
+def test_mcl_10k_nodes_without_dense_matrix(defaults):
     """100 blocks of 100: ~6 in-block edges and 1 cross edge per node.
 
     A single dense 10k x 10k float64 matrix is 800 MB, so the peak bounds
@@ -479,7 +490,7 @@ def test_mcl_10k_nodes_without_dense_matrix():
     g = dict_graph(nodes={u: label for u in names}, edges=dict(sorted(edges.items())))
     tracemalloc.start()
     try:
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -492,7 +503,7 @@ def test_mcl_10k_nodes_without_dense_matrix():
     assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_mcl_many_clusters_stays_small():
+def test_mcl_many_clusters_stays_small(defaults):
     """2000 reciprocal pairs: 4000 nodes and 2000 clusters.
 
     Any dense cluster x node or node x node array alone is 64 MB or more;
@@ -509,7 +520,7 @@ def test_mcl_many_clusters_stays_small():
     g = dict_graph(nodes={u: label for u in names}, edges=edges)
     tracemalloc.start()
     try:
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,11 +531,12 @@ def test_mcl_many_clusters_stays_small():
 
 # -- column-blocked expansion against the single product -----------------------
 
-def _assert_flows_bitwise_equal(g, **flow):
-    """Blocked and single-product flows agree in every array, dtype and bit
-    at every iteration until the oracle converges, and so does the change
-    the blocked flow yields with its whole-matrix max |B - previous|;
-    returns the iterates."""
+def _assert_flows_bitwise_equal(g, defaults, **overrides):
+    """Blocked and single-product flows at flow_params(defaults, **overrides)
+    agree in every array, dtype and bit at every iteration until the oracle
+    converges, and so does the change the blocked flow yields with its
+    whole-matrix max |B - previous|; returns the iterates."""
+    flow = flow_params(defaults, **overrides)
     M = _mcl_seed_matrix(g)
     previous, iterates = M, []
     blocked, single = mcl_flow(M, **flow), single_product_mcl_flow(M.copy(), **flow)
@@ -554,22 +566,22 @@ def _planted_flow_graph(n):
 
 @pytest.mark.parametrize("e", [2, 3])
 @pytest.mark.parametrize("n, blocks", [(1100, 9), (120, 1)])
-def test_blocked_flow_is_the_single_product_flow(e, n, blocks):
+def test_blocked_flow_is_the_single_product_flow(defaults, e, n, blocks):
     g = _planted_flow_graph(n)
     columns = len(g.order)
     # the last block is partial
     assert columns % MCL_BLOCK_COLUMNS
     assert math.ceil(columns / MCL_BLOCK_COLUMNS) == blocks
-    assert len(_assert_flows_bitwise_equal(g, e=e)) > 3
+    assert len(_assert_flows_bitwise_equal(g, defaults, e=e)) > 3
 
 
 @pytest.mark.parametrize("e", [2, 3])
 @pytest.mark.parametrize("r", [2.0, 1.5])
-def test_blocked_flow_is_the_single_product_flow_narrow_blocks(monkeypatch, e, r):
+def test_blocked_flow_is_the_single_product_flow_narrow_blocks(monkeypatch, defaults, e, r):
     monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 64)
     g = _planted(3)
     assert len(g.order) > 2 * 64 and len(g.order) % 64
-    assert len(_assert_flows_bitwise_equal(g, e=e, r=r)) > 3
+    assert len(_assert_flows_bitwise_equal(g, defaults, e=e, r=r)) > 3
 
 
 def _clique_and_isolated_node():
@@ -582,26 +594,26 @@ def _clique_and_isolated_node():
 
 
 @pytest.mark.parametrize("e", [2, 3])
-def test_blocked_flow_restarts_dead_columns_like_the_single_product(monkeypatch, e):
+def test_blocked_flow_restarts_dead_columns_like_the_single_product(monkeypatch, defaults, e):
     # 5 nodes in blocks of 2, 2 and 1; at prune=0.5 the clique columns die
     monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 2)
-    iterates = _assert_flows_bitwise_equal(_clique_and_isolated_node(), e=e, prune=0.5)
+    iterates = _assert_flows_bitwise_equal(_clique_and_isolated_node(), defaults, e=e, prune=0.5)
     restarted = iterates[0].toarray()[:, :4]
     assert np.array_equal(restarted, np.full((5, 4), 1 / 5))
 
 
 @pytest.mark.parametrize("e", [2, 3])
 @pytest.mark.parametrize("case", ["planted", "dead-columns"])
-def test_every_flow_has_int32_indices(monkeypatch, e, case):
+def test_every_flow_has_int32_indices(monkeypatch, defaults, e, case):
     if case == "planted":
-        g, flow = _planted(3), {}
+        g, flow = _planted(3), flow_params(defaults, e=e)
     else:
         # blocks of 2, 2 and 1 columns, each clique column restarted
         monkeypatch.setattr(cluster_module, "MCL_BLOCK_COLUMNS", 2)
-        g, flow = _clique_and_isolated_node(), {"prune": 0.5}
+        g, flow = _clique_and_isolated_node(), flow_params(defaults, e=e, prune=0.5)
     M = _mcl_seed_matrix(g)
     assert M.indptr.dtype == M.indices.dtype == np.int32
-    for step, (M, _) in zip(range(1, 11), mcl_flow(M, e=e, **flow)):
+    for step, (M, _) in zip(range(1, 11), mcl_flow(M, **flow)):
         assert M.indptr.dtype == np.int32, f"indptr at iteration {step}"
         assert M.indices.dtype == np.int32, f"indices at iteration {step}"
         if case == "dead-columns":
@@ -616,12 +628,12 @@ def test_index_dtype_widens_above_int32_range():
 
 
 @pytest.mark.parametrize("e", [2, 3])
-def test_int64_flow_has_the_int32_flow_bits(monkeypatch, e):
+def test_int64_flow_has_the_int32_flow_bits(monkeypatch, defaults, e):
     # the path a flow past 2^31 - 1 entries takes, forced on a small graph
-    g = _planted(3)
-    narrow = [M for _, (M, _) in zip(range(6), mcl_flow(_mcl_seed_matrix(g), e=e))]
+    g, flow = _planted(3), flow_params(defaults, e=e)
+    narrow = [M for _, (M, _) in zip(range(6), mcl_flow(_mcl_seed_matrix(g), **flow))]
     monkeypatch.setattr(cluster_module, "_index_dtype", lambda n, nnz: np.int64)
-    wide = [M for _, (M, _) in zip(range(6), mcl_flow(_mcl_seed_matrix(g), e=e))]
+    wide = [M for _, (M, _) in zip(range(6), mcl_flow(_mcl_seed_matrix(g), **flow))]
     for step, (A, B) in enumerate(zip(narrow, wide), 1):
         assert B.indptr.dtype == B.indices.dtype == np.int64, f"iteration {step}"
         assert np.array_equal(A.indptr, B.indptr), f"indptr at iteration {step}"
@@ -629,7 +641,7 @@ def test_int64_flow_has_the_int32_flow_bits(monkeypatch, e):
         assert A.data.tobytes() == B.data.tobytes(), f"data at iteration {step}"
 
 
-def test_mcl_blocked_expansion_bounds_peak_memory():
+def test_mcl_blocked_expansion_bounds_peak_memory(defaults):
     """A planted 2048-node graph with about 6 edges per node, as on the
     benchmark's MCL workload. Its unpruned square M @ M reaches 3.0M
     nonzeros (36 MB of values and indices) and set a 52 MiB peak when it
@@ -639,7 +651,7 @@ def test_mcl_blocked_expansion_bounds_peak_memory():
     g = _planted_flow_graph(2048)
     tracemalloc.start()
     try:
-        c = mcl(g)
+        c = mcl(g, defaults.expansion, defaults.inflation, defaults.prune)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,71 +662,71 @@ def test_mcl_blocked_expansion_bounds_peak_memory():
 # -- k-destinations --------------------------------------------------------------
 
 class TestKDestinations:
-    def test_k1_single_cluster(self):
+    def test_k1_single_cluster(self, defaults):
         g = two_block_graph(4)
-        c = k_destinations(g, 1)
+        c = k_destinations(g, 1, defaults.tau)
         assert len(c.clusters) == 1
         assert c.clusters[0].tolist() == list(range(len(g.nodes)))
 
-    def test_kn_singletons(self):
+    def test_kn_singletons(self, defaults):
         g = two_block_graph(3)
-        c = k_destinations(g, len(g.nodes))
+        c = k_destinations(g, len(g.nodes), defaults.tau)
         assert sorted(len(x) for x in c.clusters) == [1] * len(g.nodes)
 
-    def test_two_blocks_recovered(self):
+    def test_two_blocks_recovered(self, defaults):
         g = two_block_graph(10, in_w=1.0, cross_w=0.01)
-        c = k_destinations(g, 2)
+        c = k_destinations(g, 2, defaults.tau)
         truth = np.array([0] * 10 + [1] * 10)
         labels = labels_from_clustering(c)
         assert nmi(labels, truth) == 1.0
         assert clustering_error(labels, truth) == 0.0
 
-    def test_disjoint_and_total(self):
+    def test_disjoint_and_total(self, defaults):
         g = two_block_graph(6, in_w=1.0, cross_w=0.05)
-        c = k_destinations(g, 3)
+        c = k_destinations(g, 3, defaults.tau)
         all_members = [i for cl in c.clusters for i in cl.tolist()]
         assert sorted(all_members) == list(range(len(g.nodes)))
         assert len(all_members) == len(set(all_members))
 
-    def test_objective_non_increasing(self):
+    def test_objective_non_increasing(self, defaults):
         g = two_block_graph(8, in_w=1.0, cross_w=0.2)
-        c = k_destinations(g, 4)
+        c = k_destinations(g, 4, defaults.tau)
         trace = c.objective_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
-    def test_iteration_cap_warns(self, caplog, monkeypatch):
+    def test_iteration_cap_warns(self, caplog, monkeypatch, defaults):
         # the first pass only assigns; convergence needs a second pass
         with monkeypatch.context() as patch:
             patch.setattr(cluster_module, "KDEST_MAX_ITER", 1)
-            c = k_destinations(two_block_graph(6), 2)
+            c = k_destinations(two_block_graph(6), 2, defaults.tau)
         assert not c.converged
         assert "k-destinations stopped unconverged at the 1-iteration cap" in caplog.text
         caplog.clear()
-        assert k_destinations(two_block_graph(6), 2).converged
+        assert k_destinations(two_block_graph(6), 2, defaults.tau).converged
         assert not caplog.text
 
-    def test_k_out_of_range(self):
+    def test_k_out_of_range(self, defaults):
         g = two_block_graph(2)
         n = len(g.nodes)
         with pytest.raises(InvalidSpec, match=f"^k must be in 1..{n}, got 0$"):
-            k_destinations(g, 0)
+            k_destinations(g, 0, defaults.tau)
         with pytest.raises(InvalidSpec, match=f"^k must be in 1..{n}, got {n + 1}$"):
-            k_destinations(g, n + 1)
+            k_destinations(g, n + 1, defaults.tau)
 
-    def test_deterministic(self):
+    def test_deterministic(self, defaults):
         g = two_block_graph(5, in_w=0.9, cross_w=0.1)
-        c1 = k_destinations(g, 2)
-        c2 = k_destinations(g, 2)
+        c1 = k_destinations(g, 2, defaults.tau)
+        c2 = k_destinations(g, 2, defaults.tau)
         assert [x.tolist() for x in c1.clusters] == [x.tolist() for x in c2.clusters]
         assert c1.objective_trace == c2.objective_trace
 
-    def test_single_directed_edge(self):
+    def test_single_directed_edge(self, defaults):
         # teleportation keeps hitting times finite on weakly connected input
         g = make_graph([("a", "b", 1.0)])
-        c = k_destinations(g, 2)
+        c = k_destinations(g, 2, defaults.tau)
         assert sorted(sorted(x) for x in id_sets(c)) == [["a"], ["b"]]
 
-    def test_disconnected_components_recovered(self):
+    def test_disconnected_components_recovered(self, defaults):
         edge_list = []
         for base in (0, 10):
             for i in range(5):
@@ -722,7 +734,7 @@ class TestKDestinations:
                     if i != j:
                         edge_list.append((f"m{base + i}", f"m{base + j}", 1.0))
         g = make_graph(edge_list)
-        c = k_destinations(g, 2)
+        c = k_destinations(g, 2, defaults.tau)
         assert sorted(len(x) for x in c.clusters) == [5, 5]
         # each cluster must be exactly one component
         components = [
@@ -731,7 +743,7 @@ class TestKDestinations:
         assert {frozenset(x) for x in id_sets(c)} == {frozenset(x) for x in components}
 
 
-def unblocked_k_destinations(g, k, max_iter=100, tau=0.01):
+def unblocked_k_destinations(g, k, tau, max_iter):
     """k-destinations with whole-matrix sums: the n x n minimum in the
     greedy start and the |C| x |C| block of H in re-centering."""
     n = len(g.order)
@@ -773,7 +785,7 @@ def test_row_block_sums_are_the_whole_sum(rng, rows, width):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("n, k", [(60, 3), (250, 5)])
-def test_k_destinations_matches_unblocked_oracle(monkeypatch, seed, n, k):
+def test_k_destinations_matches_unblocked_oracle(monkeypatch, seed, n, k, defaults):
     spec = PlantedSpec(
         n=n, k=k, p_in=0.2, p_out=0.02, w_in=(0.5, 1.0), w_out=(0.01, 0.3), seed=seed
     )
@@ -781,9 +793,9 @@ def test_k_destinations_matches_unblocked_oracle(monkeypatch, seed, n, k):
     max_iter = 3 if seed == 3 else 100
     monkeypatch.setattr(cluster_module, "KDEST_MAX_ITER", max_iter)
     for clusters_asked in (1, 2, k, k + 4):
-        c = k_destinations(g, clusters_asked)
+        c = k_destinations(g, clusters_asked, defaults.tau)
         clusters, iterations, converged, trace = unblocked_k_destinations(
-            g, clusters_asked, max_iter=max_iter
+            g, clusters_asked, defaults.tau, max_iter
         )
         assert [x.tolist() for x in c.clusters] == clusters
         assert (c.iterations, c.converged) == (iterations, converged)
@@ -791,7 +803,7 @@ def test_k_destinations_matches_unblocked_oracle(monkeypatch, seed, n, k):
         assert c.objective_trace == trace
 
 
-def test_k_destinations_holds_one_dense_array():
+def test_k_destinations_holds_one_dense_array(defaults):
     """At 768 nodes, the benchmark's k-destinations size, the path holds
     the walk matrix, overwritten by H, and nothing else of size n^2:
     a second n x n array (P beside a working copy, or the n x n minimum
@@ -805,7 +817,7 @@ def test_k_destinations_holds_one_dense_array():
     assert len(g.order) == n
     tracemalloc.start()
     try:
-        c = k_destinations(g, 8)
+        c = k_destinations(g, 8, defaults.tau)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -899,10 +911,17 @@ class TestClusteringError:
             clustering_error([], [])
 
 
-@pytest.mark.parametrize("clusterer", [mcl, lambda g: k_destinations(g, 1)], ids=["mcl", "kdest"])
-def test_clusterers_refuse_an_empty_graph(clusterer):
+@pytest.mark.parametrize(
+    "clusterer",
+    [
+        lambda g, defaults: mcl(g, defaults.expansion, defaults.inflation, defaults.prune),
+        lambda g, defaults: k_destinations(g, 1, defaults.tau),
+    ],
+    ids=["mcl", "kdest"],
+)
+def test_clusterers_refuse_an_empty_graph(defaults, clusterer):
     with pytest.raises(InsufficientData, match="^clustering needs at least one node$"):
-        clusterer(dict_graph(nodes={}, edges={}))
+        clusterer(dict_graph(nodes={}, edges={}), defaults)
 
 
 class TestClusteringValidation:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from affinity_miner import errors
+from affinity_miner.cli import PipelineConfig
 from affinity_miner.classify import LabeledCorpus, cross_validate, train_lr, vectorize_corpus
 from affinity_miner.cluster import mcl, random_walk_matrix
 from affinity_miner.errors import AffinityMinerError, InsufficientData, InvalidSpec
@@ -16,6 +17,8 @@ from affinity_miner.semsim import load_embeddings, type_similarity_matrix
 from conftest import make_graph, scored_pairs, two_block_graph
 
 INFJ, ENTP = ALL_TYPES[:2]
+# the tuning values each call below takes, other than the one at fault
+DEFAULTS = PipelineConfig()
 
 BAD_CALLS = {
     "build_affinity_graph-threshold": (
@@ -31,11 +34,11 @@ BAD_CALLS = {
         InvalidSpec, r"^teleport must be in \(0, 1\), got 0.0$",
     ),
     "mcl-e": (
-        lambda: mcl(two_block_graph(3), e=1),
+        lambda: mcl(two_block_graph(3), 1, DEFAULTS.inflation, DEFAULTS.prune),
         InvalidSpec, "^expansion power must be >= 2, got 1$",
     ),
     "mcl-r": (
-        lambda: mcl(two_block_graph(3), r=1.0),
+        lambda: mcl(two_block_graph(3), DEFAULTS.expansion, 1.0, DEFAULTS.prune),
         InvalidSpec, "^inflation power must be > 1, got 1.0$",
     ),
     "train_lr-ridge": (
@@ -43,7 +46,10 @@ BAD_CALLS = {
         InvalidSpec, "^ridge must be >= 0, got -1.0$",
     ),
     "cross_validate-classifier": (
-        lambda: cross_validate(LabeledCorpus((("a b", INFJ), ("c d", ENTP))), "svm"),
+        lambda: cross_validate(
+            LabeledCorpus((("a b", INFJ), ("c d", ENTP))),
+            "svm", DEFAULTS.folds, DEFAULTS.seed, DEFAULTS.ridge,
+        ),
         InvalidSpec, "^unknown classifier: 'svm'$",
     ),
     "fit_elastic_net-lam": (
@@ -58,7 +64,7 @@ BAD_CALLS = {
         lambda: emotion_correlation_table(
             {"a": ["happy me", "sad me"], "b": ["happy", "sad"]},
             load_lexicon(["posemo\thapp*", "negemo\tsad"]),
-            "nope",
+            "nope", DEFAULTS.top_n, DEFAULTS.lam, DEFAULTS.mix,
         ),
         InvalidSpec, "^unknown lexicon category: 'nope'$",
     ),

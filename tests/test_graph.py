@@ -57,10 +57,10 @@ class TestBuildAffinityGraph:
         )
         assert set(g.nodes) == {"a", "b"}
 
-    def test_accepts_score_sequences_output(self):
+    def test_accepts_score_sequences_output(self, defaults):
         line = {"source": "a", "target": "b", "timestamp": 1, "sentiment": "POS"}
         pairs = build_pair_sequences(load_interactions([json.dumps(line)] * 3))
-        scores = score_sequences(pairs.length, pairs.states)
+        scores = score_sequences(pairs.length, pairs.states, defaults.alpha, defaults.kappa)
         g = build_affinity_graph(pairs, scores, [profile("a"), profile("b")], THRESHOLD)
         assert g.edges == {("a", "b"): scores[0]}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinity_miner import lexfeat
+from affinity_miner.cli import PipelineConfig
 from affinity_miner.errors import (
     ConstantVector,
     DimensionMismatch,
@@ -134,20 +135,20 @@ class TestExtractFeatures:
 
 
 class TestFitElasticNet:
-    def test_lambda_zero_matches_ols(self, rng):
+    def test_lambda_zero_matches_ols(self, rng, defaults):
         for _ in range(20):
             X = rng.normal(size=(10, 3))
             y = rng.normal(size=10)
-            fit = fit_elastic_net(X, y, lam=0.0)
+            fit = fit_elastic_net(X, y, lam=0.0, mix=defaults.mix)
             A = np.hstack([X, np.ones((10, 1))])
             coef, *_ = np.linalg.lstsq(A, y, rcond=None)
             assert np.max(np.abs(fit.coef - coef[:3])) < 1e-6
             assert abs(fit.intercept - coef[3]) < 1e-6
 
-    def test_constant_target(self, rng):
+    def test_constant_target(self, rng, defaults):
         X = rng.normal(size=(12, 4))
         y = np.full(12, 3.5)
-        fit = fit_elastic_net(X, y)
+        fit = fit_elastic_net(X, y, defaults.lam, defaults.mix)
         assert np.all(fit.coef == 0.0)
         assert fit.intercept == pytest.approx(3.5)
 
@@ -220,27 +221,29 @@ class TestFitElasticNet:
         assert zeros and nonzeros
         assert worst < 1e-6, f"largest optimality gap {worst:.2e}"
 
-    def test_dimension_mismatch(self, rng):
+    def test_dimension_mismatch(self, rng, defaults):
+        X, y = rng.normal(size=(10, 2)), rng.normal(size=9)
         with pytest.raises(DimensionMismatch):
-            fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=9))
+            fit_elastic_net(X, y, defaults.lam, defaults.mix)
 
-    def test_one_dimensional_x(self):
+    def test_one_dimensional_x(self, defaults):
+        x = np.array([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch, match=r"^X must be 2-d, got shape \(3,\)$"):
-            fit_elastic_net(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
+            fit_elastic_net(x, x, defaults.lam, defaults.mix)
 
-    def test_one_row(self):
+    def test_one_row(self, defaults):
         with pytest.raises(InsufficientData, match="^need at least 2 rows, got 1$"):
-            fit_elastic_net(np.array([[1.0, 2.0]]), np.array([1.0]))
+            fit_elastic_net(np.array([[1.0, 2.0]]), np.array([1.0]), defaults.lam, defaults.mix)
 
     @pytest.mark.parametrize("lam, mix", [(-0.1, 0.5), (0.01, 1.5)])
     def test_bad_penalty(self, rng, lam, mix):
         with pytest.raises(InvalidSpec, match=f"^bad penalty: lam={lam}, mix={mix}$"):
             fit_elastic_net(rng.normal(size=(10, 2)), rng.normal(size=10), lam, mix)
 
-    def test_constant_column_coefficient_exactly_zero(self, rng):
+    def test_constant_column_coefficient_exactly_zero(self, rng, defaults):
         X = rng.normal(size=(20, 3))
         X[:, 1] = 4.0
-        fit = fit_elastic_net(X, X[:, 0] - X[:, 2], lam=0.01)
+        fit = fit_elastic_net(X, X[:, 0] - X[:, 2], lam=0.01, mix=defaults.mix)
         assert fit.coef[1] == 0.0
         assert fit.converged and fit.coef[0] > 0 > fit.coef[2]
 
@@ -295,8 +298,11 @@ def synthetic_corpus(rng, emotion_rate, vocab, emotion_word="happy", n_docs=12):
 
 
 def correlation(docs_a, docs_b, lex, target):
-    """The one cross-group cell of a two-group correlation table."""
-    return emotion_correlation_table({"a": docs_a, "b": docs_b}, lex, target)[("b", "a")]
+    """The one cross-group cell of a two-group correlation table at the
+    config's top_n, lam and mix."""
+    c = PipelineConfig()
+    groups = {"a": docs_a, "b": docs_b}
+    return emotion_correlation_table(groups, lex, target, c.top_n, c.lam, c.mix)[("b", "a")]
 
 
 class TestTypeEmotionCorrelation:
@@ -342,12 +348,14 @@ class TestTypeEmotionCorrelation:
         with pytest.raises(ConstantVector, match="^b vs a: correlation undefined"):
             correlation(["w1 w2", "w3"], ["w4", "w5 w6"], small_lexicon(), "posemo")
 
-    def test_one_shared_top_key_names_the_pair(self, rng):
+    def test_one_shared_top_key_names_the_pair(self, rng, defaults):
         # top_n = 1 and the same top token in both groups: one point to correlate
         docs = synthetic_corpus(rng, 0.9, [f"w{i}" for i in range(10)])
         lex = small_lexicon()
         with pytest.raises(InsufficientData, match="^b vs a: need at least 2 points$"):
-            emotion_correlation_table({"a": docs, "b": list(docs)}, lex, "posemo", n=1)
+            emotion_correlation_table(
+                {"a": docs, "b": list(docs)}, lex, "posemo", 1, defaults.lam, defaults.mix
+            )
 
     def test_unknown_category(self):
         with pytest.raises(InvalidSpec, match="^unknown lexicon category: 'nope'$"):

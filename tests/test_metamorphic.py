@@ -141,7 +141,7 @@ def without_rename(got, want):
 
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):
-    return generate_dataset(tmp_path_factory.mktemp("demo"), seed=7)
+    return generate_dataset(tmp_path_factory.mktemp("demo"), seed=7, users_per_type=12)
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,8 @@ from affinity_miner.affinity import (
     score_sequences,
     stationary_distribution,
 )
-from affinity_miner.cli import parse_config_file
+from affinity_miner.cli import PipelineConfig, parse_config_file
 from affinity_miner.cluster import (
-    DEFAULT_TELEPORT,
     Clustering,
     random_walk_matrix,
     serialize_clustering,
@@ -608,7 +607,7 @@ def test_edge_arrays_and_walk_matrix_match_dict_loops(edge_list, rnd):
     g = graph_of(edge_list, shuffle=rnd.shuffle)
     for got, want in zip(g.edge_arrays, dict_loop_edge_arrays(edge_list)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    for tau in (DEFAULT_TELEPORT, 0.3):
+    for tau in (PipelineConfig().tau, 0.3):
         assert np.array_equal(random_walk_matrix(g, tau), dict_loop_walk_matrix(edge_list, tau))
 
 

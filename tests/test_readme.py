@@ -17,7 +17,7 @@ def library_example() -> str:
 
 
 def test_library_example_runs_on_demo(tmp_path, monkeypatch):
-    paths = generate_dataset(tmp_path, seed=7)
+    paths = generate_dataset(tmp_path, seed=7, users_per_type=12)
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(library_example(), str(README), "exec"), namespace)

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from affinity_miner import synth
+from affinity_miner import cli, synth
 from affinity_miner.affinity import estimate_chains
 from affinity_miner.cluster import k_destinations
 from affinity_miner.errors import InvalidSpec
@@ -67,14 +68,14 @@ class TestPlantedPartition:
         b = planted_partition(PlantedSpec(n=30, k=3, p_in=0.4, p_out=0.05, seed=2))[0]
         assert a.edges != b.edges
 
-    def test_null_model_unrecoverable(self):
+    def test_null_model_unrecoverable(self, defaults):
         scores = []
         for seed in range(5):
             spec = PlantedSpec(n=60, k=3, p_in=0.15, p_out=0.15, seed=seed)
             g, truth = planted_partition(spec)
             order = g.order
             tvec = np.array([truth[u] for u in order])
-            labels = labels_from_clustering(k_destinations(g, 3))
+            labels = labels_from_clustering(k_destinations(g, 3, defaults.tau))
             scores.append(nmi(labels, tvec))
         assert np.mean(scores) < 0.12
 
@@ -188,11 +189,11 @@ class TestSampleChainSequence:
         [
             (np.full((2, 2), 0.5), "must be 3 x 3"),
             (np.full((3, 4), 0.25), "must be 3 x 3"),
-            ([[1.2, -0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite and >= 0"),
-            ([[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite and >= 0"),
-            ([[np.inf, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite and >= 0"),
-            ([[0.5, 0.5, 1e-11], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "rows must sum to 1"),
-            ([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], "rows must sum to 1"),
+            (np.array([[1.2, -0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "finite and >= 0"),
+            (np.array([[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "finite and >= 0"),
+            (np.array([[np.inf, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "finite and >= 0"),
+            (np.array([[0.5, 0.5, 1e-11], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "rows must sum to 1"),
+            (np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]), "rows must sum to 1"),
         ],
     )
     def test_not_a_chain_rejected(self, P, message):
@@ -223,7 +224,7 @@ class TestGenerateDataset:
 
     def test_no_users_rejected(self, tmp_path):
         with pytest.raises(InvalidSpec, match="users_per_type"):
-            generate_dataset(tmp_path, users_per_type=0)
+            generate_dataset(tmp_path, seed=0, users_per_type=0)
 
     def test_lines_are_sorted_key_json(self, tmp_path):
         paths = generate_dataset(tmp_path, seed=5, users_per_type=3)
@@ -254,21 +255,31 @@ class TestGenerateDataset:
 
 
 _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b"
+# the seed-7 demo, at the synth subcommand's default of 12 users per type
+_DEMO_SHA = dict(
+    interactions="807d354bfb766f177e3c164c2ffeefda42f0cdbc5948db4d4d34b68f9440bf33",
+    profiles="4c4ce9c5e5c3320adbd342a8fe30e664857471cf05de4435a18e088dcda23969",
+    embeddings="ddcf57a0e24dcff3c8974fafd4f0638ce59ec69098438908d5d1dd7501c32b95",
+)
+
+
+def _synth_subcommand(*args):
+    """A writer that runs `affinity-miner synth --out DIR *args`, so argparse
+    sets every option `args` leaves out; returns the files by stem."""
+
+    def write(out):
+        assert cli.main(["synth", "--out", str(out), *args]) == 0
+        return {path.stem: path for path in out.iterdir()}
+
+    return write
 
 
 @pytest.mark.parametrize(
-    "kwargs, digests",
+    "write, digests",
     [
+        (partial(generate_dataset, seed=7, users_per_type=12), _DEMO_SHA),
         (
-            dict(seed=7, users_per_type=12),
-            dict(
-                interactions="807d354bfb766f177e3c164c2ffeefda42f0cdbc5948db4d4d34b68f9440bf33",
-                profiles="4c4ce9c5e5c3320adbd342a8fe30e664857471cf05de4435a18e088dcda23969",
-                embeddings="ddcf57a0e24dcff3c8974fafd4f0638ce59ec69098438908d5d1dd7501c32b95",
-            ),
-        ),
-        (
-            dict(seed=5, users_per_type=2),
+            partial(generate_dataset, seed=5, users_per_type=2),
             dict(
                 interactions="6e57d138eef0ecbc02f834d9d4cee0fccae9188849bcd90aa0c74b3fa1c81b7e",
                 profiles="5fcb1741ddf7135b2978f5a01acdbab1e5dc8fabef5cc4e6b2a00ea424b54e28",
@@ -277,7 +288,7 @@ _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b
         ),
         # the smallest blocks: four users each, plus a bot in every block
         (
-            dict(seed=3, users_per_type=1),
+            partial(generate_dataset, seed=3, users_per_type=1),
             dict(
                 interactions="072b01767fe8708f5f33c11ce5569241429039d425a7b592abc06912567de9bc",
                 profiles="cb7b682604a87ea0e96c40addf731c381179e8f224f2b888bb727c1a8fc83c29",
@@ -286,19 +297,21 @@ _LEXICON_SHA = "3076140c28345e26b3ed562e097451c9cdfef088da5a6498aa5d22cc1a0c809b
         ),
         # the kdest-lr-768 benchmark inputs at seed 1
         (
-            dict(seed=1, users_per_type=48),
+            partial(generate_dataset, seed=1, users_per_type=48),
             dict(
                 interactions="7f987c79d724cfe395c8d61545f013a49a3115f11a25c476ca4e3c47f7fe017c",
                 profiles="faec12a970b1e5fea048e93c5d4993dee7da78433b88fd9a1c88c93f0df6cebe",
                 embeddings="cad9f1651a005849f71454a0117e9451fdaf928dcb8010eab622ff42a6f07985",
             ),
         ),
+        # the seed-7 demo again, with --users-per-type left to argparse
+        (_synth_subcommand("--seed", "7"), _DEMO_SHA),
     ],
-    ids=["seed7-12", "seed5-2", "seed3-1", "seed1-48"],
+    ids=["seed7-12", "seed5-2", "seed3-1", "seed1-48", "synth-seed7"],
 )
-def test_generated_files_are_pinned(tmp_path, kwargs, digests):
+def test_generated_files_are_pinned(tmp_path, write, digests):
     """Generated inputs are byte-for-byte those every golden was recorded on."""
-    paths = generate_dataset(tmp_path, **kwargs)
+    paths = write(tmp_path)
     expected = dict(digests, lexicon=_LEXICON_SHA)
     actual = {k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in expected}
     assert actual == expected
