@@ -28,10 +28,6 @@ class DimensionMismatch(AffinityMinerError):
     """Argument sizes or shapes disagree."""
 
 
-class ConstantVector(AffinityMinerError):
-    """A correlation or cosine is undefined for a constant or zero vector."""
-
-
 class InsufficientData(AffinityMinerError):
     """Too few documents, classes, nodes, edges, points or labels."""
 

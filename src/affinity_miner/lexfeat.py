@@ -20,13 +20,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    ConstantVector,
-    DimensionMismatch,
-    InsufficientData,
-    InvalidSpec,
-    MalformedRecord,
-)
+from .errors import DimensionMismatch, InsufficientData, InvalidSpec, MalformedRecord
 from .ingest import read_lines
 
 log = logging.getLogger(__name__)
@@ -200,7 +194,7 @@ def fit_elastic_net(
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of two 1-d float arrays; identical inputs give
-    exactly 1.0."""
+    exactly 1.0, and a constant input nan (the correlation is undefined)."""
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"shapes {x.shape} vs {y.shape}")
     if len(x) < 2:
@@ -210,7 +204,7 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
-        raise ConstantVector("correlation undefined for constant input")
+        return math.nan
     return float(dx @ dy) / math.sqrt(sxx * syy)
 
 
@@ -284,8 +278,10 @@ def emotion_correlation_table(
     of each fit (by descending value) are aligned on the union of selected
     keys, missing keys as 0, and the aligned vectors are Pearson-correlated.
     Groups must sort; keys are (later group, earlier group) in sorted order.
-    A group with too few documents raises InsufficientData naming the
-    group, and every pearson_r failure is re-raised naming the pair.
+    A group whose top-n coefficients are all zero has no defined
+    correlation: each of its cells is nan, and a warning names it. A group
+    with too few documents raises InsufficientData naming the group, and
+    every pearson_r failure is re-raised naming the pair.
     """
     weights = {}
     for name, docs in sorted(documents_by_group.items()):
@@ -295,14 +291,23 @@ def emotion_correlation_table(
             raise InsufficientData(f"{name}: {exc}") from None
     names = sorted(weights)
     top = {name: set(_top_n_keys(weights[name], n)) for name in names}
+    empty = [name for name in names if not any(weights[name][k] for k in top[name])]
+    for name in empty:
+        log.warning(
+            "%s: every top-%d %r weight is zero at lam=%g, so its correlations are nan",
+            name, n, target, lam,
+        )
     table: dict[tuple[str, str], float] = {}
     for i, a in enumerate(names):
         for b in names[:i]:
+            if a in empty or b in empty:
+                table[(a, b)] = math.nan
+                continue
             keys = sorted(top[a] | top[b])
             va = np.array([weights[a].get(k, 0.0) for k in keys])
             vb = np.array([weights[b].get(k, 0.0) for k in keys])
             try:
                 table[(a, b)] = pearson_r(va, vb)
-            except (DimensionMismatch, InsufficientData, ConstantVector) as exc:
+            except (DimensionMismatch, InsufficientData) as exc:
                 raise type(exc)(f"{a} vs {b}: {exc}") from None
     return table

@@ -8,15 +8,18 @@ cosine similarity.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConstantVector, InsufficientData, MalformedRecord
+from .errors import InsufficientData, MalformedRecord
 from .ingest import ALL_TYPES, MbtiType, read_lines
 from .lexfeat import tokenize
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,12 @@ def doc_vector(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; exact 1.0 for identical input."""
+    """Cosine of the angle between two vectors; exact 1.0 for identical
+    input, and nan if either is the zero vector (the angle is undefined)."""
     da = float(a @ a)
     db = float(b @ b)
     if da == 0.0 or db == 0.0:
-        raise ConstantVector("cosine undefined for a zero vector")
+        return math.nan
     return float(a @ b) / math.sqrt(da * db)
 
 
@@ -82,7 +86,9 @@ def type_similarity_matrix(
     """Cosine similarity for the 120 cross-type pairs.
 
     Keys are (row, column) with the row type later in code order, matching
-    a lower-triangular layout; same-type cells are omitted.
+    a lower-triangular layout; same-type cells are omitted. A type whose
+    corpus has no in-vocabulary token has a zero vector: each of its cells
+    is nan, and a warning names it.
     """
     missing = [t for t in ALL_TYPES if t not in corpora]
     if missing:
@@ -94,7 +100,7 @@ def type_similarity_matrix(
     for t in ALL_TYPES:
         v = doc_vector(tokenize(corpora[t]), table)
         if not v.any():
-            raise ConstantVector(f"corpus for {t} has no in-vocabulary tokens")
+            log.warning("%s: corpus has no in-vocabulary tokens, so its similarities are nan", t)
         vectors[t] = v
     table_out: dict[tuple[MbtiType, MbtiType], float] = {}
     for i, row in enumerate(ALL_TYPES):

@@ -116,8 +116,9 @@ class TestConfigResolution:
         assert capsys.readouterr().err == "error: line 2: bad value for alpha: 'abc'\n"
 
     def test_environment_is_not_a_source(self, monkeypatch):
-        monkeypatch.setenv("AFFINITY_MINER_KAPPA", "9")
-        assert resolve_config({}, {}).kappa == 5.0
+        for key, value in [("KAPPA", "9"), ("SEED", "3"), ("CLASSIFIER", "lr")]:
+            monkeypatch.setenv(f"AFFINITY_MINER_{key}", value)
+        assert resolve_config({}, {}) == PipelineConfig()
 
     @pytest.mark.parametrize("command", ["run", "ingest"])
     def test_seed_flag_is_a_usage_error(self, command, capsys):
@@ -415,15 +416,28 @@ class TestMainEntry:
         assert not (out / "clustering.tsv").exists()
 
     @pytest.mark.parametrize(
-        "stage, setting",
-        [("graph", "threshold=0.99"), ("lexcorr", "pos_category=nope"), ("classify", "folds=100")],
+        "stage, setting, error",
+        [
+            pytest.param("graph", "threshold=0.99",
+                         "error: type-pair percentages need at least one edge",
+                         id="graph-threshold=0.99"),
+            pytest.param("lexcorr", "pos_category=nope",
+                         "error: config key pos_category: 'nope' is not a lexicon category; "
+                         "the lexicon has: negemo, posemo",
+                         id="lexcorr-pos_category=nope"),
+            pytest.param("classify", "folds=100",
+                         "error: fewer than 2 types have at least 100 documents",
+                         id="classify-folds=100"),
+        ],
     )
-    def test_failing_stage_writes_nothing(self, dataset, tmp_path, capsys, stage, setting):
+    def test_failing_stage_writes_nothing(self, dataset, tmp_path, capsys, stage, setting, error):
         # graph fails on type_pairs.tsv after rendering graph.tsv and graph.dot
         out = tmp_path / "failed"
         args = ["--config", str(dataset["config"]), "--out", str(out), "--set", setting]
         assert main([stage, *args]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [error]
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):
@@ -706,6 +720,34 @@ class TestUnreadableInputExitsOne:
         want = f"error: config key config: cannot read {bad}: {self.FAILURES[failure]}\n"
         assert capsys.readouterr().err == want
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a mode-000 file anyway")
+    def test_input_file_without_read_permission(self, dataset, tmp_path, capsys):
+        # the "open" case above with a real mode-000 file, not a patched open
+        locked = tmp_path / "interactions.jsonl"
+        locked.write_bytes(dataset["interactions"].read_bytes())
+        locked.chmod(0)
+        out = tmp_path / "out"
+        args = [*input_args(dataset), f"--set=interactions={locked}", "--out", str(out)]
+        assert main(["ingest", *args]) == 1
+        want = f"error: config key interactions: cannot read {locked}: {self.FAILURES['open']}\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
+
+def test_console_process_exit_codes(dataset, tmp_path):
+    # a real process: argparse's usage error exits 2, a config error 1, and
+    # neither writes into the working directory
+    def pipeline(*args):
+        return subprocess.run(harness.PIPELINE + list(args), cwd=tmp_path,
+                              env=harness.child_env(), capture_output=True, text=True)
+
+    usage = pipeline("run", "--seed", "3")
+    assert usage.returncode == 2
+    assert "unrecognized arguments: --seed 3" in usage.stderr
+    empty_out = pipeline("ingest", "--config", str(dataset["config"]), "--out", "")
+    assert (empty_out.returncode, empty_out.stderr) == (1, "error: config key out is required\n")
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestBadInputsExitOne:
     """Bad bytes or names in the other inputs exit 1 naming the line or key."""
@@ -871,6 +913,51 @@ def test_lexicon_category_named_first_person_pronoun_loads(dataset, tmp_path, ca
                  "--set=neg_category=first_person_pronoun", "--out", str(out)]) == 0
     assert "error" not in capsys.readouterr().err
     assert sorted(path.name for path in out.iterdir()) == ["lexcorr_neg.tsv", "lexcorr_pos.tsv"]
+
+
+def nan_cells(path):
+    """The (row, column) names of a lower-triangular table's nan cells."""
+    header, *rows = (line.split("\t") for line in path.read_text().splitlines())
+    return {(row[0], header[j]) for row in rows for j, cell in enumerate(row) if cell == "nan"}
+
+
+def lower_cells_with(path, names):
+    """The lower-triangular cells of a table whose row or column is in `names`."""
+    header = path.read_text().splitlines()[0].split("\t")[1:]
+    return {(r, c) for i, r in enumerate(header) for c in header[:i] if names & {r, c}}
+
+
+def test_lexcorr_type_without_selected_words_prints_nan(dataset, tmp_path, caplog):
+    # at lam = 0.05 some types' elastic nets select no word: their
+    # correlations are undefined, and the stage still writes both tables
+    out = tmp_path / "results"
+    args = ["--config", str(dataset["config"]), "--set", "lam=0.05", "--out", str(out)]
+    assert main(["lexcorr", *args]) == 0
+    for category, name in (("posemo", "lexcorr_pos.tsv"), ("negemo", "lexcorr_neg.tsv")):
+        suffix = f": every top-1000 {category!r} weight is zero at lam=0.05, so its correlations are nan"
+        empty = {m.removesuffix(suffix) for m in caplog.messages if m.endswith(suffix)}
+        assert nan_cells(out / name) == lower_cells_with(out / name, empty), category
+    assert nan_cells(out / "lexcorr_neg.tsv")
+
+
+def test_semsim_type_without_vocabulary_prints_nan(dataset, tmp_path, caplog):
+    # every ENFJ user's texts replaced by a token the embeddings lack
+    enfj = {line.split("\t")[0] for line in dataset["profiles"].read_text().splitlines()
+            if "\tENFJ\t" in line}
+    records = [json.loads(line) for line in dataset["interactions"].read_text().splitlines()]
+    interactions = tmp_path / "interactions.jsonl"
+    interactions.write_text("".join(
+        json.dumps({**r, "text": "zzunknown"} if r["source"] in enfj else r) + "\n"
+        for r in records
+    ))
+    out = tmp_path / "results"
+    args = ["--config", str(dataset["config"]), f"--set=interactions={interactions}"]
+    assert main(["semsim", *args, "--out", str(out)]) == 0
+    assert caplog.messages.count(
+        "ENFJ: corpus has no in-vocabulary tokens, so its similarities are nan"
+    ) == 1
+    table = out / "semsim.tsv"
+    assert nan_cells(table) == lower_cells_with(table, {"ENFJ"})
 
 
 def test_lexicon_category_matches_in_any_case(dataset, tmp_path):

@@ -87,5 +87,5 @@ def test_errors_carry_only_their_message():
         cls for cls in vars(errors).values()
         if isinstance(cls, type) and issubclass(cls, AffinityMinerError)
     ]
-    assert len(classes) == 10
+    assert len(classes) == 9
     assert [cls.__name__ for cls in classes if "__init__" in vars(cls)] == []

@@ -5,13 +5,7 @@ import pytest
 
 from affinity_miner import lexfeat
 from affinity_miner.cli import PipelineConfig
-from affinity_miner.errors import (
-    ConstantVector,
-    DimensionMismatch,
-    InsufficientData,
-    InvalidSpec,
-    MalformedRecord,
-)
+from affinity_miner.errors import DimensionMismatch, InsufficientData, InvalidSpec, MalformedRecord
 from affinity_miner.lexfeat import (
     emotion_correlation_table,
     extract_features,
@@ -274,8 +268,10 @@ class TestPearson:
             assert abs(pearson_r(3.7 * x + 2.0, y) - pearson_r(x, y)) < 1e-12
 
     def test_constant_vector(self):
-        with pytest.raises(ConstantVector):
-            pearson_r(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+        # the correlation is undefined, not an error
+        y = np.array([1.0, 2.0, 3.0])
+        assert np.isnan(pearson_r(np.array([1.0, 1.0, 1.0]), y))
+        assert np.isnan(pearson_r(y, np.zeros(3)))
 
     def test_length_mismatch(self):
         with pytest.raises(InsufficientData, match="^need at least 2 points$"):
@@ -343,10 +339,20 @@ class TestTypeEmotionCorrelation:
         with pytest.raises(InsufficientData, match="^a: need at least 2 documents, got 1$"):
             correlation(["one doc"], ["a", "b"], small_lexicon(), "posemo")
 
-    def test_constant_weights_name_the_pair(self):
-        # no category word anywhere: every proportion and so every weight is 0
-        with pytest.raises(ConstantVector, match="^b vs a: correlation undefined"):
-            correlation(["w1 w2", "w3"], ["w4", "w5 w6"], small_lexicon(), "posemo")
+    def test_all_zero_weights_give_nan_cells_naming_the_type(self, rng, defaults, caplog):
+        # no category word in b's documents: every proportion and so every weight is 0
+        docs = synthetic_corpus(rng, 0.9, [f"w{i}" for i in range(10)])
+        groups = {"a": docs, "b": ["w1 w2", "w3"], "c": list(docs)}
+        with caplog.at_level(logging.WARNING, logger="affinity_miner.lexfeat"):
+            table = emotion_correlation_table(
+                groups, small_lexicon(), "posemo", defaults.top_n, defaults.lam, defaults.mix
+            )
+        assert np.isnan(table[("b", "a")]) and np.isnan(table[("c", "b")])
+        assert table[("c", "a")] == 1.0
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            "b: every top-1000 'posemo' weight is zero at lam=0.01, so its correlations are nan"
+        ]
 
     def test_one_shared_top_key_names_the_pair(self, rng, defaults):
         # top_n = 1 and the same top token in both groups: one point to correlate

@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from affinity_miner.errors import ConstantVector, InsufficientData, MalformedRecord
+from affinity_miner.errors import InsufficientData, MalformedRecord
 from affinity_miner.ingest import ALL_TYPES
 from affinity_miner.semsim import cosine, doc_vector, load_embeddings, type_similarity_matrix
 
@@ -83,8 +85,9 @@ class TestCosine:
             assert abs(cosine(3.7 * a, b) - cosine(a, b)) < 1e-12
 
     def test_zero_vector(self):
-        with pytest.raises(ConstantVector, match="^cosine undefined for a zero vector$"):
-            cosine(np.zeros(3), np.ones(3))
+        # the angle is undefined, not an error
+        assert np.isnan(cosine(np.zeros(3), np.ones(3)))
+        assert np.isnan(cosine(np.ones(3), np.zeros(3)))
 
     def test_doc_vector_values(self):
         table = table_of(["aa 1 2", "bb 3 4"])
@@ -130,11 +133,17 @@ class TestTypeSimilarityMatrix:
         with pytest.raises(InsufficientData, match=f"; missing: {ALL_TYPES[3].value}$"):
             type_similarity_matrix(corpora, table)
 
-    def test_oov_corpus_names_type(self):
+    def test_oov_corpus_names_type(self, caplog):
         table = self.full_table()
         corpora = self.corpora({"INTJ": "onlyunknownwords"})
-        with pytest.raises(ConstantVector, match="^corpus for INTJ has no in-vocabulary tokens$"):
-            type_similarity_matrix(corpora, table)
+        with caplog.at_level(logging.WARNING, logger="affinity_miner.semsim"):
+            sim = type_similarity_matrix(corpora, table)
+        assert [r.getMessage() for r in caplog.records] == [
+            "INTJ: corpus has no in-vocabulary tokens, so its similarities are nan"
+        ]
+        nan_cells = {pair for pair, value in sim.items() if np.isnan(value)}
+        assert nan_cells == {pair for pair in sim if "INTJ" in (pair[0].value, pair[1].value)}
+        assert len(nan_cells) == 15
 
     def test_values_in_range(self, rng):
         lines = [
